@@ -15,13 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import model as M
 from .banks import CovarianceBank, PrototypeBank
 from .errors import DataFormatError
 from .meta import TrainerState
 
 FORMAT = "tailshift-checkpoint"
-VERSION = 1
+VERSION = 2
 
 
 def _enc_array(a: np.ndarray) -> dict:
@@ -69,10 +68,6 @@ def save_checkpoint(path, state: TrainerState, model_config: dict,
             "n": _enc_array(state.cov.n),
         },
         "rng_state": state.rng_state,
-        "bn": None if state.bn_state is None else {
-            k: [_enc_array(m), _enc_array(v), n]
-            for k, (m, v, n) in state.bn_state.stats.items()
-        },
     }
     Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
 
@@ -91,11 +86,6 @@ def load_checkpoint(path) -> tuple[TrainerState, dict]:
     cov = CovarianceBank(mu=_dec_array(raw["cov"]["mu"]),
                          sigma=_dec_array(raw["cov"]["sigma"]),
                          n=_dec_array(raw["cov"]["n"]))
-    bn = None
-    if raw.get("bn") is not None:
-        bn = M.BnState({k: (_dec_array(m), _dec_array(v), int(n))
-                        for k, (m, v, n) in raw["bn"].items()})
     state = TrainerState(params=params, proto=proto, cov=cov,
-                         rng_state=raw["rng_state"], step=int(raw["step"]),
-                         bn_state=bn)
+                         rng_state=raw["rng_state"], step=int(raw["step"]))
     return state, raw

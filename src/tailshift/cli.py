@@ -117,14 +117,18 @@ def cmd_gen_data(args) -> int:
 
 def _train_once(cfg: RunConfig, dataset: D.Dataset, fingerprint: str,
                 out: Path | None, resume: str | None) -> MT.RunResult:
+    cfg_dict = run_config_to_dict(cfg)
+    model_cfg_dict, train_cfg_dict = cfg_dict["model"], cfg_dict["train"]
     state = None
     if resume is not None:
         state, payload = CK.load_checkpoint(resume)
         if payload["dataset_fingerprint"] != fingerprint:
             raise ConfigError("checkpoint was trained on different data "
                               "(fingerprint mismatch)")
-    model_cfg_dict = run_config_to_dict(cfg)["model"]
-    train_cfg_dict = run_config_to_dict(cfg)["train"]
+        for key, ours in (("model_config", model_cfg_dict), ("train_config", train_cfg_dict)):
+            if payload[key] != ours:
+                raise ConfigError(f"checkpoint {key} differs from this run's; "
+                                  "resuming would mix two configs")
 
     hooks = None
     if out is not None and cfg.io.checkpoint_every_epochs > 0:
@@ -157,9 +161,6 @@ def cmd_train(args) -> int:
             data=None if cfg.data is None else dataclasses.replace(cfg.data, seed=args.seed))
     if args.ablation is not None:
         cfg = dataclasses.replace(cfg, train=MT.apply_ablation(cfg.train, args.ablation))
-    if args.meta_mode is not None:
-        cfg = dataclasses.replace(
-            cfg, train=dataclasses.replace(cfg.train, meta_mode=args.meta_mode))
     dataset, fingerprint = _resolve_dataset(cfg, args.data)
     out = Path(args.out) if args.out else None
     if out is not None:
@@ -285,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--ablation", default=None, choices=sorted(MT.ABLATION_ROWS))
-    p.add_argument("--meta-mode", default=None, choices=["first_order", "fd_exact"])
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
     p.set_defaults(fn=cmd_train)
 

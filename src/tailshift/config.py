@@ -4,7 +4,7 @@ A run config file has five sections, all optional (defaults apply):
 
     {
       "data":  { synthetic generator fields } | {"path": "<dataset dir>"},
-      "model": { "d_v": 16, "hidden": [32], "use_batch_standardization": false },
+      "model": { "d_v": 16, "hidden": [32] },
       "train": { training loop fields, incl. "cp": {"alpha","tau"},
                  "ap": {"lam","k"}, "ablation" toggles },
       "eval":  { "threshold": null, "grid": [..], "confidence": "softmax" },

@@ -10,13 +10,14 @@ combined objective. Prototype and covariance banks are updated between the
 classification and alignment losses, matching the iteration's line order;
 the augmentation loss and covariance tracking switch on at epoch t_sigma.
 
-Two outer-gradient modes exist: ``first_order`` treats the meta-test
-gradient at the stepped parameters as the gradient with respect to the
-originals (the standard approximation), while ``fd_exact`` differentiates
-the whole two-level objective by central finite differences, including the
-dependence of the inner step on the parameters. The second is a desk-scale
-oracle (parameter count capped) used to measure how good the first-order
-approximation is, not to train real models.
+``episode`` computes one iteration's losses and gradients; ``run`` trains
+with it by the first-order rule, which treats the meta-test gradient at the
+stepped parameters as the gradient with respect to the originals.
+``outer_gradients`` also offers ``fd_exact``, which differentiates the
+episode value by central finite differences, including the dependence of
+the inner step on the parameters. It is a desk-scale oracle (parameter
+count capped) used to measure how good the first-order approximation is,
+not a way to train.
 
 Toggles reproduce the ablation grid: rows a-j switch losses and the meta
 loop on and off, row k collapses the per-domain prototype tables into a
@@ -79,7 +80,6 @@ class TrainConfig:
     batch_size: int = 48             # per participating domain
     cp: ContrastiveParams = field(default_factory=ContrastiveParams)
     ap: AugParams = field(default_factory=AugParams)
-    meta_mode: str = "first_order"   # or "fd_exact"
     mte_size: int = 1
     seed: int = 0
     ema: float = 0.5
@@ -91,7 +91,6 @@ class TrainConfig:
     use_meta: bool = True
     single_prototype: bool = False
     unweighted_blend: bool = False
-    aug_denominator_variant: str = "derivation"
     decay_milestones: tuple[float, ...] = (0.4, 0.8)
     decay_factor: float = 0.1
     eval_every_epochs: int = 0       # 0 disables periodic validation metrics
@@ -103,8 +102,6 @@ class TrainConfig:
             raise ConfigError("need 0 <= t_sigma <= t_max")
         if self.steps_per_epoch < 1 or self.batch_size < 1:
             raise ConfigError("steps_per_epoch and batch_size must be >= 1")
-        if self.meta_mode not in ("first_order", "fd_exact"):
-            raise ConfigError(f"unknown meta_mode {self.meta_mode!r}")
         if self.mte_size < 1:
             raise ConfigError("mte_size must be >= 1")
         if not (0 < self.ema <= 1):
@@ -184,7 +181,6 @@ class TrainerState:
     cov: CovarianceBank
     rng_state: dict
     step: int
-    bn_state: M.BnState | None = None
 
 
 @dataclass
@@ -219,66 +215,77 @@ def _proto_domain(cfg: TrainConfig, domain: int) -> int:
     return 0 if cfg.single_prototype else domain
 
 
+def _features(leaves, batches, mcfg: M.ModelConfig) -> dict:
+    """domain -> (feature tensor, int labels), refusing empty batches."""
+    feats = {}
+    for n in sorted(batches):
+        x, y = batches[n]
+        if len(y) == 0:
+            raise ValueError("empty batch")
+        feats[n] = (M.forward_features(leaves, x, mcfg), np.asarray(y, dtype=np.int64))
+    return feats
+
+
+def _domain_mean(feats: dict, fn):
+    acc = None
+    for n in feats:
+        term = fn(n)
+        acc = term if acc is None else acc + term
+    return acc / float(len(feats))
+
+
+def _cls_loss(leaves, feats: dict, counts: DomainClassCounts, cfg: TrainConfig):
+    """Calibrated (or, with use_dc off, plain) cross-entropy, domain mean."""
+    if cfg.use_dc:
+        return _domain_mean(feats, lambda n: dc_loss_mean(
+            M.forward_logits(leaves, feats[n][0]), feats[n][1],
+            np.full(len(feats[n][1]), n), counts))
+    return _domain_mean(feats, lambda n: cross_entropy_mean(
+        M.forward_logits(leaves, feats[n][0]), feats[n][1]))
+
+
+def _aug_loss(leaves, feats: dict, sigma_prime, cfg: TrainConfig):
+    return _domain_mean(feats, lambda n: aug_loss_mean(
+        feats[n][0], feats[n][1], leaves["cls.W"], leaves["cls.b"],
+        sigma_prime, cfg.ap))
+
+
 def meta_train_losses(leaves, batches, proto: PrototypeBank, cov: CovarianceBank,
-                    table: SemanticTable | None, counts: DomainClassCounts,
-                    cfg: TrainConfig, mcfg: M.ModelConfig, aug_active: bool,
-                    bn_state=None):
+                      table: SemanticTable | None, counts: DomainClassCounts,
+                      cfg: TrainConfig, mcfg: M.ModelConfig, aug_active: bool):
     """Meta-train (or conventional) loss graph for one iteration.
 
     Returns (L_mtr tensor, component floats, proto', cov', sigma_prime).
     Bank updates happen between the classification/alignment losses and the
     prototype-dependent losses, in iteration line order.
     """
-    enc = lambda v: M.encode(leaves, v, mcfg, training=True, bn_state=bn_state)
-    dec = lambda s: M.decode(leaves, s, mcfg, training=True, bn_state=bn_state)
-    domains = sorted(batches)
-    k_blend = min(cfg.ap.k, counts.n_classes)
-
-    feats = {}
-    for n in domains:
-        x, y = batches[n]
-        if len(y) == 0:
-            raise ValueError("empty batch")
-        feats[n] = (M.forward_features(leaves, x, mcfg), np.asarray(y, dtype=np.int64))
-
-    def domain_mean(fn):
-        acc = None
-        for n in domains:
-            term = fn(n)
-            acc = term if acc is None else acc + term
-        return acc / float(len(domains))
+    enc = lambda v: M.encode(leaves, v, mcfg)
+    dec = lambda s: M.decode(leaves, s, mcfg)
+    feats = _features(leaves, batches, mcfg)
 
     comps = dict.fromkeys(LOSS_KEYS, 0.0)
-    parts = []
-
-    if cfg.use_dc:
-        l_cls = domain_mean(lambda n: dc_loss_mean(
-            M.forward_logits(leaves, feats[n][0]), feats[n][1],
-            np.full(len(feats[n][1]), n), counts))
-    else:
-        l_cls = domain_mean(lambda n: cross_entropy_mean(
-            M.forward_logits(leaves, feats[n][0]), feats[n][1]))
+    l_cls = _cls_loss(leaves, feats, counts, cfg)
     comps["L_Cls"] = float(l_cls.data)
-    parts.append(l_cls)
+    parts = [l_cls]
 
     if cfg.use_z2s:
-        l_z2s = domain_mean(lambda n: z2s_loss_mean(
+        l_z2s = _domain_mean(feats, lambda n: z2s_loss_mean(
             enc(feats[n][0]), feats[n][1], table, cfg.cp))
         comps["L_Z2S"] = float(l_z2s.data)
         parts.append(cfg.w1 * l_z2s)
 
-    for n in domains:
+    for n in feats:
         proto = update_prototypes(proto, _proto_domain(cfg, n),
                                   feats[n][0].data, feats[n][1])
 
     sigma_prime = None
     if cfg.use_aug and aug_active:
-        for n in domains:
+        for n in feats:
             cov = update_covariance(cov, feats[n][0].data, feats[n][1])
-        sigma_prime, _ = blend_covariance(cov, table, k_blend,
+        sigma_prime, _ = blend_covariance(cov, table, min(cfg.ap.k, counts.n_classes),
                                           weighted=not cfg.unweighted_blend)
 
-    proto_rows = sorted({_proto_domain(cfg, n) for n in domains})
+    proto_rows = sorted({_proto_domain(cfg, n) for n in feats})
     s_hat = {r: complete_semantic(proto, enc, table, r) for r in proto_rows} \
         if (cfg.use_s2s or cfg.use_s2z) else {}
 
@@ -301,23 +308,19 @@ def meta_train_losses(leaves, batches, proto: PrototypeBank, cov: CovarianceBank
         parts.append(cfg.w3 * l_s2z)
 
     if cfg.use_aug and aug_active:
-        l_aug = domain_mean(lambda n: aug_loss_mean(
-            feats[n][0], feats[n][1], leaves["cls.W"], leaves["cls.b"],
-            sigma_prime, cfg.ap, cfg.aug_denominator_variant))
+        l_aug = _aug_loss(leaves, feats, sigma_prime, cfg)
         comps["L_Aug"] = float(l_aug.data)
         parts.append(cfg.w4 * l_aug)
 
-    l_mtr = parts[0]
-    for p in parts[1:]:
-        l_mtr = l_mtr + p
+    l_mtr = sum(parts[1:], parts[0])
     comps["L_mtr"] = float(l_mtr.data)
     return l_mtr, comps, proto, cov, sigma_prime
 
 
 def meta_test_losses(leaves, batches, proto: PrototypeBank,
-                        table: SemanticTable | None, counts: DomainClassCounts,
-                        cfg: TrainConfig, mcfg: M.ModelConfig, aug_active: bool,
-                        sigma_prime, d_mtr, bn_state=None):
+                     table: SemanticTable | None, counts: DomainClassCounts,
+                     cfg: TrainConfig, mcfg: M.ModelConfig, aug_active: bool,
+                     sigma_prime, d_mtr):
     """Meta-test loss graph under stepped parameters.
 
     Visual features of the meta-test batches are aligned to the semantic
@@ -326,64 +329,64 @@ def meta_test_losses(leaves, batches, proto: PrototypeBank,
     """
     if set(batches) & set(d_mtr):
         raise ProtocolError("meta-test domains overlap meta-train domains")
-    enc = lambda v: M.encode(leaves, v, mcfg, training=True, bn_state=bn_state)
-    domains = sorted(batches)
-
-    feats = {}
-    for m in domains:
-        x, y = batches[m]
-        if len(y) == 0:
-            raise ValueError("empty batch")
-        feats[m] = (M.forward_features(leaves, x, mcfg), np.asarray(y, dtype=np.int64))
-
-    def domain_mean(fn):
-        acc = None
-        for m in domains:
-            term = fn(m)
-            acc = term if acc is None else acc + term
-        return acc / float(len(domains))
+    enc = lambda v: M.encode(leaves, v, mcfg)
+    feats = _features(leaves, batches, mcfg)
 
     comps = dict.fromkeys(("L_MCls", "L_MZ2S", "L_MAug", "L_mte"), 0.0)
-    parts = []
-
-    if cfg.use_dc:
-        l_cls = domain_mean(lambda m: dc_loss_mean(
-            M.forward_logits(leaves, feats[m][0]), feats[m][1],
-            np.full(len(feats[m][1]), m), counts))
-    else:
-        l_cls = domain_mean(lambda m: cross_entropy_mean(
-            M.forward_logits(leaves, feats[m][0]), feats[m][1]))
+    l_cls = _cls_loss(leaves, feats, counts, cfg)
     comps["L_MCls"] = float(l_cls.data)
-    parts.append(l_cls)
+    parts = [l_cls]
 
     if cfg.use_z2s:
-        emb = {m: enc(feats[m][0]) for m in domains}
-        l_z2s = domain_mean(lambda m: z2s_loss_mean(emb[m], feats[m][1], table, cfg.cp))
+        emb = {m: enc(feats[m][0]) for m in feats}
+        l_z2s = _domain_mean(feats, lambda m: z2s_loss_mean(emb[m], feats[m][1], table, cfg.cp))
         proto_rows = sorted({_proto_domain(cfg, n) for n in d_mtr})
         for r in proto_rows:
             s_hat_prime = complete_semantic(proto, enc, table, r)
-            l_z2s = l_z2s + domain_mean(lambda m: z2s_loss_mean(
+            l_z2s = l_z2s + _domain_mean(feats, lambda m: z2s_loss_mean(
                 emb[m], feats[m][1], s_hat_prime, cfg.cp)) / float(len(proto_rows))
         comps["L_MZ2S"] = float(l_z2s.data)
         parts.append(cfg.w1 * l_z2s)
 
     if cfg.use_aug and aug_active:
-        l_aug = domain_mean(lambda m: aug_loss_mean(
-            feats[m][0], feats[m][1], leaves["cls.W"], leaves["cls.b"],
-            sigma_prime, cfg.ap, cfg.aug_denominator_variant))
+        l_aug = _aug_loss(leaves, feats, sigma_prime, cfg)
         comps["L_MAug"] = float(l_aug.data)
         parts.append(cfg.w4 * l_aug)
 
-    l_mte = parts[0]
-    for p in parts[1:]:
-        l_mte = l_mte + p
+    l_mte = sum(parts[1:], parts[0])
     comps["L_mte"] = float(l_mte.data)
     return l_mte, comps
 
 
-def inner_step(params: dict, grads: dict, beta1: float) -> dict:
-    """theta' = theta - beta1 * grad(L_mtr); delegates to apply_step."""
-    return M.apply_step(params, grads, beta1)
+def episode(params: dict, batches_mtr: dict, batches_mte: dict | None,
+            proto: PrototypeBank, cov: CovarianceBank,
+            table: SemanticTable | None, counts: DomainClassCounts,
+            cfg: TrainConfig, mcfg: M.ModelConfig, aug_active: bool):
+    """One episode at `params`: the meta-train graph and its gradient, then,
+    when meta-test batches are given, the beta1 inner step and the meta-test
+    graph and its gradient under the stepped parameters.
+
+    Returns (value, g_mtr, g_mte | None, comps, proto', cov'), where value is
+    L_mtr + w_mte L_mte (L_mtr alone without meta-test batches). The input
+    banks are left untouched.
+    """
+    leaves = make_leaves(params)
+    l_mtr, comps, proto, cov, sigma_prime = meta_train_losses(
+        leaves, batches_mtr, proto, cov, table, counts, cfg, mcfg, aug_active)
+    l_mtr.backward()
+    g_mtr = collect_grads(leaves)
+    value = float(l_mtr.data)
+    g_mte = None
+    if batches_mte is not None:
+        leaves_te = make_leaves(M.apply_step(params, g_mtr, cfg.beta1))
+        l_mte, comps_te = meta_test_losses(
+            leaves_te, batches_mte, proto, table, counts, cfg, mcfg,
+            aug_active, sigma_prime, tuple(batches_mtr))
+        l_mte.backward()
+        g_mte = collect_grads(leaves_te)
+        comps.update(comps_te)
+        value = value + cfg.w_mte * float(l_mte.data)
+    return value, g_mtr, g_mte, comps, proto, cov
 
 
 def outer_step(params: dict, grads_mtr: dict, grads_mte: dict | None,
@@ -399,37 +402,16 @@ def outer_gradients(params: dict, batches_mtr: dict, batches_mte: dict,
                     proto: PrototypeBank, cov: CovarianceBank,
                     table: SemanticTable | None, counts: DomainClassCounts,
                     cfg: TrainConfig, mcfg: M.ModelConfig, aug_active: bool,
-                    mode: str | None = None):
+                    mode: str = "first_order"):
     """Gradient of L_mtr + w_mte L_mte(theta') with respect to theta.
 
-    ``first_order`` returns the two analytic pieces combined; ``fd_exact``
-    differentiates the full objective (inner step included) numerically and
-    requires a small parameter count. Bank state is restored from snapshots
-    between evaluations, so both modes see the same pure function.
+    ``first_order`` combines the two analytic pieces of one episode;
+    ``fd_exact`` differentiates the episode value (inner step included) by
+    central finite differences and requires a small parameter count.
     """
-    mode = mode or cfg.meta_mode
-
-    def evaluate(p: dict, return_grads: bool = False):
-        leaves = make_leaves(p)
-        l_mtr, comps_tr, proto2, cov2, sig = meta_train_losses(
-            leaves, batches_mtr, proto.copy(), cov.copy(), table, counts,
-            cfg, mcfg, aug_active)
-        l_mtr.backward()
-        g_mtr = collect_grads(leaves)
-        p_prime = inner_step(p, g_mtr, cfg.beta1)
-        leaves2 = make_leaves(p_prime)
-        l_mte, comps_te = meta_test_losses(
-            leaves2, batches_mte, proto2, table, counts, cfg, mcfg,
-            aug_active, sig, tuple(batches_mtr))
-        value = float(l_mtr.data) + cfg.w_mte * float(l_mte.data)
-        if not return_grads:
-            return value
-        l_mte.backward()
-        g_mte = collect_grads(leaves2)
-        return value, g_mtr, g_mte, comps_tr, comps_te, proto2, cov2
-
     if mode == "first_order":
-        _, g_mtr, g_mte, *_ = evaluate(params, return_grads=True)
+        _, g_mtr, g_mte, *_ = episode(params, batches_mtr, batches_mte, proto, cov,
+                                      table, counts, cfg, mcfg, aug_active)
         return {k: g_mtr[k] + cfg.w_mte * g_mte[k] for k in g_mtr}
 
     if mode == "fd_exact":
@@ -437,15 +419,17 @@ def outer_gradients(params: dict, batches_mtr: dict, batches_mte: dict,
         if n_params > FD_EXACT_MAX_PARAMS:
             raise ConfigError(
                 f"fd_exact needs <= {FD_EXACT_MAX_PARAMS} parameters, got {n_params}")
+        value = lambda p: episode(p, batches_mtr, batches_mte, proto, cov, table,
+                                  counts, cfg, mcfg, aug_active)[0]
         eps = 1e-5
         vec = M.flatten_params(params)
         g = np.zeros_like(vec)
         for i in range(vec.size):
             orig = vec[i]
             vec[i] = orig + eps
-            hi = evaluate(M.unflatten_params(vec, params))
+            hi = value(M.unflatten_params(vec, params))
             vec[i] = orig - eps
-            lo = evaluate(M.unflatten_params(vec, params))
+            lo = value(M.unflatten_params(vec, params))
             vec[i] = orig
             g[i] = (hi - lo) / (2 * eps)
         return M.unflatten_params(g, params)
@@ -477,9 +461,8 @@ def init_state(dataset: Dataset, cfg: TrainConfig, mcfg: M.ModelConfig) -> Train
         mask = mask.any(axis=0, keepdims=True)
     proto = PrototypeBank.zeros(mask, mcfg.d_v, ema=cfg.ema)
     cov = CovarianceBank.zeros(dataset.n_classes, mcfg.d_v)
-    bn = M.BnState() if mcfg.use_batch_standardization else None
     return TrainerState(params=params, proto=proto, cov=cov,
-                        rng_state=loop_rng.get_state(), step=0, bn_state=bn)
+                        rng_state=loop_rng.get_state(), step=0)
 
 
 def run(dataset: Dataset, cfg: TrainConfig, mcfg: M.ModelConfig,
@@ -505,7 +488,6 @@ def run(dataset: Dataset, cfg: TrainConfig, mcfg: M.ModelConfig,
     if state is None:
         state = init_state(dataset, cfg, mcfg)
     params, proto, cov = state.params, state.proto, state.cov
-    bn_state = state.bn_state
     loop_rng = Rng(0)
     loop_rng.set_state(state.rng_state)
 
@@ -524,54 +506,21 @@ def run(dataset: Dataset, cfg: TrainConfig, mcfg: M.ModelConfig,
         else:
             d_mtr, d_mte = tuple(train_domains), ()
         batches = {n: sample_batch(dataset, n, cfg.batch_size, loop_rng) for n in d_mtr}
-
-        if cfg.use_meta and cfg.meta_mode == "fd_exact":
+        # w_mte == 0 skips the meta-test half entirely: its data is never read.
+        batches_mte = None
+        if cfg.use_meta and cfg.w_mte != 0.0:
             batches_mte = {m: sample_batch(dataset, m, cfg.batch_size, loop_rng)
                            for m in d_mte}
-            leaves = make_leaves(params)
-            l_mtr, comps, proto2, cov2, sig = meta_train_losses(
-                leaves, batches, proto.copy(), cov.copy(), table, counts,
-                cfg, mcfg, aug_active, bn_state)
-            l_mtr.backward()
-            g_mtr = collect_grads(leaves)
-            p_prime = inner_step(params, g_mtr, cfg.beta1)
-            _, comps_te = meta_test_losses(
-                make_leaves(p_prime), batches_mte, proto2, table, counts,
-                cfg, mcfg, aug_active, sig, d_mtr, bn_state)
-            comps.update(comps_te)
-            total = outer_gradients(params, batches, batches_mte, proto, cov,
-                                    table, counts, cfg, mcfg, aug_active,
-                                    mode="fd_exact")
-            params = M.apply_step(params, total, lr)
-            proto, cov = proto2, cov2
-            g_norm_mtr, g_norm_mte = _grad_norm(g_mtr), 0.0
-        else:
-            leaves = make_leaves(params)
-            l_mtr, comps, proto, cov, sig = meta_train_losses(
-                leaves, batches, proto, cov, table, counts, cfg, mcfg,
-                aug_active, bn_state)
-            l_mtr.backward()
-            g_mtr = collect_grads(leaves)
-            g_norm_mtr, g_norm_mte = _grad_norm(g_mtr), 0.0
-            g_mte = None
-            if cfg.use_meta and cfg.w_mte != 0.0:
-                # w_mte == 0 skips this entirely: meta-test data is never read.
-                batches_mte = {m: sample_batch(dataset, m, cfg.batch_size, loop_rng)
-                               for m in d_mte}
-                p_prime = inner_step(params, g_mtr, cfg.beta1)
-                leaves2 = make_leaves(p_prime)
-                l_mte, comps_te = meta_test_losses(
-                    leaves2, batches_mte, proto, table, counts, cfg, mcfg,
-                    aug_active, sig, d_mtr, bn_state)
-                l_mte.backward()
-                g_mte = collect_grads(leaves2)
-                g_norm_mte = _grad_norm(g_mte)
-                comps.update(comps_te)
-            params = outer_step(params, g_mtr, g_mte, cfg, lr)
+
+        _, g_mtr, g_mte, comps, proto, cov = episode(
+            params, batches, batches_mte, proto, cov, table, counts, cfg, mcfg,
+            aug_active)
+        params = outer_step(params, g_mtr, g_mte, cfg, lr)
 
         report = StepReport(step=step, epoch=epoch, d_mtr=d_mtr, d_mte=d_mte,
-                            losses=comps, grad_norm_mtr=g_norm_mtr,
-                            grad_norm_mte=g_norm_mte, lr_outer=lr)
+                            losses=comps, grad_norm_mtr=_grad_norm(g_mtr),
+                            grad_norm_mte=0.0 if g_mte is None else _grad_norm(g_mte),
+                            lr_outer=lr)
         reports.append(report)
 
         if cfg.eval_every_epochs and (step + 1) % (cfg.eval_every_epochs * cfg.steps_per_epoch) == 0:
@@ -580,11 +529,10 @@ def run(dataset: Dataset, cfg: TrainConfig, mcfg: M.ModelConfig,
 
         if on_step is not None:
             on_step(TrainerState(params=params, proto=proto, cov=cov,
-                                 rng_state=loop_rng.get_state(), step=step + 1,
-                                 bn_state=bn_state), report)
+                                 rng_state=loop_rng.get_state(), step=step + 1),
+                    report)
 
     final = TrainerState(params=params, proto=proto, cov=cov,
-                         rng_state=loop_rng.get_state(), step=cfg.total_steps,
-                         bn_state=bn_state)
+                         rng_state=loop_rng.get_state(), step=cfg.total_steps)
     return RunResult(params=params, proto=proto, cov=cov, reports=reports,
                      history=history, state=final)

@@ -2,23 +2,21 @@
 semantic encoder/decoder pair, on flat named parameter blocks.
 
 The feature extractor is a small MLP (rectifiers between layers, linear
-output). The encoder is affine -> optional batch standardization -> rectifier
--> row normalization, so its outputs live on the unit sphere of the semantic
-space; the decoder mirrors it without the normalization. Parameters are a
-plain ``dict[str, ndarray]``; forward builders accept either arrays or graph
-tensors, so the same code path serves inference and gradient computation.
+output). The encoder is affine -> rectifier -> row normalization, so its
+outputs live on the unit sphere of the semantic space; the decoder mirrors
+it without the normalization. Parameters are a plain ``dict[str, ndarray]``;
+forward builders accept either arrays or graph tensors, so the same code
+path serves inference and gradient computation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 from .mathcore import GradResult, Rng, as_tensor, normalize_rows
-
-BN_EPS = 1e-5
 
 
 @dataclass(frozen=True)
@@ -28,7 +26,6 @@ class ModelConfig:
     d_s: int
     n_classes: int
     hidden: tuple[int, ...] = (64,)
-    use_batch_standardization: bool = False
 
     def __post_init__(self):
         dims = (self.d_x, self.d_v, self.d_s, self.n_classes, *self.hidden)
@@ -101,43 +98,6 @@ def apply_step(params: Params, grads, lr: float) -> Params:
 
 
 # ---------------------------------------------------------------------------
-# batch standardization state (used only when the config enables it)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class BnState:
-    """Running feature statistics for the encoder/decoder blocks."""
-
-    stats: dict = field(default_factory=dict)  # name -> (mean, var, count)
-
-    def copy(self) -> "BnState":
-        return BnState({k: (m.copy(), v.copy(), int(n)) for k, (m, v, n) in self.stats.items()})
-
-    def update(self, name: str, mean: np.ndarray, var: np.ndarray):
-        if name not in self.stats:
-            self.stats[name] = (mean.copy(), var.copy(), 1)
-            return
-        m, v, n = self.stats[name]
-        # simple EMA over batches, enough for eval-time standardization
-        rho = 0.1
-        self.stats[name] = ((1 - rho) * m + rho * mean, (1 - rho) * v + rho * var, n + 1)
-
-
-def _standardize(x, name: str, training: bool, bn_state: BnState | None):
-    xt = as_tensor(x)
-    if training or bn_state is None or name not in bn_state.stats:
-        mean = xt.mean(axis=0, keepdims=True)
-        centered = xt - mean
-        var = (centered * centered).mean(axis=0, keepdims=True)
-        out = centered / (var + BN_EPS).sqrt()
-        if bn_state is not None:
-            bn_state.update(name, mean.data.reshape(-1), var.data.reshape(-1))
-        return out
-    m, v, _ = bn_state.stats[name]
-    return (xt - m) / np.sqrt(v + BN_EPS)
-
-
-# ---------------------------------------------------------------------------
 # forward passes
 # ---------------------------------------------------------------------------
 
@@ -159,8 +119,7 @@ def forward_logits(params: Params, z):
 DEAD_ROW_NORM = 1e-8
 
 
-def encode(params: Params, z, cfg: ModelConfig, training: bool = True,
-           bn_state: BnState | None = None):
+def encode(params: Params, z, cfg: ModelConfig):
     """Unit-row semantic embeddings of visual features.
 
     A row the rectifier kills entirely has no direction to normalize; such
@@ -168,8 +127,6 @@ def encode(params: Params, z, cfg: ModelConfig, training: bool = True,
     exactly on the unit sphere instead of exploding through 1/norm.
     """
     a = as_tensor(z) @ as_tensor(params["enc.W"]).T + as_tensor(params["enc.b"])
-    if cfg.use_batch_standardization:
-        a = _standardize(a, "enc", training, bn_state)
     r = a.relu()
     norms = np.linalg.norm(r.data, axis=-1, keepdims=True)
     unit = normalize_rows(r)
@@ -180,12 +137,9 @@ def encode(params: Params, z, cfg: ModelConfig, training: bool = True,
     return unit
 
 
-def decode(params: Params, s, cfg: ModelConfig, training: bool = True,
-           bn_state: BnState | None = None):
+def decode(params: Params, s, cfg: ModelConfig):
     """Visual reconstruction of semantic rows."""
     a = as_tensor(s) @ as_tensor(params["dec.W"]).T + as_tensor(params["dec.b"])
-    if cfg.use_batch_standardization:
-        a = _standardize(a, "dec", training, bn_state)
     return a.relu()
 
 
@@ -198,4 +152,4 @@ def predict_logits(params: Params, x, cfg: ModelConfig) -> np.ndarray:
 def embed(params: Params, x, cfg: ModelConfig) -> np.ndarray:
     """Inference semantic embeddings e(f(x)) on plain arrays."""
     z = forward_features(params, np.asarray(x, dtype=np.float64), cfg)
-    return encode(params, z, cfg, training=False).data
+    return encode(params, z, cfg).data

@@ -44,6 +44,14 @@ def test_config_rejects_unknown_fields():
                               "model": {"d_x": 2, "d_s": 2, "n_classes": 2, "d_v": 2}})
     with pytest.raises(ConfigError):
         run_config_from_dict({"nonsense": {}})
+    # removed settings, at the one value each used to take
+    for section, key, value in (("train", "meta_mode", "first_order"),
+                                ("train", "aug_denominator_variant", "derivation"),
+                                ("model", "use_batch_standardization", False)):
+        raw = json.loads(json.dumps(TINY))
+        raw[section][key] = value
+        with pytest.raises(ConfigError):
+            run_config_from_dict(raw)
 
 
 def test_config_model_dims_derived_from_data():
@@ -132,6 +140,17 @@ def test_train_resume_trace_equality(tiny_config, tmp_path):
     full_lines = (full / "steps.jsonl").read_text().splitlines()
     resumed_lines = (resumed / "steps.jsonl").read_text().splitlines()
     assert resumed_lines == full_lines[2:]
+
+
+def test_train_resume_refuses_other_config(tiny_config, tmp_path, capsys):
+    bench, run = tmp_path / "bench", tmp_path / "run"
+    main(["gen-data", "--config", tiny_config, "--out", str(bench)])
+    main(["train", "--config", tiny_config, "--data", str(bench), "--out", str(run)])
+    # same data (the fingerprint matches), another train seed
+    code = main(["train", "--config", tiny_config, "--data", str(bench), "--seed", "7",
+                 "--resume", str(run / "checkpoint.json")])
+    assert code == 2
+    assert "train_config" in capsys.readouterr().err
 
 
 def test_train_ablation_row_a(tiny_config, tmp_path):
@@ -297,6 +316,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
 def test_checkpoint_rejects_foreign_files(tmp_path):
     from tailshift.errors import DataFormatError
     path = tmp_path / "x.json"
-    path.write_text(json.dumps({"format": "other"}))
-    with pytest.raises(DataFormatError):
-        CK.load_checkpoint(path)
+    for payload in ({"format": "other"}, {"format": "tailshift-checkpoint", "version": 1}):
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataFormatError):
+            CK.load_checkpoint(path)

@@ -100,8 +100,6 @@ def test_train_config_validation():
     with pytest.raises(ConfigError):
         tconf(w1=-0.1)
     with pytest.raises(ConfigError):
-        tconf(meta_mode="exact")
-    with pytest.raises(ConfigError):
         tconf(mte_size=0)
 
 
@@ -322,12 +320,39 @@ def test_row_a_fits_separable_toy():
     assert acc == 1.0
 
 
+def episode_inputs(ds, cfg, mcfg):
+    """Initial state and the first step's split and batches, drawn as `run`
+    draws them."""
+    st = MT.init_state(ds, cfg, mcfg)
+    rng = Rng(0)
+    rng.set_state(st.rng_state)
+    d_mtr, d_mte = MT.split_domains(range(ds.n_train_domains), cfg.mte_size, rng)
+    b_mtr = {n: D.sample_batch(ds, n, cfg.batch_size, rng) for n in d_mtr}
+    b_mte = {m: D.sample_batch(ds, m, cfg.batch_size, rng) for m in d_mte}
+    return st, b_mtr, b_mte
+
+
 def test_fd_exact_rejects_large_models():
     ds = bench()
-    cfg = tconf(meta_mode="fd_exact")
+    cfg = tconf()
     big = M.ModelConfig(d_x=5, d_v=32, d_s=4, n_classes=6, hidden=(64,))
+    st, b_mtr, b_mte = episode_inputs(ds, cfg, big)
     with pytest.raises(ConfigError):
-        MT.run(ds, cfg, big)
+        MT.outer_gradients(st.params, b_mtr, b_mte, st.proto, st.cov, ds.semantic,
+                           ds.counts, cfg, big, False, mode="fd_exact")
+
+
+def test_run_step_is_first_order_outer_gradient():
+    ds = bench()
+    cfg = tconf(t_max=1, t_sigma=0)
+    st, b_mtr, b_mte = episode_inputs(ds, cfg, MCFG)
+    g = MT.outer_gradients(st.params, b_mtr, b_mte, st.proto, st.cov, ds.semantic,
+                           ds.counts, cfg, MCFG, True, mode="first_order")
+    expect = M.apply_step(st.params, g, cfg.lr_outer(0))
+    res = MT.run(ds, cfg, MCFG)
+    assert list(res.params) == list(expect)
+    for k in expect:
+        assert np.array_equal(res.params[k], expect[k])
 
 
 def test_meta_needs_two_domains():
@@ -344,14 +369,9 @@ def test_first_order_close_to_fd_exact():
     cosines = []
     for seed in range(3):
         cfg_s = dataclasses.replace(cfg, seed=seed)
-        st = MT.init_state(ds, cfg_s, mcfg)
-        rng = Rng(0)
-        rng.set_state(st.rng_state)
-        d_mtr, d_mte = MT.split_domains([0, 1, 2], 1, rng)
-        b_mtr = {n: D.sample_batch(ds, n, 6, rng) for n in d_mtr}
-        b_mte = {m: D.sample_batch(ds, m, 6, rng) for m in d_mte}
+        st, b_mtr, b_mte = episode_inputs(ds, cfg_s, mcfg)
         proto = st.proto
-        for n in d_mtr:
+        for n in b_mtr:
             z = M.forward_features(st.params, b_mtr[n][0], mcfg).data
             proto = update_prototypes(proto, n, z, b_mtr[n][1])
         g1 = MT.outer_gradients(st.params, b_mtr, b_mte, proto, st.cov,

@@ -153,14 +153,3 @@ def test_forward_deterministic():
     b = M.predict_logits(params, x, CFG)
     assert np.array_equal(a, b)
 
-
-def test_batch_standardization_modes():
-    cfg = M.ModelConfig(d_x=4, d_v=3, d_s=3, n_classes=2, hidden=(),
-                        use_batch_standardization=True)
-    params = M.init_params(cfg, Rng(19))
-    bn = M.BnState()
-    z = Rng(20).normal(loc=3.0, size=(32, 3))
-    M.encode(params, z, cfg, training=True, bn_state=bn)
-    assert "enc" in bn.stats
-    out_eval = M.encode(params, z[:4], cfg, training=False, bn_state=bn)
-    assert np.isfinite(out_eval.data).all()
