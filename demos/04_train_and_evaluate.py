@@ -28,7 +28,7 @@ for rep in res.reports[:: max(1, len(res.reports) // 6)]:
           f"  L_S2S {ls['L_S2S']:7.3f}  L_Aug {ls['L_Aug']:6.3f}"
           f"  L_mte {ls['L_mte']:7.3f}")
 
-heldout = ds.heldout_domains[0]
+heldout = ds.heldout_domain
 report = E.evaluate(res.params, cfg.model, ds, heldout, threshold=0.0)
 print(f"\nheld-out domain {heldout}:")
 print(f"  Acc-U {report.acc_u:.1f}   Acc {report.acc:.1f}   H {report.h:.1f}"

@@ -37,7 +37,7 @@ for row in ROWS:
         tc = dataclasses.replace(MT.apply_ablation(cfg.train, row), seed=seed)
         ds = D.generate(dataclasses.replace(cfg.data, seed=seed))
         res = MT.run(ds, tc, cfg.model)
-        rep = E.evaluate(res.params, cfg.model, ds, ds.heldout_domains[0], 0.0)
+        rep = E.evaluate(res.params, cfg.model, ds, ds.heldout_domain, 0.0)
         scores.append((rep.acc_u, rep.acc, rep.h))
     mean = np.mean(np.asarray(scores), axis=0)
     print(f"{row:<4} {LABEL[row]:<26} {mean[0]:7.1f} {mean[1]:7.1f} {mean[2]:7.1f}")

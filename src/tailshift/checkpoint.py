@@ -2,15 +2,18 @@
 
 A checkpoint is a single JSON document holding the model/train configs, the
 step counter, every parameter block, the prototype and covariance banks, and
-the training-loop random state. Floats are stored as C99 hex literals, so a
-save/load round trip is bit-exact and resuming reproduces the uninterrupted
-run's trace. A fingerprint of the training data ties the checkpoint to its
-dataset.
+the training-loop random state. Every array is stored the same way, as its
+dtype, its shape and the hex of its little-endian bytes, so a save/load round
+trip is bit-exact and resuming reproduces the uninterrupted run's trace. A
+fingerprint of the training data ties the checkpoint to its dataset. A save
+writes a temporary file next to the target and renames it into place, so a
+failed save leaves any earlier checkpoint at that path intact.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -20,29 +23,18 @@ from .errors import DataFormatError
 from .meta import TrainerState
 
 FORMAT = "tailshift-checkpoint"
-VERSION = 2
+VERSION = 3
 
 
 def _enc_array(a: np.ndarray) -> dict:
     a = np.asarray(a)
-    if a.dtype == bool:
-        return {"shape": list(a.shape), "kind": "bool",
-                "data": [int(v) for v in a.reshape(-1)]}
-    if np.issubdtype(a.dtype, np.integer):
-        return {"shape": list(a.shape), "kind": "int",
-                "data": [int(v) for v in a.reshape(-1)]}
-    return {"shape": list(a.shape), "kind": "f64",
-            "data": [float(v).hex() for v in a.reshape(-1)]}
+    le = a.astype(a.dtype.newbyteorder("<"), copy=False)
+    return {"dtype": le.dtype.str, "shape": list(a.shape), "hex": le.tobytes().hex()}
 
 
 def _dec_array(d: dict) -> np.ndarray:
-    shape = tuple(d["shape"])
-    if d["kind"] == "bool":
-        return np.array(d["data"], dtype=bool).reshape(shape)
-    if d["kind"] == "int":
-        return np.array(d["data"], dtype=np.int64).reshape(shape)
-    return np.array([float.fromhex(v) for v in d["data"]],
-                    dtype=np.float64).reshape(shape)
+    stored = np.frombuffer(bytes.fromhex(d["hex"]), dtype=np.dtype(d["dtype"]))
+    return stored.astype(stored.dtype.newbyteorder("=")).reshape(d["shape"])
 
 
 def save_checkpoint(path, state: TrainerState, model_config: dict,
@@ -69,7 +61,14 @@ def save_checkpoint(path, state: TrainerState, model_config: dict,
         },
         "rng_state": state.rng_state,
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> tuple[TrainerState, dict]:

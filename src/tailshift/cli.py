@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -37,6 +38,7 @@ from .config import (
     RunConfig,
     config_hash,
     load_run_config,
+    run_config_from_dict,
     run_config_to_dict,
 )
 from .errors import ConfigError, DataFormatError
@@ -139,10 +141,19 @@ def _train_once(cfg: RunConfig, dataset: D.Dataset, fingerprint: str,
                 CK.save_checkpoint(out / f"checkpoint_{report.step + 1:06d}.json",
                                    st, model_cfg_dict, train_cfg_dict, fingerprint)
 
+    start = 0 if state is None else state.step
     result = MT.run(dataset, cfg.train, cfg.model, state=state, on_step=hooks)
     if out is not None:
-        mode = "a" if resume is not None else "w"
-        with open(out / "steps.jsonl", mode, encoding="utf-8") as fh:
+        # a resumed run keeps the steps before its checkpoint and rewrites
+        # the rest, so resuming into the interrupted run's directory leaves
+        # no step twice
+        steps = out / "steps.jsonl"
+        kept = []
+        if start and steps.exists():
+            with open(steps, encoding="utf-8") as fh:
+                kept = list(itertools.islice(fh, start))
+        with open(steps, "w", encoding="utf-8") as fh:
+            fh.writelines(kept)
             for report in result.reports:
                 fh.write(report.to_json() + "\n")
         (out / "history.json").write_text(
@@ -175,24 +186,17 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _evaluate_checkpoint(ckpt_path: str, data_dir: str, threshold: float | None,
-                         eval_opts: EvalOptions) -> E.MetricReport:
-    state, payload = CK.load_checkpoint(ckpt_path)
-    dataset, fingerprint = _load_dataset_dir(data_dir)
-    if payload["dataset_fingerprint"] != fingerprint:
-        raise ConfigError("checkpoint/dataset mismatch (fingerprint differs)")
-    from .config import run_config_from_dict
-    mcfg = run_config_from_dict({"model": payload["model_config"]}).model
-    heldout = dataset.heldout_domains
-    heldout_domain = heldout[0] if heldout else int(dataset.domains[-1])
-    if threshold is None:
-        threshold = eval_opts.threshold
-    if threshold is None:
-        threshold = E.select_threshold(state.params, mcfg, dataset, eval_opts.grid,
-                                       heldout_domain=heldout_domain,
-                                       confidence=eval_opts.confidence)
-    return E.evaluate(state.params, mcfg, dataset, heldout_domain, threshold,
-                      confidence=eval_opts.confidence)
+def _threshold(explicit: float | None, eval_opts: EvalOptions, params,
+               mcfg, dataset: D.Dataset) -> float:
+    """The explicit threshold, else the config's, else the grid point that
+    maximizes H on the validation split."""
+    if explicit is not None:
+        return explicit
+    if eval_opts.threshold is not None:
+        return eval_opts.threshold
+    return E.select_threshold(params, mcfg, dataset, eval_opts.grid,
+                              heldout_domain=dataset.heldout_domain,
+                              confidence=eval_opts.confidence)
 
 
 def cmd_eval(args) -> int:
@@ -200,7 +204,14 @@ def cmd_eval(args) -> int:
     if args.config is not None:
         cfg, _ = load_run_config(args.config)
         eval_opts = cfg.eval
-    report = _evaluate_checkpoint(args.checkpoint, args.data, args.threshold, eval_opts)
+    state, payload = CK.load_checkpoint(args.checkpoint)
+    dataset, fingerprint = _load_dataset_dir(args.data)
+    if payload["dataset_fingerprint"] != fingerprint:
+        raise ConfigError("checkpoint/dataset mismatch (fingerprint differs)")
+    mcfg = run_config_from_dict({"model": payload["model_config"]}).model
+    threshold = _threshold(args.threshold, eval_opts, state.params, mcfg, dataset)
+    report = E.evaluate(state.params, mcfg, dataset, dataset.heldout_domain, threshold,
+                        confidence=eval_opts.confidence)
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
     print(text)
     if args.out:
@@ -208,10 +219,6 @@ def cmd_eval(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         (out / "metrics.json").write_text(text, encoding="utf-8")
         if args.dump_features:
-            from .config import run_config_from_dict
-            state, payload = CK.load_checkpoint(args.checkpoint)
-            mcfg = run_config_from_dict({"model": payload["model_config"]}).model
-            dataset, _ = _load_dataset_dir(args.data)
             n = E.dump_features(state.params, mcfg, dataset,
                                 out / "features.csv", split="test")
             print(f"wrote {out / 'features.csv'} ({n} rows)", file=sys.stderr)
@@ -235,10 +242,10 @@ def cmd_ablate(args) -> int:
     for row in rows:
         if row not in MT.ABLATION_ROWS:
             raise ConfigError(f"unknown ablation row {row!r}")
-    threshold = cfg.eval.threshold if cfg.eval.threshold is not None else 0.0
+    # every cell trains on the same data; only the train seed varies
+    dataset, fingerprint = _resolve_dataset(cfg, args.data)
 
     lines = ["row,n_seeds,acc_u,acc,h"]
-    summary = {}
     for row in rows:
         scores = []
         for i in range(args.seeds):
@@ -246,16 +253,13 @@ def cmd_ablate(args) -> int:
             run_cfg = dataclasses.replace(
                 cfg, train=dataclasses.replace(
                     MT.apply_ablation(cfg.train, row), seed=seed))
-            dataset, fingerprint = _resolve_dataset(run_cfg, args.data)
             result = _train_once(run_cfg, dataset, fingerprint, None, None)
-            heldout = dataset.heldout_domains
-            heldout_domain = heldout[0] if heldout else int(dataset.domains[-1])
+            threshold = _threshold(None, cfg.eval, result.params, run_cfg.model, dataset)
             rep = E.evaluate(result.params, run_cfg.model, dataset,
-                             heldout_domain, threshold,
+                             dataset.heldout_domain, threshold,
                              confidence=cfg.eval.confidence)
             scores.append((rep.acc_u, rep.acc, rep.h))
         mean = np.mean(np.asarray(scores), axis=0)
-        summary[row] = mean
         lines.append(f"{row},{args.seeds},{mean[0]:.2f},{mean[1]:.2f},{mean[2]:.2f}")
         print(f"row {row}: Acc-U {mean[0]:.2f}  Acc {mean[1]:.2f}  H {mean[2]:.2f}")
     csv_text = "\n".join(lines) + "\n"

@@ -151,16 +151,18 @@ class Dataset:
     def heldout_domains(self) -> list[int]:
         return [int(k) for k in self.domains if k >= self.n_train_domains]
 
+    @property
+    def heldout_domain(self) -> int:
+        """The domain scored as unseen: the first held-out domain, else the
+        last domain."""
+        held = self.heldout_domains
+        return held[0] if held else int(self.domains[-1])
+
     def indices(self, split: str, domain: int | None = None) -> np.ndarray:
         sel = self.split == split
         if domain is not None:
             sel &= self.d == domain
         return np.nonzero(sel)[0]
-
-    def with_semantic(self, table: SemanticTable) -> "Dataset":
-        if table.n_classes != self.n_classes:
-            raise ValueError("semantic table class count mismatch")
-        return Dataset(self.x, self.y, self.d, self.split, self.counts, table)
 
 
 def make_dataset(x, y, d, split, semantic: SemanticTable | None = None) -> Dataset:

@@ -10,9 +10,12 @@ Metrics:
   detection accuracy; when the dataset has no open classes the open side is
   undefined and ``h`` falls back to ``acc`` with a flag.
 
-Open classes are those absent from every training domain. A prediction is
-OPEN when the maximum softmax probability (optionally the maximum logit,
-rescaled) falls below the threshold.
+Open classes are those absent from every training domain. ``decide`` is the
+one open-set rule: a prediction is OPEN when the maximum softmax probability
+(optionally the maximum logit, rescaled) falls below the threshold. Both
+``evaluate`` and ``select_threshold`` score through it. The CLI scores the
+domain ``Dataset.heldout_domain``, which is also ``select_threshold``'s
+default.
 """
 
 from __future__ import annotations
@@ -23,19 +26,9 @@ import numpy as np
 
 from .data import Dataset
 from .mathcore import psd_sqrt
-from .model import ModelConfig, Params, embed, predict_logits
+from .model import ModelConfig, Params, embed, forward_features, predict_logits
 
 OPEN = -1  # predicted-class sentinel for "open class"
-
-
-@dataclass(frozen=True)
-class OpenDecision:
-    predicted: int        # class index, or OPEN
-    confidence: float
-
-    @property
-    def is_open(self) -> bool:
-        return self.predicted == OPEN
 
 
 @dataclass
@@ -67,36 +60,23 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def predict_open(logits: np.ndarray, threshold: float,
-                 confidence: str = "softmax") -> OpenDecision:
-    """Classify one logit vector, or reject it as an open class.
+def decide(logits: np.ndarray, threshold: float,
+           confidence: str = "softmax") -> tuple[np.ndarray, np.ndarray]:
+    """Classify rows of logits, or reject them as an open class.
 
-    Confidence is the max softmax probability by default ("logit" uses the
-    max raw logit squashed through a sigmoid instead). OPEN iff confidence
-    falls strictly below the threshold; argmax ties go to the lowest index.
+    Returns (predicted class or OPEN, confidence) per row. Confidence is the
+    max softmax probability by default ("logit" uses the max raw logit
+    squashed through a sigmoid instead). OPEN iff confidence falls strictly
+    below the threshold; argmax ties go to the lowest index.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    if confidence == "softmax":
-        conf = float(softmax(logits).max())
-    elif confidence == "logit":
-        conf = float(1.0 / (1.0 + np.exp(-logits.max())))
-    else:
-        raise ValueError(f"unknown confidence rule {confidence!r}")
-    if conf < threshold:
-        return OpenDecision(OPEN, conf)
-    return OpenDecision(int(np.argmax(logits)), conf)
-
-
-def _decide(logits: np.ndarray, threshold: float, confidence: str) -> np.ndarray:
-    """Vectorized predict_open over rows; returns int predictions."""
     if confidence == "softmax":
         conf = softmax(logits).max(axis=-1)
     elif confidence == "logit":
         conf = 1.0 / (1.0 + np.exp(-logits.max(axis=-1)))
     else:
         raise ValueError(f"unknown confidence rule {confidence!r}")
-    pred = logits.argmax(axis=-1)
-    return np.where(conf < threshold, OPEN, pred)
+    return np.where(conf < threshold, OPEN, logits.argmax(axis=-1)), conf
 
 
 def harmonic(a: float, b: float) -> float:
@@ -159,7 +139,7 @@ def evaluate(params: Params, mcfg: ModelConfig, dataset: Dataset,
     if heldout_domain not in set(int(v) for v in np.unique(dataset.d[idx])):
         raise ValueError(f"held-out domain {heldout_domain} absent from {split} split")
     logits = predict_logits(params, dataset.x[idx], mcfg)
-    pred = _decide(logits, threshold, confidence)
+    pred, _ = decide(logits, threshold, confidence)
     open_classes = dataset.counts.counts.sum(axis=0) == 0
     return metrics_from_predictions(dataset.y[idx], dataset.d[idx], pred,
                                     open_classes, heldout_domain, threshold)
@@ -168,21 +148,21 @@ def evaluate(params: Params, mcfg: ModelConfig, dataset: Dataset,
 def select_threshold(params: Params, mcfg: ModelConfig, dataset: Dataset,
                      grid, heldout_domain: int | None = None,
                      split: str = "val", confidence: str = "softmax") -> float:
-    """Grid point maximizing H on the given split; ties -> smallest value."""
+    """Grid point maximizing H on the given split; ties -> smallest value.
+    The held-out domain defaults to ``dataset.heldout_domain``."""
     grid = sorted(float(g) for g in grid)
     if not grid:
         raise ValueError("threshold grid is empty")
     if len(grid) == 1:
         return grid[0]
     if heldout_domain is None:
-        doms = dataset.heldout_domains
-        heldout_domain = doms[0] if doms else int(dataset.domains[0])
+        heldout_domain = dataset.heldout_domain
     idx = dataset.indices(split)
     logits = predict_logits(params, dataset.x[idx], mcfg)
     open_classes = dataset.counts.counts.sum(axis=0) == 0
     scores = []
     for th in grid:
-        pred = _decide(logits, th, confidence)
+        pred, _ = decide(logits, th, confidence)
         rep = metrics_from_predictions(dataset.y[idx], dataset.d[idx], pred,
                                        open_classes, heldout_domain, th)
         scores.append(rep.h)
@@ -249,22 +229,14 @@ def dump_features(params: Params, mcfg: ModelConfig, dataset: Dataset, path,
     """Write ``domain,label,z_0,...`` rows of extracted features; returns the
     row count. Floats are formatted losslessly (repr round-trip)."""
     idx = (np.arange(len(dataset.y)) if split is None else dataset.indices(split))
-    header = "domain,label," + ",".join(f"z_{i}" for i in range(_feature_dim(mcfg)))
+    header = "domain,label," + ",".join(f"z_{i}" for i in range(mcfg.d_v))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         if idx.size:
-            z = predict_features(params, dataset.x[idx], mcfg)
+            z = forward_features(params, dataset.x[idx], mcfg).data
             for row_i, i in enumerate(idx):
                 cells = [str(int(dataset.d[i])), str(int(dataset.y[i]))]
                 cells.extend(repr(float(v)) for v in z[row_i])
                 fh.write(",".join(cells) + "\n")
     return int(idx.size)
 
-
-def _feature_dim(mcfg: ModelConfig) -> int:
-    return mcfg.d_v
-
-
-def predict_features(params: Params, x: np.ndarray, mcfg: ModelConfig) -> np.ndarray:
-    from .model import forward_features
-    return forward_features(params, np.asarray(x, dtype=np.float64), mcfg).data

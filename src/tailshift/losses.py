@@ -260,26 +260,7 @@ def s2z_loss(v_hat, w, b, encode, table, cp: ContrastiveParams):
 # implicit augmentation
 # ---------------------------------------------------------------------------
 
-def _aug_logits(feature, label, w, b, sigma_prime, lam, variant):
-    wt = as_tensor(w)
-    bt = as_tensor(b)
-    f = as_tensor(feature)
-    sig = sigma_prime if isinstance(sigma_prime, Tensor) else Tensor(check_psd(sigma_prime))
-    d = wt - wt[label]                      # (C, d_v); row `label` is exactly 0
-    quad = ((d @ sig) * d).sum(axis=1)      # (C,)
-    base = wt @ f + bt
-    if variant == "derivation":
-        return base + (lam / 2.0) * quad
-    if variant == "as_printed":
-        # Main-text form: every denominator term carries w_y.f and no bias.
-        anchor = wt[label] @ f
-        zeros = Tensor(np.zeros(wt.data.shape[0]))
-        return zeros + anchor + (lam / 2.0) * quad
-    raise ValueError(f"unknown aug denominator variant {variant!r}")
-
-
-def aug_loss(feature, label: int, w, b, sigma_prime, ap: AugParams,
-             variant: str = "derivation"):
+def aug_loss(feature, label: int, w, b, sigma_prime, ap: AugParams):
     """Cross-entropy with per-class augmentation penalties in the normalizer.
 
     Penalty for class c is (lam/2)(w_c - w_y)' Sigma'_y (w_c - w_y); it is
@@ -287,18 +268,18 @@ def aug_loss(feature, label: int, w, b, sigma_prime, ap: AugParams,
     the plain cross-entropy on logits W f + b.
     """
     live = isinstance(feature, Tensor) or isinstance(w, Tensor)
-    logits = _aug_logits(feature, label, w, b, sigma_prime, ap.lam, variant)
-    if variant == "as_printed":
-        wt, bt, f = as_tensor(w), as_tensor(b), as_tensor(feature)
-        numer = wt[label] @ f
-        out = -(numer - _logsumexp(logits))
-    else:
-        out = -log_softmax(logits)[label]
+    wt = as_tensor(w)
+    bt = as_tensor(b)
+    f = as_tensor(feature)
+    sig = sigma_prime if isinstance(sigma_prime, Tensor) else Tensor(check_psd(sigma_prime))
+    d = wt - wt[label]                      # (C, d_v); row `label` is exactly 0
+    quad = ((d @ sig) * d).sum(axis=1)      # (C,)
+    logits = wt @ f + bt + (ap.lam / 2.0) * quad
+    out = -log_softmax(logits)[label]
     return _maybe_float(out, live)
 
 
-def aug_loss_mean(features, labels, w, b, sigma_primes, ap: AugParams,
-                  variant: str = "derivation"):
+def aug_loss_mean(features, labels, w, b, sigma_primes, ap: AugParams):
     """Mean ``aug_loss`` over a batch; `sigma_primes` stacks one blended
     covariance per class, and penalties are shared across samples of a class."""
     live = isinstance(features, Tensor) or isinstance(w, Tensor)
@@ -307,14 +288,6 @@ def aug_loss_mean(features, labels, w, b, sigma_primes, ap: AugParams,
     bt = as_tensor(b)
     labels = np.asarray(labels, dtype=np.int64)
     nb = f.data.shape[0]
-    if variant != "derivation":
-        total = as_tensor(0.0)
-        for i in range(nb):
-            total = total + as_tensor(
-                aug_loss(f[i], int(labels[i]), wt, bt, sigma_primes[int(labels[i])],
-                         ap, variant))
-        return _maybe_float(total / float(nb), live)
-
     quad_by_class: dict[int, Tensor] = {}
     for y in np.unique(labels):
         sig = check_psd(np.asarray(sigma_primes[int(y)], dtype=np.float64))

@@ -144,17 +144,6 @@ class Tensor:
     def __rtruediv__(self, other):
         return as_tensor(other) / self
 
-    def __pow__(self, k):
-        if not np.isscalar(k):
-            raise TypeError("only scalar exponents are supported")
-        a = self
-        out_data = a.data ** k
-
-        def bw(g):
-            Tensor._accum(a, g * k * a.data ** (k - 1))
-
-        return Tensor._from_op(out_data, (a,), bw)
-
     def __matmul__(self, other):
         a, b = self, as_tensor(other)
         if a.data.ndim == 1 and b.data.ndim == 1:
@@ -202,15 +191,6 @@ class Tensor:
             Tensor._accum(a, g.T)
 
         return Tensor._from_op(a.data.T, (a,), bw)
-
-    def reshape(self, *shape):
-        a = self
-        old = a.data.shape
-
-        def bw(g):
-            Tensor._accum(a, g.reshape(old))
-
-        return Tensor._from_op(a.data.reshape(*shape), (a,), bw)
 
     def __getitem__(self, idx):
         a = self
@@ -279,12 +259,6 @@ class Tensor:
         return self.sum(axis=axis, keepdims=keepdims) / float(n)
 
     # -- misc ----------------------------------------------------------------
-
-    def detach(self):
-        return Tensor(self.data.copy())
-
-    def item(self) -> float:
-        return float(self.data)
 
     @property
     def shape(self):

@@ -59,10 +59,6 @@ def init_params(cfg: ModelConfig, rng: Rng) -> Params:
     return p
 
 
-def clone_params(params: Params) -> Params:
-    return {k: np.array(v, dtype=np.float64) for k, v in params.items()}
-
-
 def flatten_params(params: Params) -> np.ndarray:
     return np.concatenate([np.asarray(v, dtype=np.float64).reshape(-1)
                            for v in params.values()])

@@ -239,8 +239,8 @@ def test_criterion_8_metric_units():
     ok = E.harmonic(0.60, 0.40) == pytest.approx(0.48, abs=1e-12)
 
     rng = Rng(3)
-    for _ in range(25):
-        ok &= not E.predict_open(rng.normal(size=7), threshold=0.0).is_open
+    pred, _ = E.decide(rng.normal(size=(25, 7)), threshold=0.0)
+    ok &= bool((pred != E.OPEN).all())
 
     a = rng.normal(size=(3, 3))
     sig = a @ a.T

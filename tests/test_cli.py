@@ -142,6 +142,22 @@ def test_train_resume_trace_equality(tiny_config, tmp_path):
     assert resumed_lines == full_lines[2:]
 
 
+def test_train_resume_into_same_directory(tiny_config, tmp_path):
+    full = tmp_path / "full"
+    main(["train", "--config", tiny_config, "--out", str(full)])
+
+    cfgd = dict(TINY)
+    cfgd["io"] = {"checkpoint_every_epochs": 1}
+    cfg_path = tmp_path / "ckpt.json"
+    cfg_path.write_text(json.dumps(cfgd))
+    run = tmp_path / "run"
+    main(["train", "--config", str(cfg_path), "--out", str(run)])
+    # resume the run from its step-2 checkpoint, writing over its own outputs
+    assert main(["train", "--config", str(cfg_path), "--out", str(run),
+                 "--resume", str(run / "checkpoint_000002.json")]) == 0
+    assert (run / "steps.jsonl").read_bytes() == (full / "steps.jsonl").read_bytes()
+
+
 def test_train_resume_refuses_other_config(tiny_config, tmp_path, capsys):
     bench, run = tmp_path / "bench", tmp_path / "run"
     main(["gen-data", "--config", tiny_config, "--out", str(bench)])
@@ -311,12 +327,42 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(state.proto.v, res.proto.v)
     assert np.array_equal(state.cov.sigma, res.cov.sigma)
     assert state.rng_state == res.state.rng_state
+    # integer and boolean blocks keep their dtype and come back writable
+    for got, want, dtype in ((state.cov.n, res.cov.n, np.int64),
+                             (state.proto.mask, res.proto.mask, np.bool_)):
+        assert got.dtype == dtype and want.dtype == dtype
+        assert np.array_equal(got, want)
+        assert got.flags.writeable
 
 
 def test_checkpoint_rejects_foreign_files(tmp_path):
     from tailshift.errors import DataFormatError
     path = tmp_path / "x.json"
-    for payload in ({"format": "other"}, {"format": "tailshift-checkpoint", "version": 1}):
+    for payload in ({"format": "other"}, {"format": "tailshift-checkpoint", "version": 1},
+                    {"format": "tailshift-checkpoint", "version": 2}):
         path.write_text(json.dumps(payload))
         with pytest.raises(DataFormatError):
             CK.load_checkpoint(path)
+
+
+def test_checkpoint_failed_save_keeps_earlier_file(tmp_path, monkeypatch):
+    from pathlib import Path
+    ds = D.generate(D.SyntheticConfig(n_classes=6, n_train_domains=3, d_x=5, d_s=4,
+                                      n_max=30, n_min=4, n_val_per_pair=2,
+                                      n_test_per_pair=2, seed=0))
+    mcfg = M.ModelConfig(d_x=5, d_v=5, d_s=4, n_classes=6, hidden=(8,))
+    res = MT.run(ds, MT.TrainConfig(t_max=2, t_sigma=1, batch_size=6, seed=0), mcfg)
+    path = tmp_path / "ck.json"
+    CK.save_checkpoint(path, res.state, {"m": 1}, {"t": 2}, "fp")
+    before = path.read_bytes()
+
+    def write_half(self, text, *args, **kwargs):
+        with open(self, "w", encoding="utf-8") as fh:
+            fh.write(text[:len(text) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", write_half)
+    with pytest.raises(OSError):
+        CK.save_checkpoint(path, res.state, {"m": 1}, {"t": 2}, "other")
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]

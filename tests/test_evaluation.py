@@ -43,26 +43,24 @@ def diag_model(scale=4.0):
 
 
 # ---------------------------------------------------------------------------
-# predict_open
+# decide
 # ---------------------------------------------------------------------------
 
-def test_predict_open_worked_example():
-    dec = E.predict_open(np.array([2.0, 0.0]), 0.5)
-    assert dec.predicted == 0
-    assert dec.confidence == pytest.approx(np.exp(2) / (np.exp(2) + 1), abs=1e-12)
+def test_decide_worked_example():
+    pred, conf = E.decide(np.array([[2.0, 0.0]]), 0.5)
+    assert pred[0] == 0
+    assert conf[0] == pytest.approx(np.exp(2) / (np.exp(2) + 1), abs=1e-12)
 
 
-def test_predict_open_threshold_extremes():
-    rng = Rng(1)
-    for _ in range(10):
-        logits = rng.normal(size=6)
-        assert not E.predict_open(logits, 0.0).is_open
-        assert E.predict_open(logits, 1.000001).is_open
+def test_decide_threshold_extremes():
+    logits = Rng(1).normal(size=(10, 6))
+    assert (E.decide(logits, 0.0)[0] != E.OPEN).all()
+    assert (E.decide(logits, 1.000001)[0] == E.OPEN).all()
 
 
-def test_predict_open_tie_lowest_index():
-    dec = E.predict_open(np.array([1.0, 1.0, 0.0]), 0.0)
-    assert dec.predicted == 0
+def test_decide_tie_lowest_index():
+    pred, _ = E.decide(np.array([[1.0, 1.0, 0.0]]), 0.0)
+    assert pred[0] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -172,12 +170,12 @@ def test_metrics_brute_force_ten_samples():
     assert rep.per_class[2] == pytest.approx(100 * 2 / 3)
 
 
-def test_predict_open_logit_confidence_flag():
-    dec = E.predict_open(np.array([3.0, 0.0]), 0.9, confidence="logit")
-    assert dec.confidence == pytest.approx(1 / (1 + np.exp(-3.0)), abs=1e-12)
-    assert not dec.is_open
+def test_decide_logit_confidence_flag():
+    pred, conf = E.decide(np.array([[3.0, 0.0]]), 0.9, confidence="logit")
+    assert conf[0] == pytest.approx(1 / (1 + np.exp(-3.0)), abs=1e-12)
+    assert pred[0] != E.OPEN
     with pytest.raises(ValueError):
-        E.predict_open(np.zeros(2), 0.5, confidence="entropy")
+        E.decide(np.zeros((1, 2)), 0.5, confidence="entropy")
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +305,7 @@ def test_dump_features_roundtrip(tmp_path):
     assert lines[0] == "domain,label," + ",".join(f"z_{i}" for i in range(4))
     assert len(lines) == n + 1
     idx = ds.indices("test")
-    z = E.predict_features(params, ds.x[idx], cfg)
+    z = M.forward_features(params, ds.x[idx], cfg).data
     parsed = np.array([[float(v) for v in ln.split(",")[2:]] for ln in lines[1:]])
     assert np.array_equal(parsed, z)
 

@@ -253,18 +253,6 @@ def test_aug_loss_rejects_non_psd():
                    np.diag([1.0, -0.5]), L.AugParams(lam=1.0, k=1))
 
 
-def test_aug_loss_printed_variant_differs_at_lambda_zero():
-    # The main-text denominator uses w_y.f for every class; at lambda = 0 it
-    # degenerates to log C instead of the cross-entropy.
-    rng = Rng(10)
-    c, d = 4, 3
-    w = rng.normal(size=(c, d))
-    f = rng.normal(size=d)
-    val = L.aug_loss(f, 1, w, np.zeros(c), np.eye(d),
-                     L.AugParams(lam=0.0, k=1), variant="as_printed")
-    assert val == pytest.approx(np.log(c), abs=1e-12)
-
-
 def test_aug_bound_degenerate_gaussian():
     rng = Rng(11)
     c, d = 5, 3

@@ -9,7 +9,8 @@ from tailshift import model as M
 from tailshift.banks import update_prototypes
 from tailshift.errors import ConfigError, ProtocolError
 from tailshift.losses import ContrastiveParams, dc_loss_mean
-from tailshift.mathcore import Rng, collect_grads, make_leaves
+from tailshift.config import load_run_config
+from tailshift.mathcore import Rng, Tensor, collect_grads, make_leaves
 
 
 def bench(seed=0, **kw):
@@ -330,6 +331,43 @@ def episode_inputs(ds, cfg, mcfg):
     b_mtr = {n: D.sample_batch(ds, n, cfg.batch_size, rng) for n in d_mtr}
     b_mte = {m: D.sample_batch(ds, m, cfg.batch_size, rng) for m in d_mte}
     return st, b_mtr, b_mte
+
+
+def count_op_nodes(loss):
+    """Op nodes (tensors with a backward function) reachable from `loss`."""
+    seen, todo, ops = {id(loss)}, [loss], 0
+    while todo:
+        node = todo.pop()
+        ops += node._backward is not None
+        for p in node._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                todo.append(p)
+    return ops
+
+
+# Op nodes of the first desk episode with augmentation on, meta-train plus
+# meta-test graph, as measured when the bound was set. Fusing kernels or
+# thinning the graph engine may only lower it.
+DESK_EPISODE_NODES = 863
+
+
+def test_desk_episode_graph_node_bound(monkeypatch):
+    cfg, _ = load_run_config("desk")
+    ds = D.generate(cfg.data)
+    st, b_mtr, b_mte = episode_inputs(ds, cfg.train, cfg.model)
+    counted = []
+    backward = Tensor.backward
+
+    def counting_backward(loss):
+        counted.append(count_op_nodes(loss))
+        return backward(loss)
+
+    monkeypatch.setattr(Tensor, "backward", counting_backward)
+    MT.episode(st.params, b_mtr, b_mte, st.proto, st.cov, ds.semantic, ds.counts,
+               cfg.train, cfg.model, True)
+    assert len(counted) == 2
+    assert sum(counted) <= DESK_EPISODE_NODES
 
 
 def test_fd_exact_rejects_large_models():
