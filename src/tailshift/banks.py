@@ -64,9 +64,9 @@ class PrototypeBank:
             raise ValueError("ema must lie in (0, 1]")
 
     @classmethod
-    def zeros(cls, mask: np.ndarray, d_v: int, ema: float = 0.5) -> "PrototypeBank":
+    def zeros(cls, mask: np.ndarray, d_v: int) -> "PrototypeBank":
         mask = np.asarray(mask, dtype=bool)
-        return cls(v=np.zeros((*mask.shape, d_v)), mask=mask, ema=ema)
+        return cls(v=np.zeros((*mask.shape, d_v)), mask=mask)
 
     def copy(self) -> "PrototypeBank":
         return PrototypeBank(v=self.v.copy(), mask=self.mask.copy(), ema=self.ema)

@@ -43,6 +43,7 @@ from .config import (
 )
 from .errors import ConfigError, DataFormatError
 from .gradcheck import format_table, gradient_check_suite
+from .mathcore.autodiff import FD_EPS_MAX
 
 DATASET_FILE = "dataset.csv"
 EMBEDDINGS_FILE = "embeddings.csv"
@@ -64,14 +65,7 @@ def _load_dataset_dir(path: str | Path) -> tuple[D.Dataset, str]:
     if (root / MANIFEST_FILE).exists():
         manifest = json.loads((root / MANIFEST_FILE).read_text(encoding="utf-8"))
     emb_file = root / EMBEDDINGS_FILE
-    table = None
-    if emb_file.exists():
-        head = emb_file.read_text(encoding="utf-8").splitlines()
-        if not head:
-            raise DataFormatError("empty embeddings file")
-        d_s = len(head[0].split(",")) - 1
-        n_classes = len([ln for ln in head[1:] if ln])
-        table = D.load_embeddings(emb_file, n_classes, d_s)
+    table = D.load_embeddings(emb_file) if emb_file.exists() else None
     dataset = D.load_dataset(ds_file, semantic=table)
     fingerprint = manifest["config_hash"] if manifest else _sha256(ds_file)
     return dataset, fingerprint
@@ -80,18 +74,12 @@ def _load_dataset_dir(path: str | Path) -> tuple[D.Dataset, str]:
 def _resolve_dataset(cfg: RunConfig, data_dir: str | None) -> tuple[D.Dataset, str]:
     if data_dir is not None:
         return _load_dataset_dir(data_dir)
-    if cfg.data_path is not None:
-        return _load_dataset_dir(cfg.data_path)
-    if cfg.data is None:
-        raise ConfigError("config has no data section and no --data given")
     dataset = D.generate(cfg.data)
     return dataset, config_hash(dataclasses.asdict(cfg.data))
 
 
 def cmd_gen_data(args) -> int:
     cfg, _ = load_run_config(args.config)
-    if cfg.data is None:
-        raise ConfigError("gen-data needs a synthetic data section, not a path")
     data_cfg = cfg.data if args.seed is None else dataclasses.replace(cfg.data, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -99,8 +87,6 @@ def cmd_gen_data(args) -> int:
     D.save_dataset(dataset, out / DATASET_FILE)
     D.save_embeddings(dataset.semantic, out / EMBEDDINGS_FILE)
     cfg_dict = dataclasses.asdict(data_cfg)
-    if cfg_dict["tail_domain_budget"] is not None:
-        cfg_dict["tail_domain_budget"] = list(cfg_dict["tail_domain_budget"])
     manifest = {
         "config": cfg_dict,
         "seed": data_cfg.seed,
@@ -169,7 +155,7 @@ def cmd_train(args) -> int:
         cfg = dataclasses.replace(
             cfg,
             train=dataclasses.replace(cfg.train, seed=args.seed),
-            data=None if cfg.data is None else dataclasses.replace(cfg.data, seed=args.seed))
+            data=dataclasses.replace(cfg.data, seed=args.seed))
     if args.ablation is not None:
         cfg = dataclasses.replace(cfg, train=MT.apply_ablation(cfg.train, args.ablation))
     dataset, fingerprint = _resolve_dataset(cfg, args.data)
@@ -186,12 +172,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _threshold(explicit: float | None, eval_opts: EvalOptions, params,
-               mcfg, dataset: D.Dataset) -> float:
-    """The explicit threshold, else the config's, else the grid point that
-    maximizes H on the validation split."""
-    if explicit is not None:
-        return explicit
+def _threshold(eval_opts: EvalOptions, params, mcfg, dataset: D.Dataset) -> float:
+    """The options' threshold (``eval --threshold``, else the config's), else
+    the grid point that maximizes H on the validation split."""
     if eval_opts.threshold is not None:
         return eval_opts.threshold
     return E.select_threshold(params, mcfg, dataset, eval_opts.grid,
@@ -204,12 +187,14 @@ def cmd_eval(args) -> int:
     if args.config is not None:
         cfg, _ = load_run_config(args.config)
         eval_opts = cfg.eval
+    if args.threshold is not None:
+        eval_opts = dataclasses.replace(eval_opts, threshold=args.threshold)
     state, payload = CK.load_checkpoint(args.checkpoint)
     dataset, fingerprint = _load_dataset_dir(args.data)
     if payload["dataset_fingerprint"] != fingerprint:
         raise ConfigError("checkpoint/dataset mismatch (fingerprint differs)")
     mcfg = run_config_from_dict({"model": payload["model_config"]}).model
-    threshold = _threshold(args.threshold, eval_opts, state.params, mcfg, dataset)
+    threshold = _threshold(eval_opts, state.params, mcfg, dataset)
     report = E.evaluate(state.params, mcfg, dataset, dataset.heldout_domain, threshold,
                         confidence=eval_opts.confidence)
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
@@ -226,6 +211,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.points < 1:
+        raise ConfigError("--points must be >= 1")
+    if not 0.0 < args.eps <= FD_EPS_MAX:
+        raise ConfigError(f"--eps must lie in (0, {FD_EPS_MAX:g}]")
+    if not args.tol > 0.0:
+        raise ConfigError("--tol must be > 0")
     results = gradient_check_suite(n_points=args.points, eps=args.eps,
                                    tol=args.tol, seed=args.seed)
     print(format_table(results))
@@ -239,6 +230,10 @@ def cmd_gradcheck(args) -> int:
 def cmd_ablate(args) -> int:
     cfg, _ = load_run_config(args.config)
     rows = [r.strip() for r in args.rows.split(",") if r.strip()]
+    if not rows:
+        raise ConfigError("--rows names no ablation row")
+    if args.seeds < 1:
+        raise ConfigError("--seeds must be >= 1")
     for row in rows:
         if row not in MT.ABLATION_ROWS:
             raise ConfigError(f"unknown ablation row {row!r}")
@@ -254,7 +249,7 @@ def cmd_ablate(args) -> int:
                 cfg, train=dataclasses.replace(
                     MT.apply_ablation(cfg.train, row), seed=seed))
             result = _train_once(run_cfg, dataset, fingerprint, None, None)
-            threshold = _threshold(None, cfg.eval, result.params, run_cfg.model, dataset)
+            threshold = _threshold(cfg.eval, result.params, run_cfg.model, dataset)
             rep = E.evaluate(result.params, run_cfg.model, dataset,
                              dataset.heldout_domain, threshold,
                              confidence=cfg.eval.confidence)

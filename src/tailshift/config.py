@@ -3,7 +3,7 @@
 A run config file has five sections, all optional (defaults apply):
 
     {
-      "data":  { synthetic generator fields } | {"path": "<dataset dir>"},
+      "data":  { synthetic generator fields },
       "model": { "d_v": 16, "hidden": [32] },
       "train": { training loop fields, incl. "cp": {"alpha","tau"},
                  "ap": {"lam","k"}, "ablation" toggles },
@@ -11,8 +11,11 @@ A run config file has five sections, all optional (defaults apply):
       "io":    { "checkpoint_every_epochs": 0 }
     }
 
-Model input/semantic/class dimensions are filled from the data section when
-omitted. ``load_run_config`` accepts a filesystem path or the name of a
+An existing dataset directory is passed with ``--data``, not through the
+config. Model input/semantic/class dimensions are filled from the data
+section when omitted. ``run_config_to_dict`` is the one serialized form (plain JSON types)
+that checkpoints store and ``--resume`` compares; ``run_config_from_dict``
+reads it back. ``load_run_config`` accepts a config file or the name of a
 packaged preset (``paper_s1``, ``desk``). The config hash is the sha256 of
 the canonical JSON and ties checkpoints to the data they were trained on.
 """
@@ -55,8 +58,7 @@ class IoOptions:
 
 @dataclass(frozen=True)
 class RunConfig:
-    data: SyntheticConfig | None
-    data_path: str | None
+    data: SyntheticConfig
     model: ModelConfig
     train: TrainConfig
     eval: EvalOptions = field(default_factory=EvalOptions)
@@ -80,27 +82,16 @@ def run_config_from_dict(raw: dict) -> RunConfig:
     seed = raw.get("seed")
 
     data_sec = dict(raw.get("data", {}))
-    data_path = data_sec.pop("path", None)
-    data_cfg = None
-    if data_path is None:
-        if "tail_domain_budget" in data_sec and data_sec["tail_domain_budget"] is not None:
-            data_sec["tail_domain_budget"] = tuple(data_sec["tail_domain_budget"])
-        if seed is not None:
-            data_sec["seed"] = int(seed)
-        data_cfg = _take(data_sec, SyntheticConfig, "data")
-    elif data_sec:
-        raise ConfigError("data section mixes 'path' with generator fields")
+    if seed is not None:
+        data_sec["seed"] = int(seed)
+    data_cfg = _take(data_sec, SyntheticConfig, "data")
 
     model_sec = dict(raw.get("model", {}))
-    if data_cfg is not None:
-        model_sec.setdefault("d_x", data_cfg.d_x)
-        model_sec.setdefault("d_s", data_cfg.d_s)
-        model_sec.setdefault("n_classes", data_cfg.n_classes)
-    for key in ("d_x", "d_s", "n_classes", "d_v"):
-        if key not in model_sec:
-            raise ConfigError(f"model section needs '{key}' (not derivable)")
-    if "hidden" in model_sec:
-        model_sec["hidden"] = tuple(model_sec["hidden"])
+    model_sec.setdefault("d_x", data_cfg.d_x)
+    model_sec.setdefault("d_s", data_cfg.d_s)
+    model_sec.setdefault("n_classes", data_cfg.n_classes)
+    if "d_v" not in model_sec:
+        raise ConfigError("model section needs 'd_v' (not derivable)")
     model_cfg = _take(model_sec, ModelConfig, "model")
 
     train_sec = dict(raw.get("train", {}))
@@ -110,8 +101,6 @@ def run_config_from_dict(raw: dict) -> RunConfig:
         train_sec["cp"] = _take(dict(cp), ContrastiveParams, "train.cp")
     if ap is not None:
         train_sec["ap"] = _take(dict(ap), AugParams, "train.ap")
-    if "decay_milestones" in train_sec:
-        train_sec["decay_milestones"] = tuple(train_sec["decay_milestones"])
     if seed is not None:
         train_sec["seed"] = int(seed)
     train_cfg = _take(train_sec, TrainConfig, "train")
@@ -122,28 +111,13 @@ def run_config_from_dict(raw: dict) -> RunConfig:
     eval_opts = _take(eval_sec, EvalOptions, "eval")
     io_opts = _take(dict(raw.get("io", {})), IoOptions, "io")
 
-    return RunConfig(data=data_cfg, data_path=data_path, model=model_cfg,
-                     train=train_cfg, eval=eval_opts, io=io_opts)
+    return RunConfig(data=data_cfg, model=model_cfg, train=train_cfg,
+                     eval=eval_opts, io=io_opts)
 
 
 def run_config_to_dict(cfg: RunConfig) -> dict:
-    out: dict = {}
-    if cfg.data_path is not None:
-        out["data"] = {"path": cfg.data_path}
-    else:
-        out["data"] = dataclasses.asdict(cfg.data)
-        if out["data"]["tail_domain_budget"] is not None:
-            out["data"]["tail_domain_budget"] = list(out["data"]["tail_domain_budget"])
-    out["model"] = dataclasses.asdict(cfg.model)
-    out["model"]["hidden"] = list(cfg.model.hidden)
-    out["train"] = dataclasses.asdict(cfg.train)
-    out["train"]["cp"] = dataclasses.asdict(cfg.train.cp)
-    out["train"]["ap"] = dataclasses.asdict(cfg.train.ap)
-    out["train"]["decay_milestones"] = list(cfg.train.decay_milestones)
-    out["eval"] = dataclasses.asdict(cfg.eval)
-    out["eval"]["grid"] = list(cfg.eval.grid)
-    out["io"] = dataclasses.asdict(cfg.io)
-    return out
+    """The config as plain JSON types (tuples become lists)."""
+    return json.loads(json.dumps(dataclasses.asdict(cfg)))
 
 
 def config_hash(payload: dict) -> str:
@@ -152,9 +126,9 @@ def config_hash(payload: dict) -> str:
 
 
 def load_run_config(spec: str | Path) -> tuple[RunConfig, dict]:
-    """Resolve a path or preset name to (RunConfig, raw dict)."""
+    """Resolve a config file or preset name to (RunConfig, raw dict)."""
     path = Path(spec)
-    if path.exists():
+    if path.is_file():
         raw = json.loads(path.read_text(encoding="utf-8"))
     elif str(spec) in PRESETS:
         ref = resources.files("tailshift").joinpath(f"presets/{spec}.json")

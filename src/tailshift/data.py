@@ -359,17 +359,19 @@ def save_embeddings(table: SemanticTable, path) -> None:
             fh.write(",".join([str(c)] + [_fmt(v) for v in table.s[c]]) + "\n")
 
 
-def load_embeddings(path, n_classes: int, d_s: int) -> SemanticTable:
-    """Parse one embedding row per class; rows are re-normalized."""
+def load_embeddings(path) -> SemanticTable:
+    """Parse one embedding row per class; rows are re-normalized. The header
+    gives d_s and the row count gives the number of classes C, whose labels
+    must be exactly 0..C-1."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise DataFormatError("empty embedding file")
     header = lines[0].split(",")
-    if header != ["label"] + [f"s_{i}" for i in range(d_s)]:
+    d_s = len(header) - 1
+    if d_s < 1 or header != ["label"] + [f"s_{i}" for i in range(d_s)]:
         raise DataFormatError("embedding header must be label,s_0..s_{d_s-1}", line=1)
-    rows = np.full((n_classes, d_s), np.nan)
-    seen: set[int] = set()
+    rows: dict[int, np.ndarray] = {}
     for ln, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -378,16 +380,21 @@ def load_embeddings(path, n_classes: int, d_s: int) -> SemanticTable:
             raise DataFormatError(f"expected {1 + d_s} fields, got {len(parts)}", line=ln)
         try:
             label = int(parts[0])
-            vec = np.array([float(v) for v in parts[1:]])
+            vec = unit_normalize(np.array([float(v) for v in parts[1:]]))
         except ValueError as exc:
             raise DataFormatError(str(exc), line=ln) from exc
-        if label in seen:
+        if label in rows:
             raise DataFormatError(f"duplicate class {label}", line=ln)
-        if not 0 <= label < n_classes:
+        if label < 0:
             raise DataFormatError(f"class {label} out of range", line=ln)
-        seen.add(label)
-        rows[label] = unit_normalize(vec)
-    missing = sorted(set(range(n_classes)) - seen)
+        rows[label] = vec
+    if not rows:
+        raise DataFormatError("embedding file has no class rows")
+    # the labels are distinct, so one at or above C leaves a class below C out
+    missing = [c for c in range(len(rows)) if c not in rows]
     if missing:
         raise DataFormatError(f"missing class {missing[0]}")
-    return SemanticTable(rows)
+    try:
+        return SemanticTable(np.stack([rows[c] for c in range(len(rows))]))
+    except ValueError as exc:
+        raise DataFormatError(str(exc)) from exc

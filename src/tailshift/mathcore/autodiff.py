@@ -25,6 +25,10 @@ from ..errors import NumericsError
 # rows of norm >= 1e-7 the deviation from an exact unit norm is < 1e-10.
 NORM_FLOOR = 1e-24
 
+# Largest step fd_grad accepts; beyond it the central difference's
+# truncation error swamps the comparison it exists for.
+FD_EPS_MAX = 1e-2
+
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a gradient back down to `shape` after numpy broadcasting."""
@@ -374,8 +378,8 @@ def grad(loss_fn, params: dict[str, np.ndarray]) -> GradResult:
 
 def fd_grad(loss_fn, params: dict[str, np.ndarray], eps: float = 1e-5) -> GradResult:
     """Central finite-difference gradient oracle, (L(x+eps)-L(x-eps))/2eps."""
-    if not (0.0 < eps <= 1e-2):
-        raise ValueError("fd_grad: eps must lie in (0, 1e-2]")
+    if not (0.0 < eps <= FD_EPS_MAX):
+        raise ValueError(f"fd_grad: eps must lie in (0, {FD_EPS_MAX:g}]")
 
     def evaluate(p: dict[str, np.ndarray]) -> float:
         out = loss_fn({k: Tensor(v) for k, v in p.items()})

@@ -61,6 +61,10 @@ from .mathcore import Rng, collect_grads, make_leaves
 
 FD_EXACT_MAX_PARAMS = 512
 
+# Outer-rate schedule: 10x decays at 40% and 80% of t_max.
+DECAY_MILESTONES = (0.4, 0.8)
+DECAY_FACTOR = 0.1
+
 LOSS_KEYS = ("L_Cls", "L_Z2S", "L_S2S", "L_S2Z", "L_Aug", "L_mtr",
              "L_MCls", "L_MZ2S", "L_MAug", "L_mte")
 
@@ -82,7 +86,6 @@ class TrainConfig:
     ap: AugParams = field(default_factory=AugParams)
     mte_size: int = 1
     seed: int = 0
-    ema: float = 0.5
     use_dc: bool = True              # False -> plain cross-entropy
     use_z2s: bool = True
     use_s2s: bool = True
@@ -91,8 +94,6 @@ class TrainConfig:
     use_meta: bool = True
     single_prototype: bool = False
     unweighted_blend: bool = False
-    decay_milestones: tuple[float, ...] = (0.4, 0.8)
-    decay_factor: float = 0.1
     eval_every_epochs: int = 0       # 0 disables periodic validation metrics
 
     def __post_init__(self):
@@ -104,8 +105,6 @@ class TrainConfig:
             raise ConfigError("steps_per_epoch and batch_size must be >= 1")
         if self.mte_size < 1:
             raise ConfigError("mte_size must be >= 1")
-        if not (0 < self.ema <= 1):
-            raise ConfigError("ema must lie in (0, 1]")
 
     @property
     def total_steps(self) -> int:
@@ -113,9 +112,9 @@ class TrainConfig:
 
     def lr_outer(self, epoch: int) -> float:
         lr = self.beta2
-        for frac in self.decay_milestones:
+        for frac in DECAY_MILESTONES:
             if epoch >= frac * self.t_max:
-                lr *= self.decay_factor
+                lr *= DECAY_FACTOR
         return lr
 
 
@@ -459,7 +458,7 @@ def init_state(dataset: Dataset, cfg: TrainConfig, mcfg: M.ModelConfig) -> Train
     mask = dataset.counts.mask
     if cfg.single_prototype:
         mask = mask.any(axis=0, keepdims=True)
-    proto = PrototypeBank.zeros(mask, mcfg.d_v, ema=cfg.ema)
+    proto = PrototypeBank.zeros(mask, mcfg.d_v)
     cov = CovarianceBank.zeros(dataset.n_classes, mcfg.d_v)
     return TrainerState(params=params, proto=proto, cov=cov,
                         rng_state=loop_rng.get_state(), step=0)

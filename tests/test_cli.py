@@ -8,7 +8,7 @@ from tailshift import data as D
 from tailshift import meta as MT
 from tailshift import model as M
 from tailshift.cli import main
-from tailshift.config import load_run_config, run_config_from_dict
+from tailshift.config import load_run_config, run_config_from_dict, run_config_to_dict
 
 TINY = {
     "data": {"n_classes": 6, "n_train_domains": 3, "d_x": 5, "d_s": 4,
@@ -47,11 +47,30 @@ def test_config_rejects_unknown_fields():
     # removed settings, at the one value each used to take
     for section, key, value in (("train", "meta_mode", "first_order"),
                                 ("train", "aug_denominator_variant", "derivation"),
-                                ("model", "use_batch_standardization", False)):
+                                ("model", "use_batch_standardization", False),
+                                ("data", "path", "bench/"),
+                                ("train", "ema", 0.5),
+                                ("train", "decay_milestones", [0.4, 0.8]),
+                                ("train", "decay_factor", 0.1)):
         raw = json.loads(json.dumps(TINY))
         raw[section][key] = value
         with pytest.raises(ConfigError):
             run_config_from_dict(raw)
+
+
+def test_config_dict_round_trip():
+    configs = [load_run_config(name)[0] for name in ("paper_s1", "desk")]
+    for cfg in configs + [run_config_from_dict(TINY)]:
+        raw = run_config_to_dict(cfg)
+        assert json.loads(json.dumps(raw)) == raw
+        assert run_config_from_dict(raw) == cfg
+
+
+def test_preset_name_wins_over_a_directory(tmp_path, monkeypatch):
+    preset, _ = load_run_config("desk")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "desk").mkdir()  # e.g. left by `gen-data --config desk --out desk`
+    assert load_run_config("desk")[0] == preset
 
 
 def test_config_model_dims_derived_from_data():
@@ -226,6 +245,17 @@ def test_eval_selects_threshold_when_unset(tiny_config, tmp_path, capsys):
     assert report["threshold"] in EvalOptions().grid
 
 
+def test_eval_threshold_flag_out_of_range(tiny_config, tmp_path, capsys):
+    bench = tmp_path / "bench"
+    run = tmp_path / "run"
+    main(["gen-data", "--config", tiny_config, "--out", str(bench)])
+    main(["train", "--config", tiny_config, "--data", str(bench), "--out", str(run)])
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(run / "checkpoint.json"),
+                 "--data", str(bench), "--threshold", "1.5"]) == 2
+    assert "threshold" in capsys.readouterr().err
+
+
 def test_eval_fingerprint_mismatch(tiny_config, tmp_path, capsys):
     bench = tmp_path / "bench"
     other = tmp_path / "other"
@@ -237,6 +267,23 @@ def test_eval_fingerprint_mismatch(tiny_config, tmp_path, capsys):
                  "--data", str(other)])
     assert code == 2
     assert "mismatch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["gradcheck", "--points", "0"], "--points"),
+    (["gradcheck", "--points", "1", "--eps", "0.5"], "--eps"),
+    (["gradcheck", "--points", "1", "--tol", "0"], "--tol"),
+    (["ablate", "--config", "TINY", "--rows", "a", "--seeds", "0"], "--seeds"),
+    (["ablate", "--config", "TINY", "--rows", ","], "--rows"),
+])
+def test_flag_with_nothing_to_do_is_usage_error(argv, flag, tiny_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [tiny_config if a == "TINY" else a for a in argv]
+    if argv[0] == "ablate":
+        argv += ["--out", str(out)]
+    assert main(argv) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -210,7 +210,7 @@ def test_embeddings_roundtrip_and_renormalization(tmp_path):
     ds = D.generate(small_cfg())
     path = tmp_path / "emb.csv"
     D.save_embeddings(ds.semantic, path)
-    back = D.load_embeddings(path, 8, 4)
+    back = D.load_embeddings(path)
     assert np.abs(back.s - ds.semantic.s).max() < 1e-15
 
     # scale one row; the loader must renormalize it
@@ -218,7 +218,7 @@ def test_embeddings_roundtrip_and_renormalization(tmp_path):
     parts = lines[1].split(",")
     scaled = [parts[0]] + [repr(3.0 * float(v)) for v in parts[1:]]
     path.write_text("\n".join([lines[0], ",".join(scaled)] + lines[2:]) + "\n")
-    back2 = D.load_embeddings(path, 8, 4)
+    back2 = D.load_embeddings(path)
     assert abs(np.linalg.norm(back2.s[int(parts[0])]) - 1.0) < 1e-12
 
 
@@ -229,7 +229,7 @@ def test_embeddings_missing_class_named(tmp_path):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:3] + lines[4:]) + "\n")  # drop class 2
     with pytest.raises(DataFormatError, match="missing class 2"):
-        D.load_embeddings(path, 8, 4)
+        D.load_embeddings(path)
 
 
 def test_embeddings_duplicate_class_line_number(tmp_path):
@@ -239,7 +239,25 @@ def test_embeddings_duplicate_class_line_number(tmp_path):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines + [lines[1]]) + "\n")
     with pytest.raises(DataFormatError, match="line 10"):
-        D.load_embeddings(path, 8, 4)
+        D.load_embeddings(path)
+
+
+def test_embeddings_header_only_rejected(tmp_path):
+    path = tmp_path / "emb.csv"
+    path.write_text("label,s_0,s_1,s_2,s_3\n")
+    with pytest.raises(DataFormatError, match="no class rows"):
+        D.load_embeddings(path)
+
+
+def test_embeddings_negative_label_out_of_range(tmp_path):
+    ds = D.generate(small_cfg())
+    path = tmp_path / "emb.csv"
+    D.save_embeddings(ds.semantic, path)
+    lines = path.read_text().splitlines()
+    lines[4] = "-1" + lines[4][lines[4].index(","):]  # relabel class 3
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError, match="line 5: class -1 out of range"):
+        D.load_embeddings(path)
 
 
 def test_dataset_malformed_row_line_number(tmp_path):
