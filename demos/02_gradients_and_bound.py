@@ -29,7 +29,7 @@ sigma = a @ a.T
 lam = 1.5
 y = 1
 
-bound = L.aug_bound(mu, sigma, w, b, y, lam)
+bound = float(L.aug_bound(mu, sigma, w, b, y, lam).data)
 z = rng.normal(size=(n, d))
 f = mu + np.sqrt(lam) * (z @ a.T)
 logits = f @ w.T + b

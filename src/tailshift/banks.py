@@ -100,15 +100,9 @@ def complete_semantic(bank: PrototypeBank, encode, table: SemanticTable, domain:
     contribute no gradient.
     """
     enc = as_tensor(encode(Tensor(bank.v[domain])))
-    live = bank.mask[domain] & (np.abs(bank.v[domain]).max(axis=1) > 0)
-    m = live.astype(np.float64)[:, None]
-    out = enc * m + table.s * (1.0 - m)
-    return out
-
-
-def decode_prototypes(s_hat, decode):
-    """Row-wise application of the semantic -> visual decoder."""
-    return decode(as_tensor(s_hat))
+    known = bank.mask[domain] & (np.abs(bank.v[domain]).max(axis=1) > 0)
+    m = known.astype(np.float64)[:, None]
+    return enc * m + table.s * (1.0 - m)
 
 
 @dataclass
@@ -197,16 +191,10 @@ def blend_covariance(bank: CovarianceBank, table: SemanticTable, k: int,
     empty = np.zeros(c_total, dtype=bool)
     for c in range(c_total):
         sel = topk_similar(table, c, k)
-        if weighted:
-            n_sel = bank.n[sel].astype(np.float64)
-            total = n_sel.sum()
-            if total <= 0:
-                empty[c] = True
-                continue
-            sigma_prime[c] = np.einsum("i,ijk->jk", n_sel, bank.sigma[sel]) / total
-        else:
-            if bank.n[sel].sum() <= 0:
-                empty[c] = True
-                continue
-            sigma_prime[c] = bank.sigma[sel].mean(axis=0)
+        n_sel = bank.n[sel].astype(np.float64)
+        if n_sel.sum() <= 0:
+            empty[c] = True
+            continue
+        wts = n_sel if weighted else np.ones(len(sel))
+        sigma_prime[c] = np.einsum("i,ijk->jk", wts, bank.sigma[sel]) / wts.sum()
     return sigma_prime, empty

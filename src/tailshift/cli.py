@@ -122,8 +122,9 @@ def _train_once(cfg: RunConfig, dataset: D.Dataset, fingerprint: str,
     if out is not None and cfg.io.checkpoint_every_epochs > 0:
         every = cfg.io.checkpoint_every_epochs * cfg.train.steps_per_epoch
 
+        # the run's last step is saved below as checkpoint.json
         def hooks(st, report):
-            if (report.step + 1) % every == 0:
+            if (report.step + 1) % every == 0 and report.step + 1 < cfg.train.total_steps:
                 CK.save_checkpoint(out / f"checkpoint_{report.step + 1:06d}.json",
                                    st, model_cfg_dict, train_cfg_dict, fingerprint)
 

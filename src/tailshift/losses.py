@@ -2,25 +2,26 @@
 
 Five kernels plus one closed-form bound:
 
-- ``dc_loss``   count-calibrated softmax cross-entropy; classes absent from
-  the sample's own domain are excluded from the normalizer and receive a
-  gradient of exactly zero.
-- ``z2s_loss``  margin contrastive alignment of a unit feature embedding to
-  its class row in a semantic table.
+- ``dc_loss_mean``  count-calibrated softmax cross-entropy; classes absent
+  from the sample's own domain are excluded from the normalizer and receive
+  a gradient of exactly zero.
+- ``z2s_loss_mean`` margin contrastive alignment of unit feature embeddings
+  to their class rows in a semantic table.
 - ``s2s_loss``  cross-table prototype contrast: positives are same-class rows
   across two tables, negatives are other classes in both tables.
 - ``s2z_loss``  cycle-style constraint on reconstructed prototypes: classify
   each decoded prototype as its own class, and re-align its re-encoding to
   the semantic table.
-- ``aug_loss``  implicit-augmentation surrogate: per-class quadratic
+- ``aug_loss_mean`` implicit-augmentation surrogate: per-class quadratic
   penalties from a blended covariance inflate the softmax normalizer.
 - ``aug_bound`` the moment-generating-function upper bound on the expected
   cross-entropy under a Gaussian feature perturbation; a Monte-Carlo
   estimate of that expectation must stay below it.
 
-Every kernel is built from ``mathcore`` primitives, so it can be called with
-plain arrays (returns a float) or with graph tensors (returns a Tensor with
-analytic gradients, cross-checked against ``mathcore.fd_grad``).
+Every kernel is built from ``mathcore`` primitives and, like ``model``,
+accepts plain arrays or graph tensors and always returns a scalar Tensor
+(its ``.data`` is the value). Gradients are analytic and cross-checked
+against ``mathcore.fd_grad``. A single sample is a batch of one.
 """
 
 from __future__ import annotations
@@ -99,9 +100,11 @@ class DomainClassCounts:
         return self.counts > 0
 
 
-def _rows(table) -> np.ndarray:
-    """Accept a SemanticTable-like object or a plain (C, d) array."""
-    return np.asarray(getattr(table, "s", table), dtype=np.float64)
+def _table(table) -> Tensor:
+    """Accept a Tensor, a SemanticTable-like object or a plain (C, d) array."""
+    if isinstance(table, Tensor):
+        return table
+    return Tensor(np.asarray(getattr(table, "s", table), dtype=np.float64))
 
 
 def _check_unit_rows(x: np.ndarray, what: str):
@@ -111,41 +114,18 @@ def _check_unit_rows(x: np.ndarray, what: str):
                          f"{np.abs(norms - 1.0).max():.3g})")
 
 
-def _maybe_float(out: Tensor, live: bool):
-    return out if live else float(out.data)
-
-
-def _logsumexp(x: Tensor) -> Tensor:
-    shift = float(np.max(x.data))
-    return (x - shift).exp().sum().log() + shift
-
-
 # ---------------------------------------------------------------------------
 # calibrated classification
 # ---------------------------------------------------------------------------
 
-def dc_loss(logits, label: int, domain: int, counts: DomainClassCounts):
-    """-log( n_y e^{z_y} / sum_c n_c e^{z_c} ) over classes with n_c > 0.
-
-    The counts row is the sample's own training domain. Classes with a zero
-    count are excluded from the normalizer, so their logits receive exactly
-    zero gradient.
-    """
-    live = isinstance(logits, Tensor)
-    z = as_tensor(logits)
-    row = counts.counts[domain].astype(np.float64)
-    if row[label] <= 0:
-        raise ValueError("dc_loss: label has zero count in its own domain")
-    out = -log_softmax(z, row)[label]
-    return _maybe_float(out, live)
-
-
 def dc_loss_mean(logits, labels, domains, counts: DomainClassCounts | None):
-    """Mean calibrated loss over a batch; ``counts=None`` gives plain CE.
+    """Mean of -log( n_y e^{z_y} / sum_c n_c e^{z_c} ) over a batch.
 
     `logits` is (B, C); `labels` and `domains` are int arrays of length B.
+    Each sample's counts row is its own training domain. Classes with a zero
+    count are excluded from the normalizer, so their logits receive exactly
+    zero gradient; ``counts=None`` gives the plain cross-entropy.
     """
-    live = isinstance(logits, Tensor)
     z = as_tensor(logits)
     labels = np.asarray(labels, dtype=np.int64)
     b = z.data.shape[0]
@@ -157,42 +137,23 @@ def dc_loss_mean(logits, labels, domains, counts: DomainClassCounts | None):
         if (w[np.arange(b), labels] <= 0).any():
             raise ValueError("dc_loss_mean: a label has zero count in its domain")
         lsm = log_softmax(z, w)
-    out = -lsm[np.arange(b), labels].mean()
-    return _maybe_float(out, live)
-
-
-def cross_entropy_mean(logits, labels):
-    return dc_loss_mean(logits, labels, None, None)
+    return -lsm[np.arange(b), labels].mean()
 
 
 # ---------------------------------------------------------------------------
 # visual -> semantic alignment
 # ---------------------------------------------------------------------------
 
-def z2s_loss(embedding, label: int, table, cp: ContrastiveParams):
-    """Margin contrastive loss of one unit embedding against a semantic table.
+def z2s_loss_mean(embeddings, labels, table, cp: ContrastiveParams):
+    """Margin contrastive loss of unit embeddings against a semantic table,
+    averaged over the batch.
 
     The positive similarity <e, s_y> is shifted down by the margin alpha, all
     similarities are scaled by 1/tau, and the result is a softmax
     cross-entropy at the class index.
     """
-    live = isinstance(embedding, Tensor)
-    e = as_tensor(embedding)
-    s = _rows(table)
-    _check_unit_rows(e.data, "z2s_loss embedding")
-    _check_unit_rows(s, "z2s_loss table")
-    sims = s @ e  # (C,)
-    margin = np.zeros(s.shape[0])
-    margin[label] = cp.alpha
-    out = -log_softmax((sims - margin) / cp.tau)[label]
-    return _maybe_float(out, live)
-
-
-def z2s_loss_mean(embeddings, labels, table, cp: ContrastiveParams):
-    """Mean ``z2s_loss`` over a batch of unit embeddings, vectorized."""
-    live = isinstance(embeddings, Tensor) or isinstance(table, Tensor)
     e = as_tensor(embeddings)
-    t = table if isinstance(table, Tensor) else Tensor(_rows(table))
+    t = _table(table)
     labels = np.asarray(labels, dtype=np.int64)
     _check_unit_rows(e.data, "z2s_loss embeddings")
     _check_unit_rows(t.data, "z2s_loss table")
@@ -202,8 +163,7 @@ def z2s_loss_mean(embeddings, labels, table, cp: ContrastiveParams):
     margin = np.zeros((b, c))
     margin[np.arange(b), labels] = cp.alpha
     lsm = log_softmax((sims - margin) / cp.tau)
-    out = -lsm[np.arange(b), labels].mean()
-    return _maybe_float(out, live)
+    return -lsm[np.arange(b), labels].mean()
 
 
 def s2s_loss(s_m, s_n, cp: ContrastiveParams):
@@ -213,9 +173,7 @@ def s2s_loss(s_m, s_n, cp: ContrastiveParams):
     s_n_j and s_m_j for j != c, pushing other classes away both across and
     within tables.
     """
-    live = isinstance(s_m, Tensor) or isinstance(s_n, Tensor)
-    a = s_m if isinstance(s_m, Tensor) else Tensor(_rows(s_m))
-    b = s_n if isinstance(s_n, Tensor) else Tensor(_rows(s_n))
+    a, b = _table(s_m), _table(s_n)
     if a.data.shape != b.data.shape:
         raise ValueError("s2s_loss: table shapes differ")
     _check_unit_rows(a.data, "s2s_loss s_m")
@@ -233,8 +191,7 @@ def s2s_loss(s_m, s_n, cp: ContrastiveParams):
     epos = (pos - shift).exp()
     ecross = ((cross - shift).exp() * offdiag).sum(axis=1)
     eintra = ((intra - shift).exp() * offdiag).sum(axis=1)
-    out = (-(pos - shift) + (epos + ecross + eintra).log()).mean()
-    return _maybe_float(out, live)
+    return (-(pos - shift) + (epos + ecross + eintra).log()).mean()
 
 
 def s2z_loss(v_hat, w, b, encode, table, cp: ContrastiveParams):
@@ -245,47 +202,31 @@ def s2z_loss(v_hat, w, b, encode, table, cp: ContrastiveParams):
     back onto the semantic table with ``s2s_loss``. `encode` maps a (C, d_v)
     matrix to unit (C, d_s) rows.
     """
-    live = isinstance(v_hat, Tensor) or isinstance(w, Tensor)
     v = as_tensor(v_hat)
     if not np.isfinite(v.data).all():
         raise ValueError("s2z_loss: non-finite prototypes")
     c = v.data.shape[0]
     logits = v @ as_tensor(w).T + as_tensor(b)
     ce = -log_softmax(logits)[np.arange(c), np.arange(c)].mean()
-    out = ce + as_tensor(s2s_loss(encode(v), table, cp))
-    return _maybe_float(out, live)
+    return ce + s2s_loss(encode(v), table, cp)
 
 
 # ---------------------------------------------------------------------------
 # implicit augmentation
 # ---------------------------------------------------------------------------
 
-def aug_loss(feature, label: int, w, b, sigma_prime, ap: AugParams):
-    """Cross-entropy with per-class augmentation penalties in the normalizer.
-
-    Penalty for class c is (lam/2)(w_c - w_y)' Sigma'_y (w_c - w_y); it is
-    identically zero for the true class, so lam = 0 or Sigma' = 0 recovers
-    the plain cross-entropy on logits W f + b.
-    """
-    live = isinstance(feature, Tensor) or isinstance(w, Tensor)
-    wt = as_tensor(w)
-    bt = as_tensor(b)
-    f = as_tensor(feature)
-    sig = sigma_prime if isinstance(sigma_prime, Tensor) else Tensor(check_psd(sigma_prime))
-    d = wt - wt[label]                      # (C, d_v); row `label` is exactly 0
-    quad = ((d @ sig) * d).sum(axis=1)      # (C,)
-    logits = wt @ f + bt + (ap.lam / 2.0) * quad
-    out = -log_softmax(logits)[label]
-    return _maybe_float(out, live)
-
-
 def aug_loss_mean(features, labels, w, b, sigma_primes, ap: AugParams):
-    """Mean ``aug_loss`` over a batch; `sigma_primes` stacks one blended
-    covariance per class, and penalties are shared across samples of a class."""
-    live = isinstance(features, Tensor) or isinstance(w, Tensor)
+    """Cross-entropy with per-class augmentation penalties in the normalizer,
+    averaged over the batch.
+
+    For a sample of class y the penalty of class c is
+    (lam/2)(w_c - w_y)' Sigma'_y (w_c - w_y); it is identically zero for the
+    true class, so lam = 0 or Sigma' = 0 recovers the plain cross-entropy on
+    logits W f + b. `sigma_primes` stacks one blended covariance per class,
+    and penalties are shared across samples of a class.
+    """
     f = as_tensor(features)
-    wt = as_tensor(w)
-    bt = as_tensor(b)
+    wt, bt = as_tensor(w), as_tensor(b)
     labels = np.asarray(labels, dtype=np.int64)
     nb = f.data.shape[0]
     quad_by_class: dict[int, Tensor] = {}
@@ -295,22 +236,21 @@ def aug_loss_mean(features, labels, w, b, sigma_primes, ap: AugParams):
         quad_by_class[int(y)] = ((d @ Tensor(sig)) * d).sum(axis=1)
     pen = stack([quad_by_class[int(y)] for y in labels], axis=0)  # (B, C)
     logits = f @ wt.T + bt + (ap.lam / 2.0) * pen
-    out = -log_softmax(logits)[np.arange(nb), labels].mean()
-    return _maybe_float(out, live)
+    return -log_softmax(logits)[np.arange(nb), labels].mean()
 
 
 def aug_bound(mu_y, sigma_y, w, b, label: int, lam: float):
     """Closed-form upper bound on E[cross-entropy] for f ~ N(mu_y, lam Sigma_y):
 
         log sum_c exp( (w_c-w_y)'mu_y + (b_c-b_y) + (lam/2)(w_c-w_y)'Sigma_y(w_c-w_y) )
+
+    The exponent of the label is exactly 0, so this log-sum-exp is the
+    negated log-softmax at the label.
     """
-    live = any(isinstance(x, Tensor) for x in (mu_y, sigma_y, w, b))
-    wt = as_tensor(w)
-    bt = as_tensor(b)
+    wt, bt = as_tensor(w), as_tensor(b)
     mu = as_tensor(mu_y)
     sig = sigma_y if isinstance(sigma_y, Tensor) else Tensor(check_psd(sigma_y))
     d = wt - wt[label]
     quad = ((d @ sig) * d).sum(axis=1)
     exponents = d @ mu + (bt - bt[label]) + (lam / 2.0) * quad
-    out = _logsumexp(exponents)
-    return _maybe_float(out, live)
+    return -log_softmax(exponents)[label]

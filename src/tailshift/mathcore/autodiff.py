@@ -295,9 +295,8 @@ def log_softmax(x, weights=None):
     normalizer and reported as -inf, and their gradient is exactly zero.
     Adding a constant to all inputs leaves the output unchanged.
 
-    Accepts a Tensor or ndarray (1-D or batched rows); returns the same kind.
+    Accepts a Tensor or ndarray (1-D or batched rows); returns a Tensor.
     """
-    live = isinstance(x, Tensor)
     xt = as_tensor(x)
     z = xt.data
     if not np.isfinite(z).all():
@@ -328,8 +327,7 @@ def log_softmax(x, weights=None):
         gz = geff - p * geff.sum(axis=-1, keepdims=True)
         Tensor._accum(xt, gz)
 
-    out = Tensor._from_op(out_data, (xt,), bw)
-    return out if live else out.data
+    return Tensor._from_op(out_data, (xt,), bw)
 
 
 def normalize_rows(x, axis: int = -1) -> Tensor:

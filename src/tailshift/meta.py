@@ -40,7 +40,6 @@ from .banks import (
     SemanticTable,
     blend_covariance,
     complete_semantic,
-    decode_prototypes,
     update_covariance,
     update_prototypes,
 )
@@ -51,7 +50,6 @@ from .losses import (
     ContrastiveParams,
     DomainClassCounts,
     aug_loss_mean,
-    cross_entropy_mean,
     dc_loss_mean,
     s2s_loss,
     s2z_loss,
@@ -235,15 +233,12 @@ def _domain_mean(feats: dict, fn):
 
 def _cls_loss(leaves, feats: dict, counts: DomainClassCounts, cfg: TrainConfig):
     """Calibrated (or, with use_dc off, plain) cross-entropy, domain mean."""
-    if cfg.use_dc:
-        return _domain_mean(feats, lambda n: dc_loss_mean(
-            M.forward_logits(leaves, feats[n][0]), feats[n][1],
-            np.full(len(feats[n][1]), n), counts))
-    return _domain_mean(feats, lambda n: cross_entropy_mean(
-        M.forward_logits(leaves, feats[n][0]), feats[n][1]))
+    return _domain_mean(feats, lambda n: dc_loss_mean(
+        M.forward_logits(leaves, feats[n][0]), feats[n][1],
+        np.full(len(feats[n][1]), n), counts if cfg.use_dc else None))
 
 
-def _aug_loss(leaves, feats: dict, sigma_prime, cfg: TrainConfig):
+def _aug_term(leaves, feats: dict, sigma_prime, cfg: TrainConfig):
     return _domain_mean(feats, lambda n: aug_loss_mean(
         feats[n][0], feats[n][1], leaves["cls.W"], leaves["cls.b"],
         sigma_prime, cfg.ap))
@@ -299,7 +294,7 @@ def meta_train_losses(leaves, batches, proto: PrototypeBank, cov: CovarianceBank
         parts.append(cfg.w2 * l_s2s)
 
     if cfg.use_s2z:
-        v_hat = {r: decode_prototypes(s_hat[r], dec) for r in proto_rows}
+        v_hat = {r: dec(s_hat[r]) for r in proto_rows}
         terms = [s2z_loss(v_hat[r], leaves["cls.W"], leaves["cls.b"], enc, table, cfg.cp)
                  for r in proto_rows]
         l_s2z = sum(terms[1:], terms[0]) / float(len(terms))
@@ -307,7 +302,7 @@ def meta_train_losses(leaves, batches, proto: PrototypeBank, cov: CovarianceBank
         parts.append(cfg.w3 * l_s2z)
 
     if cfg.use_aug and aug_active:
-        l_aug = _aug_loss(leaves, feats, sigma_prime, cfg)
+        l_aug = _aug_term(leaves, feats, sigma_prime, cfg)
         comps["L_Aug"] = float(l_aug.data)
         parts.append(cfg.w4 * l_aug)
 
@@ -348,7 +343,7 @@ def meta_test_losses(leaves, batches, proto: PrototypeBank,
         parts.append(cfg.w1 * l_z2s)
 
     if cfg.use_aug and aug_active:
-        l_aug = _aug_loss(leaves, feats, sigma_prime, cfg)
+        l_aug = _aug_term(leaves, feats, sigma_prime, cfg)
         comps["L_MAug"] = float(l_aug.data)
         parts.append(cfg.w4 * l_aug)
 

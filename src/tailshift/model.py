@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .mathcore import GradResult, Rng, as_tensor, normalize_rows
+from .mathcore import Rng, as_tensor, normalize_rows
 
 
 @dataclass(frozen=True)
@@ -82,14 +82,13 @@ def param_count(params: Params) -> int:
 
 def apply_step(params: Params, grads, lr: float) -> Params:
     """theta' = theta - lr * grad, leaving the inputs untouched."""
-    g = grads.grads if isinstance(grads, GradResult) else grads
-    if set(g) != set(params):
+    if set(grads) != set(params):
         raise ValueError("apply_step: gradient blocks do not match parameters")
     out: Params = {}
     for k, v in params.items():
-        if np.shape(g[k]) != np.shape(v):
+        if np.shape(grads[k]) != np.shape(v):
             raise ValueError(f"apply_step: shape mismatch for block {k}")
-        out[k] = np.asarray(v, dtype=np.float64) - lr * np.asarray(g[k], dtype=np.float64)
+        out[k] = np.asarray(v, dtype=np.float64) - lr * np.asarray(grads[k], dtype=np.float64)
     return out
 
 

@@ -49,16 +49,16 @@ def test_criterion_2_degenerate_identities():
     rng = Rng(0)
     checks = []
 
-    # dc_loss == cross-entropy under uniform counts
+    # dc_loss_mean == cross-entropy under uniform counts (batches of one)
     counts = L.DomainClassCounts(np.full((1, 6), 9))
     for _ in range(20):
         z = 3.0 * rng.normal(size=6)
         y = int(rng.integers(0, 6))
         m = z.max()
         ce = -(z[y] - m - np.log(np.exp(z - m).sum()))
-        checks.append(abs(L.dc_loss(z, y, 0, counts) - ce) < 1e-12)
+        checks.append(abs(L.dc_loss_mean(z[None], [y], [0], counts).data - ce) < 1e-12)
 
-    # aug_loss == cross-entropy at lambda = 0 and at Sigma' = 0
+    # aug_loss_mean == cross-entropy at lambda = 0 and at Sigma' = 0
     for _ in range(20):
         c, d = 5, 4
         w = rng.normal(size=(c, d))
@@ -69,9 +69,10 @@ def test_criterion_2_degenerate_identities():
         m = logits.max()
         ce = -(logits[y] - m - np.log(np.exp(logits - m).sum()))
         a = rng.normal(size=(d, d))
-        checks.append(abs(L.aug_loss(f, y, w, b, a @ a.T, L.AugParams(lam=0.0, k=1)) - ce) < 1e-12)
-        checks.append(abs(L.aug_loss(f, y, w, b, np.zeros((d, d)),
-                                     L.AugParams(lam=7.0, k=1)) - ce) < 1e-12)
+        for sigma, lam in ((a @ a.T, 0.0), (np.zeros((d, d)), 7.0)):
+            val = L.aug_loss_mean(f[None], [y], w, b, np.stack([sigma] * c),
+                                  L.AugParams(lam=lam, k=1)).data
+            checks.append(abs(val - ce) < 1e-12)
 
     # zero-count classes receive exactly zero gradient
     from tailshift.mathcore import grad
@@ -79,8 +80,8 @@ def test_criterion_2_degenerate_identities():
     for _ in range(10):
         z = rng.normal(size=5)
         y = int(rng.choice([0, 2, 4]))
-        g = grad(lambda t: L.dc_loss(t["z"], y, 0, counts0), {"z": z})
-        checks.append(g.grads["z"][1] == 0.0 and g.grads["z"][3] == 0.0)
+        g = grad(lambda t: L.dc_loss_mean(t["z"], [y], [0], counts0), {"z": z[None]})
+        checks.append(g.grads["z"][0, 1] == 0.0 and g.grads["z"][0, 3] == 0.0)
 
     _record(2, "degenerate-case identities exact to 1e-12", all(checks))
 
@@ -100,7 +101,7 @@ def test_criterion_3_upper_bound_monte_carlo():
         sigma = a @ a.T
         lam = float(rng.uniform(0.1, 5.0))
         y = int(rng.integers(0, c))
-        bound = L.aug_bound(mu, sigma, w, b, y, lam)
+        bound = L.aug_bound(mu, sigma, w, b, y, lam).data
         z = rng.normal(size=(n, d))
         f = mu + np.sqrt(lam) * (z @ a.T)
         logits = f @ w.T + b

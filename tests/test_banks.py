@@ -77,7 +77,7 @@ def test_masked_off_rows_stay_zero():
 
 
 # ---------------------------------------------------------------------------
-# complete_semantic / decode_prototypes
+# complete_semantic
 # ---------------------------------------------------------------------------
 
 def _norm_encoder(c, d_s):
@@ -140,20 +140,6 @@ def test_complete_semantic_rows_unit():
         bank.v[0, c] = rng.normal(size=4)
     out = B.complete_semantic(bank, _norm_encoder(5, 4), table, 0)
     assert np.abs(np.linalg.norm(out.data, axis=1) - 1.0).max() < 1e-10
-
-
-def test_decode_prototypes_matches_rowwise():
-    rng = Rng(8)
-    w = rng.normal(size=(4, 3))
-    bias = rng.normal(size=4)
-    dec = lambda s: s @ Tensor(w).T + Tensor(bias)
-    s_hat = rng.normal(size=(5, 3))
-    out = B.decode_prototypes(s_hat, dec)
-    expect = np.stack([w @ row + bias for row in s_hat])
-    assert np.allclose(out.data, expect, atol=1e-12)
-    zero_dec = lambda s: s @ Tensor(np.zeros((4, 3))).T + Tensor(bias)
-    out0 = B.decode_prototypes(s_hat, zero_dec)
-    assert np.allclose(out0.data, np.tile(bias, (5, 1)), atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

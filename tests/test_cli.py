@@ -177,6 +177,19 @@ def test_train_resume_into_same_directory(tiny_config, tmp_path):
     assert (run / "steps.jsonl").read_bytes() == (full / "steps.jsonl").read_bytes()
 
 
+def test_train_epoch_checkpoints_skip_the_last_step(tmp_path):
+    cfgd = dict(TINY)
+    cfgd["io"] = {"checkpoint_every_epochs": 1}
+    cfg_path = tmp_path / "ckpt.json"
+    cfg_path.write_text(json.dumps(cfgd))
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--out", str(run)]) == 0
+    # the last step's state is checkpoint.json, written once
+    assert sorted(p.name for p in run.glob("checkpoint*.json")) == [
+        "checkpoint.json", "checkpoint_000001.json", "checkpoint_000002.json",
+        "checkpoint_000003.json"]
+
+
 def test_train_resume_refuses_other_config(tiny_config, tmp_path, capsys):
     bench, run = tmp_path / "bench", tmp_path / "run"
     main(["gen-data", "--config", tiny_config, "--out", str(bench)])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tailshift import losses as L
-from tailshift.mathcore import Rng, Tensor, grad
+from tailshift.mathcore import Rng, Tensor, fd_grad, grad, normalize_rows
 
 CP0 = L.ContrastiveParams(alpha=0.0, tau=1.0)
 
@@ -12,45 +12,60 @@ def unit_rows(rng, n, d):
     return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
+# One sample is a batch of one; these return the loss value.
+
+def dc1(z, y, n, counts):
+    return L.dc_loss_mean(np.atleast_2d(z), [y], [n], counts).data
+
+
+def z2s1(e, y, table, cp):
+    return L.z2s_loss_mean(np.atleast_2d(e), [y], table, cp).data
+
+
+def aug1(f, y, w, b, sigma, ap):
+    # every class holds `sigma`; only the label's is read
+    return L.aug_loss_mean(np.atleast_2d(f), [y], w, b, np.stack([sigma] * len(b)), ap).data
+
+
 # ---------------------------------------------------------------------------
-# dc_loss
+# dc_loss_mean
 # ---------------------------------------------------------------------------
 
 def test_dc_uniform_counts_is_cross_entropy():
     counts = L.DomainClassCounts(np.array([[1, 1]]))
-    assert L.dc_loss(np.zeros(2), 0, 0, counts) == pytest.approx(np.log(2), abs=1e-15)
+    assert dc1(np.zeros(2), 0, 0, counts) == pytest.approx(np.log(2), abs=1e-15)
     rng = Rng(0)
     counts5 = L.DomainClassCounts(np.full((1, 5), 7))
     for _ in range(10):
         z = rng.normal(size=5)
         ce = -(z[2] - np.log(np.exp(z - z.max()).sum()) - z.max())
-        assert L.dc_loss(z, 2, 0, counts5) == pytest.approx(ce, abs=1e-12)
+        assert dc1(z, 2, 0, counts5) == pytest.approx(ce, abs=1e-12)
 
 
 def test_dc_worked_example():
     counts = L.DomainClassCounts(np.array([[3, 1]]))
-    assert L.dc_loss(np.zeros(2), 0, 0, counts) == pytest.approx(np.log(4 / 3), abs=1e-12)
+    assert dc1(np.zeros(2), 0, 0, counts) == pytest.approx(np.log(4 / 3), abs=1e-12)
 
 
 def test_dc_zero_count_class_excluded():
     counts = L.DomainClassCounts(np.array([[1, 0]]))
-    assert L.dc_loss(np.array([5.0, 100.0]), 0, 0, counts) == pytest.approx(0.0, abs=1e-15)
-    g = grad(lambda t: L.dc_loss(t["z"], 0, 0, counts), {"z": np.array([5.0, 100.0])})
-    assert g.grads["z"][1] == 0.0
+    assert dc1(np.array([5.0, 100.0]), 0, 0, counts) == pytest.approx(0.0, abs=1e-15)
+    g = grad(lambda t: L.dc_loss_mean(t["z"], [0], [0], counts), {"z": np.array([[5.0, 100.0]])})
+    assert g.grads["z"][0, 1] == 0.0
 
 
 def test_dc_zero_count_label_rejected():
     counts = L.DomainClassCounts(np.array([[1, 0]]))
     with pytest.raises(ValueError):
-        L.dc_loss(np.zeros(2), 1, 0, counts)
+        dc1(np.zeros(2), 1, 0, counts)
 
 
 def test_dc_shift_invariance():
     rng = Rng(1)
     counts = L.DomainClassCounts(rng.integers(0, 9, size=(2, 6)) + 1)
     z = rng.normal(size=6)
-    a = L.dc_loss(z, 3, 1, counts)
-    b = L.dc_loss(z + 57.25, 3, 1, counts)
+    a = dc1(z, 3, 1, counts)
+    b = dc1(z + 57.25, 3, 1, counts)
     assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -59,8 +74,8 @@ def test_dc_count_scaling_invariance():
     rng = Rng(2)
     base = rng.integers(1, 10, size=(1, 5))
     z = rng.normal(size=5)
-    a = L.dc_loss(z, 2, 0, L.DomainClassCounts(base))
-    b = L.dc_loss(z, 2, 0, L.DomainClassCounts(base * 13))
+    a = dc1(z, 2, 0, L.DomainClassCounts(base))
+    b = dc1(z, 2, 0, L.DomainClassCounts(base * 13))
     assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -69,7 +84,7 @@ def test_dc_nonnegative_and_finite():
     for _ in range(25):
         counts = L.DomainClassCounts(rng.integers(0, 5, size=(1, 6)) + 1)
         z = 3.0 * rng.normal(size=6)
-        val = L.dc_loss(z, int(rng.integers(0, 6)), 0, counts)
+        val = dc1(z, int(rng.integers(0, 6)), 0, counts)
         assert np.isfinite(val)
 
 
@@ -81,13 +96,13 @@ def test_domain_class_counts_validation():
 
 
 # ---------------------------------------------------------------------------
-# z2s_loss
+# z2s_loss_mean
 # ---------------------------------------------------------------------------
 
 def test_z2s_closed_form_orthonormal():
     table = np.eye(2)
     e = np.array([1.0, 0.0])
-    assert L.z2s_loss(e, 0, table, CP0) == pytest.approx(np.log(1 + np.exp(-1)), abs=1e-12)
+    assert z2s1(e, 0, table, CP0) == pytest.approx(np.log(1 + np.exp(-1)), abs=1e-12)
 
 
 def test_z2s_uniform_sims_is_log_c():
@@ -95,12 +110,12 @@ def test_z2s_uniform_sims_is_log_c():
     d = 4
     table = np.full((d, d), 0.5)  # unit rows, all pairwise sims 1
     e = np.full(d, 0.5)
-    assert L.z2s_loss(e, 1, table, CP0) == pytest.approx(np.log(d), abs=1e-12)
+    assert z2s1(e, 1, table, CP0) == pytest.approx(np.log(d), abs=1e-12)
 
 
 def test_z2s_paper_scale_temperature():
     cp = L.ContrastiveParams(alpha=0.1, tau=1 / 30)
-    val = L.z2s_loss(np.array([1.0, 0.0]), 0, np.eye(2), cp)
+    val = z2s1(np.array([1.0, 0.0]), 0, np.eye(2), cp)
     assert val == pytest.approx(np.log1p(np.exp(-27)), rel=1e-3)
     assert val == pytest.approx(1.9e-12, rel=0.05)
 
@@ -111,14 +126,14 @@ def test_z2s_strictly_positive():
     for _ in range(20):
         table = unit_rows(rng, 5, 3)
         e = unit_rows(rng, 1, 3)[0]
-        assert L.z2s_loss(e, int(rng.integers(0, 5)), table, cp) > 0
+        assert z2s1(e, int(rng.integers(0, 5)), table, cp) > 0
 
 
 def test_z2s_rejects_non_normalized():
     with pytest.raises(ValueError):
-        L.z2s_loss(np.array([1.0, 1.0]), 0, np.eye(2), CP0)
+        z2s1(np.array([1.0, 1.0]), 0, np.eye(2), CP0)
     with pytest.raises(ValueError):
-        L.z2s_loss(np.array([1.0, 0.0]), 0, 2 * np.eye(2), CP0)
+        z2s1(np.array([1.0, 0.0]), 0, 2 * np.eye(2), CP0)
 
 
 # ---------------------------------------------------------------------------
@@ -127,19 +142,19 @@ def test_z2s_rejects_non_normalized():
 
 def test_s2s_identical_orthonormal_tables():
     expect = np.log(1 + 2 * np.exp(-1))
-    assert L.s2s_loss(np.eye(2), np.eye(2), CP0) == pytest.approx(expect, abs=1e-12)
+    assert L.s2s_loss(np.eye(2), np.eye(2), CP0).data == pytest.approx(expect, abs=1e-12)
 
 
 def test_s2s_sharp_temperature_limit():
     cp = L.ContrastiveParams(alpha=0.0, tau=1 / 100)
-    assert L.s2s_loss(np.eye(2), np.eye(2), cp) < 1e-9
+    assert L.s2s_loss(np.eye(2), np.eye(2), cp).data < 1e-9
 
 
 def test_s2s_all_rows_equal():
     for c, d in [(3, 4), (5, 2)]:
         row = np.full(d, 1.0 / np.sqrt(d))
         table = np.tile(row, (c, 1))
-        assert L.s2s_loss(table, table, CP0) == pytest.approx(np.log(2 * c - 1), abs=1e-12)
+        assert L.s2s_loss(table, table, CP0).data == pytest.approx(np.log(2 * c - 1), abs=1e-12)
 
 
 def test_s2s_shape_mismatch():
@@ -150,8 +165,8 @@ def test_s2s_shape_mismatch():
 def test_s2s_margin_raises_loss():
     rng = Rng(5)
     a, b = unit_rows(rng, 4, 3), unit_rows(rng, 4, 3)
-    lo = L.s2s_loss(a, b, L.ContrastiveParams(alpha=0.0, tau=0.5))
-    hi = L.s2s_loss(a, b, L.ContrastiveParams(alpha=0.3, tau=0.5))
+    lo = L.s2s_loss(a, b, L.ContrastiveParams(alpha=0.0, tau=0.5)).data
+    hi = L.s2s_loss(a, b, L.ContrastiveParams(alpha=0.3, tau=0.5)).data
     assert hi > lo
 
 
@@ -166,8 +181,8 @@ def test_s2z_uniform_logits_first_term():
     w = np.zeros((c, d_v))
     b = np.zeros(c)
     enc = lambda v: Tensor(np.eye(c, d_s))  # encoded rows equal the table
-    val = L.s2z_loss(v_hat, w, b, enc, table, CP0)
-    assert val == pytest.approx(np.log(c) + L.s2s_loss(table, table, CP0), abs=1e-12)
+    val = L.s2z_loss(v_hat, w, b, enc, table, CP0).data
+    assert val == pytest.approx(np.log(c) + L.s2s_loss(table, table, CP0).data, abs=1e-12)
 
 
 def test_s2z_compositional_oracle():
@@ -181,21 +196,20 @@ def test_s2z_compositional_oracle():
 
     def enc(v):
         raw = (v @ Tensor(enc_w).T).relu() + 1e-3
-        from tailshift.mathcore import normalize_rows
         return normalize_rows(raw)
 
-    total = L.s2z_loss(v_hat, w, b, enc, table, CP0)
+    total = L.s2z_loss(v_hat, w, b, enc, table, CP0).data
     logits = v_hat @ w.T + b
     ce_terms = []
     for i in range(c):
         zi = logits[i]
         ce_terms.append(-(zi[i] - zi.max() - np.log(np.exp(zi - zi.max()).sum())))
-    expect = np.mean(ce_terms) + L.s2s_loss(enc(Tensor(v_hat)).data, table, CP0)
+    expect = np.mean(ce_terms) + L.s2s_loss(enc(Tensor(v_hat)).data, table, CP0).data
     assert total == pytest.approx(expect, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
-# aug_loss / aug_bound
+# aug_loss_mean / aug_bound
 # ---------------------------------------------------------------------------
 
 def _ce(logits, y):
@@ -212,7 +226,7 @@ def test_aug_loss_lambda_zero_is_cross_entropy():
         f = rng.normal(size=d)
         sig = np.eye(d)
         y = int(rng.integers(0, c))
-        val = L.aug_loss(f, y, w, b, sig, L.AugParams(lam=0.0, k=1))
+        val = aug1(f, y, w, b, sig, L.AugParams(lam=0.0, k=1))
         assert val == pytest.approx(_ce(w @ f + b, y), abs=1e-12)
 
 
@@ -223,14 +237,14 @@ def test_aug_loss_sigma_zero_is_cross_entropy():
     b = rng.normal(size=c)
     f = rng.normal(size=d)
     y = 2
-    val = L.aug_loss(f, y, w, b, np.zeros((d, d)), L.AugParams(lam=5.0, k=1))
+    val = aug1(f, y, w, b, np.zeros((d, d)), L.AugParams(lam=5.0, k=1))
     assert val == pytest.approx(_ce(w @ f + b, y), abs=1e-12)
 
 
 def test_aug_loss_worked_example():
     w = np.array([[1.0, 0.0], [0.0, 0.0]])
     f = np.array([1.0, 0.0])
-    val = L.aug_loss(f, 0, w, np.zeros(2), np.eye(2), L.AugParams(lam=2.0, k=1))
+    val = aug1(f, 0, w, np.zeros(2), np.eye(2), L.AugParams(lam=2.0, k=1))
     assert val == pytest.approx(np.log(2), abs=1e-12)
 
 
@@ -242,15 +256,15 @@ def test_aug_loss_monotone_in_lambda():
     f = rng.normal(size=d)
     a = rng.normal(size=(d, d))
     sig = a @ a.T
-    vals = [L.aug_loss(f, 1, w, b, sig, L.AugParams(lam=lam, k=1))
+    vals = [aug1(f, 1, w, b, sig, L.AugParams(lam=lam, k=1))
             for lam in (0.0, 1.0, 2.0, 5.0, 10.0)]
     assert all(v2 >= v1 - 1e-12 for v1, v2 in zip(vals, vals[1:]))
 
 
 def test_aug_loss_rejects_non_psd():
     with pytest.raises(ValueError):
-        L.aug_loss(np.zeros(2), 0, np.eye(2), np.zeros(2),
-                   np.diag([1.0, -0.5]), L.AugParams(lam=1.0, k=1))
+        aug1(np.zeros(2), 0, np.eye(2), np.zeros(2),
+             np.diag([1.0, -0.5]), L.AugParams(lam=1.0, k=1))
 
 
 def test_aug_bound_degenerate_gaussian():
@@ -259,12 +273,12 @@ def test_aug_bound_degenerate_gaussian():
     w = rng.normal(size=(c, d))
     b = rng.normal(size=c)
     mu = rng.normal(size=d)
-    bound = L.aug_bound(mu, np.zeros((d, d)), w, b, 2, lam=5.0)
+    bound = L.aug_bound(mu, np.zeros((d, d)), w, b, 2, lam=5.0).data
     assert bound == pytest.approx(_ce(w @ mu + b, 2), abs=1e-12)
 
 
 def test_aug_bound_single_class_is_zero():
-    assert L.aug_bound(np.ones(3), np.eye(3), np.ones((1, 3)), np.zeros(1), 0, 2.0) \
+    assert L.aug_bound(np.ones(3), np.eye(3), np.ones((1, 3)), np.zeros(1), 0, 2.0).data \
         == pytest.approx(0.0, abs=1e-15)
 
 
@@ -282,7 +296,7 @@ def test_aug_bound_dominates_monte_carlo():
         sigma = a @ a.T
         lam = float(rng.uniform(0.2, 4.0))
         y = int(rng.integers(0, c))
-        bound = L.aug_bound(mu, sigma, w, b, y, lam)
+        bound = L.aug_bound(mu, sigma, w, b, y, lam).data
         z = rng.normal(size=(n, d))
         f = mu + np.sqrt(lam) * (z @ a.T)
         logits = f @ w.T + b
@@ -302,10 +316,13 @@ def test_aug_loss_mean_matches_singles():
     factors = 0.5 * rng.normal(size=(c, d, d))
     sigmas = np.stack([f.T @ f for f in factors])
     ap = L.AugParams(lam=3.0, k=1)
-    batched = L.aug_loss_mean(feats, labels, w, b, sigmas, ap)
-    singles = np.mean([L.aug_loss(feats[i], int(labels[i]), w, b,
-                                  sigmas[int(labels[i])], ap) for i in range(nb)])
-    assert batched == pytest.approx(singles, abs=1e-12)
+    batched = L.aug_loss_mean(feats, labels, w, b, sigmas, ap).data
+    singles = []
+    for f, y in zip(feats, labels):
+        d = w - w[y]
+        quad = np.einsum("cj,jk,ck->c", d, sigmas[y], d)
+        singles.append(_ce(w @ f + b + (ap.lam / 2.0) * quad, y))
+    assert batched == pytest.approx(np.mean(singles), abs=1e-12)
 
 
 def test_losses_finite_and_nonnegative_on_valid_inputs():
@@ -317,7 +334,81 @@ def test_losses_finite_and_nonnegative_on_valid_inputs():
         table = unit_rows(rng, 5, 4)
         e = unit_rows(rng, 1, 4)[0]
         y = int(rng.integers(0, 5))
-        for val in (L.dc_loss(z, y, 1, counts),
-                    L.z2s_loss(e, y, table, cp),
-                    L.s2s_loss(table, unit_rows(rng, 5, 4), cp)):
+        for val in (dc1(z, y, 1, counts),
+                    z2s1(e, y, table, cp),
+                    L.s2s_loss(table, unit_rows(rng, 5, 4), cp).data):
             assert np.isfinite(val) and val >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# one return type; gradients through any subset of inputs
+# ---------------------------------------------------------------------------
+
+def _kernel_calls():
+    rng = Rng(15)
+    c, d_v, d_s = 4, 3, 3
+    cp = L.ContrastiveParams(alpha=0.1, tau=0.5)
+    ap = L.AugParams(lam=2.0, k=1)
+    counts = L.DomainClassCounts(np.full((1, c), 2))
+    table = unit_rows(rng, c, d_s)
+    w, b = rng.normal(size=(c, d_v)), rng.normal(size=c)
+    sigmas = np.stack([np.eye(d_v)] * c)
+    enc = lambda v: normalize_rows((v @ Tensor(np.eye(d_s, d_v)).T).relu() + 1e-3)
+    return {
+        "dc_loss_mean": lambda: L.dc_loss_mean(rng.normal(size=(2, c)), [0, 1], [0, 0], counts),
+        "z2s_loss_mean": lambda: L.z2s_loss_mean(unit_rows(rng, 2, d_s), [0, 1], table, cp),
+        "s2s_loss": lambda: L.s2s_loss(table, unit_rows(rng, c, d_s), cp),
+        "s2z_loss": lambda: L.s2z_loss(rng.normal(size=(c, d_v)), w, b, enc, table, cp),
+        "aug_loss_mean": lambda: L.aug_loss_mean(rng.normal(size=(2, d_v)), [0, 1], w, b,
+                                                 sigmas, ap),
+        "aug_bound": lambda: L.aug_bound(rng.normal(size=d_v), np.eye(d_v), w, b, 1, 2.0),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_kernel_calls()))
+def test_kernel_returns_tensor_for_arrays(name):
+    out = _kernel_calls()[name]()
+    assert isinstance(out, Tensor)
+    assert out.data.shape == () and np.isfinite(out.data)
+
+
+def _grad_matches_fd(fn, params):
+    a, f = grad(fn, params), fd_grad(fn, params, eps=1e-5)
+    for k in params:
+        rel = np.abs(a.grads[k] - f.grads[k]) / (np.abs(f.grads[k]) + 1e-8)
+        assert rel.max() < 1e-4, k
+
+
+def test_aug_loss_mean_grad_bias_only_leaf():
+    rng = Rng(16)
+    c, d, nb = 4, 3, 5
+    feats, w = rng.normal(size=(nb, d)), 0.5 * rng.normal(size=(c, d))
+    labels = rng.integers(0, c, size=nb)
+    factors = 0.5 * rng.normal(size=(c, d, d))
+    sigmas = np.stack([f.T @ f for f in factors])
+    ap = L.AugParams(lam=2.0, k=1)
+    _grad_matches_fd(lambda t: L.aug_loss_mean(feats, labels, w, t["b"], sigmas, ap),
+                     {"b": rng.normal(size=c)})
+
+
+def test_aug_bound_grad_bias_only_leaf():
+    rng = Rng(17)
+    c, d = 5, 3
+    mu, w = rng.normal(size=d), 0.5 * rng.normal(size=(c, d))
+    a = 0.5 * rng.normal(size=(d, d))
+    _grad_matches_fd(lambda t: L.aug_bound(mu, a @ a.T, w, t["b"], 2, 1.5),
+                     {"b": rng.normal(size=c)})
+
+
+def test_s2z_loss_grad_encoder_only_leaves():
+    rng = Rng(18)
+    c, d_v, d_s = 5, 4, 3
+    cp = L.ContrastiveParams(alpha=0.1, tau=0.5)
+    table = unit_rows(rng, c, d_s)
+    v_hat, w, b = rng.normal(size=(c, d_v)), 0.5 * rng.normal(size=(c, d_v)), rng.normal(size=c)
+
+    def fn(t):
+        enc = lambda v: normalize_rows((v @ t["We"].T + t["be"]).relu() + 1e-3)
+        return L.s2z_loss(v_hat, w, b, enc, table, cp)
+
+    _grad_matches_fd(fn, {"We": rng.normal(size=(d_s, d_v)), "be": rng.normal(size=d_s)})

@@ -192,7 +192,7 @@ def test_compositional_oracle_two_domains():
         leaves, batches, st.proto, st.cov, ds.semantic, ds.counts, cfg, MCFG, False)
 
     from tailshift.losses import s2s_loss, s2z_loss, z2s_loss_mean
-    from tailshift.banks import complete_semantic, decode_prototypes
+    from tailshift.banks import complete_semantic
 
     enc = lambda v: M.encode(st.params, v, MCFG)
     dec = lambda s: M.decode(st.params, s, MCFG)
@@ -201,15 +201,15 @@ def test_compositional_oracle_two_domains():
         x, y = batches[n]
         z = M.forward_features(st.params, x, MCFG)
         cls_terms.append(dc_loss_mean(M.forward_logits(st.params, z).data, y,
-                                      np.full(len(y), n), ds.counts))
+                                      np.full(len(y), n), ds.counts).data)
         z2s_terms.append(z2s_loss_mean(M.encode(st.params, z, MCFG).data, y,
-                                       ds.semantic, cfg.cp))
+                                       ds.semantic, cfg.cp).data)
     s_hat = {n: complete_semantic(proto2, enc, ds.semantic, n) for n in (0, 1)}
-    pair = np.mean([s2s_loss(s_hat[0].data, s_hat[1].data, cfg.cp),
-                    s2s_loss(s_hat[1].data, s_hat[0].data, cfg.cp)])
-    anchor = np.mean([s2s_loss(s_hat[n].data, ds.semantic.s, cfg.cp) for n in (0, 1)])
-    s2z = np.mean([s2z_loss(decode_prototypes(s_hat[n], dec).data, st.params["cls.W"],
-                            st.params["cls.b"], enc, ds.semantic, cfg.cp)
+    pair = np.mean([s2s_loss(s_hat[0].data, s_hat[1].data, cfg.cp).data,
+                    s2s_loss(s_hat[1].data, s_hat[0].data, cfg.cp).data])
+    anchor = np.mean([s2s_loss(s_hat[n].data, ds.semantic.s, cfg.cp).data for n in (0, 1)])
+    s2z = np.mean([s2z_loss(dec(s_hat[n]).data, st.params["cls.W"],
+                            st.params["cls.b"], enc, ds.semantic, cfg.cp).data
                    for n in (0, 1)])
     assert comps["L_Cls"] == pytest.approx(np.mean(cls_terms), abs=1e-10)
     assert comps["L_Z2S"] == pytest.approx(np.mean(z2s_terms), abs=1e-10)

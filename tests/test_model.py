@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tailshift import model as M
-from tailshift.mathcore import GradResult, Rng
+from tailshift.mathcore import Rng
 
 CFG = M.ModelConfig(d_x=5, d_v=4, d_s=3, n_classes=6, hidden=(8,))
 
@@ -128,12 +128,6 @@ def test_apply_step_shape_validation():
         M.apply_step(params, {"w": np.ones(4)}, 0.1)
     with pytest.raises(ValueError):
         M.apply_step(params, {"v": np.ones(3)}, 0.1)
-
-
-def test_apply_step_accepts_gradresult():
-    params = {"w": np.array([2.0])}
-    gr = GradResult(value=0.0, grads={"w": np.array([1.0])})
-    assert M.apply_step(params, gr, 1.0)["w"][0] == pytest.approx(1.0)
 
 
 def test_flatten_unflatten_roundtrip():
