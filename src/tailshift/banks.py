@@ -72,6 +72,14 @@ class PrototypeBank:
         return PrototypeBank(v=self.v.copy(), mask=self.mask.copy(), ema=self.ema)
 
 
+def _class_onehot(labels: np.ndarray):
+    """The distinct labels (U,), each sample's index into them (B,), the
+    (U, B) one-hot of the batch and the per-class sample counts (U,)."""
+    classes, inv = np.unique(labels, return_inverse=True)
+    onehot = (inv[None, :] == np.arange(len(classes))[:, None]).astype(np.float64)
+    return classes, inv, onehot, onehot.sum(axis=1)
+
+
 def update_prototypes(bank: PrototypeBank, domain: int, features, labels) -> PrototypeBank:
     """EMA step toward the per-class batch means of `features`.
 
@@ -81,12 +89,13 @@ def update_prototypes(bank: PrototypeBank, domain: int, features, labels) -> Pro
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
+    classes, _, onehot, m = _class_onehot(labels)
+    unseen = classes[~bank.mask[domain, classes]]
+    if unseen.size:
+        raise ValueError(f"update_prototypes: class {unseen[0]} unseen in domain {domain}")
+    batch_mean = onehot @ features / m[:, None]
     out = bank.copy()
-    for c in np.unique(labels):
-        if not bank.mask[domain, c]:
-            raise ValueError(f"update_prototypes: class {c} unseen in domain {domain}")
-        batch_mean = features[labels == c].mean(axis=0)
-        out.v[domain, c] = bank.ema * batch_mean + (1.0 - bank.ema) * bank.v[domain, c]
+    out.v[domain, classes] = bank.ema * batch_mean + (1.0 - bank.ema) * bank.v[domain, classes]
     return out
 
 
@@ -139,41 +148,44 @@ def update_covariance(bank: CovarianceBank, features, labels) -> CovarianceBank:
     With n existing and m incoming samples of a class:
         mu'    = (n mu + m mu_b) / (n + m)
         Sigma' = (n Sigma + m Sigma_b)/(n + m) + n m (mu - mu_b)(mu - mu_b)'/(n + m)^2
-    where Sigma_b is the population covariance of the batch.
+    where Sigma_b is the population covariance of the batch. Batch means and
+    covariances of all classes come from one one-hot matmul each, the latter
+    over the flattened outer products of the class-centred samples.
     """
     features = np.asarray(features, dtype=np.float64)
     if not np.isfinite(features).all():
         raise ValueError("update_covariance: non-finite features")
     labels = np.asarray(labels, dtype=np.int64)
+    classes, inv, onehot, m = _class_onehot(labels)
+    nb, d = features.shape
+    mu_b = onehot @ features / m[:, None]                              # (U, d)
+    centered = features - mu_b[inv]
+    outer = (centered[:, :, None] * centered[:, None, :]).reshape(nb, d * d)
+    sig_b = (onehot @ outer).reshape(-1, d, d) / m[:, None, None]      # (U, d, d)
+
+    n = bank.n[classes].astype(np.float64)
+    tot = n + m
+    mu_old = bank.mu[classes]
+    delta = mu_old - mu_b
+    mu_new = (n[:, None] * mu_old + m[:, None] * mu_b) / tot[:, None]
+    sig = (n[:, None, None] * bank.sigma[classes] + m[:, None, None] * sig_b) \
+        / tot[:, None, None] \
+        + ((n * m) / (tot * tot))[:, None, None] * (delta[:, :, None] * delta[:, None, :])
+    sig = 0.5 * (sig + np.swapaxes(sig, 1, 2))
+    first = (n == 0)
     out = bank.copy()
-    for c in np.unique(labels):
-        x = features[labels == c]
-        m = x.shape[0]
-        mu_b = x.mean(axis=0)
-        centered = x - mu_b
-        sig_b = centered.T @ centered / m
-        n = int(bank.n[c])
-        if n == 0:
-            out.mu[c] = mu_b
-            out.sigma[c] = sig_b
-        else:
-            tot = n + m
-            delta = out.mu[c] - mu_b
-            out.mu[c] = (n * out.mu[c] + m * mu_b) / tot
-            sig = (n * out.sigma[c] + m * sig_b) / tot \
-                + (n * m) / (tot * tot) * np.outer(delta, delta)
-            out.sigma[c] = 0.5 * (sig + sig.T)
-        out.n[c] = n + m
+    out.mu[classes] = np.where(first[:, None], mu_b, mu_new)
+    out.sigma[classes] = np.where(first[:, None, None], sig_b, sig)
+    out.n[classes] += m.astype(np.int64)
     return out
 
 
-def topk_similar(table: SemanticTable, c: int, k: int) -> np.ndarray:
-    """Indices of the k classes most similar to c (c itself always first;
-    remaining slots by descending similarity, ties to the lower index)."""
-    sims = table.s @ table.s[c]
-    order = np.argsort(-sims, kind="stable")
-    picked = [c] + [int(j) for j in order if j != c][: k - 1]
-    return np.asarray(picked, dtype=np.int64)
+def topk_neighbours(table: SemanticTable, k: int) -> np.ndarray:
+    """(C, k) indices of each class's k most similar classes: the class
+    itself first, then by descending similarity, ties to the lower index."""
+    sims = table.s @ table.s.T
+    np.fill_diagonal(sims, np.inf)
+    return np.argsort(-sims, axis=1, kind="stable")[:, :k]
 
 
 def blend_covariance(bank: CovarianceBank, table: SemanticTable, k: int,
@@ -187,14 +199,10 @@ def blend_covariance(bank: CovarianceBank, table: SemanticTable, k: int,
         raise ValueError("blend_covariance: k must lie in [1, C]")
     if bank.sigma.shape[0] != c_total:
         raise ValueError("blend_covariance: bank/table class count mismatch")
-    sigma_prime = np.zeros_like(bank.sigma)
-    empty = np.zeros(c_total, dtype=bool)
-    for c in range(c_total):
-        sel = topk_similar(table, c, k)
-        n_sel = bank.n[sel].astype(np.float64)
-        if n_sel.sum() <= 0:
-            empty[c] = True
-            continue
-        wts = n_sel if weighted else np.ones(len(sel))
-        sigma_prime[c] = np.einsum("i,ijk->jk", wts, bank.sigma[sel]) / wts.sum()
+    sel = topk_neighbours(table, k)                                    # (C, k)
+    n_sel = bank.n[sel].astype(np.float64)
+    empty = n_sel.sum(axis=1) <= 0
+    wts = np.where(empty[:, None], 0.0, n_sel if weighted else np.ones_like(n_sel))
+    total = np.where(empty, 1.0, wts.sum(axis=1))
+    sigma_prime = np.einsum("ci,cijk->cjk", wts, bank.sigma[sel]) / total[:, None, None]
     return sigma_prime, empty

@@ -28,9 +28,20 @@ import numpy as np
 from .banks import SemanticTable
 from .errors import ConfigError, DataFormatError
 from .losses import DomainClassCounts
-from .mathcore import Rng, unit_normalize
+from .mathcore import Rng
 
 SPLITS = ("train", "val", "test")
+
+
+def unit_normalize(v, eps: float = 1e-12) -> np.ndarray:
+    """Scale a vector to unit Euclidean norm; near-zero norms are an error."""
+    v = np.asarray(v, dtype=np.float64)
+    if not np.isfinite(v).all():
+        raise ValueError("unit_normalize: non-finite input")
+    n = float(np.linalg.norm(v))
+    if n <= eps:
+        raise ValueError("unit_normalize: norm below %g" % eps)
+    return v / n
 
 
 def longtail_counts(rank: int, n_max: int, n_min: int, n_classes: int,

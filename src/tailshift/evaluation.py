@@ -26,7 +26,7 @@ import numpy as np
 
 from .data import Dataset
 from .mathcore import psd_sqrt
-from .model import ModelConfig, Params, embed, forward_features, predict_logits
+from .model import ModelConfig, Params, forward_features, predict_logits
 
 OPEN = -1  # predicted-class sentinel for "open class"
 
@@ -195,33 +195,6 @@ def covariance_distance_matrix(bank) -> np.ndarray:
             dist = np.exp(-np.linalg.norm(sig[i] - sig[j]))
             out[i, j] = out[j, i] = dist
     return out
-
-
-@dataclass(frozen=True)
-class RetrievalResult:
-    indices: np.ndarray     # gallery indices, best first
-    similarities: np.ndarray
-    truncated: bool         # k exceeded the available gallery
-
-
-def topk_retrieval(params: Params, mcfg: ModelConfig, query_x: np.ndarray,
-                   gallery_x: np.ndarray, k: int,
-                   exclude: int | None = None) -> RetrievalResult:
-    """Nearest gallery samples by semantic-embedding inner product.
-
-    Ordering is by descending similarity with ties broken by the lower
-    gallery index; `exclude` drops the query's own row when the query is a
-    member of the gallery.
-    """
-    q = embed(params, np.asarray(query_x, dtype=np.float64)[None, :], mcfg)[0]
-    g = embed(params, gallery_x, mcfg)
-    sims = g @ q
-    order = np.argsort(-sims, kind="stable")
-    if exclude is not None:
-        order = order[order != exclude]
-    truncated = k > order.size
-    top = order[:k]
-    return RetrievalResult(indices=top, similarities=sims[top], truncated=truncated)
 
 
 def dump_features(params: Params, mcfg: ModelConfig, dataset: Dataset, path,

@@ -121,11 +121,11 @@ def gradient_check_suite(n_points: int = 20, eps: float = 1e-5, tol: float = 1e-
     cp = L.ContrastiveParams(alpha=0.1, tau=0.5)
     ap = L.AugParams(lam=2.0, k=3)
     cases = {
-        "dc_loss": lambda r: _case_dc(r, n_classes),
-        "z2s_loss": lambda r: _case_z2s(r, n_classes, d_s, cp),
+        "dc_loss_mean": lambda r: _case_dc(r, n_classes),
+        "z2s_loss_mean": lambda r: _case_z2s(r, n_classes, d_s, cp),
         "s2s_loss": lambda r: _case_s2s(r, n_classes, d_s, cp),
         "s2z_loss": lambda r: _case_s2z(r, n_classes, d_v, d_s, cp),
-        "aug_loss": lambda r: _case_aug(r, n_classes, d_v, ap),
+        "aug_loss_mean": lambda r: _case_aug(r, n_classes, d_v, ap),
         "aug_bound": lambda r: _case_aug_bound(r, n_classes, d_v, ap.lam),
     }
     results = []
@@ -139,8 +139,8 @@ def gradient_check_suite(n_points: int = 20, eps: float = 1e-5, tol: float = 1e-
 
 
 def format_table(results: list[CheckResult]) -> str:
-    lines = [f"{'loss':<12} {'max rel err':>12}   status"]
+    lines = [f"{'loss':<14} {'max rel err':>12}   status"]
     for r in results:
-        lines.append(f"{r.name:<12} {r.max_rel_err:>12.3e}   "
+        lines.append(f"{r.name:<14} {r.max_rel_err:>12.3e}   "
                      f"{'pass' if r.passed else 'FAIL'} (tol {r.tol:g})")
     return "\n".join(lines)

@@ -18,9 +18,10 @@ Five kernels plus one closed-form bound:
   cross-entropy under a Gaussian feature perturbation; a Monte-Carlo
   estimate of that expectation must stay below it.
 
-Every kernel is built from ``mathcore`` primitives and, like ``model``,
-accepts plain arrays or graph tensors and always returns a scalar Tensor
-(its ``.data`` is the value). Gradients are analytic and cross-checked
+Every kernel is built from ``mathcore`` primitives, except
+``aug_loss_mean``, which is one graph node with a hand-written backward.
+Like ``model``, each accepts plain arrays or graph tensors and always
+returns a scalar Tensor (its ``.data`` is the value). Gradients are analytic and cross-checked
 against ``mathcore.fd_grad``. A single sample is a batch of one.
 """
 
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mathcore import Tensor, as_tensor, check_psd, log_softmax, stack
+from .mathcore import Tensor, as_tensor, check_psd, log_softmax
 
 UNIT_TOL = 1e-6
 
@@ -155,8 +156,8 @@ def z2s_loss_mean(embeddings, labels, table, cp: ContrastiveParams):
     e = as_tensor(embeddings)
     t = _table(table)
     labels = np.asarray(labels, dtype=np.int64)
-    _check_unit_rows(e.data, "z2s_loss embeddings")
-    _check_unit_rows(t.data, "z2s_loss table")
+    _check_unit_rows(e.data, "z2s_loss_mean embeddings")
+    _check_unit_rows(t.data, "z2s_loss_mean table")
     b = e.data.shape[0]
     c = t.data.shape[0]
     sims = e @ t.T  # (B, C)
@@ -224,19 +225,48 @@ def aug_loss_mean(features, labels, w, b, sigma_primes, ap: AugParams):
     true class, so lam = 0 or Sigma' = 0 recovers the plain cross-entropy on
     logits W f + b. `sigma_primes` stacks one blended covariance per class,
     and penalties are shared across samples of a class.
+
+    One graph node: the penalties of the U distinct labels are one batched
+    (U, C, d) @ (U, d, d) product, the U covariances read are validated by
+    one ``check_psd`` on their stack, and the backward into features, W and
+    b is written out by hand.
     """
-    f = as_tensor(features)
-    wt, bt = as_tensor(w), as_tensor(b)
+    f, wt, bt = as_tensor(features), as_tensor(w), as_tensor(b)
     labels = np.asarray(labels, dtype=np.int64)
     nb = f.data.shape[0]
-    quad_by_class: dict[int, Tensor] = {}
-    for y in np.unique(labels):
-        sig = check_psd(np.asarray(sigma_primes[int(y)], dtype=np.float64))
-        d = wt - wt[int(y)]
-        quad_by_class[int(y)] = ((d @ Tensor(sig)) * d).sum(axis=1)
-    pen = stack([quad_by_class[int(y)] for y in labels], axis=0)  # (B, C)
-    logits = f @ wt.T + bt + (ap.lam / 2.0) * pen
-    return -log_softmax(logits)[np.arange(nb), labels].mean()
+    classes, inv = np.unique(labels, return_inverse=True)
+    sig = check_psd(np.asarray(sigma_primes, dtype=np.float64)[classes])  # (U, d, d)
+    wd = wt.data
+    diff = wd[None, :, :] - wd[classes][:, None, :]      # (U, C, d): w_c - w_y
+    diff_sig = diff @ sig
+    pen = (diff_sig * diff).sum(axis=2)                  # (U, C)
+    logits = f.data @ wd.T + bt.data + (ap.lam / 2.0) * pen[inv]
+    if not np.isfinite(logits).all():
+        raise ValueError("aug_loss_mean: non-finite logits")
+    m = logits.max(axis=1, keepdims=True)
+    ez = np.exp(logits - m)
+    s = ez.sum(axis=1, keepdims=True)
+    rows = np.arange(nb)
+    picked = logits[rows, labels] - (m[:, 0] + np.log(s[:, 0]))
+    value = -(picked.sum() / float(nb))
+
+    def bw(g):
+        dz = ez / s                                      # softmax
+        dz[rows, labels] -= 1.0
+        dz *= g / float(nb)                              # dL/dlogits, (B, C)
+        Tensor._accum(f, dz @ wd)
+        Tensor._accum(bt, dz.sum(axis=0))
+        if wt.requires_grad:
+            dpen = np.zeros_like(pen)
+            np.add.at(dpen, inv, (ap.lam / 2.0) * dz)
+            # d pen / d diff = diff (Sigma' + Sigma'^T); the label row has
+            # diff = 0 and so takes no gradient through it.
+            ddiff = dpen[:, :, None] * (diff_sig + diff @ np.swapaxes(sig, 1, 2))
+            dw = dz.T @ f.data + ddiff.sum(axis=0)
+            dw[classes] -= ddiff.sum(axis=1)
+            Tensor._accum(wt, dw)
+
+    return Tensor._from_op(np.asarray(value), (f, wt, bt), bw)
 
 
 def aug_bound(mu_y, sigma_y, w, b, label: int, lam: float):

@@ -2,8 +2,6 @@
 finite-difference oracle, stable softmax/normalization kernels, PSD matrix
 functions, and seeded splittable randomness."""
 
-import numpy as np
-
 from .autodiff import (
     GradResult,
     Tensor,
@@ -34,16 +32,5 @@ __all__ = [
     "normalize_rows",
     "psd_sqrt",
     "stack",
-    "unit_normalize",
 ]
 
-
-def unit_normalize(v, eps: float = 1e-12) -> np.ndarray:
-    """Scale a vector to unit Euclidean norm; near-zero norms are an error."""
-    v = np.asarray(v, dtype=np.float64)
-    if not np.isfinite(v).all():
-        raise ValueError("unit_normalize: non-finite input")
-    n = float(np.linalg.norm(v))
-    if n <= eps:
-        raise ValueError("unit_normalize: norm below %g" % eps)
-    return v / n

@@ -8,22 +8,35 @@ SYM_TOL = 1e-10
 EIG_TOL = 1e-10
 
 
-def check_symmetric(s: np.ndarray, tol: float = SYM_TOL) -> np.ndarray:
+def _check_square_symmetric(s: np.ndarray, tol: float, ndims: tuple) -> np.ndarray:
     s = np.asarray(s, dtype=np.float64)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
+    if s.ndim not in ndims or s.shape[-1] != s.shape[-2]:
         raise ValueError("expected a square matrix")
     if not np.isfinite(s).all():
         raise ValueError("matrix has non-finite entries")
-    if np.abs(s - s.T).max(initial=0.0) > tol:
+    if np.abs(s - np.swapaxes(s, -1, -2)).max(initial=0.0) > tol:
         raise ValueError("matrix is not symmetric within tolerance")
     return s
 
 
+def check_symmetric(s: np.ndarray, tol: float = SYM_TOL) -> np.ndarray:
+    return _check_square_symmetric(s, tol, (2,))
+
+
 def check_psd(s: np.ndarray, eig_tol: float = EIG_TOL) -> np.ndarray:
-    """Validate symmetry and eigenvalues >= -eig_tol; returns the input."""
-    s = check_symmetric(s)
-    if s.shape[0] and np.linalg.eigvalsh(s).min() < -eig_tol:
-        raise ValueError("matrix is not positive semidefinite within tolerance")
+    """Validate symmetry and eigenvalues >= -eig_tol of one (d, d) matrix or
+    an (n, d, d) stack; returns the input.
+
+    The eigenvalue test is one batched Cholesky factorization of
+    S + eig_tol * I, which exists exactly when every eigenvalue of S
+    exceeds -eig_tol (up to round-off).
+    """
+    s = _check_square_symmetric(s, SYM_TOL, (2, 3))
+    if s.shape[-1]:
+        try:
+            np.linalg.cholesky(s + eig_tol * np.eye(s.shape[-1]))
+        except np.linalg.LinAlgError:
+            raise ValueError("matrix is not positive semidefinite within tolerance") from None
     return s
 
 

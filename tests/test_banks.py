@@ -63,6 +63,26 @@ def test_update_prototypes_masked_label_rejected():
         B.update_prototypes(bank, 0, np.ones((1, 2)), np.array([1]))
 
 
+def test_update_prototypes_error_names_masked_class_and_domain():
+    mask = np.array([[True, True, True], [True, False, True]])
+    bank = B.PrototypeBank.zeros(mask, d_v=2)
+    with pytest.raises(ValueError, match="class 1 unseen in domain 1"):
+        B.update_prototypes(bank, 1, np.ones((3, 2)), np.array([2, 1, 0]))
+
+
+def test_update_prototypes_matches_per_class_means():
+    rng = Rng(20)
+    bank = B.PrototypeBank(v=rng.normal(size=(2, 5, 3)), mask=np.ones((2, 5), dtype=bool),
+                           ema=0.3)
+    feats, labels = rng.normal(size=(12, 3)), rng.integers(0, 4, size=12)
+    out = B.update_prototypes(bank, 1, feats, labels)
+    for c in range(5):
+        expect = bank.v[1, c] if c not in labels else \
+            0.3 * feats[labels == c].mean(axis=0) + 0.7 * bank.v[1, c]
+        assert np.abs(out.v[1, c] - expect).max() < 1e-14
+    assert np.array_equal(out.v[0], bank.v[0])
+
+
 def test_masked_off_rows_stay_zero():
     rng = Rng(2)
     mask = np.array([[True, False, True], [False, True, True]])
@@ -274,7 +294,48 @@ def test_blend_tie_break_and_self_inclusion():
                             n=np.array([1, 1, 1]))
     sig, _ = B.blend_covariance(bank, table, k=1)
     assert np.array_equal(sig[1], 3 * np.eye(2))  # class 1 keeps its own sigma
-    assert np.array_equal(B.topk_similar(table, 1, 2), np.array([1, 0]))
+    assert np.array_equal(B.topk_neighbours(table, 2)[1], np.array([1, 0]))
+
+
+def _neighbours_by_class(table, k):
+    """The per-class rule: the class first, then the others by a stable
+    argsort of descending similarity (ties to the lower index)."""
+    rows = []
+    for c in range(table.n_classes):
+        order = np.argsort(-(table.s @ table.s[c]), kind="stable")
+        rows.append([c] + [int(j) for j in order if j != c][: k - 1])
+    return np.asarray(rows)
+
+
+def test_neighbour_index_matches_per_class_rule():
+    rng = Rng(21)
+    rows = unit_rows(rng, 6, 3)
+    # duplicates of classes 1 and 4 give exact similarity ties, including
+    # ties with the class itself
+    table = B.SemanticTable(np.vstack([rows, rows[1], rows[4], rows[1]]))
+    for k in range(1, table.n_classes + 1):
+        assert np.array_equal(B.topk_neighbours(table, k), _neighbours_by_class(table, k)), k
+
+
+def test_blend_matches_per_class_mix():
+    rng = Rng(22)
+    table = make_table(rng, c=7, d_s=3)
+    factors = rng.normal(size=(7, 3, 3))
+    bank = B.CovarianceBank(mu=np.zeros((7, 3)),
+                            sigma=np.stack([f @ f.T for f in factors]),
+                            n=np.array([5, 0, 0, 3, 0, 9, 1]))
+    bank.sigma[bank.n == 0] = 0.0
+    for weighted in (True, False):
+        sig, empty = B.blend_covariance(bank, table, k=2, weighted=weighted)
+        for c, sel in enumerate(_neighbours_by_class(table, 2)):
+            n_sel = bank.n[sel].astype(float)
+            assert empty[c] == (n_sel.sum() == 0)
+            if empty[c]:
+                assert np.array_equal(sig[c], np.zeros((3, 3)))
+                continue
+            wts = n_sel if weighted else np.ones(2)
+            expect = np.einsum("i,ijk->jk", wts, bank.sigma[sel]) / wts.sum()
+            assert np.abs(sig[c] - expect).max() < 1e-13
 
 
 def test_blend_k_out_of_range():

@@ -247,51 +247,6 @@ def test_covariance_distance_matrix_properties():
     assert mat[0, 1] == pytest.approx(np.exp(-np.sqrt(2)), abs=1e-12)
 
 
-def test_topk_retrieval_brute_force_oracle():
-    rng = Rng(7)
-    cfg = M.ModelConfig(d_x=4, d_v=3, d_s=3, n_classes=2, hidden=())
-    params = M.init_params(cfg, rng)
-    gallery = rng.normal(size=(30, 4))
-    query = rng.normal(size=4)
-    res = E.topk_retrieval(params, cfg, query, gallery, k=5)
-    q = M.embed(params, query[None, :], cfg)[0]
-    sims = M.embed(params, gallery, cfg) @ q
-    expect = np.argsort(-sims, kind="stable")[:5]
-    assert np.array_equal(res.indices, expect)
-    assert not res.truncated
-
-
-def test_topk_retrieval_duplicate_first_and_exclusion():
-    rng = Rng(8)
-    cfg = M.ModelConfig(d_x=3, d_v=3, d_s=3, n_classes=2, hidden=())
-    params = M.init_params(cfg, rng)
-    # identity pipeline on positive samples: embeddings are x / ||x||
-    params["f0.W"] = np.eye(3)
-    params["f0.b"] = np.zeros(3)
-    params["enc.W"] = np.eye(3)
-    params["enc.b"] = np.zeros(3)
-    query = np.array([2.0, 1.0, 0.5])
-    gallery = np.vstack([0.5 + rng.uniform(size=(4, 3)), query])
-    res = E.topk_retrieval(params, cfg, query, gallery, k=1)
-    assert res.indices[0] == 4
-    assert res.similarities[0] == pytest.approx(1.0, abs=1e-9)
-    res2 = E.topk_retrieval(params, cfg, query, gallery, k=5, exclude=4)
-    assert 4 not in res2.indices
-    assert res2.truncated  # only 4 candidates remain
-
-
-def test_topk_full_ordering_and_truncation_flag():
-    rng = Rng(9)
-    cfg = M.ModelConfig(d_x=3, d_v=3, d_s=3, n_classes=2, hidden=())
-    params = M.init_params(cfg, rng)
-    gallery = rng.normal(size=(6, 3))
-    res = E.topk_retrieval(params, cfg, rng.normal(size=3), gallery, k=6)
-    assert sorted(res.indices.tolist()) == list(range(6))
-    assert not res.truncated
-    res2 = E.topk_retrieval(params, cfg, rng.normal(size=3), gallery, k=10)
-    assert res2.truncated and res2.indices.size == 6
-
-
 # ---------------------------------------------------------------------------
 # feature dumps
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tailshift import losses as L
-from tailshift.mathcore import Rng, Tensor, fd_grad, grad, normalize_rows
+from tailshift.mathcore import Rng, Tensor, fd_grad, grad, log_softmax, normalize_rows, stack
 
 CP0 = L.ContrastiveParams(alpha=0.0, tau=1.0)
 
@@ -389,6 +389,66 @@ def test_aug_loss_mean_grad_bias_only_leaf():
     ap = L.AugParams(lam=2.0, k=1)
     _grad_matches_fd(lambda t: L.aug_loss_mean(feats, labels, w, t["b"], sigmas, ap),
                      {"b": rng.normal(size=c)})
+
+
+def _aug_case(seed, c=5, d=3, nb=7):
+    rng = Rng(seed)
+    feats, w = rng.normal(size=(nb, d)), 0.5 * rng.normal(size=(c, d))
+    b, labels = rng.normal(size=c), rng.integers(0, c, size=nb)
+    factors = 0.5 * rng.normal(size=(c, d, d))
+    return feats, labels, w, b, np.stack([f.T @ f for f in factors])
+
+
+def test_aug_loss_mean_grad_features_only_leaf():
+    feats, labels, w, b, sigmas = _aug_case(18)
+    ap = L.AugParams(lam=2.0, k=1)
+    _grad_matches_fd(lambda t: L.aug_loss_mean(t["F"], labels, w, b, sigmas, ap), {"F": feats})
+
+
+def test_aug_loss_mean_grad_weights_only_leaf():
+    feats, labels, w, b, sigmas = _aug_case(19)
+    ap = L.AugParams(lam=2.0, k=1)
+    _grad_matches_fd(lambda t: L.aug_loss_mean(feats, labels, t["W"], b, sigmas, ap), {"W": w})
+
+
+def _aug_loss_from_primitives(f, labels, w, b, sigmas, lam):
+    """The augmentation loss as a graph of mathcore primitives, one penalty
+    row per sample."""
+    nb = f.data.shape[0]
+    pen = []
+    for y in labels:
+        d = w - w[int(y)]
+        pen.append(((d @ Tensor(sigmas[int(y)])) * d).sum(axis=1))
+    logits = f @ w.T + b + (lam / 2.0) * stack(pen, axis=0)
+    return -log_softmax(logits)[np.arange(nb), labels].mean()
+
+
+def test_aug_loss_mean_matches_primitive_graph():
+    feats, labels, w, b, sigmas = _aug_case(20, c=6, d=4, nb=9)
+    sigmas[2] += np.triu(np.full((4, 4), 1e-12), 1)  # symmetric only within tolerance
+    ap = L.AugParams(lam=3.0, k=1)
+    params = {"F": feats, "W": w, "b": b}
+    fused = grad(lambda t: L.aug_loss_mean(t["F"], labels, t["W"], t["b"], sigmas, ap), params)
+    ref = grad(lambda t: _aug_loss_from_primitives(t["F"], labels, t["W"], t["b"], sigmas,
+                                                   ap.lam), params)
+    assert fused.value == pytest.approx(ref.value, rel=1e-14)
+    for k in params:
+        assert np.abs(fused.grads[k] - ref.grads[k]).max() < 1e-13, k
+
+
+def test_aug_loss_mean_refuses_indefinite_sigma_of_batch_class():
+    feats, labels, w, b, sigmas = _aug_case(21)
+    labels = np.array([0, 1, 1, 3, 0, 3, 1])
+    bad = sigmas.copy()
+    bad[3] = np.diag([1.0, -1e-6, 1.0])
+    ap = L.AugParams(lam=2.0, k=1)
+    with pytest.raises(ValueError, match="not positive semidefinite within tolerance"):
+        L.aug_loss_mean(feats, labels, w, b, bad, ap)
+    # a class absent from the batch is not read
+    bad[3] = sigmas[3]
+    bad[2] = np.diag([1.0, -1.0, 1.0])
+    assert L.aug_loss_mean(feats, labels, w, b, bad, ap).data == \
+        L.aug_loss_mean(feats, labels, w, b, sigmas, ap).data
 
 
 def test_aug_bound_grad_bias_only_leaf():

@@ -3,17 +3,18 @@ import json
 import numpy as np
 import pytest
 
+from tailshift.data import unit_normalize
 from tailshift.errors import NumericsError
 from tailshift.mathcore import (
     Rng,
     Tensor,
+    check_psd,
     fd_grad,
     grad,
     log_softmax,
     normalize_rows,
     psd_sqrt,
     stack,
-    unit_normalize,
 )
 
 
@@ -137,6 +138,57 @@ def test_psd_sqrt_rejects_bad_input():
         psd_sqrt(np.array([[0.0, 1.0], [0.0, 0.0]]))  # asymmetric
     with pytest.raises(ValueError):
         psd_sqrt(np.diag([1.0, -0.5]))  # indefinite
+
+
+# ---------------------------------------------------------------------------
+# check_psd
+# ---------------------------------------------------------------------------
+
+PSD_REFUSAL = "not positive semidefinite within tolerance"
+
+
+def test_check_psd_accepts_matrix_and_stack():
+    rng = Rng(5)
+    factors = rng.normal(size=(4, 3, 3))
+    stack_ = np.stack([f @ f.T for f in factors])
+    assert check_psd(stack_[0]) is not None
+    assert np.array_equal(check_psd(stack_), stack_)
+    assert check_psd(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+
+
+def test_check_psd_accepts_rank_deficient_covariances():
+    # population covariances of n < d samples have d - n + 1 zero eigenvalues
+    rng = Rng(6)
+    covs = []
+    for n in (1, 2, 5):
+        x = rng.normal(size=(n, 8))
+        c = x - x.mean(axis=0)
+        covs.append(c.T @ c / n)
+    check_psd(np.stack(covs))
+    for c in covs:
+        check_psd(c)
+
+
+def test_check_psd_refuses_indefinite_beside_valid():
+    good = np.stack([np.eye(3), 2.0 * np.eye(3)])
+    bad = np.diag([1.0, -1e-9, 1.0])
+    with pytest.raises(ValueError, match=PSD_REFUSAL):
+        check_psd(np.concatenate([good, bad[None]]))
+    with pytest.raises(ValueError, match=PSD_REFUSAL):
+        check_psd(bad)
+    # within tolerance: a round-off sized negative eigenvalue passes
+    check_psd(np.diag([1.0, -1e-11, 1.0]))
+
+
+def test_check_psd_refuses_bad_shapes_and_entries():
+    with pytest.raises(ValueError, match="square"):
+        check_psd(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="square"):
+        check_psd(np.zeros((2, 2, 2, 2)))
+    with pytest.raises(ValueError, match="symmetric"):
+        check_psd(np.stack([np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]])]))
+    with pytest.raises(ValueError, match="non-finite"):
+        check_psd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 # ---------------------------------------------------------------------------
