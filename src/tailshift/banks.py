@@ -99,18 +99,21 @@ def update_prototypes(bank: PrototypeBank, domain: int, features, labels) -> Pro
     return out
 
 
-def complete_semantic(bank: PrototypeBank, encode, table: SemanticTable, domain: int):
-    """Domain table in semantic space with missing classes filled in.
+def complete_semantic(bank: PrototypeBank, encode, table: SemanticTable, rows):
+    """Prototype tables in semantic space with missing classes filled in.
 
-    Row c is the encoded prototype when the domain has seen class c, else the
-    semantic row s_c. A masked row still at its all-zero initialization holds
-    no estimate yet and is treated as missing too. `encode` maps a (C, d_v)
-    matrix to unit (C, d_s) rows and may build a gradient graph; filled rows
-    contribute no gradient.
+    `rows` lists bank rows (domains); the result stacks one (C, d_s) table
+    per row into (K, C, d_s), and a single row index gives one (C, d_s)
+    table. Row c of a table is the encoded prototype when its domain has seen
+    class c, else the semantic row s_c. A masked row still at its all-zero
+    initialization holds no estimate yet and is treated as missing too.
+    `encode` maps a (..., C, d_v) stack to unit (..., C, d_s) rows and may
+    build a gradient graph; filled rows contribute no gradient.
     """
-    enc = as_tensor(encode(Tensor(bank.v[domain])))
-    known = bank.mask[domain] & (np.abs(bank.v[domain]).max(axis=1) > 0)
-    m = known.astype(np.float64)[:, None]
+    v = bank.v[rows]
+    enc = as_tensor(encode(Tensor(v)))
+    known = bank.mask[rows] & (np.abs(v).max(axis=-1) > 0)
+    m = known.astype(np.float64)[..., None]
     return enc * m + table.s * (1.0 - m)
 
 

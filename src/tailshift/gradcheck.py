@@ -1,4 +1,5 @@
-"""Analytic-vs-finite-difference gradient verification for every loss kernel.
+"""Analytic-vs-finite-difference gradient checks: every loss kernel, and the
+exact meta-gradient oracle ``fd_exact``.
 
 Each check draws random float64 inputs, routes constrained quantities
 (unit embeddings, PSD covariances) through unconstrained raw parameters, and
@@ -14,7 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses as L
+from . import meta as MT
+from . import model as M
+from .errors import ConfigError
 from .mathcore import Rng, fd_grad, grad, normalize_rows
+
+FD_EXACT_MAX_PARAMS = 512
 
 
 @dataclass
@@ -144,3 +150,29 @@ def format_table(results: list[CheckResult]) -> str:
         lines.append(f"{r.name:<14} {r.max_rel_err:>12.3e}   "
                      f"{'pass' if r.passed else 'FAIL'} (tol {r.tol:g})")
     return "\n".join(lines)
+
+
+def fd_exact(params: dict, batches_mtr: dict, batches_mte: dict, proto, cov, table,
+             counts, cfg, mcfg, aug_active: bool, eps: float = 1e-5) -> dict:
+    """Exact meta-gradient oracle: the gradient of L_mtr + w_mte L_mte(theta')
+    with respect to theta, the inner step included, by central differences
+    of ``meta.episode``'s value. Two episodes per parameter, so models above
+    FD_EXACT_MAX_PARAMS are refused; it measures the first-order rule of
+    ``meta.run`` and is not a way to train."""
+    n_params = M.param_count(params)
+    if n_params > FD_EXACT_MAX_PARAMS:
+        raise ConfigError(
+            f"fd_exact needs <= {FD_EXACT_MAX_PARAMS} parameters, got {n_params}")
+    value = lambda p: MT.episode(p, batches_mtr, batches_mte, proto, cov, table,
+                                 counts, cfg, mcfg, aug_active)[0]
+    vec = M.flatten_params(params)
+    g = np.zeros_like(vec)
+    for i in range(vec.size):
+        orig = vec[i]
+        vec[i] = orig + eps
+        hi = value(M.unflatten_params(vec, params))
+        vec[i] = orig - eps
+        lo = value(M.unflatten_params(vec, params))
+        vec[i] = orig
+        g[i] = (hi - lo) / (2 * eps)
+    return M.unflatten_params(g, params)

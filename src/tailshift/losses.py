@@ -22,7 +22,10 @@ Every kernel is built from ``mathcore`` primitives, except
 ``aug_loss_mean``, which is one graph node with a hand-written backward.
 Like ``model``, each accepts plain arrays or graph tensors and always
 returns a scalar Tensor (its ``.data`` is the value). Gradients are analytic and cross-checked
-against ``mathcore.fd_grad``. A single sample is a batch of one.
+against ``mathcore.fd_grad``. A single sample is a batch of one, and the
+table kernels (``z2s_loss_mean``, ``s2s_loss``, ``s2z_loss``) take a stack
+of (C, d) tables over leading axes as well, returning the mean over the
+stack.
 """
 
 from __future__ import annotations
@@ -151,7 +154,8 @@ def z2s_loss_mean(embeddings, labels, table, cp: ContrastiveParams):
 
     The positive similarity <e, s_y> is shifted down by the margin alpha, all
     similarities are scaled by 1/tau, and the result is a softmax
-    cross-entropy at the class index.
+    cross-entropy at the class index. A (..., C, d) stack of tables gives the
+    mean over the stack of the per-table losses.
     """
     e = as_tensor(embeddings)
     t = _table(table)
@@ -159,12 +163,12 @@ def z2s_loss_mean(embeddings, labels, table, cp: ContrastiveParams):
     _check_unit_rows(e.data, "z2s_loss_mean embeddings")
     _check_unit_rows(t.data, "z2s_loss_mean table")
     b = e.data.shape[0]
-    c = t.data.shape[0]
-    sims = e @ t.T  # (B, C)
+    c = t.data.shape[-2]
+    sims = e @ t.T  # (..., B, C)
     margin = np.zeros((b, c))
     margin[np.arange(b), labels] = cp.alpha
     lsm = log_softmax((sims - margin) / cp.tau)
-    return -lsm[np.arange(b), labels].mean()
+    return -lsm[..., np.arange(b), labels].mean()
 
 
 def s2s_loss(s_m, s_n, cp: ContrastiveParams):
@@ -172,26 +176,29 @@ def s2s_loss(s_m, s_n, cp: ContrastiveParams):
 
     For each class c the positive pair is (s_m_c, s_n_c); the negatives are
     s_n_j and s_m_j for j != c, pushing other classes away both across and
-    within tables.
+    within tables. Stacks of (C, d) tables broadcast over their leading axes
+    and pair up table by table; the result is the mean over the pairs.
     """
     a, b = _table(s_m), _table(s_n)
-    if a.data.shape != b.data.shape:
+    if a.data.shape[-2:] != b.data.shape[-2:]:
         raise ValueError("s2s_loss: table shapes differ")
     _check_unit_rows(a.data, "s2s_loss s_m")
     _check_unit_rows(b.data, "s2s_loss s_n")
-    c = a.data.shape[0]
+    c = a.data.shape[-2]
+    diag = np.arange(c)
 
-    cross = (a @ b.T) / cp.tau        # (C, C), row c: s_m_c vs s_n_j
-    intra = (a @ a.T) / cp.tau        # (C, C), row c: s_m_c vs s_m_j
-    pos = cross[np.arange(c), np.arange(c)] - cp.alpha / cp.tau
+    cross = (a @ b.T) / cp.tau        # (..., C, C), row c: s_m_c vs s_n_j
+    intra = (a @ a.T) / cp.tau        # (..., C, C), row c: s_m_c vs s_m_j
+    pos = cross[..., diag, diag] - cp.alpha / cp.tau
     offdiag = 1.0 - np.eye(c)
 
-    # One detached global shift keeps every exponent in range; similarities
-    # are bounded by 1 so the spread is at most ~2/tau.
-    shift = float(max(pos.data.max(), cross.data.max(), intra.data.max()))
+    # One detached shift per table pair keeps every exponent in range;
+    # similarities are bounded by 1 so the spread is at most ~2/tau. With
+    # alpha >= 0 no positive exceeds its pair's largest cross similarity.
+    shift = np.maximum(cross.data, intra.data).max(axis=(-2, -1))[..., None]   # (..., 1)
     epos = (pos - shift).exp()
-    ecross = ((cross - shift).exp() * offdiag).sum(axis=1)
-    eintra = ((intra - shift).exp() * offdiag).sum(axis=1)
+    ecross = ((cross - shift[..., None]).exp() * offdiag).sum(axis=-1)
+    eintra = ((intra - shift[..., None]).exp() * offdiag).sum(axis=-1)
     return (-(pos - shift) + (epos + ecross + eintra).log()).mean()
 
 
@@ -201,14 +208,15 @@ def s2z_loss(v_hat, w, b, encode, table, cp: ContrastiveParams):
     Each decoded prototype row i is classified by the linear head (w, b) with
     a plain cross-entropy against label i, and the re-encoded rows are pulled
     back onto the semantic table with ``s2s_loss``. `encode` maps a (C, d_v)
-    matrix to unit (C, d_s) rows.
+    matrix to unit (C, d_s) rows. A (..., C, d_v) stack of prototype tables
+    gives the mean over the stack of the per-table losses.
     """
     v = as_tensor(v_hat)
     if not np.isfinite(v.data).all():
         raise ValueError("s2z_loss: non-finite prototypes")
-    c = v.data.shape[0]
+    diag = np.arange(v.data.shape[-2])
     logits = v @ as_tensor(w).T + as_tensor(b)
-    ce = -log_softmax(logits)[np.arange(c), np.arange(c)].mean()
+    ce = -log_softmax(logits)[..., diag, diag].mean()
     return ce + s2s_loss(encode(v), table, cp)
 
 

@@ -149,37 +149,22 @@ class Tensor:
         return as_tensor(other) / self
 
     def __matmul__(self, other):
+        """Matrix product under numpy's rule: leading axes broadcast, and a
+        1-D operand is promoted to a matrix (a row on the left, a column on
+        the right) whose added axis is dropped from the result."""
         a, b = self, as_tensor(other)
-        if a.data.ndim == 1 and b.data.ndim == 1:
-            out_data = a.data @ b.data
+        out_data = a.data @ b.data
 
-            def bw(g):
-                Tensor._accum(a, g * b.data)
-                Tensor._accum(b, g * a.data)
+        def bw(g):
+            am = np.atleast_2d(a.data)          # 1-D -> (1, n)
+            bm = np.atleast_2d(b.data.T).T      # 1-D -> (n, 1); else unchanged
+            gm = np.reshape(g, np.broadcast_shapes(am.shape[:-2], bm.shape[:-2])
+                            + (am.shape[-2], bm.shape[-1]))
+            Tensor._accum(a, _unbroadcast(gm @ np.swapaxes(bm, -1, -2),
+                                          am.shape).reshape(a.data.shape))
+            Tensor._accum(b, _unbroadcast(np.swapaxes(am, -1, -2) @ gm,
+                                          bm.shape).reshape(b.data.shape))
 
-        elif a.data.ndim == 2 and b.data.ndim == 2:
-            out_data = a.data @ b.data
-
-            def bw(g):
-                Tensor._accum(a, g @ b.data.T)
-                Tensor._accum(b, a.data.T @ g)
-
-        elif a.data.ndim == 2 and b.data.ndim == 1:
-            out_data = a.data @ b.data
-
-            def bw(g):
-                Tensor._accum(a, np.outer(g, b.data))
-                Tensor._accum(b, a.data.T @ g)
-
-        elif a.data.ndim == 1 and b.data.ndim == 2:
-            out_data = a.data @ b.data
-
-            def bw(g):
-                Tensor._accum(a, b.data @ g)
-                Tensor._accum(b, np.outer(a.data, g))
-
-        else:
-            raise ValueError("matmul supports 1-D and 2-D operands only")
         return Tensor._from_op(out_data, (a, b), bw)
 
     def __rmatmul__(self, other):
@@ -187,14 +172,15 @@ class Tensor:
 
     @property
     def T(self):
+        """Swap the last two axes (the transpose of every stacked matrix)."""
         a = self
-        if a.data.ndim != 2:
-            raise ValueError("T is defined for 2-D tensors")
+        if a.data.ndim < 2:
+            raise ValueError("T needs at least 2 axes")
 
         def bw(g):
-            Tensor._accum(a, g.T)
+            Tensor._accum(a, np.swapaxes(g, -1, -2))
 
-        return Tensor._from_op(a.data.T, (a,), bw)
+        return Tensor._from_op(np.swapaxes(a.data, -1, -2), (a,), bw)
 
     def __getitem__(self, idx):
         a = self

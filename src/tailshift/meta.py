@@ -1,23 +1,25 @@
 """Episodic meta-train / meta-test optimization loop.
 
 Each iteration randomly splits the training domains into meta-train and
-meta-test sets, accumulates the enabled losses on per-domain meta-train
-batches (calibrated classification, semantic alignment, cross-prototype
-contrast, prototype cycle, implicit augmentation), takes an inner step with
-learning rate beta1, evaluates the meta-test losses under the stepped
-parameters, and finally updates the real parameters with beta2 on the
-combined objective. Prototype and covariance banks are updated between the
+meta-test sets, accumulates the enabled losses on the meta-train batches
+(calibrated classification, semantic alignment, cross-prototype contrast,
+prototype cycle, implicit augmentation), takes an inner step with learning
+rate beta1, evaluates the meta-test losses under the stepped parameters,
+and finally updates the real parameters with beta2 on the combined
+objective. Prototype and covariance banks are updated between the
 classification and alignment losses, matching the iteration's line order;
 the augmentation loss and covariance tracking switch on at epoch t_sigma.
 
+Each half of an episode pools its equal-size per-domain batches into one
+batch (per-sample domains select the count rows), so every loss is one
+kernel call on one feature pass, and the per-domain prototype tables are
+one (K, C, d_s) stack. Only the prototype EMA runs domain by domain.
+
 ``episode`` computes one iteration's losses and gradients; ``run`` trains
 with it by the first-order rule, which treats the meta-test gradient at the
-stepped parameters as the gradient with respect to the originals.
-``outer_gradients`` also offers ``fd_exact``, which differentiates the
-episode value by central finite differences, including the dependence of
-the inner step on the parameters. It is a desk-scale oracle (parameter
-count capped) used to measure how good the first-order approximation is,
-not a way to train.
+stepped parameters as the gradient with respect to the originals. The
+exact meta-gradient oracle that measures this approximation lives in
+``gradcheck``.
 
 Toggles reproduce the ablation grid: rows a-j switch losses and the meta
 loop on and off, row k collapses the per-domain prototype tables into a
@@ -56,8 +58,6 @@ from .losses import (
     z2s_loss_mean,
 )
 from .mathcore import Rng, collect_grads, make_leaves
-
-FD_EXACT_MAX_PARAMS = 512
 
 # Outer-rate schedule: 10x decays at 40% and 80% of t_max.
 DECAY_MILESTONES = (0.4, 0.8)
@@ -212,36 +212,23 @@ def _proto_domain(cfg: TrainConfig, domain: int) -> int:
     return 0 if cfg.single_prototype else domain
 
 
-def _features(leaves, batches, mcfg: M.ModelConfig) -> dict:
-    """domain -> (feature tensor, int labels), refusing empty batches."""
-    feats = {}
-    for n in sorted(batches):
-        x, y = batches[n]
-        if len(y) == 0:
-            raise ValueError("empty batch")
-        feats[n] = (M.forward_features(leaves, x, mcfg), np.asarray(y, dtype=np.int64))
-    return feats
+def _pool(batches: dict):
+    """One (x, y, domains) batch: the per-domain batches concatenated in
+    domain order.
 
-
-def _domain_mean(feats: dict, fn):
-    acc = None
-    for n in feats:
-        term = fn(n)
-        acc = term if acc is None else acc + term
-    return acc / float(len(feats))
-
-
-def _cls_loss(leaves, feats: dict, counts: DomainClassCounts, cfg: TrainConfig):
-    """Calibrated (or, with use_dc off, plain) cross-entropy, domain mean."""
-    return _domain_mean(feats, lambda n: dc_loss_mean(
-        M.forward_logits(leaves, feats[n][0]), feats[n][1],
-        np.full(len(feats[n][1]), n), counts if cfg.use_dc else None))
-
-
-def _aug_term(leaves, feats: dict, sigma_prime, cfg: TrainConfig):
-    return _domain_mean(feats, lambda n: aug_loss_mean(
-        feats[n][0], feats[n][1], leaves["cls.W"], leaves["cls.b"],
-        sigma_prime, cfg.ap))
+    Every loss is a batch mean, so the mean over the pooled batch equals the
+    mean over domains of the per-domain means only when all domains bring
+    the same number of samples; unequal (or empty) batches are refused.
+    """
+    order = sorted(batches)
+    sizes = {len(batches[n][1]) for n in order}
+    if len(sizes) != 1:
+        raise ProtocolError(f"per-domain batches differ in size: {sorted(sizes)}")
+    if 0 in sizes:
+        raise ValueError("empty batch")
+    x = np.concatenate([batches[n][0] for n in order])
+    y = np.concatenate([np.asarray(batches[n][1], dtype=np.int64) for n in order])
+    return x, y, np.repeat(np.asarray(order, dtype=np.int64), sizes.pop())
 
 
 def meta_train_losses(leaves, batches, proto: PrototypeBank, cov: CovarianceBank,
@@ -254,55 +241,55 @@ def meta_train_losses(leaves, batches, proto: PrototypeBank, cov: CovarianceBank
     prototype-dependent losses, in iteration line order.
     """
     enc = lambda v: M.encode(leaves, v, mcfg)
-    dec = lambda s: M.decode(leaves, s, mcfg)
-    feats = _features(leaves, batches, mcfg)
+    x, y, dom = _pool(batches)
+    feats = M.forward_features(leaves, x, mcfg)
 
     comps = dict.fromkeys(LOSS_KEYS, 0.0)
-    l_cls = _cls_loss(leaves, feats, counts, cfg)
+    l_cls = dc_loss_mean(M.forward_logits(leaves, feats), y, dom,
+                         counts if cfg.use_dc else None)
     comps["L_Cls"] = float(l_cls.data)
     parts = [l_cls]
 
     if cfg.use_z2s:
-        l_z2s = _domain_mean(feats, lambda n: z2s_loss_mean(
-            enc(feats[n][0]), feats[n][1], table, cfg.cp))
+        l_z2s = z2s_loss_mean(enc(feats), y, table, cfg.cp)
         comps["L_Z2S"] = float(l_z2s.data)
         parts.append(cfg.w1 * l_z2s)
 
-    for n in feats:
-        proto = update_prototypes(proto, _proto_domain(cfg, n),
-                                  feats[n][0].data, feats[n][1])
+    # The prototype EMA stays one call per domain: its steps are sequential,
+    # and under single_prototype (ablation row k) every domain steps the one
+    # shared row in turn.
+    for n in sorted(batches):
+        sel = dom == n
+        proto = update_prototypes(proto, _proto_domain(cfg, n), feats.data[sel], y[sel])
 
     sigma_prime = None
     if cfg.use_aug and aug_active:
-        for n in feats:
-            cov = update_covariance(cov, feats[n][0].data, feats[n][1])
+        cov = update_covariance(cov, feats.data, y)
         sigma_prime, _ = blend_covariance(cov, table, min(cfg.ap.k, counts.n_classes),
                                           weighted=not cfg.unweighted_blend)
 
-    proto_rows = sorted({_proto_domain(cfg, n) for n in feats})
-    s_hat = {r: complete_semantic(proto, enc, table, r) for r in proto_rows} \
-        if (cfg.use_s2s or cfg.use_s2z) else {}
+    proto_rows = sorted({_proto_domain(cfg, n) for n in batches})
+    if cfg.use_s2s or cfg.use_s2z:
+        s_hat = complete_semantic(proto, enc, table, proto_rows)    # (K, C, d_s)
 
     if cfg.use_s2s:
-        pair_terms = [s2s_loss(s_hat[m], s_hat[n], cfg.cp)
-                      for m in proto_rows for n in proto_rows if m != n]
-        anchor = [s2s_loss(s_hat[n], table.s, cfg.cp) for n in proto_rows]
-        l_s2s = sum(anchor[1:], anchor[0]) / float(len(anchor))
-        if pair_terms:
-            l_s2s = l_s2s + sum(pair_terms[1:], pair_terms[0]) / float(len(pair_terms))
+        l_s2s = s2s_loss(s_hat, table.s, cfg.cp)
+        if len(proto_rows) > 1:
+            # every ordered pair (m, n) of distinct tables
+            m, n = np.nonzero(~np.eye(len(proto_rows), dtype=bool))
+            l_s2s = l_s2s + s2s_loss(s_hat[m], s_hat[n], cfg.cp)
         comps["L_S2S"] = float(l_s2s.data)
         parts.append(cfg.w2 * l_s2s)
 
     if cfg.use_s2z:
-        v_hat = {r: dec(s_hat[r]) for r in proto_rows}
-        terms = [s2z_loss(v_hat[r], leaves["cls.W"], leaves["cls.b"], enc, table, cfg.cp)
-                 for r in proto_rows]
-        l_s2z = sum(terms[1:], terms[0]) / float(len(terms))
+        l_s2z = s2z_loss(M.decode(leaves, s_hat, mcfg), leaves["cls.W"], leaves["cls.b"],
+                         enc, table, cfg.cp)
         comps["L_S2Z"] = float(l_s2z.data)
         parts.append(cfg.w3 * l_s2z)
 
     if cfg.use_aug and aug_active:
-        l_aug = _aug_term(leaves, feats, sigma_prime, cfg)
+        l_aug = aug_loss_mean(feats, y, leaves["cls.W"], leaves["cls.b"],
+                              sigma_prime, cfg.ap)
         comps["L_Aug"] = float(l_aug.data)
         parts.append(cfg.w4 * l_aug)
 
@@ -324,26 +311,27 @@ def meta_test_losses(leaves, batches, proto: PrototypeBank,
     if set(batches) & set(d_mtr):
         raise ProtocolError("meta-test domains overlap meta-train domains")
     enc = lambda v: M.encode(leaves, v, mcfg)
-    feats = _features(leaves, batches, mcfg)
+    x, y, dom = _pool(batches)
+    feats = M.forward_features(leaves, x, mcfg)
 
     comps = dict.fromkeys(("L_MCls", "L_MZ2S", "L_MAug", "L_mte"), 0.0)
-    l_cls = _cls_loss(leaves, feats, counts, cfg)
+    l_cls = dc_loss_mean(M.forward_logits(leaves, feats), y, dom,
+                         counts if cfg.use_dc else None)
     comps["L_MCls"] = float(l_cls.data)
     parts = [l_cls]
 
     if cfg.use_z2s:
-        emb = {m: enc(feats[m][0]) for m in feats}
-        l_z2s = _domain_mean(feats, lambda m: z2s_loss_mean(emb[m], feats[m][1], table, cfg.cp))
+        emb = enc(feats)
         proto_rows = sorted({_proto_domain(cfg, n) for n in d_mtr})
-        for r in proto_rows:
-            s_hat_prime = complete_semantic(proto, enc, table, r)
-            l_z2s = l_z2s + _domain_mean(feats, lambda m: z2s_loss_mean(
-                emb[m], feats[m][1], s_hat_prime, cfg.cp)) / float(len(proto_rows))
+        s_hat_prime = complete_semantic(proto, enc, table, proto_rows)
+        l_z2s = z2s_loss_mean(emb, y, table, cfg.cp) \
+            + z2s_loss_mean(emb, y, s_hat_prime, cfg.cp)
         comps["L_MZ2S"] = float(l_z2s.data)
         parts.append(cfg.w1 * l_z2s)
 
     if cfg.use_aug and aug_active:
-        l_aug = _aug_term(leaves, feats, sigma_prime, cfg)
+        l_aug = aug_loss_mean(feats, y, leaves["cls.W"], leaves["cls.b"],
+                              sigma_prime, cfg.ap)
         comps["L_MAug"] = float(l_aug.data)
         parts.append(cfg.w4 * l_aug)
 
@@ -390,45 +378,6 @@ def outer_step(params: dict, grads_mtr: dict, grads_mte: dict | None,
     if grads_mte is not None and cfg.w_mte != 0.0:
         total = {k: total[k] + cfg.w_mte * grads_mte[k] for k in total}
     return M.apply_step(params, total, lr)
-
-
-def outer_gradients(params: dict, batches_mtr: dict, batches_mte: dict,
-                    proto: PrototypeBank, cov: CovarianceBank,
-                    table: SemanticTable | None, counts: DomainClassCounts,
-                    cfg: TrainConfig, mcfg: M.ModelConfig, aug_active: bool,
-                    mode: str = "first_order"):
-    """Gradient of L_mtr + w_mte L_mte(theta') with respect to theta.
-
-    ``first_order`` combines the two analytic pieces of one episode;
-    ``fd_exact`` differentiates the episode value (inner step included) by
-    central finite differences and requires a small parameter count.
-    """
-    if mode == "first_order":
-        _, g_mtr, g_mte, *_ = episode(params, batches_mtr, batches_mte, proto, cov,
-                                      table, counts, cfg, mcfg, aug_active)
-        return {k: g_mtr[k] + cfg.w_mte * g_mte[k] for k in g_mtr}
-
-    if mode == "fd_exact":
-        n_params = M.param_count(params)
-        if n_params > FD_EXACT_MAX_PARAMS:
-            raise ConfigError(
-                f"fd_exact needs <= {FD_EXACT_MAX_PARAMS} parameters, got {n_params}")
-        value = lambda p: episode(p, batches_mtr, batches_mte, proto, cov, table,
-                                  counts, cfg, mcfg, aug_active)[0]
-        eps = 1e-5
-        vec = M.flatten_params(params)
-        g = np.zeros_like(vec)
-        for i in range(vec.size):
-            orig = vec[i]
-            vec[i] = orig + eps
-            hi = value(M.unflatten_params(vec, params))
-            vec[i] = orig - eps
-            lo = value(M.unflatten_params(vec, params))
-            vec[i] = orig
-            g[i] = (hi - lo) / (2 * eps)
-        return M.unflatten_params(g, params)
-
-    raise ConfigError(f"unknown meta mode {mode!r}")
 
 
 def _validation_accuracy(params: dict, mcfg: M.ModelConfig, dataset: Dataset) -> dict:

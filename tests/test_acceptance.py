@@ -22,7 +22,7 @@ from tailshift import model as M
 from tailshift.banks import update_prototypes
 from tailshift.cli import main as cli_main
 from tailshift.config import load_run_config
-from tailshift.gradcheck import gradient_check_suite
+from tailshift.gradcheck import fd_exact, gradient_check_suite
 from tailshift.losses import ContrastiveParams
 from tailshift.mathcore import Rng
 
@@ -197,12 +197,11 @@ def test_criterion_6_meta_gradient_oracle():
         for n in d_mtr:
             z = M.forward_features(st.params, b_mtr[n][0], mcfg).data
             proto = update_prototypes(proto, n, z, b_mtr[n][1])
-        g1 = MT.outer_gradients(st.params, b_mtr, b_mte, proto, st.cov,
-                                ds.semantic, ds.counts, cfg_t, mcfg, False,
-                                mode="first_order")
-        g2 = MT.outer_gradients(st.params, b_mtr, b_mte, proto, st.cov,
-                                ds.semantic, ds.counts, cfg_t, mcfg, False,
-                                mode="fd_exact")
+        _, g_mtr, g_mte, *_ = MT.episode(st.params, b_mtr, b_mte, proto, st.cov,
+                                         ds.semantic, ds.counts, cfg_t, mcfg, False)
+        g1 = {k: g_mtr[k] + cfg_t.w_mte * g_mte[k] for k in g_mtr}
+        g2 = fd_exact(st.params, b_mtr, b_mte, proto, st.cov,
+                      ds.semantic, ds.counts, cfg_t, mcfg, False)
         v1, v2 = M.flatten_params(g1), M.flatten_params(g2)
         cosines.append(float(v1 @ v2 / (np.linalg.norm(v1) * np.linalg.norm(v2))))
     mean_cos = float(np.mean(cosines))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tailshift import banks as B
-from tailshift.mathcore import Rng, Tensor
+from tailshift.mathcore import Rng, Tensor, fd_grad, grad, normalize_rows
 
 
 def unit_rows(rng, n, d):
@@ -160,6 +160,33 @@ def test_complete_semantic_rows_unit():
         bank.v[0, c] = rng.normal(size=4)
     out = B.complete_semantic(bank, _norm_encoder(5, 4), table, 0)
     assert np.abs(np.linalg.norm(out.data, axis=1) - 1.0).max() < 1e-10
+
+
+def test_complete_semantic_stack_equals_per_row_tables():
+    rng = Rng(8)
+    table = make_table(rng, c=4, d_s=3)
+    mask = np.array([[True, True, False, True], [True, False, True, True],
+                     [False, True, True, True]])
+    bank = B.PrototypeBank.zeros(mask, d_v=3)
+    bank.v[mask] = rng.normal(size=(int(mask.sum()), 3))
+    bank.v[1, 3] = 0.0                      # masked in but not yet estimated
+    w = rng.normal(size=(3, 3))
+    enc = lambda v: normalize_rows((v @ Tensor(w).T).relu() + 1e-3)
+    out = B.complete_semantic(bank, enc, table, [0, 2])
+    assert out.data.shape == (2, 4, 3)
+    for i, row in enumerate([0, 2]):
+        single = B.complete_semantic(bank, enc, table, row).data
+        assert np.abs(out.data[i] - single).max() <= 1e-14
+    assert np.array_equal(B.complete_semantic(bank, enc, table, [1]).data[0, 3], table.s[3])
+    # the encoder gets its gradient through the stacked rows
+    wts = rng.normal(size=(2, 4, 3))
+
+    def fn(t):
+        enc_t = lambda v: normalize_rows((v @ t["w"].T).relu() + 1e-3)
+        return (B.complete_semantic(bank, enc_t, table, [0, 2]) * wts).sum()
+
+    a, f = grad(fn, {"w": w}), fd_grad(fn, {"w": w}, eps=1e-6)
+    assert np.abs(a.grads["w"] - f.grads["w"]).max() < 1e-7
 
 
 # ---------------------------------------------------------------------------

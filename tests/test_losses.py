@@ -472,3 +472,65 @@ def test_s2z_loss_grad_encoder_only_leaves():
         return L.s2z_loss(v_hat, w, b, enc, table, cp)
 
     _grad_matches_fd(fn, {"We": rng.normal(size=(d_s, d_v)), "be": rng.normal(size=d_s)})
+
+
+# ---------------------------------------------------------------------------
+# stacked tables: one call on a (K, C, d) stack is the mean of K calls
+# ---------------------------------------------------------------------------
+
+def _stack_case(seed, k=3, c=4, d_v=3, d_s=3):
+    rng = Rng(seed)
+    cp = L.ContrastiveParams(alpha=0.1, tau=0.5)
+    tables = np.stack([unit_rows(rng, c, d_s) for _ in range(k)])
+    others = np.stack([unit_rows(rng, c, d_s) for _ in range(k)])
+    return rng, cp, tables, others
+
+
+def test_s2s_loss_stack_is_mean_of_pairs():
+    _, cp, a, b = _stack_case(30)
+    stacked = L.s2s_loss(a, b, cp).data
+    assert stacked == pytest.approx(np.mean([L.s2s_loss(x, y, cp).data
+                                             for x, y in zip(a, b)]), abs=1e-14)
+    # one table broadcasts against the stack
+    anchored = L.s2s_loss(a, b[0], cp).data
+    assert anchored == pytest.approx(np.mean([L.s2s_loss(x, b[0], cp).data for x in a]),
+                                     abs=1e-14)
+
+
+def test_z2s_loss_mean_stack_is_mean_over_tables():
+    rng, cp, tables, _ = _stack_case(31)
+    e, labels = unit_rows(rng, 5, 3), rng.integers(0, 4, size=5)
+    stacked = L.z2s_loss_mean(e, labels, tables, cp).data
+    assert stacked == pytest.approx(np.mean([L.z2s_loss_mean(e, labels, t, cp).data
+                                             for t in tables]), abs=1e-14)
+
+
+def test_s2z_loss_stack_is_mean_over_tables():
+    rng, cp, _, _ = _stack_case(32)
+    table = unit_rows(rng, 4, 3)
+    v_hat = rng.normal(size=(3, 4, 3))
+    w, b = 0.5 * rng.normal(size=(4, 3)), rng.normal(size=4)
+    enc = lambda v: normalize_rows((v @ Tensor(np.eye(3)).T).relu() + 1e-3)
+    stacked = L.s2z_loss(v_hat, w, b, enc, table, cp).data
+    assert stacked == pytest.approx(np.mean([L.s2z_loss(v, w, b, enc, table, cp).data
+                                             for v in v_hat]), abs=1e-14)
+
+
+def test_stacked_kernels_grad_match_fd():
+    rng, cp, _, _ = _stack_case(33)
+    k, c, d_v, d_s = 3, 4, 3, 3
+    labels = rng.integers(0, c, size=5)
+    table = unit_rows(rng, c, d_s)
+    _grad_matches_fd(lambda t: L.s2s_loss(normalize_rows(t["a"]), normalize_rows(t["b"]), cp),
+                     {"a": rng.normal(size=(k, c, d_s)), "b": rng.normal(size=(k, c, d_s))})
+    _grad_matches_fd(lambda t: L.z2s_loss_mean(normalize_rows(t["e"]), labels,
+                                               normalize_rows(t["tab"]), cp),
+                     {"e": rng.normal(size=(5, d_s)), "tab": rng.normal(size=(k, c, d_s))})
+
+    def s2z(t):
+        enc = lambda v: normalize_rows((v @ t["We"].T + t["be"]).relu() + 1e-3)
+        return L.s2z_loss(t["vhat"], t["W"], t["b"], enc, table, cp)
+
+    _grad_matches_fd(s2z, {"vhat": rng.normal(size=(k, c, d_v)),
+                           "W": 0.5 * rng.normal(size=(c, d_v)), "b": rng.normal(size=c),
+                           "We": rng.normal(size=(d_s, d_v)), "be": rng.normal(size=d_s)})

@@ -264,6 +264,38 @@ def test_tensor_broadcasting_backward():
         assert np.abs(a.grads[k] - f.grads[k]).max() < 1e-8
 
 
+# (a shape, b shape) pairs under numpy's matmul rule: stacked against one
+# matrix, stack against stack, and every 1-D/2-D combination.
+MATMUL_SHAPES = [((2, 3, 4), (4, 3)), ((2, 3, 4), (2, 4, 3)), ((3, 4), (4, 2)),
+                 ((3, 4), (4,)), ((4,), (4, 2)), ((4,), (4,))]
+
+
+@pytest.mark.parametrize("sa,sb", MATMUL_SHAPES)
+def test_matmul_follows_numpy_rule_and_fd_grad(sa, sb):
+    rng = Rng(11)
+    params = {"a": rng.normal(size=sa), "b": rng.normal(size=sb)}
+    # a fixed random weighting makes every output entry matter
+    wts = rng.normal(size=np.shape(params["a"] @ params["b"]))
+
+    def fn(t):
+        return ((t["a"] @ t["b"]) * wts).sum()
+
+    out = Tensor(params["a"]) @ Tensor(params["b"])
+    assert np.array_equal(out.data, params["a"] @ params["b"])
+    a = grad(fn, params)
+    f = fd_grad(fn, params, eps=1e-5)
+    for k in params:
+        assert a.grads[k].shape == params[k].shape
+        assert np.abs(a.grads[k] - f.grads[k]).max() < 1e-8, k
+
+
+def test_transpose_swaps_last_two_axes_and_refuses_1d():
+    x = np.arange(24.0).reshape(2, 3, 4)
+    assert np.array_equal(Tensor(x).T.data, np.swapaxes(x, 1, 2))
+    with pytest.raises(ValueError):
+        Tensor(np.ones(3)).T
+
+
 # ---------------------------------------------------------------------------
 # Rng
 # ---------------------------------------------------------------------------

@@ -6,10 +6,23 @@ import pytest
 from tailshift import data as D
 from tailshift import meta as MT
 from tailshift import model as M
-from tailshift.banks import update_prototypes
+from tailshift.banks import (
+    blend_covariance,
+    complete_semantic,
+    update_covariance,
+    update_prototypes,
+)
 from tailshift.errors import ConfigError, ProtocolError
-from tailshift.losses import ContrastiveParams, dc_loss_mean
+from tailshift.losses import (
+    ContrastiveParams,
+    aug_loss_mean,
+    dc_loss_mean,
+    s2s_loss,
+    s2z_loss,
+    z2s_loss_mean,
+)
 from tailshift.config import load_run_config
+from tailshift.gradcheck import fd_exact
 from tailshift.mathcore import Rng, Tensor, collect_grads, make_leaves
 
 
@@ -180,6 +193,21 @@ def test_meta_test_rejects_domain_overlap():
                                d_mtr=(0, 1))
 
 
+def test_unequal_domain_batches_refused():
+    # the pooled mean equals the mean of per-domain means only for equal sizes
+    ds = bench()
+    cfg = tconf()
+    st = MT.init_state(ds, cfg, MCFG)
+    rng = Rng(4)
+    batches = {0: D.sample_batch(ds, 0, 4, rng), 1: D.sample_batch(ds, 1, 5, rng)}
+    with pytest.raises(ProtocolError, match="differ in size"):
+        MT.meta_train_losses(make_leaves(st.params), batches, st.proto, st.cov,
+                             ds.semantic, ds.counts, cfg, MCFG, False)
+    with pytest.raises(ProtocolError, match="differ in size"):
+        MT.meta_test_losses(make_leaves(st.params), batches, st.proto, ds.semantic,
+                            ds.counts, cfg, MCFG, False, None, d_mtr=(2,))
+
+
 def test_compositional_oracle_two_domains():
     # independently recompute every enabled component from the same banks
     ds = bench()
@@ -247,7 +275,8 @@ def test_row_a_is_plain_cross_entropy():
 
 def test_run_equals_plain_gradient_descent():
     # meta off, auxiliary weights zero: the trainer must be step-for-step
-    # identical to a hand-rolled minibatch descent on the calibrated loss
+    # identical to a hand-rolled minibatch descent on the calibrated loss of
+    # the domains' batches pooled
     ds = bench()
     cfg = tconf(t_max=10, t_sigma=10, use_meta=False, use_z2s=False,
                 use_s2s=False, use_s2z=False, use_aug=False)
@@ -259,16 +288,12 @@ def test_run_equals_plain_gradient_descent():
     domains = [0, 1, 2]
     for step in range(10):
         batches = {n: D.sample_batch(ds, n, cfg.batch_size, loop_rng) for n in domains}
+        x = np.concatenate([batches[n][0] for n in domains])
+        y = np.concatenate([batches[n][1] for n in domains])
+        dom = np.repeat(domains, cfg.batch_size)
         leaves = make_leaves(params)
-        acc = None
-        for n in domains:
-            x, y = batches[n]
-            z = M.forward_features(leaves, x, MCFG)
-            term = dc_loss_mean(M.forward_logits(leaves, z), y,
-                                np.full(len(y), n), ds.counts)
-            acc = term if acc is None else acc + term
-        loss = acc / float(len(domains))
-        loss.backward()
+        z = M.forward_features(leaves, x, MCFG)
+        dc_loss_mean(M.forward_logits(leaves, z), y, dom, ds.counts).backward()
         params = M.apply_step(params, collect_grads(leaves), cfg.lr_outer(step))
     for k in params:
         assert np.array_equal(params[k], res.params[k]), k
@@ -321,16 +346,120 @@ def test_row_a_fits_separable_toy():
     assert acc == 1.0
 
 
-def episode_inputs(ds, cfg, mcfg):
-    """Initial state and the first step's split and batches, drawn as `run`
-    draws them."""
-    st = MT.init_state(ds, cfg, mcfg)
+def episode_inputs(ds, cfg, mcfg, st=None):
+    """A trainer state (the initial one by default) and its step's split and
+    batches, drawn as `run` draws them."""
+    st = MT.init_state(ds, cfg, mcfg) if st is None else st
     rng = Rng(0)
     rng.set_state(st.rng_state)
     d_mtr, d_mte = MT.split_domains(range(ds.n_train_domains), cfg.mte_size, rng)
     b_mtr = {n: D.sample_batch(ds, n, cfg.batch_size, rng) for n in d_mtr}
     b_mte = {m: D.sample_batch(ds, m, cfg.batch_size, rng) for m in d_mte}
     return st, b_mtr, b_mte
+
+
+def per_domain_episode(params, b_mtr, b_mte, proto, cov, table, counts, cfg, mcfg):
+    """Reference episode with augmentation on, written domain by domain: one
+    feature pass and one kernel call per domain and per prototype table,
+    each loss the mean over domains (over tables for the prototype terms),
+    and one covariance merge per meta-train domain."""
+    def features(leaves, batches):
+        return {n: (M.forward_features(leaves, batches[n][0], mcfg),
+                    np.asarray(batches[n][1])) for n in sorted(batches)}
+
+    def mean(terms):
+        return sum(terms[1:], terms[0]) / float(len(terms))
+
+    def cls(leaves, feats):
+        return mean([dc_loss_mean(M.forward_logits(leaves, z), y, np.full(len(y), n), counts)
+                     for n, (z, y) in feats.items()])
+
+    def aug(leaves, feats):
+        return mean([aug_loss_mean(z, y, leaves["cls.W"], leaves["cls.b"], sigma_prime, cfg.ap)
+                     for z, y in feats.values()])
+
+    leaves = make_leaves(params)
+    enc = lambda v: M.encode(leaves, v, mcfg)
+    feats = features(leaves, b_mtr)
+    rows = sorted(feats)
+    terms = {"L_Cls": cls(leaves, feats),
+             "L_Z2S": mean([z2s_loss_mean(enc(z), y, table, cfg.cp) for z, y in feats.values()])}
+    for n, (z, y) in feats.items():
+        proto = update_prototypes(proto, n, z.data, y)
+        cov = update_covariance(cov, z.data, y)
+    sigma_prime, _ = blend_covariance(cov, table, min(cfg.ap.k, counts.n_classes))
+    s_hat = {r: complete_semantic(proto, enc, table, r) for r in rows}
+    terms["L_S2S"] = mean([s2s_loss(s_hat[n], table.s, cfg.cp) for n in rows]) \
+        + mean([s2s_loss(s_hat[m], s_hat[n], cfg.cp) for m in rows for n in rows if m != n])
+    terms["L_S2Z"] = mean([s2z_loss(M.decode(leaves, s_hat[r], mcfg), leaves["cls.W"],
+                                    leaves["cls.b"], enc, table, cfg.cp) for r in rows])
+    terms["L_Aug"] = aug(leaves, feats)
+    l_mtr = terms["L_Cls"] + cfg.w1 * terms["L_Z2S"] + cfg.w2 * terms["L_S2S"] \
+        + cfg.w3 * terms["L_S2Z"] + cfg.w4 * terms["L_Aug"]
+    l_mtr.backward()
+    g_mtr = collect_grads(leaves)
+
+    leaves = make_leaves(M.apply_step(params, g_mtr, cfg.beta1))
+    enc = lambda v: M.encode(leaves, v, mcfg)
+    feats = features(leaves, b_mte)
+    emb = {m: enc(z) for m, (z, _) in feats.items()}
+    l_mz2s = mean([z2s_loss_mean(emb[m], y, table, cfg.cp) for m, (_, y) in feats.items()])
+    for r in rows:
+        s_prime = complete_semantic(proto, enc, table, r)
+        l_mz2s = l_mz2s + mean([z2s_loss_mean(emb[m], y, s_prime, cfg.cp)
+                                for m, (_, y) in feats.items()]) / float(len(rows))
+    terms.update(L_mtr=l_mtr, L_MCls=cls(leaves, feats), L_MZ2S=l_mz2s,
+                 L_MAug=aug(leaves, feats))
+    l_mte = terms["L_MCls"] + cfg.w1 * l_mz2s + cfg.w4 * terms["L_MAug"]
+    l_mte.backward()
+    comps = {k: float(v.data) for k, v in terms.items()}
+    comps["L_mte"] = float(l_mte.data)
+    value = comps["L_mtr"] + cfg.w_mte * comps["L_mte"]
+    return value, g_mtr, collect_grads(leaves), comps, proto, cov
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_pooled_episode_equals_per_domain_reference():
+    # desk's first augmentation-active episode, from the state training
+    # reaches there; pooling changes only the order of round-off
+    cfg, _ = load_run_config("desk")
+    ds = D.generate(cfg.data)
+    first_aug = cfg.train.t_sigma * cfg.train.steps_per_epoch
+    snap = {}
+
+    def hook(state, report):
+        if state.step == first_aug:
+            snap["state"] = state
+            raise _Stop
+
+    with pytest.raises(_Stop):
+        MT.run(ds, cfg.train, cfg.model, on_step=hook)
+    st, b_mtr, b_mte = episode_inputs(ds, cfg.train, cfg.model, snap["state"])
+    args = (st.params, b_mtr, b_mte, st.proto, st.cov, ds.semantic, ds.counts,
+            cfg.train, cfg.model)
+    value, g_mtr, g_mte, comps, proto, cov = MT.episode(*args, True)
+    r_value, r_mtr, r_mte, r_comps, r_proto, r_cov = per_domain_episode(*args)
+
+    def rel(a, b):
+        # blockwise: largest difference over the largest reference entry
+        # (a block the episode leaves at zero must stay exactly zero)
+        a, b = np.asarray(a), np.asarray(b)
+        return float(np.abs(a - b).max() / max(np.abs(b).max(), np.finfo(float).tiny))
+
+    assert rel(value, r_value) <= 1e-12
+    assert comps.keys() == r_comps.keys() and min(r_comps.values()) > 0
+    for k in comps:
+        assert rel(comps[k], r_comps[k]) <= 1e-12, k
+    for g, r in ((g_mtr, r_mtr), (g_mte, r_mte)):
+        for k in g:
+            assert rel(g[k], r[k]) <= 1e-12, k
+    assert np.array_equal(proto.mask, r_proto.mask)
+    assert rel(proto.v, r_proto.v) <= 1e-12
+    assert np.array_equal(cov.n, r_cov.n)
+    assert rel(cov.mu, r_cov.mu) <= 1e-12 and rel(cov.sigma, r_cov.sigma) <= 1e-12
 
 
 def count_op_nodes(loss):
@@ -349,7 +478,7 @@ def count_op_nodes(loss):
 # Op nodes of the first desk episode with augmentation on, meta-train plus
 # meta-test graph, as measured when the bound was set. Fusing kernels or
 # thinning the graph engine may only lower it.
-DESK_EPISODE_NODES = 643
+DESK_EPISODE_NODES = 211
 
 
 def test_desk_episode_graph_node_bound(monkeypatch):
@@ -376,17 +505,17 @@ def test_fd_exact_rejects_large_models():
     big = M.ModelConfig(d_x=5, d_v=32, d_s=4, n_classes=6, hidden=(64,))
     st, b_mtr, b_mte = episode_inputs(ds, cfg, big)
     with pytest.raises(ConfigError):
-        MT.outer_gradients(st.params, b_mtr, b_mte, st.proto, st.cov, ds.semantic,
-                           ds.counts, cfg, big, False, mode="fd_exact")
+        fd_exact(st.params, b_mtr, b_mte, st.proto, st.cov, ds.semantic,
+                 ds.counts, cfg, big, False)
 
 
 def test_run_step_is_first_order_outer_gradient():
     ds = bench()
     cfg = tconf(t_max=1, t_sigma=0)
     st, b_mtr, b_mte = episode_inputs(ds, cfg, MCFG)
-    g = MT.outer_gradients(st.params, b_mtr, b_mte, st.proto, st.cov, ds.semantic,
-                           ds.counts, cfg, MCFG, True, mode="first_order")
-    expect = M.apply_step(st.params, g, cfg.lr_outer(0))
+    _, g_mtr, g_mte, *_ = MT.episode(st.params, b_mtr, b_mte, st.proto, st.cov,
+                                     ds.semantic, ds.counts, cfg, MCFG, True)
+    expect = MT.outer_step(st.params, g_mtr, g_mte, cfg, cfg.lr_outer(0))
     res = MT.run(ds, cfg, MCFG)
     assert list(res.params) == list(expect)
     for k in expect:
@@ -412,12 +541,11 @@ def test_first_order_close_to_fd_exact():
         for n in b_mtr:
             z = M.forward_features(st.params, b_mtr[n][0], mcfg).data
             proto = update_prototypes(proto, n, z, b_mtr[n][1])
-        g1 = MT.outer_gradients(st.params, b_mtr, b_mte, proto, st.cov,
-                                ds.semantic, ds.counts, cfg_s, mcfg, False,
-                                mode="first_order")
-        g2 = MT.outer_gradients(st.params, b_mtr, b_mte, proto, st.cov,
-                                ds.semantic, ds.counts, cfg_s, mcfg, False,
-                                mode="fd_exact")
+        _, g_mtr, g_mte, *_ = MT.episode(st.params, b_mtr, b_mte, proto, st.cov,
+                                         ds.semantic, ds.counts, cfg_s, mcfg, False)
+        g1 = {k: g_mtr[k] + cfg_s.w_mte * g_mte[k] for k in g_mtr}
+        g2 = fd_exact(st.params, b_mtr, b_mte, proto, st.cov,
+                      ds.semantic, ds.counts, cfg_s, mcfg, False)
         v1, v2 = M.flatten_params(g1), M.flatten_params(g2)
         cosines.append(v1 @ v2 / (np.linalg.norm(v1) * np.linalg.norm(v2)))
     assert np.mean(cosines) > 0.9
