@@ -153,26 +153,18 @@ def format_table(results: list[CheckResult]) -> str:
 
 
 def fd_exact(params: dict, batches_mtr: dict, batches_mte: dict, proto, cov, table,
-             counts, cfg, mcfg, aug_active: bool, eps: float = 1e-5) -> dict:
+             counts, cfg, mcfg, aug_active: bool) -> dict:
     """Exact meta-gradient oracle: the gradient of L_mtr + w_mte L_mte(theta')
-    with respect to theta, the inner step included, by central differences
-    of ``meta.episode``'s value. Two episodes per parameter, so models above
-    FD_EXACT_MAX_PARAMS are refused; it measures the first-order rule of
-    ``meta.run`` and is not a way to train."""
+    with respect to theta, the inner step included, by ``fd_grad`` central
+    differences of ``meta.episode``'s value. Two episodes per parameter, so
+    models above FD_EXACT_MAX_PARAMS are refused; it measures the first-order
+    rule of ``meta.run`` and is not a way to train."""
     n_params = M.param_count(params)
     if n_params > FD_EXACT_MAX_PARAMS:
         raise ConfigError(
             f"fd_exact needs <= {FD_EXACT_MAX_PARAMS} parameters, got {n_params}")
-    value = lambda p: MT.episode(p, batches_mtr, batches_mte, proto, cov, table,
-                                 counts, cfg, mcfg, aug_active)[0]
-    vec = M.flatten_params(params)
-    g = np.zeros_like(vec)
-    for i in range(vec.size):
-        orig = vec[i]
-        vec[i] = orig + eps
-        hi = value(M.unflatten_params(vec, params))
-        vec[i] = orig - eps
-        lo = value(M.unflatten_params(vec, params))
-        vec[i] = orig
-        g[i] = (hi - lo) / (2 * eps)
-    return M.unflatten_params(g, params)
+    return fd_grad(
+        lambda t: MT.episode({k: v.data for k, v in t.items()}, batches_mtr,
+                             batches_mte, proto, cov, table, counts, cfg, mcfg,
+                             aug_active)[0],
+        params).grads
