@@ -7,6 +7,12 @@ is deliberately small: affine algebra, elementwise transcendentals, rectifier,
 reductions, indexing/stacking, and the numerically stable (weighted)
 log-softmax kernel that the loss functions share.
 
+Gradients accumulate by rebinding, never in place: the first gradient a
+node receives is bound as is (it may be another node's array), and each
+later one replaces it with a new sum. So no backward function may write
+into its incoming gradient. An op computes an operand's gradient only when
+that operand requires one.
+
 ``grad`` runs the analytic path, ``fd_grad`` is the independent
 central-difference oracle used to cross-check it; the two must never be
 collapsed into one code path.
@@ -32,6 +38,8 @@ FD_EPS_MAX = 1e-2
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a gradient back down to `shape` after numpy broadcasting."""
+    if g.shape == shape:
+        return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for i, s in enumerate(shape):
@@ -57,18 +65,19 @@ class Tensor:
     @classmethod
     def _from_op(cls, data, parents, backward):
         out = cls(data)
-        if any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = tuple(parents)
-            out._backward = backward
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = tuple(parents)
+                out._backward = backward
+                break
         return out
 
     @staticmethod
     def _accum(p: "Tensor", g: np.ndarray):
+        # `g` may be shared with other nodes, so it is bound, never written.
         if p.requires_grad:
-            if p.grad is None:
-                p.grad = np.zeros_like(p.data)
-            p.grad += g
+            p.grad = g if p.grad is None else p.grad + g
 
     # -- graph traversal ---------------------------------------------------
 
@@ -102,8 +111,10 @@ class Tensor:
         out_data = a.data + b.data
 
         def bw(g):
-            Tensor._accum(a, _unbroadcast(g, a.data.shape))
-            Tensor._accum(b, _unbroadcast(g, b.data.shape))
+            if a.requires_grad:
+                Tensor._accum(a, _unbroadcast(g, a.data.shape))
+            if b.requires_grad:
+                Tensor._accum(b, _unbroadcast(g, b.data.shape))
 
         return Tensor._from_op(out_data, (a, b), bw)
 
@@ -128,8 +139,10 @@ class Tensor:
         out_data = a.data * b.data
 
         def bw(g):
-            Tensor._accum(a, _unbroadcast(g * b.data, a.data.shape))
-            Tensor._accum(b, _unbroadcast(g * a.data, b.data.shape))
+            if a.requires_grad:
+                Tensor._accum(a, _unbroadcast(g * b.data, a.data.shape))
+            if b.requires_grad:
+                Tensor._accum(b, _unbroadcast(g * a.data, b.data.shape))
 
         return Tensor._from_op(out_data, (a, b), bw)
 
@@ -140,8 +153,10 @@ class Tensor:
         out_data = a.data / b.data
 
         def bw(g):
-            Tensor._accum(a, _unbroadcast(g / b.data, a.data.shape))
-            Tensor._accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+            if a.requires_grad:
+                Tensor._accum(a, _unbroadcast(g / b.data, a.data.shape))
+            if b.requires_grad:
+                Tensor._accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
         return Tensor._from_op(out_data, (a, b), bw)
 
@@ -160,10 +175,12 @@ class Tensor:
             bm = np.atleast_2d(b.data.T).T      # 1-D -> (n, 1); else unchanged
             gm = np.reshape(g, np.broadcast_shapes(am.shape[:-2], bm.shape[:-2])
                             + (am.shape[-2], bm.shape[-1]))
-            Tensor._accum(a, _unbroadcast(gm @ np.swapaxes(bm, -1, -2),
-                                          am.shape).reshape(a.data.shape))
-            Tensor._accum(b, _unbroadcast(np.swapaxes(am, -1, -2) @ gm,
-                                          bm.shape).reshape(b.data.shape))
+            if a.requires_grad:
+                Tensor._accum(a, _unbroadcast(gm @ np.swapaxes(bm, -1, -2),
+                                              am.shape).reshape(a.data.shape))
+            if b.requires_grad:
+                Tensor._accum(b, _unbroadcast(np.swapaxes(am, -1, -2) @ gm,
+                                              bm.shape).reshape(b.data.shape))
 
         return Tensor._from_op(out_data, (a, b), bw)
 
@@ -268,7 +285,8 @@ def stack(tensors, axis: int = 0) -> Tensor:
 
     def bw(g):
         for i, p in enumerate(parts):
-            Tensor._accum(p, np.take(g, i, axis=axis))
+            if p.requires_grad:
+                Tensor._accum(p, np.take(g, i, axis=axis))
 
     return Tensor._from_op(out_data, tuple(parts), bw)
 

@@ -264,6 +264,24 @@ def test_tensor_broadcasting_backward():
         assert np.abs(a.grads[k] - f.grads[k]).max() < 1e-8
 
 
+def test_first_gradient_bound_from_another_operand_is_not_altered():
+    # `a + b` hands a and b the same array; a then receives a second
+    # gradient through `a * d`, which must not be added into b's.
+    rng = Rng(6)
+    params = {k: rng.normal(size=(3, 4)) for k in "abcd"}
+
+    def fn(t):
+        return ((t["a"] + t["b"]) * t["c"]).sum() + (t["a"] * t["d"]).sum()
+
+    leaves = {k: Tensor(v, requires_grad=True) for k, v in params.items()}
+    fn(leaves).backward()
+    assert np.array_equal(leaves["b"].grad, params["c"])
+    assert np.array_equal(leaves["a"].grad, params["c"] + params["d"])
+    f = fd_grad(fn, params, eps=1e-5)
+    for k in params:
+        assert np.abs(leaves[k].grad - f.grads[k]).max() < 1e-8, k
+
+
 # (a shape, b shape) pairs under numpy's matmul rule: stacked against one
 # matrix, stack against stack, and every 1-D/2-D combination.
 MATMUL_SHAPES = [((2, 3, 4), (4, 3)), ((2, 3, 4), (2, 4, 3)), ((3, 4), (4, 2)),

@@ -499,6 +499,23 @@ def test_desk_episode_graph_node_bound(monkeypatch):
     assert sum(counted) <= DESK_EPISODE_NODES
 
 
+def test_desk_episode_builds_no_gradient_for_constants(monkeypatch):
+    cfg, _ = load_run_config("desk")
+    ds = D.generate(cfg.data)
+    st, b_mtr, b_mte = episode_inputs(ds, cfg.train, cfg.model)
+    targets = []
+    accum = Tensor._accum
+
+    def spying_accum(p, g):
+        targets.append(p.requires_grad)
+        return accum(p, g)
+
+    monkeypatch.setattr(Tensor, "_accum", staticmethod(spying_accum))
+    MT.episode(st.params, b_mtr, b_mte, st.proto, st.cov, ds.semantic, ds.counts,
+               cfg.train, cfg.model, True)
+    assert targets and all(targets)
+
+
 def test_fd_exact_rejects_large_models():
     ds = bench()
     cfg = tconf()
