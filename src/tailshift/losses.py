@@ -18,8 +18,9 @@ Five kernels plus one closed-form bound:
   cross-entropy under a Gaussian feature perturbation; a Monte-Carlo
   estimate of that expectation must stay below it.
 
-Every kernel is built from ``mathcore`` primitives, except
-``aug_loss_mean``, which is one graph node with a hand-written backward.
+``aug_loss_mean`` and ``s2s_loss`` are each one graph node with a
+hand-written backward (``s2z_loss`` reaches the second through its
+``s2s_loss`` term); the other kernels are built from ``mathcore`` primitives.
 Like ``model``, each accepts plain arrays or graph tensors and always
 returns a scalar Tensor (its ``.data`` is the value). Gradients are analytic and cross-checked
 against ``mathcore.fd_grad``. A single sample is a batch of one, and the
@@ -35,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mathcore import Tensor, as_tensor, check_psd, log_softmax
+from .mathcore.autodiff import _unbroadcast
 
 UNIT_TOL = 1e-6
 
@@ -178,28 +180,50 @@ def s2s_loss(s_m, s_n, cp: ContrastiveParams):
     s_n_j and s_m_j for j != c, pushing other classes away both across and
     within tables. Stacks of (C, d) tables broadcast over their leading axes
     and pair up table by table; the result is the mean over the pairs.
+
+    One graph node: with G_cross and G_intra the loss's derivatives by the
+    scaled cross and intra similarities, the backward adds
+    (G_cross b + (G_intra + G_intra') a) / tau into s_m and G_cross' a / tau
+    into s_n, summed back over broadcast stack axes.
     """
     a, b = _table(s_m), _table(s_n)
     if a.data.shape[-2:] != b.data.shape[-2:]:
         raise ValueError("s2s_loss: table shapes differ")
     _check_unit_rows(a.data, "s2s_loss s_m")
     _check_unit_rows(b.data, "s2s_loss s_n")
-    c = a.data.shape[-2]
+    ad, bd = a.data, b.data
+    c = ad.shape[-2]
     diag = np.arange(c)
 
-    cross = (a @ b.T) / cp.tau        # (..., C, C), row c: s_m_c vs s_n_j
-    intra = (a @ a.T) / cp.tau        # (..., C, C), row c: s_m_c vs s_m_j
+    cross = (ad @ np.swapaxes(bd, -1, -2)) / cp.tau    # (..., C, C), row c: s_m_c vs s_n_j
+    intra = (ad @ np.swapaxes(ad, -1, -2)) / cp.tau    # (..., C, C), row c: s_m_c vs s_m_j
     pos = cross[..., diag, diag] - cp.alpha / cp.tau
     offdiag = 1.0 - np.eye(c)
 
     # One detached shift per table pair keeps every exponent in range;
     # similarities are bounded by 1 so the spread is at most ~2/tau. With
     # alpha >= 0 no positive exceeds its pair's largest cross similarity.
-    shift = np.maximum(cross.data, intra.data).max(axis=(-2, -1))[..., None]   # (..., 1)
-    epos = (pos - shift).exp()
-    ecross = ((cross - shift[..., None]).exp() * offdiag).sum(axis=-1)
-    eintra = ((intra - shift[..., None]).exp() * offdiag).sum(axis=-1)
-    return (-(pos - shift) + (epos + ecross + eintra).log()).mean()
+    shift = np.maximum(cross, intra).max(axis=(-2, -1))[..., None]   # (..., 1)
+    epos = np.exp(pos - shift)
+    ecross = np.exp(cross - shift[..., None]) * offdiag
+    eintra = np.exp(intra - shift[..., None]) * offdiag
+    total = epos + ecross.sum(axis=-1) + eintra.sum(axis=-1)
+    terms = -(pos - shift) + np.log(total)
+    value = terms.sum() / float(terms.size)
+
+    def bw(g):
+        gs = (g / float(terms.size)) / total                # (..., C)
+        g_cross = ecross * gs[..., None]
+        g_cross[..., diag, diag] = epos * gs - g / float(terms.size)
+        if a.requires_grad:
+            g_intra = eintra * gs[..., None]
+            da = (g_cross @ bd + (g_intra + np.swapaxes(g_intra, -1, -2)) @ ad) / cp.tau
+            Tensor._accum(a, _unbroadcast(da, ad.shape))
+        if b.requires_grad:
+            db = (np.swapaxes(g_cross, -1, -2) @ ad) / cp.tau
+            Tensor._accum(b, _unbroadcast(db, bd.shape))
+
+    return Tensor._from_op(np.asarray(value), (a, b), bw)
 
 
 def s2z_loss(v_hat, w, b, encode, table, cp: ContrastiveParams):
@@ -262,8 +286,10 @@ def aug_loss_mean(features, labels, w, b, sigma_primes, ap: AugParams):
         dz = ez / s                                      # softmax
         dz[rows, labels] -= 1.0
         dz *= g / float(nb)                              # dL/dlogits, (B, C)
-        Tensor._accum(f, dz @ wd)
-        Tensor._accum(bt, dz.sum(axis=0))
+        if f.requires_grad:
+            Tensor._accum(f, dz @ wd)
+        if bt.requires_grad:
+            Tensor._accum(bt, dz.sum(axis=0))
         if wt.requires_grad:
             dpen = np.zeros_like(pen)
             np.add.at(dpen, inv, (ap.lam / 2.0) * dz)

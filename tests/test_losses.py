@@ -460,6 +460,51 @@ def test_aug_bound_grad_bias_only_leaf():
                      {"b": rng.normal(size=c)})
 
 
+def _s2s_loss_from_primitives(a, b, cp):
+    """The prototype contrast as a graph of mathcore primitives."""
+    c = a.data.shape[-2]
+    diag = np.arange(c)
+    cross = (a @ b.T) / cp.tau
+    intra = (a @ a.T) / cp.tau
+    pos = cross[..., diag, diag] - cp.alpha / cp.tau
+    offdiag = 1.0 - np.eye(c)
+    shift = np.maximum(cross.data, intra.data).max(axis=(-2, -1))[..., None]
+    epos = (pos - shift).exp()
+    ecross = ((cross - shift[..., None]).exp() * offdiag).sum(axis=-1)
+    eintra = ((intra - shift[..., None]).exp() * offdiag).sum(axis=-1)
+    return (-(pos - shift) + (epos + ecross + eintra).log()).mean()
+
+
+# (s_m shape, s_n shape, leaves): a pair, a stack against one broadcast
+# table, stacked pairs, and each side alone as the leaf.
+S2S_CASES = [((5, 4), (5, 4), "ab"), ((3, 5, 4), (5, 4), "ab"), ((3, 5, 4), (3, 5, 4), "ab"),
+             ((3, 5, 4), (5, 4), "a"), ((3, 5, 4), (3, 5, 4), "b")]
+
+
+@pytest.mark.parametrize("sa,sb,leaves", S2S_CASES)
+def test_s2s_loss_matches_primitive_graph(sa, sb, leaves):
+    rng = Rng(22)
+    cp = L.ContrastiveParams(alpha=0.1, tau=1.0 / 30.0)
+
+    def unit(shape):
+        raw = rng.normal(size=shape)
+        return raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+
+    tables = {"a": unit(sa), "b": unit(sb)}
+    params = {k: tables[k] for k in leaves}
+
+    def call(kernel):
+        return lambda t: kernel(*(t.get(k, Tensor(tables[k])) for k in "ab"), cp)
+
+    fused = grad(call(L.s2s_loss), params)
+    ref = grad(call(_s2s_loss_from_primitives), params)
+    assert fused.value == pytest.approx(ref.value, rel=1e-14)
+    for k in params:
+        assert fused.grads[k].shape == tables[k].shape
+        err = np.abs(fused.grads[k] - ref.grads[k]).max() / np.abs(ref.grads[k]).max()
+        assert err < 1e-13, k
+
+
 def test_s2z_loss_grad_encoder_only_leaves():
     rng = Rng(18)
     c, d_v, d_s = 5, 4, 3

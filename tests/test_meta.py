@@ -478,7 +478,7 @@ def count_op_nodes(loss):
 # Op nodes of the first desk episode with augmentation on, meta-train plus
 # meta-test graph, as measured when the bound was set. Fusing kernels or
 # thinning the graph engine may only lower it.
-DESK_EPISODE_NODES = 211
+DESK_EPISODE_NODES = 138
 
 
 def test_desk_episode_graph_node_bound(monkeypatch):
