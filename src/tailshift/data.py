@@ -21,7 +21,7 @@ File formats (UTF-8, comma-separated, round-trip-exact floats):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -145,6 +145,7 @@ class Dataset:
     split: np.ndarray      # (N,) str in SPLITS
     counts: DomainClassCounts
     semantic: SemanticTable | None = None
+    _indices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_classes(self) -> int:
@@ -170,10 +171,19 @@ class Dataset:
         return held[0] if held else int(self.domains[-1])
 
     def indices(self, split: str, domain: int | None = None) -> np.ndarray:
-        sel = self.split == split
-        if domain is not None:
-            sel &= self.d == domain
-        return np.nonzero(sel)[0]
+        """Row indices of a split, optionally of one domain; computed once per
+        (split, domain) and returned read-only. The columns are never
+        changed after ``make_dataset``, so the cache cannot go stale."""
+        key = (split, domain)
+        idx = self._indices.get(key)
+        if idx is None:
+            sel = self.split == split
+            if domain is not None:
+                sel &= self.d == domain
+            idx = np.nonzero(sel)[0]
+            idx.flags.writeable = False
+            self._indices[key] = idx
+        return idx
 
 
 def make_dataset(x, y, d, split, semantic: SemanticTable | None = None) -> Dataset:
@@ -329,33 +339,36 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 
 def load_dataset(path, semantic: SemanticTable | None = None) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise DataFormatError("empty dataset file")
-    header = lines[0].split(",")
-    if header[:3] != ["domain", "label", "split"]:
-        raise DataFormatError("header must start with domain,label,split", line=1)
-    d_x = len(header) - 3
-    if d_x < 1 or header[3:] != [f"x_{i}" for i in range(d_x)]:
-        raise DataFormatError("feature columns must be x_0..x_{d-1}", line=1)
-
+    """Parse a dataset CSV line by line, holding one float64 row per sample
+    rather than the file's text."""
     xs, ys, ds, tags = [], [], [], []
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 3 + d_x:
-            raise DataFormatError(f"expected {3 + d_x} fields, got {len(parts)}", line=ln)
-        try:
-            ds.append(int(parts[0]))
-            ys.append(int(parts[1]))
-            xs.append([float(v) for v in parts[3:]])
-        except ValueError as exc:
-            raise DataFormatError(str(exc), line=ln) from exc
-        if parts[2] not in SPLITS:
-            raise DataFormatError(f"unknown split tag {parts[2]!r}", line=ln)
-        tags.append(parts[2])
+    with open(path, "r", encoding="utf-8") as fh:
+        first = fh.readline()
+        if not first:
+            raise DataFormatError("empty dataset file")
+        header = first.rstrip("\n").split(",")
+        if header[:3] != ["domain", "label", "split"]:
+            raise DataFormatError("header must start with domain,label,split", line=1)
+        d_x = len(header) - 3
+        if d_x < 1 or header[3:] != [f"x_{i}" for i in range(d_x)]:
+            raise DataFormatError("feature columns must be x_0..x_{d-1}", line=1)
+
+        for ln, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 3 + d_x:
+                raise DataFormatError(f"expected {3 + d_x} fields, got {len(parts)}", line=ln)
+            try:
+                ds.append(int(parts[0]))
+                ys.append(int(parts[1]))
+                xs.append(np.array([float(v) for v in parts[3:]]))
+            except ValueError as exc:
+                raise DataFormatError(str(exc), line=ln) from exc
+            if parts[2] not in SPLITS:
+                raise DataFormatError(f"unknown split tag {parts[2]!r}", line=ln)
+            tags.append(parts[2])
     try:
         return make_dataset(np.array(xs), ys, ds, tags, semantic=semantic)
     except ValueError as exc:

@@ -177,6 +177,16 @@ def test_sample_batch_frequencies_match_counts():
     assert (np.abs(freq - p) <= 3 * sigma + 1e-12).all()
 
 
+def test_indices_computed_once_and_read_only():
+    ds = D.generate(small_cfg())
+    idx = ds.indices("train", 1)
+    assert idx is ds.indices("train", 1)
+    assert np.array_equal(idx, np.nonzero((ds.split == "train") & (ds.d == 1))[0])
+    assert np.array_equal(ds.indices("test"), np.nonzero(ds.split == "test")[0])
+    with pytest.raises(ValueError):
+        idx[0] = 0
+
+
 def test_sample_batch_empty_domain_rejected():
     ds = D.generate(small_cfg())
     with pytest.raises(ValueError):
@@ -268,6 +278,28 @@ def test_dataset_malformed_row_line_number(tmp_path):
     lines[5] = lines[5].rsplit(",", 1)[0]  # drop a field on file line 6
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataFormatError, match="line 6"):
+        D.load_dataset(path)
+
+
+def test_dataset_crlf_and_blank_lines_keep_line_numbers(tmp_path):
+    ds = D.generate(small_cfg())
+    path = tmp_path / "ds.csv"
+    D.save_dataset(ds, path)
+    lines = path.read_text().splitlines()
+    lines.insert(3, "")  # a blank file line 4 is skipped but still counted
+    path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    back = D.load_dataset(path, semantic=ds.semantic)
+    assert np.array_equal(back.x, ds.x) and np.array_equal(back.split, ds.split)
+    lines[5] = lines[5].rsplit(",", 1)[0]
+    path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    with pytest.raises(DataFormatError, match="line 6"):
+        D.load_dataset(path)
+
+
+def test_dataset_empty_file_rejected(tmp_path):
+    path = tmp_path / "ds.csv"
+    path.write_text("")
+    with pytest.raises(DataFormatError, match="empty dataset file"):
         D.load_dataset(path)
 
 
