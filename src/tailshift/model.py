@@ -64,18 +64,6 @@ def flatten_params(params: Params) -> np.ndarray:
                            for v in params.values()])
 
 
-def unflatten_params(vec: np.ndarray, like: Params) -> Params:
-    out: Params = {}
-    pos = 0
-    for k, v in like.items():
-        n = int(np.prod(v.shape)) if v.shape else 1
-        out[k] = np.asarray(vec[pos:pos + n], dtype=np.float64).reshape(v.shape)
-        pos += n
-    if pos != vec.size:
-        raise ValueError("unflatten_params: size mismatch")
-    return out
-
-
 def param_count(params: Params) -> int:
     return int(sum(np.asarray(v).size for v in params.values()))
 

@@ -130,13 +130,14 @@ def test_apply_step_shape_validation():
         M.apply_step(params, {"v": np.ones(3)}, 0.1)
 
 
-def test_flatten_unflatten_roundtrip():
+def test_flatten_params_order_and_size():
     params = make_params(16)
     vec = M.flatten_params(params)
-    back = M.unflatten_params(vec, params)
-    for k in params:
-        assert np.array_equal(back[k], params[k])
     assert M.param_count(params) == vec.size
+    # blocks follow insertion order, each flattened row-major
+    ends = np.cumsum([v.size for v in params.values()])
+    for part, v in zip(np.split(vec, ends[:-1]), params.values()):
+        assert np.array_equal(part, v.reshape(-1))
 
 
 def test_forward_deterministic():
