@@ -212,9 +212,10 @@ def s2s_loss(s_m, s_n, cp: ContrastiveParams):
     value = terms.sum() / float(terms.size)
 
     def bw(g):
-        gs = (g / float(terms.size)) / total                # (..., C)
+        gn = g / float(terms.size)
+        gs = gn / total                                     # (..., C)
         g_cross = ecross * gs[..., None]
-        g_cross[..., diag, diag] = epos * gs - g / float(terms.size)
+        g_cross[..., diag, diag] = epos * gs - gn
         if a.requires_grad:
             g_intra = eintra * gs[..., None]
             da = (g_cross @ bd + (g_intra + np.swapaxes(g_intra, -1, -2)) @ ad) / cp.tau
