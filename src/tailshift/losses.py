@@ -18,11 +18,14 @@ Five kernels plus one closed-form bound:
   cross-entropy under a Gaussian feature perturbation; a Monte-Carlo
   estimate of that expectation must stay below it.
 
-``aug_loss_mean`` and ``s2s_loss`` are each one graph node with a
-hand-written backward (``s2z_loss`` reaches the second through its
-``s2s_loss`` term); the other kernels are built from ``mathcore`` primitives.
-Like ``model``, each accepts plain arrays or graph tensors and always
-returns a scalar Tensor (its ``.data`` is the value). Gradients are analytic and cross-checked
+Every training loss is one graph node with a hand-written backward
+(``dc_loss_mean``, ``z2s_loss_mean``, ``s2s_loss``, ``aug_loss_mean``) or a
+sum of such nodes (``s2z_loss`` adds a ``dc_loss_mean`` on its ``affine``
+logits to an ``s2s_loss``); only ``aug_bound``, which no training step
+calls, is built from ``mathcore`` primitives. The two softmax
+cross-entropies share ``mathcore``'s log-softmax core. Like ``model``, each
+accepts plain arrays or graph tensors and always returns a scalar Tensor
+(its ``.data`` is the value). Gradients are analytic and cross-checked
 against ``mathcore.fd_grad``. A single sample is a batch of one, and the
 table kernels (``z2s_loss_mean``, ``s2s_loss``, ``s2z_loss``) take a stack
 of (C, d) tables over leading axes as well, returning the mean over the
@@ -35,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mathcore import Tensor, as_tensor, check_psd, log_softmax
-from .mathcore.autodiff import _unbroadcast
+from .mathcore import Tensor, affine, as_tensor, check_psd, log_softmax
+from .mathcore.autodiff import _log_softmax_core, _unbroadcast
 
 UNIT_TOL = 1e-6
 
@@ -124,26 +127,48 @@ def _check_unit_rows(x: np.ndarray, what: str):
 # calibrated classification
 # ---------------------------------------------------------------------------
 
+def _nll_at_labels(z: np.ndarray, labels: np.ndarray, weights=None):
+    """Mean of -log_softmax(z, weights) at `labels` over every (..., B, C)
+    row, and dL/dz = (softmax - onehot) g / n for an upstream gradient g."""
+    out, p, _ = _log_softmax_core(z, weights)
+    rows = np.arange(z.shape[-2])
+    picked = out[..., rows, labels]
+    n = float(picked.size)
+
+    def dz(g):
+        d = p.copy()
+        d[..., rows, labels] -= 1.0
+        d *= g / n
+        return d
+
+    return -(picked.sum() / n), dz
+
+
 def dc_loss_mean(logits, labels, domains, counts: DomainClassCounts | None):
     """Mean of -log( n_y e^{z_y} / sum_c n_c e^{z_c} ) over a batch.
 
-    `logits` is (B, C); `labels` and `domains` are int arrays of length B.
-    Each sample's counts row is its own training domain. Classes with a zero
-    count are excluded from the normalizer, so their logits receive exactly
-    zero gradient; ``counts=None`` gives the plain cross-entropy.
+    `logits` is (B, C), or a (..., B, C) stack averaged over; `labels` and
+    `domains` are int arrays of length B. Each sample's counts row is its own
+    training domain. Classes with a zero count are excluded from the
+    normalizer, so their logits receive exactly zero gradient;
+    ``counts=None`` gives the plain cross-entropy.
+
+    One graph node: the backward is (softmax - onehot) g / n.
     """
     z = as_tensor(logits)
     labels = np.asarray(labels, dtype=np.int64)
-    b = z.data.shape[0]
-    if counts is None:
-        lsm = log_softmax(z)
-    else:
+    w = None
+    if counts is not None:
         domains = np.asarray(domains, dtype=np.int64)
         w = counts.counts[domains].astype(np.float64)
-        if (w[np.arange(b), labels] <= 0).any():
+        if (w[np.arange(len(labels)), labels] <= 0).any():
             raise ValueError("dc_loss_mean: a label has zero count in its domain")
-        lsm = log_softmax(z, w)
-    return -lsm[np.arange(b), labels].mean()
+    value, dz = _nll_at_labels(z.data, labels, w)
+
+    def bw(g):
+        Tensor._accum(z, dz(g))
+
+    return Tensor._from_op(np.asarray(value), (z,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -158,19 +183,32 @@ def z2s_loss_mean(embeddings, labels, table, cp: ContrastiveParams):
     similarities are scaled by 1/tau, and the result is a softmax
     cross-entropy at the class index. A (..., C, d) stack of tables gives the
     mean over the stack of the per-table losses.
+
+    One graph node: with G = (softmax - onehot) g / (n tau) the derivative by
+    the similarities, the backward adds G s into the embeddings and G' e
+    into the table, summed back over broadcast stack axes.
     """
     e = as_tensor(embeddings)
     t = _table(table)
     labels = np.asarray(labels, dtype=np.int64)
     _check_unit_rows(e.data, "z2s_loss_mean embeddings")
     _check_unit_rows(t.data, "z2s_loss_mean table")
-    b = e.data.shape[0]
-    c = t.data.shape[-2]
-    sims = e @ t.T  # (..., B, C)
+    ed, td = e.data, t.data
+    b = ed.shape[-2]
+    c = td.shape[-2]
     margin = np.zeros((b, c))
     margin[np.arange(b), labels] = cp.alpha
-    lsm = log_softmax((sims - margin) / cp.tau)
-    return -lsm[..., np.arange(b), labels].mean()
+    z = (ed @ np.swapaxes(td, -1, -2) - margin) / cp.tau   # (..., B, C)
+    value, dz = _nll_at_labels(z, labels)
+
+    def bw(g):
+        gs = dz(g) / cp.tau
+        if e.requires_grad:
+            Tensor._accum(e, _unbroadcast(gs @ td, ed.shape))
+        if t.requires_grad:
+            Tensor._accum(t, _unbroadcast(np.swapaxes(gs, -1, -2) @ ed, td.shape))
+
+    return Tensor._from_op(np.asarray(value), (e, t), bw)
 
 
 def s2s_loss(s_m, s_n, cp: ContrastiveParams):
@@ -240,8 +278,7 @@ def s2z_loss(v_hat, w, b, encode, table, cp: ContrastiveParams):
     if not np.isfinite(v.data).all():
         raise ValueError("s2z_loss: non-finite prototypes")
     diag = np.arange(v.data.shape[-2])
-    logits = v @ as_tensor(w).T + as_tensor(b)
-    ce = -log_softmax(logits)[..., diag, diag].mean()
+    ce = dc_loss_mean(affine(v, w, b), diag, None, None)
     return ce + s2s_loss(encode(v), table, cp)
 
 

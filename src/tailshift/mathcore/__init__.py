@@ -5,6 +5,7 @@ functions, and seeded splittable randomness."""
 from .autodiff import (
     GradResult,
     Tensor,
+    affine,
     as_tensor,
     collect_grads,
     fd_grad,
@@ -21,6 +22,7 @@ __all__ = [
     "GradResult",
     "Rng",
     "Tensor",
+    "affine",
     "as_tensor",
     "check_psd",
     "check_symmetric",

@@ -5,7 +5,10 @@ built. Calling ``backward()`` on a scalar result accumulates gradients into
 every reachable leaf created with ``requires_grad=True``. The primitive set
 is deliberately small: affine algebra, elementwise transcendentals, rectifier,
 reductions, indexing/stacking, and the numerically stable (weighted)
-log-softmax kernel that the loss functions share.
+log-softmax. Two layers are one node each with a hand-written backward:
+``affine`` (``x @ w.T + b``) and ``normalize_rows``. The log-softmax array
+math lives once, in ``_log_softmax_core``; ``log_softmax`` and the fused
+cross-entropy nodes of ``losses`` call it.
 
 Gradients accumulate by rebinding, never in place: the first gradient a
 node receives is bound as is (it may be another node's array), and each
@@ -291,18 +294,13 @@ def stack(tensors, axis: int = 0) -> Tensor:
     return Tensor._from_op(out_data, tuple(parts), bw)
 
 
-def log_softmax(x, weights=None):
-    """Log-probabilities of a (weighted) softmax over the last axis.
+def _log_softmax_core(z: np.ndarray, weights=None):
+    """Array math of the (weighted) log-softmax over the last axis of `z`.
 
-    With weights w >= 0 the output is log(w_i e^{x_i} / sum_j w_j e^{x_j})
-    over the entries with w_i > 0; zero-weight entries are excluded from the
-    normalizer and reported as -inf, and their gradient is exactly zero.
-    Adding a constant to all inputs leaves the output unchanged.
-
-    Accepts a Tensor or ndarray (1-D or batched rows); returns a Tensor.
+    Returns the log-probabilities, the softmax (zero off the support) and
+    the support mask. ``log_softmax`` and the fused loss nodes share it, so
+    there is one max shift and one weighting rule.
     """
-    xt = as_tensor(x)
-    z = xt.data
     if not np.isfinite(z).all():
         raise ValueError("log_softmax: non-finite logits")
     if weights is None:
@@ -324,7 +322,22 @@ def log_softmax(x, weights=None):
     s = ez.sum(axis=-1, keepdims=True)
     p = ez / s
     logw = 0.0 if w is None else np.where(support, np.log(np.where(support, w, 1.0)), 0.0)
-    out_data = np.where(support, z + logw - (m + np.log(s)), -np.inf)
+    out = np.where(support, z + logw - (m + np.log(s)), -np.inf)
+    return out, p, support
+
+
+def log_softmax(x, weights=None):
+    """Log-probabilities of a (weighted) softmax over the last axis.
+
+    With weights w >= 0 the output is log(w_i e^{x_i} / sum_j w_j e^{x_j})
+    over the entries with w_i > 0; zero-weight entries are excluded from the
+    normalizer and reported as -inf, and their gradient is exactly zero.
+    Adding a constant to all inputs leaves the output unchanged.
+
+    Accepts a Tensor or ndarray (1-D or batched rows); returns a Tensor.
+    """
+    xt = as_tensor(x)
+    out_data, p, support = _log_softmax_core(xt.data, weights)
 
     def bw(g):
         geff = np.where(support, g, 0.0)
@@ -334,11 +347,45 @@ def log_softmax(x, weights=None):
     return Tensor._from_op(out_data, (xt,), bw)
 
 
-def normalize_rows(x, axis: int = -1) -> Tensor:
-    """Scale rows to (floored) unit Euclidean norm inside the graph."""
+def affine(x, w, b) -> Tensor:
+    """One node for ``x @ w.T + b``: x is (..., n, d_in), w is (d_out, d_in)
+    and b is (d_out,).
+
+    The backward adds g @ w into x, (x' g)' summed over stack axes into w,
+    and g summed over every axis but the last into b.
+    """
+    xt, wt, bt = as_tensor(x), as_tensor(w), as_tensor(b)
+    xd, wd = xt.data, wt.data
+    if xd.ndim < 2:
+        raise ValueError("affine: x needs a row axis")
+    out_data = xd @ wd.T + bt.data
+
+    def bw(g):
+        if xt.requires_grad:
+            Tensor._accum(xt, g @ wd)
+        if wt.requires_grad:
+            Tensor._accum(wt, _unbroadcast(xd.swapaxes(-1, -2) @ g, wd.T.shape).T)
+        if bt.requires_grad:
+            Tensor._accum(bt, _unbroadcast(g, bt.data.shape))
+
+    return Tensor._from_op(out_data, (xt, wt, bt), bw)
+
+
+def normalize_rows(x) -> Tensor:
+    """Scale rows to (floored) unit Euclidean norm inside the graph.
+
+    One node: y = x / n with n = sqrt(|x|^2 + NORM_FLOOR), and the backward
+    is (g - y (y . g)) / n.
+    """
     xt = as_tensor(x)
-    n2 = (xt * xt).sum(axis=axis, keepdims=True)
-    return xt / (n2 + NORM_FLOOR).sqrt()
+    xd = xt.data
+    n = np.sqrt((xd * xd).sum(axis=-1, keepdims=True) + NORM_FLOOR)
+    y = xd / n
+
+    def bw(g):
+        Tensor._accum(xt, (g - y * (y * g).sum(axis=-1, keepdims=True)) / n)
+
+    return Tensor._from_op(y, (xt,), bw)
 
 
 @dataclass

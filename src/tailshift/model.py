@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .mathcore import Rng, as_tensor, normalize_rows
+from .mathcore import Rng, affine, normalize_rows
 
 
 @dataclass(frozen=True)
@@ -86,17 +86,17 @@ def apply_step(params: Params, grads, lr: float) -> Params:
 
 def forward_features(params: Params, x, cfg: ModelConfig):
     """z = f(x): MLP over rows of x, rectifiers between layers."""
-    z = as_tensor(x)
+    z = x
     n_layers = len(cfg.feature_dims)
     for i in range(n_layers):
-        z = z @ as_tensor(params[f"f{i}.W"]).T + as_tensor(params[f"f{i}.b"])
+        z = affine(z, params[f"f{i}.W"], params[f"f{i}.b"])
         if i < n_layers - 1:
             z = z.relu()
     return z
 
 
 def forward_logits(params: Params, z):
-    return as_tensor(z) @ as_tensor(params["cls.W"]).T + as_tensor(params["cls.b"])
+    return affine(z, params["cls.W"], params["cls.b"])
 
 
 DEAD_ROW_NORM = 1e-8
@@ -109,8 +109,7 @@ def encode(params: Params, z, cfg: ModelConfig):
     rows map to the uniform unit vector (gradient-free), keeping the output
     exactly on the unit sphere instead of exploding through 1/norm.
     """
-    a = as_tensor(z) @ as_tensor(params["enc.W"]).T + as_tensor(params["enc.b"])
-    r = a.relu()
+    r = affine(z, params["enc.W"], params["enc.b"]).relu()
     norms = np.linalg.norm(r.data, axis=-1, keepdims=True)
     unit = normalize_rows(r)
     if (norms < DEAD_ROW_NORM).any():
@@ -122,8 +121,7 @@ def encode(params: Params, z, cfg: ModelConfig):
 
 def decode(params: Params, s, cfg: ModelConfig):
     """Visual reconstruction of semantic rows."""
-    a = as_tensor(s) @ as_tensor(params["dec.W"]).T + as_tensor(params["dec.b"])
-    return a.relu()
+    return affine(s, params["dec.W"], params["dec.b"]).relu()
 
 
 def predict_logits(params: Params, x, cfg: ModelConfig) -> np.ndarray:

@@ -505,6 +505,91 @@ def test_s2s_loss_matches_primitive_graph(sa, sb, leaves):
         assert err < 1e-13, k
 
 
+def _dc_loss_from_primitives(z, labels, weights):
+    """The calibrated loss as a graph of mathcore primitives."""
+    b = z.data.shape[-2]
+    return -log_softmax(z, weights)[..., np.arange(b), labels].mean()
+
+
+def _z2s_loss_from_primitives(e, labels, t, cp):
+    """The alignment loss as a graph of mathcore primitives."""
+    b, c = e.data.shape[-2], t.data.shape[-2]
+    margin = np.zeros((b, c))
+    margin[np.arange(b), labels] = cp.alpha
+    lsm = log_softmax((e @ t.T - margin) / cp.tau)
+    return -lsm[..., np.arange(b), labels].mean()
+
+
+def _assert_fused_matches(fused_fn, ref_fn, params):
+    """Bit-equal value, gradients within 1e-13 relative, one op node."""
+    leaves = {k: Tensor(v, requires_grad=True) for k, v in params.items()}
+    out = fused_fn(leaves)
+    assert all(p._backward is None for p in out._parents)
+    fused, ref = grad(fused_fn, params), grad(ref_fn, params)
+    assert fused.value == ref.value
+    for k in params:
+        assert fused.grads[k].shape == params[k].shape
+        err = np.abs(fused.grads[k] - ref.grads[k]).max() / np.abs(ref.grads[k]).max()
+        assert err < 1e-13, k
+    return fused
+
+
+def test_dc_loss_mean_matches_primitive_graph_with_zero_count_classes():
+    rng = Rng(23)
+    counts = L.DomainClassCounts(np.array([[4, 0, 2, 7, 0, 1], [3, 5, 0, 1, 9, 0]]))
+    domains = np.array([0, 1, 0, 1, 1, 0, 1])
+    labels = np.array([0, 1, 3, 4, 0, 5, 3])
+    z = 3.0 * rng.normal(size=(7, 6))
+    w = counts.counts[domains].astype(np.float64)
+    fused = _assert_fused_matches(
+        lambda t: L.dc_loss_mean(t["z"], labels, domains, counts),
+        lambda t: _dc_loss_from_primitives(t["z"], labels, w), {"z": z})
+    assert (fused.grads["z"][w == 0] == 0.0).all()
+    assert (fused.grads["z"][w > 0] != 0.0).all()
+
+
+def test_dc_loss_mean_unweighted_stack_matches_primitive_graph():
+    rng = Rng(24)
+    diag = np.arange(5)
+    _assert_fused_matches(lambda t: L.dc_loss_mean(t["z"], diag, None, None),
+                          lambda t: _dc_loss_from_primitives(t["z"], diag, None),
+                          {"z": rng.normal(size=(3, 5, 5))})
+
+
+def test_dc_loss_mean_refusals_stay():
+    counts = L.DomainClassCounts(np.array([[1, 0, 2]]))
+    with pytest.raises(ValueError, match="zero count"):
+        L.dc_loss_mean(np.zeros((1, 3)), [1], [0], counts)
+    with pytest.raises(ValueError, match="non-finite"):
+        L.dc_loss_mean(np.array([[0.0, np.inf, 1.0]]), [0], [0], counts)
+
+
+# (embeddings shape, table shape, leaves): a 2-D table, (B, d) embeddings
+# against a (K, C, d) stack, and each side alone as the leaf.
+Z2S_CASES = [((6, 4), (5, 4), "et"), ((6, 4), (3, 5, 4), "et"), ((6, 4), (3, 5, 4), "e"),
+             ((6, 4), (3, 5, 4), "t"), ((6, 4), (5, 4), "t")]
+
+
+@pytest.mark.parametrize("se,st,leaves", Z2S_CASES)
+def test_z2s_loss_mean_matches_primitive_graph(se, st, leaves):
+    rng = Rng(25)
+    cp = L.ContrastiveParams(alpha=0.1, tau=1.0 / 30.0)
+
+    def unit(shape):
+        raw = rng.normal(size=shape)
+        return raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+
+    arrays = {"e": unit(se), "t": unit(st)}
+    labels = rng.integers(0, st[-2], size=se[0])
+    params = {k: arrays[k] for k in leaves}
+
+    def call(kernel):
+        return lambda t: kernel(t.get("e", Tensor(arrays["e"])), labels,
+                                t.get("t", Tensor(arrays["t"])), cp)
+
+    _assert_fused_matches(call(L.z2s_loss_mean), call(_z2s_loss_from_primitives), params)
+
+
 def test_s2z_loss_grad_encoder_only_leaves():
     rng = Rng(18)
     c, d_v, d_s = 5, 4, 3

@@ -5,9 +5,11 @@ import pytest
 
 from tailshift.data import unit_normalize
 from tailshift.errors import NumericsError
+from tailshift.mathcore.autodiff import NORM_FLOOR
 from tailshift.mathcore import (
     Rng,
     Tensor,
+    affine,
     check_psd,
     fd_grad,
     grad,
@@ -106,6 +108,76 @@ def test_normalize_rows_unit():
     x = rng.normal(size=(5, 4))
     out = normalize_rows(Tensor(x))
     assert np.abs(np.linalg.norm(out.data, axis=1) - 1.0).max() < 1e-10
+
+
+def _normalize_rows_from_primitives(x):
+    n2 = (x * x).sum(axis=-1, keepdims=True)
+    return x / (n2 + NORM_FLOOR).sqrt()
+
+
+def _rel_err(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+def test_normalize_rows_is_one_node_matching_primitive_graph():
+    rng = Rng(4)
+    x = rng.normal(size=(2, 5, 4))
+    x[0, 1] *= 1e-12                              # |x|^2 at the floor's scale
+    wts = rng.normal(size=x.shape)
+    leaf = Tensor(x, requires_grad=True)
+    out = normalize_rows(leaf)
+    assert out._parents == (leaf,)
+    assert np.array_equal(out.data, _normalize_rows_from_primitives(Tensor(x)).data)
+    fused = grad(lambda t: (normalize_rows(t["x"]) * wts).sum(), {"x": x})
+    ref = grad(lambda t: (_normalize_rows_from_primitives(t["x"]) * wts).sum(), {"x": x})
+    assert fused.value == ref.value
+    assert _rel_err(fused.grads["x"], ref.grads["x"]) < 1e-13
+
+
+def test_normalize_rows_grad_matches_fd_at_unit_and_floor_scale():
+    rng = Rng(5)
+    wts = rng.normal(size=4)
+    for scale, eps in ((1.0, 1e-6), (1e-12, 1e-18)):
+        x = scale * rng.normal(size=(3, 4))
+        assert np.sqrt((x * x).sum(axis=-1)).min() > 0.1 * scale
+
+        def fn(t):
+            return (normalize_rows(t["x"]) * wts).sum()
+
+        a, f = grad(fn, {"x": x}), fd_grad(fn, {"x": x}, eps=eps)
+        assert _rel_err(a.grads["x"], f.grads["x"]) < 1e-6, scale
+
+
+# (x shape, leaves): a 2-D batch and a stack of batches, with every operand
+# alone as the leaf.
+AFFINE_CASES = [((5, 4), "xwb"), ((3, 5, 4), "xwb"), ((3, 5, 4), "x"), ((3, 5, 4), "w"),
+                ((3, 5, 4), "b"), ((5, 4), "w")]
+
+
+@pytest.mark.parametrize("sx,leaves", AFFINE_CASES)
+def test_affine_is_one_node_matching_primitive_graph(sx, leaves):
+    rng = Rng(12)
+    arrays = {"x": rng.normal(size=sx), "w": rng.normal(size=(3, 4)), "b": rng.normal(size=3)}
+    params = {k: arrays[k] for k in leaves}
+    wts = rng.normal(size=sx[:-1] + (3,))
+
+    def call(fn):
+        return lambda t: (fn(*(t.get(k, Tensor(arrays[k])) for k in "xwb")) * wts).sum()
+
+    out = affine(*(Tensor(arrays[k], requires_grad=True) for k in "xwb"))
+    assert len(out._parents) == 3 and all(p._backward is None for p in out._parents)
+    assert np.array_equal(out.data, arrays["x"] @ arrays["w"].T + arrays["b"])
+    fused = grad(call(affine), params)
+    ref = grad(call(lambda x, w, b: x @ w.T + b), params)
+    assert fused.value == ref.value
+    for k in params:
+        assert fused.grads[k].shape == arrays[k].shape
+        assert _rel_err(fused.grads[k], ref.grads[k]) < 1e-13, k
+
+
+def test_affine_refuses_a_single_row_vector():
+    with pytest.raises(ValueError, match="row axis"):
+        affine(np.ones(4), np.ones((3, 4)), np.ones(3))
 
 
 # ---------------------------------------------------------------------------
