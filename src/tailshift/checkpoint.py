@@ -24,6 +24,9 @@ from .meta import TrainerState
 
 FORMAT = "tailshift-checkpoint"
 VERSION = 3
+# Top-level fields of a version-3 payload besides format and version.
+FIELDS = ("step", "model_config", "train_config", "dataset_fingerprint", "params",
+          "proto", "cov", "rng_state")
 
 
 def _enc_array(a: np.ndarray) -> dict:
@@ -72,19 +75,31 @@ def save_checkpoint(path, state: TrainerState, model_config: dict,
 
 
 def load_checkpoint(path) -> tuple[TrainerState, dict]:
-    """Returns (trainer state, full payload dict)."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    if raw.get("format") != FORMAT:
-        raise DataFormatError("not a tailshift checkpoint")
+    """Returns (trainer state, full payload dict). A file that is not a
+    whole version-3 checkpoint raises ``DataFormatError`` naming the file."""
+    path = Path(path)
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: not a JSON document ({exc})") from exc
+    if not isinstance(raw, dict) or raw.get("format") != FORMAT:
+        raise DataFormatError(f"{path}: not a tailshift checkpoint")
     if raw.get("version") != VERSION:
-        raise DataFormatError(f"unsupported checkpoint version {raw.get('version')}")
-    params = {k: _dec_array(v) for k, v in raw["params"]}
-    proto = PrototypeBank(v=_dec_array(raw["proto"]["v"]),
-                          mask=_dec_array(raw["proto"]["mask"]),
-                          ema=float(raw["proto"]["ema"]))
-    cov = CovarianceBank(mu=_dec_array(raw["cov"]["mu"]),
-                         sigma=_dec_array(raw["cov"]["sigma"]),
-                         n=_dec_array(raw["cov"]["n"]))
-    state = TrainerState(params=params, proto=proto, cov=cov,
-                         rng_state=raw["rng_state"], step=int(raw["step"]))
+        raise DataFormatError(f"{path}: unsupported checkpoint version {raw.get('version')}")
+    missing = [k for k in FIELDS if k not in raw]
+    if missing:
+        raise DataFormatError(f"{path}: checkpoint lacks {', '.join(missing)}")
+    try:
+        params = {k: _dec_array(v) for k, v in raw["params"]}
+        proto = PrototypeBank(v=_dec_array(raw["proto"]["v"]),
+                              mask=_dec_array(raw["proto"]["mask"]),
+                              ema=float(raw["proto"]["ema"]))
+        cov = CovarianceBank(mu=_dec_array(raw["cov"]["mu"]),
+                             sigma=_dec_array(raw["cov"]["sigma"]),
+                             n=_dec_array(raw["cov"]["n"]))
+        state = TrainerState(params=params, proto=proto, cov=cov,
+                             rng_state=raw["rng_state"], step=int(raw["step"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path}: malformed checkpoint "
+                              f"({type(exc).__name__}: {exc})") from exc
     return state, raw

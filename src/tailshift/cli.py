@@ -61,14 +61,20 @@ def _load_dataset_dir(path: str | Path) -> tuple[D.Dataset, str]:
     ds_file = root / DATASET_FILE
     if not ds_file.exists():
         raise DataFormatError(f"no {DATASET_FILE} under {root}")
-    manifest = None
-    if (root / MANIFEST_FILE).exists():
-        manifest = json.loads((root / MANIFEST_FILE).read_text(encoding="utf-8"))
+    fingerprint = None
+    man_file = root / MANIFEST_FILE
+    if man_file.exists():
+        try:
+            manifest = json.loads(man_file.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise DataFormatError(f"{man_file}: not a JSON document ({exc})") from exc
+        if not isinstance(manifest, dict) or not isinstance(manifest.get("config_hash"), str):
+            raise DataFormatError(f"{man_file}: no config_hash string")
+        fingerprint = manifest["config_hash"]
     emb_file = root / EMBEDDINGS_FILE
     table = D.load_embeddings(emb_file) if emb_file.exists() else None
     dataset = D.load_dataset(ds_file, semantic=table)
-    fingerprint = manifest["config_hash"] if manifest else _sha256(ds_file)
-    return dataset, fingerprint
+    return dataset, _sha256(ds_file) if fingerprint is None else fingerprint
 
 
 def _resolve_dataset(cfg: RunConfig, data_dir: str | None) -> tuple[D.Dataset, str]:

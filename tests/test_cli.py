@@ -395,14 +395,36 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         assert got.flags.writeable
 
 
-def test_checkpoint_rejects_foreign_files(tmp_path):
+def test_checkpoint_rejects_foreign_files(tmp_path, capsys):
     from tailshift.errors import DataFormatError
     path = tmp_path / "x.json"
-    for payload in ({"format": "other"}, {"format": "tailshift-checkpoint", "version": 1},
-                    {"format": "tailshift-checkpoint", "version": 2}):
-        path.write_text(json.dumps(payload))
-        with pytest.raises(DataFormatError):
+    header = {"format": "tailshift-checkpoint", "version": 3}
+    for text in (json.dumps({"format": "other"}),
+                 json.dumps({"format": "tailshift-checkpoint", "version": 1}),
+                 json.dumps({"format": "tailshift-checkpoint", "version": 2}),
+                 "not json at all",
+                 json.dumps(header)[:-9],     # truncated
+                 json.dumps(header)):         # a version-3 header without params
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match="x.json"):
             CK.load_checkpoint(path)
+        assert main(["eval", "--checkpoint", str(path), "--data", str(tmp_path)]) == 2
+        assert "x.json" in capsys.readouterr().err
+
+
+def test_eval_refuses_manifest_without_config_hash(tiny_config, tmp_path, capsys):
+    bench = tmp_path / "bench"
+    run = tmp_path / "run"
+    main(["gen-data", "--config", tiny_config, "--out", str(bench)])
+    main(["train", "--config", tiny_config, "--data", str(bench), "--out", str(run)])
+    manifest = json.loads((bench / "manifest.json").read_text())
+    del manifest["config_hash"]
+    (bench / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(run / "checkpoint.json"),
+                 "--data", str(bench)]) == 2
+    err = capsys.readouterr().err
+    assert "manifest.json" in err and "config_hash" in err
 
 
 def test_checkpoint_failed_save_keeps_earlier_file(tmp_path, monkeypatch):
