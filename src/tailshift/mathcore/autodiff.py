@@ -298,14 +298,17 @@ def _log_softmax_core(z: np.ndarray, weights=None):
     """Array math of the (weighted) log-softmax over the last axis of `z`.
 
     Returns the log-probabilities, the softmax (zero off the support) and
-    the support mask. ``log_softmax`` and the fused loss nodes share it, so
-    there is one max shift and one weighting rule.
+    the support mask, which is None without weights: then every entry is in
+    the support and nothing is masked. ``log_softmax`` and the fused loss
+    nodes share it, so there is one max shift and one weighting rule.
     """
     if not np.isfinite(z).all():
         raise ValueError("log_softmax: non-finite logits")
     if weights is None:
-        support = np.ones(z.shape, dtype=bool)
-        w = None
+        support = None
+        m = z.max(axis=-1, keepdims=True)
+        ez = np.exp(z - m)
+        logw = 0.0
     else:
         w = np.asarray(weights, dtype=np.float64)
         if not np.isfinite(w).all() or (w < 0).any():
@@ -314,15 +317,14 @@ def _log_softmax_core(z: np.ndarray, weights=None):
         support = w > 0
         if not support.any(axis=-1).all():
             raise ValueError("log_softmax: a row has no positive weight")
-
-    m = np.max(np.where(support, z, -np.inf), axis=-1, keepdims=True)
-    ez = np.where(support, np.exp(z - m), 0.0)
-    if w is not None:
-        ez = ez * np.where(support, w, 0.0)
+        m = np.max(np.where(support, z, -np.inf), axis=-1, keepdims=True)
+        ez = np.where(support, np.exp(z - m), 0.0) * np.where(support, w, 0.0)
+        logw = np.where(support, np.log(np.where(support, w, 1.0)), 0.0)
     s = ez.sum(axis=-1, keepdims=True)
     p = ez / s
-    logw = 0.0 if w is None else np.where(support, np.log(np.where(support, w, 1.0)), 0.0)
-    out = np.where(support, z + logw - (m + np.log(s)), -np.inf)
+    out = z + logw - (m + np.log(s))
+    if support is not None:
+        out = np.where(support, out, -np.inf)
     return out, p, support
 
 
@@ -340,7 +342,7 @@ def log_softmax(x, weights=None):
     out_data, p, support = _log_softmax_core(xt.data, weights)
 
     def bw(g):
-        geff = np.where(support, g, 0.0)
+        geff = g if support is None else np.where(support, g, 0.0)
         gz = geff - p * geff.sum(axis=-1, keepdims=True)
         Tensor._accum(xt, gz)
 
