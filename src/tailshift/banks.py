@@ -7,12 +7,18 @@ covariances are streamed exactly (population statistics, merged batch by
 batch) and blended across semantically similar classes so tail classes can
 borrow second-order structure from related heads.
 
+Both covariance steps are loop-free over classes. A batch is sorted by label
+once and its per-class covariances are one batched Gram product over the
+class-centred rows; blending is one (C, C) mixing matrix times the flattened
+covariance stack, with each class's top-k neighbours read from an index the
+read-only ``SemanticTable`` computes once per k.
+
 Update operations return new bank objects; callers own the state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,12 +29,17 @@ UNIT_TOL = 1e-10
 
 @dataclass(frozen=True)
 class SemanticTable:
-    """Unit-normalized per-class semantic embeddings, shape (C, d_s)."""
+    """Unit-normalized per-class semantic embeddings, shape (C, d_s).
+
+    The table keeps a read-only copy of the rows it is given, so the rows
+    checked here are the rows every later reader sees.
+    """
 
     s: np.ndarray
+    _neighbours: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        s = np.asarray(self.s, dtype=np.float64)
+        s = np.array(self.s, dtype=np.float64)
         if s.ndim != 2 or s.shape[0] < 2:
             raise ValueError("semantic table must be (C >= 2, d_s)")
         if not np.isfinite(s).all():
@@ -36,7 +47,18 @@ class SemanticTable:
         norms = np.linalg.norm(s, axis=1)
         if np.abs(norms - 1.0).max() > UNIT_TOL:
             raise ValueError("semantic table rows must be unit-normalized")
+        s.flags.writeable = False
         object.__setattr__(self, "s", s)
+
+    def neighbours(self, k: int) -> np.ndarray:
+        """``topk_neighbours(self, k)``, computed once per k and returned
+        read-only. The rows never change, so the cache cannot go stale."""
+        idx = self._neighbours.get(k)
+        if idx is None:
+            idx = topk_neighbours(self, k)
+            idx.flags.writeable = False
+            self._neighbours[k] = idx
+        return idx
 
     @property
     def n_classes(self) -> int:
@@ -151,35 +173,51 @@ def update_covariance(bank: CovarianceBank, features, labels) -> CovarianceBank:
     With n existing and m incoming samples of a class:
         mu'    = (n mu + m mu_b) / (n + m)
         Sigma' = (n Sigma + m Sigma_b)/(n + m) + n m (mu - mu_b)(mu - mu_b)'/(n + m)^2
-    where Sigma_b is the population covariance of the batch. Batch means and
-    covariances of all classes come from one one-hot matmul each, the latter
-    over the flattened outer products of the class-centred samples.
+    where Sigma_b is the population covariance of the batch. The batch is
+    sorted by label once (stably); the class means are segment sums of the
+    sorted rows, and the class-centred rows are scattered into a zero-padded
+    (U, m_max, d) stack P, so Sigma_b of all U classes is one batched Gram
+    product P'P / m.
     """
     features = np.asarray(features, dtype=np.float64)
     if not np.isfinite(features).all():
         raise ValueError("update_covariance: non-finite features")
     labels = np.asarray(labels, dtype=np.int64)
-    classes, inv, onehot, m = _class_onehot(labels)
-    nb, d = features.shape
-    mu_b = onehot @ features / m[:, None]                              # (U, d)
-    centered = features - mu_b[inv]
-    outer = (centered[:, :, None] * centered[:, None, :]).reshape(nb, d * d)
-    sig_b = (onehot @ outer).reshape(-1, d, d) / m[:, None, None]      # (U, d, d)
+    counts = np.bincount(labels)
+    classes = np.flatnonzero(counts)                                   # (U,)
+    counts = counts[classes]
+    starts = np.cumsum(counts) - counts          # first row of each class once sorted
+    m = counts.astype(np.float64)
+    xs = features[np.argsort(labels, kind="stable")]
+    mu_b = np.add.reduceat(xs, starts, axis=0) / m[:, None]            # (U, d)
+    seg = np.repeat(np.arange(len(classes)), counts)                   # class of each sorted row
+    padded = np.zeros((len(classes), counts.max(initial=0), xs.shape[1]))
+    padded[seg, np.arange(len(xs)) - starts[seg]] = xs - mu_b[seg]
+    sig_b = np.swapaxes(padded, 1, 2) @ padded                        # (U, d, d)
+    sig_b /= m[:, None, None]
 
     n = bank.n[classes].astype(np.float64)
     tot = n + m
     mu_old = bank.mu[classes]
     delta = mu_old - mu_b
     mu_new = (n[:, None] * mu_old + m[:, None] * mu_b) / tot[:, None]
-    sig = (n[:, None, None] * bank.sigma[classes] + m[:, None, None] * sig_b) \
-        / tot[:, None, None] \
-        + ((n * m) / (tot * tot))[:, None, None] * (delta[:, :, None] * delta[:, None, :])
-    sig = 0.5 * (sig + np.swapaxes(sig, 1, 2))
+    # The merge runs in place on the gathered rows; each step is the
+    # elementwise operation of the formula above, in its order.
+    sig = bank.sigma[classes]
+    sig *= n[:, None, None]
+    sig += m[:, None, None] * sig_b
+    sig /= tot[:, None, None]
+    spread = delta[:, :, None] * delta[:, None, :]
+    spread *= ((n * m) / (tot * tot))[:, None, None]
+    sig += spread
+    sig += np.swapaxes(sig, 1, 2)
+    sig *= 0.5
     first = (n == 0)
+    sig[first] = sig_b[first]
     out = bank.copy()
     out.mu[classes] = np.where(first[:, None], mu_b, mu_new)
-    out.sigma[classes] = np.where(first[:, None, None], sig_b, sig)
-    out.n[classes] += m.astype(np.int64)
+    out.sigma[classes] = sig
+    out.n[classes] += counts
     return out
 
 
@@ -196,16 +234,23 @@ def blend_covariance(bank: CovarianceBank, table: SemanticTable, k: int,
     """Count-weighted mix of the covariances of each class's top-k semantic
     neighbours. Returns (sigma_prime stack, empty-flag per class); a class
     whose selected neighbours are all unseen gets a zero matrix and a flag.
+
+    The neighbours come from the table's cached index. Row c of a (C, C)
+    mixing matrix holds its neighbours' weights divided by their total, so
+    the whole stack is one product of that matrix with the (C, d*d)
+    flattened covariances.
     """
     c_total = table.n_classes
     if not (1 <= k <= c_total):
         raise ValueError("blend_covariance: k must lie in [1, C]")
     if bank.sigma.shape[0] != c_total:
         raise ValueError("blend_covariance: bank/table class count mismatch")
-    sel = topk_neighbours(table, k)                                    # (C, k)
+    sel = table.neighbours(k)                                          # (C, k)
     n_sel = bank.n[sel].astype(np.float64)
     empty = n_sel.sum(axis=1) <= 0
     wts = np.where(empty[:, None], 0.0, n_sel if weighted else np.ones_like(n_sel))
     total = np.where(empty, 1.0, wts.sum(axis=1))
-    sigma_prime = np.einsum("ci,cijk->cjk", wts, bank.sigma[sel]) / total[:, None, None]
+    mix = np.zeros((c_total, c_total))
+    mix[np.arange(c_total)[:, None], sel] = wts / total[:, None]
+    sigma_prime = (mix @ bank.sigma.reshape(c_total, -1)).reshape(bank.sigma.shape)
     return sigma_prime, empty

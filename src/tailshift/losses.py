@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .banks import SemanticTable
 from .mathcore import Tensor, affine, as_tensor, check_psd, log_softmax
 from .mathcore.autodiff import _log_softmax_core, _unbroadcast
 
@@ -109,11 +110,16 @@ class DomainClassCounts:
         return self.counts > 0
 
 
-def _table(table) -> Tensor:
-    """Accept a Tensor, a SemanticTable-like object or a plain (C, d) array."""
-    if isinstance(table, Tensor):
-        return table
-    return Tensor(np.asarray(getattr(table, "s", table), dtype=np.float64))
+def _table(table, what: str) -> Tensor:
+    """A Tensor of unit rows from a Tensor, a SemanticTable or a plain
+    (..., C, d) array. A SemanticTable's rows were checked at a tighter
+    tolerance when it was built and are read-only, so only Tensors and arrays
+    are checked here."""
+    if isinstance(table, SemanticTable):
+        return Tensor(table.s)
+    t = as_tensor(table)
+    _check_unit_rows(t.data, what)
+    return t
 
 
 def _check_unit_rows(x: np.ndarray, what: str):
@@ -189,10 +195,9 @@ def z2s_loss_mean(embeddings, labels, table, cp: ContrastiveParams):
     into the table, summed back over broadcast stack axes.
     """
     e = as_tensor(embeddings)
-    t = _table(table)
-    labels = np.asarray(labels, dtype=np.int64)
     _check_unit_rows(e.data, "z2s_loss_mean embeddings")
-    _check_unit_rows(t.data, "z2s_loss_mean table")
+    t = _table(table, "z2s_loss_mean table")
+    labels = np.asarray(labels, dtype=np.int64)
     ed, td = e.data, t.data
     b = ed.shape[-2]
     c = td.shape[-2]
@@ -224,11 +229,9 @@ def s2s_loss(s_m, s_n, cp: ContrastiveParams):
     (G_cross b + (G_intra + G_intra') a) / tau into s_m and G_cross' a / tau
     into s_n, summed back over broadcast stack axes.
     """
-    a, b = _table(s_m), _table(s_n)
+    a, b = _table(s_m, "s2s_loss s_m"), _table(s_n, "s2s_loss s_n")
     if a.data.shape[-2:] != b.data.shape[-2:]:
         raise ValueError("s2s_loss: table shapes differ")
-    _check_unit_rows(a.data, "s2s_loss s_m")
-    _check_unit_rows(b.data, "s2s_loss s_n")
     ad, bd = a.data, b.data
     c = ad.shape[-2]
     diag = np.arange(c)
@@ -299,17 +302,25 @@ def aug_loss_mean(features, labels, w, b, sigma_primes, ap: AugParams):
     One graph node: the penalties of the U distinct labels are one batched
     (U, C, d) @ (U, d, d) product, the U covariances read are validated by
     one ``check_psd`` on their stack, and the backward into features, W and
-    b is written out by hand.
+    b is written out by hand. The quadratic form only sees the symmetric
+    part of each Sigma', so the kernel uses that part (equal to Sigma' up to
+    ``SYM_TOL``): d pen / d diff is then 2 diff Sigma', the product the
+    forward already made. The per-class penalty gradients are one (U, B)
+    one-hot product with the batch's logit gradients, and the penalties and
+    their W gradients are contracted with ``einsum``, so no (U, C, d)
+    temporary is built beyond diff and diff Sigma'.
     """
     f, wt, bt = as_tensor(features), as_tensor(w), as_tensor(b)
     labels = np.asarray(labels, dtype=np.int64)
     nb = f.data.shape[0]
     classes, inv = np.unique(labels, return_inverse=True)
     sig = check_psd(np.asarray(sigma_primes, dtype=np.float64)[classes])  # (U, d, d)
+    sig += np.swapaxes(sig, 1, 2)                        # its symmetric part, in place
+    sig *= 0.5
     wd = wt.data
     diff = wd[None, :, :] - wd[classes][:, None, :]      # (U, C, d): w_c - w_y
     diff_sig = diff @ sig
-    pen = (diff_sig * diff).sum(axis=2)                  # (U, C)
+    pen = np.einsum("ucd,ucd->uc", diff_sig, diff)      # (U, C)
     logits = f.data @ wd.T + bt.data + (ap.lam / 2.0) * pen[inv]
     if not np.isfinite(logits).all():
         raise ValueError("aug_loss_mean: non-finite logits")
@@ -329,13 +340,14 @@ def aug_loss_mean(features, labels, w, b, sigma_primes, ap: AugParams):
         if bt.requires_grad:
             Tensor._accum(bt, dz.sum(axis=0))
         if wt.requires_grad:
-            dpen = np.zeros_like(pen)
-            np.add.at(dpen, inv, (ap.lam / 2.0) * dz)
-            # d pen / d diff = diff (Sigma' + Sigma'^T); the label row has
-            # diff = 0 and so takes no gradient through it.
-            ddiff = dpen[:, :, None] * (diff_sig + diff @ np.swapaxes(sig, 1, 2))
-            dw = dz.T @ f.data + ddiff.sum(axis=0)
-            dw[classes] -= ddiff.sum(axis=1)
+            onehot = np.where(inv[None, :] == np.arange(len(classes))[:, None],
+                              ap.lam / 2.0, 0.0)                # (U, B)
+            dpen = onehot @ dz                                  # (U, C)
+            # d pen / d diff = 2 diff Sigma' for a symmetric Sigma'; the
+            # label row has diff = 0 and so takes no gradient through it.
+            g2 = 2.0 * dpen
+            dw = dz.T @ f.data + np.einsum("uc,ucd->cd", g2, diff_sig)
+            dw[classes] -= np.einsum("uc,ucd->ud", g2, diff_sig)
             Tensor._accum(wt, dw)
 
     return Tensor._from_op(np.asarray(value), (f, wt, bt), bw)

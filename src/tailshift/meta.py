@@ -273,7 +273,7 @@ def meta_train_losses(leaves, batches, proto: PrototypeBank, cov: CovarianceBank
         s_hat = complete_semantic(proto, enc, table, proto_rows)    # (K, C, d_s)
 
     if cfg.use_s2s:
-        l_s2s = s2s_loss(s_hat, table.s, cfg.cp)
+        l_s2s = s2s_loss(s_hat, table, cfg.cp)
         if len(proto_rows) > 1:
             # every ordered pair (m, n) of distinct tables
             m, n = np.nonzero(~np.eye(len(proto_rows), dtype=bool))

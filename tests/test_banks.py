@@ -27,6 +27,42 @@ def test_semantic_table_validation():
     assert table.n_classes == 4 and table.dim == 3
 
 
+def test_semantic_table_is_a_read_only_copy():
+    rows = unit_rows(Rng(23), 4, 3)
+    table = B.SemanticTable(rows)
+    before = table.s.copy()
+    rows[0] = [0.0, 0.0, 5.0]          # the caller's array changes afterwards
+    assert np.array_equal(table.s, before)
+    with pytest.raises(ValueError):
+        table.s[0, 0] = 2.0
+    idx = table.neighbours(2)
+    with pytest.raises(ValueError):
+        idx[0, 0] = 3
+    assert np.array_equal(table.s, before)
+
+
+def test_neighbour_index_computed_once_per_k(monkeypatch):
+    calls = []
+    topk = B.topk_neighbours
+
+    def spying_topk(table, k):
+        calls.append((id(table), k))
+        return topk(table, k)
+
+    monkeypatch.setattr(B, "topk_neighbours", spying_topk)
+    rng = Rng(24)
+    table, other = make_table(rng, c=5, d_s=3), make_table(rng, c=5, d_s=3)
+    bank = B.update_covariance(B.CovarianceBank.zeros(5, 2), rng.normal(size=(20, 2)),
+                               rng.integers(0, 5, size=20))
+    first = B.blend_covariance(bank, table, k=3)[0]
+    for _ in range(3):
+        assert np.array_equal(B.blend_covariance(bank, table, k=3)[0], first)
+        B.blend_covariance(bank, table, k=2, weighted=False)
+        B.blend_covariance(bank, other, k=3)
+    assert sorted(calls) == sorted([(id(table), 3), (id(table), 2), (id(other), 3)])
+    assert np.array_equal(table.neighbours(3), topk(table, 3))
+
+
 # ---------------------------------------------------------------------------
 # prototype EMA
 # ---------------------------------------------------------------------------
@@ -229,6 +265,61 @@ def test_covariance_streaming_equals_oneshot():
             assert bank.n[cls] == len(sel)
 
 
+def _two_pass(x, y, c):
+    """Per-class mean and population covariance, computed class by class."""
+    mu, sig = np.zeros((c, x.shape[1])), np.zeros((c, x.shape[1], x.shape[1]))
+    for cls in np.unique(y):
+        sel = x[y == cls]
+        mu[cls] = sel.mean(axis=0)
+        centred = sel - mu[cls]
+        sig[cls] = centred.T @ centred / len(sel)
+    return mu, sig, np.bincount(y, minlength=c)
+
+
+def _unbalanced_batch(rng, nb, d, c):
+    """One class holds all but two samples (the largest padding); the other
+    two are singletons of distinct classes. Rows come in shuffled order."""
+    y = np.full(nb, 3)
+    y[:2] = [0, c - 1]
+    return 2.0 + rng.normal(size=(nb, d)), y[rng.permutation(nb)]
+
+
+def test_update_covariance_matches_two_pass_per_class():
+    rng = Rng(25)
+    c, d = 6, 4
+    bank = B.CovarianceBank.zeros(c, d)
+    x1, y1 = _unbalanced_batch(rng, 13, d, c)
+    x2, y2 = rng.normal(size=(17, d)), rng.integers(0, c - 1, size=17)
+    xs, ys = np.empty((0, d)), np.empty(0, dtype=int)
+    for x, y in ((x1, y1), (x2, y2)):
+        bank = B.update_covariance(bank, x, y)
+        xs, ys = np.vstack([xs, x]), np.concatenate([ys, y])
+        mu, sig, n = _two_pass(xs, ys, c)
+        assert np.array_equal(bank.n, n)
+        assert np.abs(bank.mu - mu).max() < 1e-13
+        assert np.abs(bank.sigma - sig).max() < 1e-13
+        assert np.array_equal(bank.sigma, np.swapaxes(bank.sigma, 1, 2))
+    # after the first batch the singletons hold an exactly zero covariance
+    first = B.update_covariance(B.CovarianceBank.zeros(c, d), x1, y1)
+    assert np.array_equal(first.sigma[[0, c - 1]], np.zeros((2, d, d)))
+    assert np.array_equal(first.mu[0], x1[y1 == 0][0])
+
+
+def test_update_covariance_streaming_in_1_2_5_batches():
+    rng = Rng(26)
+    c, d, nb = 5, 3, 40
+    x, y = 1.0 + rng.normal(size=(nb, d)), rng.integers(0, c, size=nb)
+    y[:3] = [4, 4, 2]
+    mu, sig, n = _two_pass(x, y, c)
+    for parts in (1, 2, 5):
+        bank = B.CovarianceBank.zeros(c, d)
+        for xb, yb in zip(np.array_split(x, parts), np.array_split(y, parts)):
+            bank = B.update_covariance(bank, xb, yb)
+        assert np.array_equal(bank.n, n), parts
+        assert np.abs(bank.mu - mu).max() < 1e-12, parts
+        assert np.abs(bank.sigma - sig).max() < 1e-12, parts
+
+
 def test_covariance_empty_class_unchanged():
     rng = Rng(10)
     bank = B.CovarianceBank.zeros(2, 2)
@@ -352,8 +443,10 @@ def test_blend_matches_per_class_mix():
                             sigma=np.stack([f @ f.T for f in factors]),
                             n=np.array([5, 0, 0, 3, 0, 9, 1]))
     bank.sigma[bank.n == 0] = 0.0
+    assert np.array_equal(bank.sigma, np.swapaxes(bank.sigma, 1, 2))
     for weighted in (True, False):
         sig, empty = B.blend_covariance(bank, table, k=2, weighted=weighted)
+        assert np.array_equal(sig, np.swapaxes(sig, 1, 2))
         for c, sel in enumerate(_neighbours_by_class(table, 2)):
             n_sel = bank.n[sel].astype(float)
             assert empty[c] == (n_sel.sum() == 0)

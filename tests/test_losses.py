@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from tailshift import banks as B
 from tailshift import losses as L
 from tailshift.mathcore import Rng, Tensor, fd_grad, grad, log_softmax, normalize_rows, stack
+from tailshift.mathcore.linalg import SYM_TOL
 
 CP0 = L.ContrastiveParams(alpha=0.0, tau=1.0)
 
@@ -664,3 +666,62 @@ def test_stacked_kernels_grad_match_fd():
     _grad_matches_fd(s2z, {"vhat": rng.normal(size=(k, c, d_v)),
                            "W": 0.5 * rng.normal(size=(c, d_v)), "b": rng.normal(size=c),
                            "We": rng.normal(size=(d_s, d_v)), "be": rng.normal(size=d_s)})
+
+
+def test_semantic_table_and_its_array_give_identical_kernels():
+    # a SemanticTable skips the unit-row re-check; nothing else may change
+    rng = Rng(28)
+    c, d_v, d_s, nb = 5, 4, 3, 7
+    cp = L.ContrastiveParams(alpha=0.1, tau=0.2)
+    table = B.SemanticTable(unit_rows(rng, c, d_s))
+    emb, s_m = unit_rows(rng, nb, d_s), unit_rows(rng, c, d_s)
+    labels = rng.integers(0, c, size=nb)
+    v_hat, w, b = rng.normal(size=(c, d_v)), rng.normal(size=(c, d_v)), rng.normal(size=c)
+    enc_w = rng.normal(size=(d_s, d_v))
+    kernels = {
+        "z2s": (lambda t, tab: L.z2s_loss_mean(t["x"], labels, tab, cp), emb),
+        "s2s_n": (lambda t, tab: L.s2s_loss(t["x"], tab, cp), s_m),
+        "s2s_m": (lambda t, tab: L.s2s_loss(tab, t["x"], cp), s_m),
+        "s2z": (lambda t, tab: L.s2z_loss(t["x"], w, b, lambda v: normalize_rows(
+            (v @ Tensor(enc_w).T).relu() + 1e-3), tab, cp), v_hat),
+    }
+    for name, (fn, x) in kernels.items():
+        a = grad(lambda t: fn(t, table), {"x": x})
+        r = grad(lambda t: fn(t, table.s), {"x": x})
+        assert a.value == r.value, name
+        assert np.array_equal(a.grads["x"], r.grads["x"]), name
+
+
+def test_arrays_with_a_non_unit_row_are_still_refused():
+    rng = Rng(29)
+    good = unit_rows(rng, 4, 3)
+    bad = good.copy()
+    bad[2] *= 1.01
+    labels = np.array([0, 1, 3])
+    cp = L.ContrastiveParams()
+    with pytest.raises(ValueError, match="z2s_loss_mean table"):
+        L.z2s_loss_mean(good[:3], labels, bad, cp)
+    with pytest.raises(ValueError, match="z2s_loss_mean table"):
+        L.z2s_loss_mean(good[:3], labels, Tensor(bad), cp)
+    with pytest.raises(ValueError, match="s2s_loss s_m"):
+        L.s2s_loss(bad, good, cp)
+    with pytest.raises(ValueError, match="s2s_loss s_n"):
+        L.s2s_loss(good, bad, cp)
+
+
+def test_aug_loss_mean_on_sigma_asymmetric_within_tolerance():
+    # the kernel reads the symmetric part of Sigma'; the reference graph uses
+    # Sigma' as given, and the quadratic form cannot tell the two apart
+    feats, labels, w, b, sigmas = _aug_case(30, c=6, d=4, nb=11)
+    noise = Rng(31).uniform(-1.0, 1.0, size=sigmas.shape)
+    sigmas = sigmas + 0.45 * SYM_TOL * (noise - np.swapaxes(noise, 1, 2)) / 2.0
+    assert 0.2 * SYM_TOL < np.abs(sigmas - np.swapaxes(sigmas, 1, 2)).max() <= SYM_TOL
+    ap = L.AugParams(lam=4.0, k=1)
+    params = {"F": feats, "W": w, "b": b}
+    fused = grad(lambda t: L.aug_loss_mean(t["F"], labels, t["W"], t["b"], sigmas, ap), params)
+    ref = grad(lambda t: _aug_loss_from_primitives(t["F"], labels, t["W"], t["b"], sigmas,
+                                                   ap.lam), params)
+    assert fused.value == pytest.approx(ref.value, rel=1e-12)
+    for k in params:
+        scale = np.abs(ref.grads[k]).max()
+        assert np.abs(fused.grads[k] - ref.grads[k]).max() <= 1e-12 * scale, k

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tailshift import data as D
+from tailshift import losses as L
 from tailshift import meta as MT
 from tailshift import model as M
 from tailshift.banks import (
@@ -584,3 +585,26 @@ def test_resume_matches_uninterrupted_run():
     assert [r.to_json() for r in resumed.reports] == tail
     for k in full.params:
         assert np.array_equal(full.params[k], resumed.params[k])
+
+
+def test_desk_episode_checks_unit_rows_of_arrays_only(monkeypatch):
+    # the semantic table was checked when it was built; only the rows the
+    # episode makes (embeddings, completed prototype tables) are checked
+    cfg, _ = load_run_config("desk")
+    ds = D.generate(cfg.data)
+    st, b_mtr, b_mte = episode_inputs(ds, cfg.train, cfg.model)
+    checked = []
+    check = L._check_unit_rows
+
+    def spying_check(x, what):
+        checked.append(what)
+        return check(x, what)
+
+    monkeypatch.setattr(L, "_check_unit_rows", spying_check)
+    MT.episode(st.params, b_mtr, b_mte, st.proto, st.cov, ds.semantic, ds.counts,
+               cfg.train, cfg.model, True)
+    # one table check: the completed meta-test tables in z2s_loss_mean; one
+    # s_n check: the pair loss between completed tables
+    assert sorted(checked) == sorted(
+        ["z2s_loss_mean embeddings"] * 3 + ["z2s_loss_mean table"]
+        + ["s2s_loss s_m"] * 3 + ["s2s_loss s_n"])
