@@ -3,16 +3,13 @@
 Runs the episodic loop end to end (calibrated loss, semantic alignment,
 prototype contrast, cycle constraint, implicit augmentation, meta-split),
 then scores the model under the open-class protocol and prints the
-per-domain breakdown plus a few covariance diagnostics.
+per-domain breakdown.
 """
-
-import numpy as np
 
 from tailshift import data as D
 from tailshift import evaluation as E
 from tailshift import meta as MT
 from tailshift.config import load_run_config
-from tailshift.evaluation import covariance_distance_matrix
 
 cfg, _ = load_run_config("desk")
 ds = D.generate(cfg.data)
@@ -35,11 +32,3 @@ print(f"  Acc-U {report.acc_u:.1f}   Acc {report.acc:.1f}   H {report.h:.1f}"
       f"{'  (no open classes: H falls back to Acc)' if report.h_fallback else ''}")
 print("  per-domain accuracy:",
       {k: round(v, 1) for k, v in sorted(report.per_domain.items())})
-
-# Tail classes lean on covariances borrowed from semantically similar heads;
-# the distance matrix shows which classes share second-order structure.
-mat = covariance_distance_matrix(res.cov)
-np.fill_diagonal(mat, 0.0)
-i, j = np.unravel_index(np.argmax(mat), mat.shape)
-print(f"\nmost similar covariance pair: classes {i} and {j} "
-      f"(exp(-||dSigma||) = {mat[i, j]:.3f})")

@@ -26,6 +26,7 @@ import numpy as np
 
 from .data import Dataset
 from .mathcore import psd_sqrt
+from .mathcore.autodiff import _log_softmax_core
 from .model import ModelConfig, Params, forward_features, predict_logits
 
 OPEN = -1  # predicted-class sentinel for "open class"
@@ -54,12 +55,6 @@ class MetricReport:
         }
 
 
-def softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def decide(logits: np.ndarray, threshold: float,
            confidence: str = "softmax") -> tuple[np.ndarray, np.ndarray]:
     """Classify rows of logits, or reject them as an open class.
@@ -71,7 +66,7 @@ def decide(logits: np.ndarray, threshold: float,
     """
     logits = np.asarray(logits, dtype=np.float64)
     if confidence == "softmax":
-        conf = softmax(logits).max(axis=-1)
+        conf = _log_softmax_core(logits)[1].max(axis=-1)
     elif confidence == "logit":
         conf = 1.0 / (1.0 + np.exp(-logits.max(axis=-1)))
     else:
@@ -183,18 +178,6 @@ def frechet_distance(mu1, sigma1, mu2, sigma2) -> float:
     diff = mu1 - mu2
     val = float(diff @ diff + np.trace(sigma1) + np.trace(sigma2) - 2.0 * np.trace(cross))
     return max(val, 0.0)
-
-
-def covariance_distance_matrix(bank) -> np.ndarray:
-    """d(i, j) = exp(-||Sigma_i - Sigma_j||_F) over the bank's classes."""
-    sig = np.asarray(bank.sigma, dtype=np.float64)
-    c = sig.shape[0]
-    out = np.ones((c, c))
-    for i in range(c):
-        for j in range(i + 1, c):
-            dist = np.exp(-np.linalg.norm(sig[i] - sig[j]))
-            out[i, j] = out[j, i] = dist
-    return out
 
 
 def dump_features(params: Params, mcfg: ModelConfig, dataset: Dataset, path,

@@ -123,19 +123,23 @@ def _table(table, what: str) -> Tensor:
 
 
 def _check_unit_rows(x: np.ndarray, what: str):
-    norms = np.linalg.norm(np.atleast_2d(x), axis=-1)
-    if np.abs(norms - 1.0).max(initial=0.0) > UNIT_TOL:
+    # `<=` is False for NaN, so a NaN row is refused as well
+    dev = np.abs(np.linalg.norm(np.atleast_2d(x), axis=-1) - 1.0)
+    if not (dev <= UNIT_TOL).all():
         raise ValueError(f"{what}: rows must be unit-normalized (max deviation "
-                         f"{np.abs(norms - 1.0).max():.3g})")
+                         f"{dev.max():.3g})")
 
 
 # ---------------------------------------------------------------------------
 # calibrated classification
 # ---------------------------------------------------------------------------
 
-def _nll_at_labels(z: np.ndarray, labels: np.ndarray, weights=None):
+def _nll_at_labels(z: np.ndarray, labels: np.ndarray, what: str, weights=None):
     """Mean of -log_softmax(z, weights) at `labels` over every (..., B, C)
-    row, and dL/dz = (softmax - onehot) g / n for an upstream gradient g."""
+    row, and dL/dz = (softmax - onehot) g / n for an upstream gradient g.
+    Non-finite logits are refused in the name of the loss `what`."""
+    if not np.isfinite(z).all():
+        raise ValueError(f"{what}: non-finite logits")
     out, p, _ = _log_softmax_core(z, weights)
     rows = np.arange(z.shape[-2])
     picked = out[..., rows, labels]
@@ -169,7 +173,7 @@ def dc_loss_mean(logits, labels, domains, counts: DomainClassCounts | None):
         w = counts.counts[domains].astype(np.float64)
         if (w[np.arange(len(labels)), labels] <= 0).any():
             raise ValueError("dc_loss_mean: a label has zero count in its domain")
-    value, dz = _nll_at_labels(z.data, labels, w)
+    value, dz = _nll_at_labels(z.data, labels, "dc_loss_mean", w)
 
     def bw(g):
         Tensor._accum(z, dz(g))
@@ -204,7 +208,7 @@ def z2s_loss_mean(embeddings, labels, table, cp: ContrastiveParams):
     margin = np.zeros((b, c))
     margin[np.arange(b), labels] = cp.alpha
     z = (ed @ np.swapaxes(td, -1, -2) - margin) / cp.tau   # (..., B, C)
-    value, dz = _nll_at_labels(z, labels)
+    value, dz = _nll_at_labels(z, labels, "z2s_loss_mean")
 
     def bw(g):
         gs = dz(g) / cp.tau
@@ -312,7 +316,6 @@ def aug_loss_mean(features, labels, w, b, sigma_primes, ap: AugParams):
     """
     f, wt, bt = as_tensor(features), as_tensor(w), as_tensor(b)
     labels = np.asarray(labels, dtype=np.int64)
-    nb = f.data.shape[0]
     classes, inv = np.unique(labels, return_inverse=True)
     sig = check_psd(np.asarray(sigma_primes, dtype=np.float64)[classes])  # (U, d, d)
     sig += np.swapaxes(sig, 1, 2)                        # its symmetric part, in place
@@ -322,19 +325,10 @@ def aug_loss_mean(features, labels, w, b, sigma_primes, ap: AugParams):
     diff_sig = diff @ sig
     pen = np.einsum("ucd,ucd->uc", diff_sig, diff)      # (U, C)
     logits = f.data @ wd.T + bt.data + (ap.lam / 2.0) * pen[inv]
-    if not np.isfinite(logits).all():
-        raise ValueError("aug_loss_mean: non-finite logits")
-    m = logits.max(axis=1, keepdims=True)
-    ez = np.exp(logits - m)
-    s = ez.sum(axis=1, keepdims=True)
-    rows = np.arange(nb)
-    picked = logits[rows, labels] - (m[:, 0] + np.log(s[:, 0]))
-    value = -(picked.sum() / float(nb))
+    value, dlogits = _nll_at_labels(logits, labels, "aug_loss_mean")
 
     def bw(g):
-        dz = ez / s                                      # softmax
-        dz[rows, labels] -= 1.0
-        dz *= g / float(nb)                              # dL/dlogits, (B, C)
+        dz = dlogits(g)                                  # dL/dlogits, (B, C)
         if f.requires_grad:
             Tensor._accum(f, dz @ wd)
         if bt.requires_grad:

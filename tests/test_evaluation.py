@@ -4,7 +4,6 @@ import pytest
 from tailshift import data as D
 from tailshift import evaluation as E
 from tailshift import model as M
-from tailshift.banks import CovarianceBank
 from tailshift.mathcore import Rng
 
 
@@ -235,16 +234,6 @@ def test_frechet_symmetry():
     m1, m2 = rng.normal(size=3), rng.normal(size=3)
     assert E.frechet_distance(m1, s1, m2, s2) == \
         pytest.approx(E.frechet_distance(m2, s2, m1, s1), abs=1e-8)
-
-
-def test_covariance_distance_matrix_properties():
-    bank = CovarianceBank(mu=np.zeros((3, 2)),
-                          sigma=np.stack([np.eye(2), 2 * np.eye(2), np.eye(2)]),
-                          n=np.array([1, 1, 1]))
-    mat = E.covariance_distance_matrix(bank)
-    assert np.allclose(np.diag(mat), 1.0)
-    assert np.array_equal(mat, mat.T)
-    assert mat[0, 1] == pytest.approx(np.exp(-np.sqrt(2)), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

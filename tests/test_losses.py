@@ -560,10 +560,17 @@ def test_dc_loss_mean_unweighted_stack_matches_primitive_graph():
 
 def test_dc_loss_mean_refusals_stay():
     counts = L.DomainClassCounts(np.array([[1, 0, 2]]))
-    with pytest.raises(ValueError, match="zero count"):
+    with pytest.raises(ValueError, match="dc_loss_mean: a label has zero count"):
         L.dc_loss_mean(np.zeros((1, 3)), [1], [0], counts)
-    with pytest.raises(ValueError, match="non-finite"):
+    # +inf at the zero-count class: refused before its -inf log count is added
+    with pytest.raises(ValueError, match="dc_loss_mean: non-finite logits"):
         L.dc_loss_mean(np.array([[0.0, np.inf, 1.0]]), [0], [0], counts)
+    with pytest.raises(ValueError, match="dc_loss_mean: non-finite logits"):
+        L.dc_loss_mean(np.array([[0.0, 1.0, np.nan]]), [0], [0], None)
+    feats, labels, w, b, sigmas = _aug_case(32)
+    feats[1, 0] = np.inf
+    with pytest.raises(ValueError, match="aug_loss_mean: non-finite logits"):
+        L.aug_loss_mean(feats, labels, w, b, sigmas, L.AugParams(lam=1.0, k=1))
 
 
 # (embeddings shape, table shape, leaves): a 2-D table, (B, d) embeddings
@@ -695,18 +702,22 @@ def test_semantic_table_and_its_array_give_identical_kernels():
 def test_arrays_with_a_non_unit_row_are_still_refused():
     rng = Rng(29)
     good = unit_rows(rng, 4, 3)
-    bad = good.copy()
-    bad[2] *= 1.01
+    scaled, nan_row = good.copy(), good.copy()
+    scaled[2] *= 1.01
+    nan_row[2] = np.nan
     labels = np.array([0, 1, 3])
     cp = L.ContrastiveParams()
-    with pytest.raises(ValueError, match="z2s_loss_mean table"):
-        L.z2s_loss_mean(good[:3], labels, bad, cp)
-    with pytest.raises(ValueError, match="z2s_loss_mean table"):
-        L.z2s_loss_mean(good[:3], labels, Tensor(bad), cp)
-    with pytest.raises(ValueError, match="s2s_loss s_m"):
-        L.s2s_loss(bad, good, cp)
-    with pytest.raises(ValueError, match="s2s_loss s_n"):
-        L.s2s_loss(good, bad, cp)
+    for bad in (scaled, nan_row):
+        with pytest.raises(ValueError, match="z2s_loss_mean embeddings"):
+            L.z2s_loss_mean(bad[:3], labels, good, cp)
+        with pytest.raises(ValueError, match="z2s_loss_mean table"):
+            L.z2s_loss_mean(good[:3], labels, bad, cp)
+        with pytest.raises(ValueError, match="z2s_loss_mean table"):
+            L.z2s_loss_mean(good[:3], labels, Tensor(bad), cp)
+        with pytest.raises(ValueError, match="s2s_loss s_m"):
+            L.s2s_loss(bad, good, cp)
+        with pytest.raises(ValueError, match="s2s_loss s_n"):
+            L.s2s_loss(good, bad, cp)
 
 
 def test_aug_loss_mean_on_sigma_asymmetric_within_tolerance():
