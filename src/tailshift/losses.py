@@ -2,9 +2,9 @@
 
 Five kernels plus one closed-form bound:
 
-- ``dc_loss_mean``  count-calibrated softmax cross-entropy; classes absent
-  from the sample's own domain are excluded from the normalizer and receive
-  a gradient of exactly zero.
+- ``dc_loss_mean``  count-calibrated softmax cross-entropy, the plain
+  cross-entropy of the logits plus log counts; classes absent from the
+  sample's own domain get log 0 = -inf and a gradient of exactly zero.
 - ``z2s_loss_mean`` margin contrastive alignment of unit feature embeddings
   to their class rows in a semantic table.
 - ``s2s_loss``  cross-table prototype contrast: positives are same-class rows
@@ -22,19 +22,20 @@ Every training loss is one graph node with a hand-written backward
 (``dc_loss_mean``, ``z2s_loss_mean``, ``s2s_loss``, ``aug_loss_mean``) or a
 sum of such nodes (``s2z_loss`` adds a ``dc_loss_mean`` on its ``affine``
 logits to an ``s2s_loss``); only ``aug_bound``, which no training step
-calls, is built from ``mathcore`` primitives. The two softmax
-cross-entropies share ``mathcore``'s log-softmax core. Like ``model``, each
-accepts plain arrays or graph tensors and always returns a scalar Tensor
-(its ``.data`` is the value). Gradients are analytic and cross-checked
-against ``mathcore.fd_grad``. A single sample is a batch of one, and the
-table kernels (``z2s_loss_mean``, ``s2s_loss``, ``s2z_loss``) take a stack
-of (C, d) tables over leading axes as well, returning the mean over the
-stack.
+calls, is built from ``mathcore`` primitives. The softmax cross-entropies
+of ``dc_loss_mean``, ``z2s_loss_mean`` and ``aug_loss_mean`` are one helper
+on ``mathcore``'s log-softmax core; ``s2s_loss`` keeps its own shift (see
+its docstring). Like ``model``, each accepts plain arrays or graph tensors
+and always returns a scalar Tensor (its ``.data`` is the value). Gradients
+are analytic and cross-checked against ``mathcore.fd_grad``. A single
+sample is a batch of one, and the table kernels (``z2s_loss_mean``,
+``s2s_loss``, ``s2z_loss``) take a stack of (C, d) tables over leading axes
+as well, returning the mean over the stack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,10 +79,12 @@ class DomainClassCounts:
     """Per-domain training sample counts, shape (n_domains, n_classes).
 
     A zero entry marks a class unseen in that domain; the positivity pattern
-    of a row is exactly the domain's prototype presence mask.
+    of a row is exactly the domain's prototype presence mask. The read-only
+    ``log_counts`` (log 0 = -inf) is the log-prior of ``dc_loss_mean``.
     """
 
     counts: np.ndarray
+    log_counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = np.asarray(self.counts)
@@ -96,6 +99,9 @@ class DomainClassCounts:
         if (c.sum(axis=1) <= 0).any():
             raise ValueError("every domain must hold at least one sample")
         object.__setattr__(self, "counts", c)
+        with np.errstate(divide="ignore"):
+            object.__setattr__(self, "log_counts", np.log(c))   # log 0 = -inf
+        self.log_counts.flags.writeable = False
 
     @property
     def n_domains(self) -> int:
@@ -134,15 +140,18 @@ def _check_unit_rows(x: np.ndarray, what: str):
 # calibrated classification
 # ---------------------------------------------------------------------------
 
-def _nll_at_labels(z: np.ndarray, labels: np.ndarray, what: str, weights=None):
-    """Mean of -log_softmax(z, weights) at `labels` over every (..., B, C)
+def _nll_at_labels(z: np.ndarray, labels: np.ndarray, what: str, log_prior=None):
+    """Mean of -log_softmax(z + log_prior) at `labels` over every (..., B, C)
     row, and dL/dz = (softmax - onehot) g / n for an upstream gradient g.
-    Non-finite logits are refused in the name of the loss `what`."""
+    The raw `z` is checked first, so a non-finite logit is refused in the
+    name of the loss `what`, before +inf can meet a -inf log-prior as NaN."""
     if not np.isfinite(z).all():
         raise ValueError(f"{what}: non-finite logits")
-    out, p, _ = _log_softmax_core(z, weights)
+    if log_prior is not None:
+        z = z + log_prior
+    lse, p = _log_softmax_core(z)
     rows = np.arange(z.shape[-2])
-    picked = out[..., rows, labels]
+    picked = z[..., rows, labels] - lse[..., rows, 0]
     n = float(picked.size)
 
     def dz(g):
@@ -157,23 +166,25 @@ def _nll_at_labels(z: np.ndarray, labels: np.ndarray, what: str, weights=None):
 def dc_loss_mean(logits, labels, domains, counts: DomainClassCounts | None):
     """Mean of -log( n_y e^{z_y} / sum_c n_c e^{z_c} ) over a batch.
 
-    `logits` is (B, C), or a (..., B, C) stack averaged over; `labels` and
-    `domains` are int arrays of length B. Each sample's counts row is its own
-    training domain. Classes with a zero count are excluded from the
-    normalizer, so their logits receive exactly zero gradient;
-    ``counts=None`` gives the plain cross-entropy.
+    That is the plain cross-entropy of z + log n: Balanced Softmax (Ren et
+    al., NeurIPS 2020), the logit-adjusted loss at tau = 1 (Menon et al.,
+    ICLR 2021). `logits` is (B, C), or a (..., B, C) stack averaged over;
+    `labels` and `domains` are int arrays of length B, and each sample's
+    counts row is its own training domain. A zero count gives log n = -inf,
+    so that class leaves the normalizer and its logit gets exactly zero
+    gradient; ``counts=None`` gives the plain cross-entropy.
 
     One graph node: the backward is (softmax - onehot) g / n.
     """
     z = as_tensor(logits)
     labels = np.asarray(labels, dtype=np.int64)
-    w = None
+    log_prior = None
     if counts is not None:
         domains = np.asarray(domains, dtype=np.int64)
-        w = counts.counts[domains].astype(np.float64)
-        if (w[np.arange(len(labels)), labels] <= 0).any():
+        if (counts.counts[domains, labels] <= 0).any():
             raise ValueError("dc_loss_mean: a label has zero count in its domain")
-    value, dz = _nll_at_labels(z.data, labels, "dc_loss_mean", w)
+        log_prior = counts.log_counts[domains]
+    value, dz = _nll_at_labels(z.data, labels, "dc_loss_mean", log_prior)
 
     def bw(g):
         Tensor._accum(z, dz(g))
@@ -231,7 +242,10 @@ def s2s_loss(s_m, s_n, cp: ContrastiveParams):
     One graph node: with G_cross and G_intra the loss's derivatives by the
     scaled cross and intra similarities, the backward adds
     (G_cross b + (G_intra + G_intra') a) / tau into s_m and G_cross' a / tau
-    into s_n, summed back over broadcast stack axes.
+    into s_n, summed back over broadcast stack axes. It keeps one shift per
+    table pair: a (C, 2C) row softmax through the log-softmax core, with
+    -inf on the intra diagonal, gives the same loss but ran slower at
+    paper_s1 shapes.
     """
     a, b = _table(s_m, "s2s_loss s_m"), _table(s_n, "s2s_loss s_n")
     if a.data.shape[-2:] != b.data.shape[-2:]:

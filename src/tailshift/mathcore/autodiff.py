@@ -4,11 +4,13 @@ A :class:`Tensor` wraps an ndarray and records the operation graph as it is
 built. Calling ``backward()`` on a scalar result accumulates gradients into
 every reachable leaf created with ``requires_grad=True``. The primitive set
 is deliberately small: affine algebra, elementwise transcendentals, rectifier,
-reductions, indexing/stacking, and the numerically stable (weighted)
-log-softmax. Two layers are one node each with a hand-written backward:
-``affine`` (``x @ w.T + b``) and ``normalize_rows``. The log-softmax array
-math lives once, in ``_log_softmax_core``; ``log_softmax`` and the fused
-cross-entropy nodes of ``losses`` call it.
+reductions, indexing/stacking, and the numerically stable log-softmax.
+Two layers are one node each with a hand-written backward: ``affine``
+(``x @ w.T + b``) and ``normalize_rows``. The log-softmax array math lives
+once, in ``_log_softmax_core``; ``log_softmax``, the fused cross-entropy
+nodes of ``losses`` and ``evaluation.decide`` call it. It takes no weights:
+a prior enters as a log-prior added to the logits, with -inf for an entry
+that must get probability 0.
 
 Gradients accumulate by rebinding, never in place: the first gradient a
 node receives is bound as is (it may be another node's array), and each
@@ -294,59 +296,38 @@ def stack(tensors, axis: int = 0) -> Tensor:
     return Tensor._from_op(out_data, tuple(parts), bw)
 
 
-def _log_softmax_core(z: np.ndarray, weights=None):
-    """Array math of the (weighted) log-softmax over the last axis of `z`.
+def _log_softmax_core(z: np.ndarray):
+    """Log-normalizer m + log sum_j e^{z_j - m} over the last axis of `z`
+    (kept as a size-1 axis; m is the row max) and the softmax.
 
-    Returns the log-probabilities, the softmax (zero off the support) and
-    the support mask, which is None without weights: then every entry is in
-    the support and nothing is masked. ``log_softmax`` and the fused loss
-    nodes share it, so there is one max shift and one weighting rule.
+    An entry of -inf gets probability exactly 0. One check on the row max
+    refuses NaN (the max propagates it), +inf and a row with no finite
+    entry. This is the one max-shifted softmax of the package.
     """
-    if not np.isfinite(z).all():
-        raise ValueError("log_softmax: non-finite logits")
-    if weights is None:
-        support = None
-        m = z.max(axis=-1, keepdims=True)
-        ez = np.exp(z - m)
-        logw = 0.0
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if not np.isfinite(w).all() or (w < 0).any():
-            raise ValueError("log_softmax: weights must be finite and nonnegative")
-        w = np.broadcast_to(w, z.shape)
-        support = w > 0
-        if not support.any(axis=-1).all():
-            raise ValueError("log_softmax: a row has no positive weight")
-        m = np.max(np.where(support, z, -np.inf), axis=-1, keepdims=True)
-        ez = np.where(support, np.exp(z - m), 0.0) * np.where(support, w, 0.0)
-        logw = np.where(support, np.log(np.where(support, w, 1.0)), 0.0)
+    m = z.max(axis=-1, keepdims=True)
+    if not np.isfinite(m).all():
+        raise ValueError("log_softmax: a row holds NaN or +inf, or no finite entry")
+    ez = np.exp(z - m)
     s = ez.sum(axis=-1, keepdims=True)
-    p = ez / s
-    out = z + logw - (m + np.log(s))
-    if support is not None:
-        out = np.where(support, out, -np.inf)
-    return out, p, support
+    return m + np.log(s), ez / s
 
 
-def log_softmax(x, weights=None):
-    """Log-probabilities of a (weighted) softmax over the last axis.
+def log_softmax(x):
+    """Log-probabilities of the softmax over the last axis.
 
-    With weights w >= 0 the output is log(w_i e^{x_i} / sum_j w_j e^{x_j})
-    over the entries with w_i > 0; zero-weight entries are excluded from the
-    normalizer and reported as -inf, and their gradient is exactly zero.
-    Adding a constant to all inputs leaves the output unchanged.
+    An entry of -inf is reported as -inf and left out of the normalizer; a
+    loss at any other entry sends it exactly zero gradient. So a weighted
+    softmax log(w_i e^{x_i} / sum_j w_j e^{x_j}) is ``log_softmax(x + log w)``.
 
     Accepts a Tensor or ndarray (1-D or batched rows); returns a Tensor.
     """
     xt = as_tensor(x)
-    out_data, p, support = _log_softmax_core(xt.data, weights)
+    lse, p = _log_softmax_core(xt.data)
 
     def bw(g):
-        geff = g if support is None else np.where(support, g, 0.0)
-        gz = geff - p * geff.sum(axis=-1, keepdims=True)
-        Tensor._accum(xt, gz)
+        Tensor._accum(xt, g - p * g.sum(axis=-1, keepdims=True))
 
-    return Tensor._from_op(out_data, (xt,), bw)
+    return Tensor._from_op(xt.data - lse, (xt,), bw)
 
 
 def affine(x, w, b) -> Tensor:

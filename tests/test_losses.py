@@ -507,10 +507,13 @@ def test_s2s_loss_matches_primitive_graph(sa, sb, leaves):
         assert err < 1e-13, k
 
 
-def _dc_loss_from_primitives(z, labels, weights):
-    """The calibrated loss as a graph of mathcore primitives."""
+def _dc_loss_from_primitives(z, labels, log_prior):
+    """The calibrated loss as a graph of mathcore primitives: the plain
+    cross-entropy of the logits plus the log-prior."""
     b = z.data.shape[-2]
-    return -log_softmax(z, weights)[..., np.arange(b), labels].mean()
+    if log_prior is not None:
+        z = z + log_prior
+    return -log_softmax(z)[..., np.arange(b), labels].mean()
 
 
 def _z2s_loss_from_primitives(e, labels, t, cp):
@@ -542,12 +545,25 @@ def test_dc_loss_mean_matches_primitive_graph_with_zero_count_classes():
     domains = np.array([0, 1, 0, 1, 1, 0, 1])
     labels = np.array([0, 1, 3, 4, 0, 5, 3])
     z = 3.0 * rng.normal(size=(7, 6))
-    w = counts.counts[domains].astype(np.float64)
+    n = counts.counts[domains]
     fused = _assert_fused_matches(
         lambda t: L.dc_loss_mean(t["z"], labels, domains, counts),
-        lambda t: _dc_loss_from_primitives(t["z"], labels, w), {"z": z})
-    assert (fused.grads["z"][w == 0] == 0.0).all()
-    assert (fused.grads["z"][w > 0] != 0.0).all()
+        lambda t: _dc_loss_from_primitives(t["z"], labels, counts.log_counts[domains]),
+        {"z": z})
+    assert (fused.grads["z"][n == 0] == 0.0).all()
+    assert (fused.grads["z"][n > 0] != 0.0).all()
+
+
+def test_log_counts_are_read_only_log_n_with_minus_inf_at_zero():
+    counts = L.DomainClassCounts(np.array([[4, 0, 2], [1, 5, 0]]))
+    lc = counts.log_counts
+    assert not lc.flags.writeable
+    with pytest.raises(ValueError):
+        lc[0, 0] = 0.0
+    assert lc.dtype == np.float64
+    assert np.array_equal(lc == -np.inf, counts.counts == 0)
+    assert np.array_equal(lc[counts.counts > 0], np.log(counts.counts[counts.counts > 0]))
+    assert counts.log_counts is lc
 
 
 def test_dc_loss_mean_unweighted_stack_matches_primitive_graph():

@@ -25,29 +25,31 @@ from tailshift.mathcore import (
 # ---------------------------------------------------------------------------
 
 def test_log_softmax_uniform_symmetry():
-    out = log_softmax(np.array([0.0, 0.0]), np.array([1.0, 1.0])).data
+    out = log_softmax(np.array([0.0, 0.0])).data
     assert np.allclose(out, [-np.log(2), -np.log(2)], atol=1e-15)
 
 
 def test_log_softmax_weighted_normalizer():
-    out = log_softmax(np.array([0.0, 0.0]), np.array([3.0, 1.0])).data
+    # a weighted softmax is the softmax of the logits plus log w
+    out = log_softmax(np.array([0.0, 0.0]) + np.log([3.0, 1.0])).data
     assert out[0] == pytest.approx(np.log(3 / 4), abs=1e-15)
     assert out[1] == pytest.approx(np.log(1 / 4), abs=1e-15)
 
 
 def test_log_softmax_excluded_entry_sentinel():
-    out = log_softmax(np.array([5.0, 100.0]), np.array([1.0, 0.0])).data
+    out = log_softmax(np.array([5.0, -np.inf])).data
     assert out[0] == 0.0
     assert out[1] == -np.inf
 
 
 def test_log_softmax_outputs_normalize():
     rng = Rng(0)
-    z = rng.normal(size=(4, 7))
-    w = np.abs(rng.normal(size=(4, 7)))
-    w[:, 2] = 0.0
-    out = log_softmax(z, w).data
-    sums = np.where(np.isinf(out), 0.0, np.exp(out)).sum(axis=1)
+    z = rng.normal(size=(4, 7)) + np.log(np.abs(rng.normal(size=(4, 7))))
+    z[:, 2] = -np.inf
+    out = log_softmax(z).data
+    assert (out[:, 2] == -np.inf).all()
+    assert np.isfinite(np.delete(out, 2, axis=1)).all()
+    sums = np.exp(out).sum(axis=1)
     assert np.abs(sums - 1.0).max() < 1e-12
 
 
@@ -58,22 +60,28 @@ def test_log_softmax_shift_invariance():
 
 
 def test_log_softmax_zero_weight_gradient_is_zero():
-    w = np.array([2.0, 0.0, 1.0])
+    log_w = np.array([np.log(2.0), -np.inf, 0.0])
 
     def fn(t):
-        return -log_softmax(t["z"], w)[0]
+        return -log_softmax(t["z"] + log_w)[0]
 
     g = grad(fn, {"z": np.array([0.3, 5.0, -0.2])})
     assert g.grads["z"][1] == 0.0
+    assert g.grads["z"][0] != 0.0 and g.grads["z"][2] != 0.0
 
 
 def test_log_softmax_errors():
     with pytest.raises(ValueError):
         log_softmax(np.array([0.0, np.nan]))
     with pytest.raises(ValueError):
-        log_softmax(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
+        log_softmax(np.array([np.nan, -np.inf]))
     with pytest.raises(ValueError):
-        log_softmax(np.array([0.0, 1.0]), np.array([1.0, -1.0]))
+        log_softmax(np.array([0.0, np.inf]))
+    with pytest.raises(ValueError):
+        log_softmax(np.array([-np.inf, -np.inf]))
+    # one bad row of a batch is enough
+    with pytest.raises(ValueError):
+        log_softmax(np.array([[0.0, 1.0], [-np.inf, -np.inf]]))
 
 
 # ---------------------------------------------------------------------------
