@@ -302,7 +302,7 @@ def _log_softmax_core(z: np.ndarray):
 
     An entry of -inf gets probability exactly 0. One check on the row max
     refuses NaN (the max propagates it), +inf and a row with no finite
-    entry. This is the one max-shifted softmax of the package.
+    entry. Only ``losses.s2s_loss`` keeps a max shift of its own.
     """
     m = z.max(axis=-1, keepdims=True)
     if not np.isfinite(m).all():
