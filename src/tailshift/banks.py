@@ -94,30 +94,31 @@ class PrototypeBank:
         return PrototypeBank(v=self.v.copy(), mask=self.mask.copy(), ema=self.ema)
 
 
-def _class_onehot(labels: np.ndarray):
-    """The distinct labels (U,), each sample's index into them (B,), the
-    (U, B) one-hot of the batch and the per-class sample counts (U,)."""
-    classes, inv = np.unique(labels, return_inverse=True)
-    onehot = (inv[None, :] == np.arange(len(classes))[:, None]).astype(np.float64)
-    return classes, inv, onehot, onehot.sum(axis=1)
+def update_prototypes(bank: PrototypeBank, rows, features, labels) -> PrototypeBank:
+    """One EMA step per (bank row, class) toward the batch mean of its samples.
 
-
-def update_prototypes(bank: PrototypeBank, domain: int, features, labels) -> PrototypeBank:
-    """EMA step toward the per-class batch means of `features`.
-
-    v_c <- ema * mean(features of class c) + (1 - ema) * v_c for every class
-    present in the batch; other rows are untouched. A label whose presence
-    mask is false in this domain is an error (the sample could not exist).
+    `rows` gives each sample's bank row (one int serves the whole batch). For
+    every (row, class) pair present in the batch
+        v[row, c] <- ema * mean(features of its samples) + (1 - ema) * v[row, c];
+    other entries are untouched. The step is one per pair however many
+    domains feed a row, so a row shared by several domains steps once toward
+    their pooled class mean. A label whose presence mask is false in its row
+    is an error (the sample could not exist).
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    classes, _, onehot, m = _class_onehot(labels)
-    unseen = classes[~bank.mask[domain, classes]]
+    rows = np.broadcast_to(np.asarray(rows, dtype=np.int64), labels.shape)
+    keys, inv = np.unique(np.ravel_multi_index((rows, labels), bank.mask.shape),
+                          return_inverse=True)
+    r, c = np.unravel_index(keys, bank.mask.shape)
+    unseen = np.flatnonzero(~bank.mask[r, c])
     if unseen.size:
-        raise ValueError(f"update_prototypes: class {unseen[0]} unseen in domain {domain}")
-    batch_mean = onehot @ features / m[:, None]
+        i = unseen[0]
+        raise ValueError(f"update_prototypes: class {c[i]} unseen in domain {r[i]}")
+    onehot = (inv[None, :] == np.arange(len(keys))[:, None]).astype(np.float64)
+    batch_mean = onehot @ features / onehot.sum(axis=1)[:, None]
     out = bank.copy()
-    out.v[domain, classes] = bank.ema * batch_mean + (1.0 - bank.ema) * bank.v[domain, classes]
+    out.v[r, c] = bank.ema * batch_mean + (1.0 - bank.ema) * bank.v[r, c]
     return out
 
 

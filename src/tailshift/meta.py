@@ -13,7 +13,9 @@ the augmentation loss and covariance tracking switch on at epoch t_sigma.
 Each half of an episode pools its equal-size per-domain batches into one
 batch (per-sample domains select the count rows), so every loss is one
 kernel call on one feature pass, and the per-domain prototype tables are
-one (K, C, d_s) stack. Only the prototype EMA runs domain by domain.
+one (K, C, d_s) stack. The prototype EMA is one update of the pooled batch,
+made only when a loss that runs reads the bank (L_S2S, L_S2Z, or L_MZ2S on
+a meta-test half), as covariance tracking waits for the augmentation phase.
 
 ``episode`` computes one iteration's losses and gradients; ``run`` trains
 with it by the first-order rule, which treats the meta-test gradient at the
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -107,6 +110,11 @@ class TrainConfig:
     @property
     def total_steps(self) -> int:
         return self.t_max * self.steps_per_epoch
+
+    def reads_prototypes(self, meta_test: bool) -> bool:
+        """Whether a loss that runs reads the prototype bank: L_S2S and L_S2Z
+        on the meta-train half, L_MZ2S on a meta-test half."""
+        return self.use_s2s or self.use_s2z or (self.use_z2s and meta_test)
 
     def lr_outer(self, epoch: int) -> float:
         lr = self.beta2
@@ -202,10 +210,7 @@ def split_domains(train_domains, mte_size: int, rng: Rng):
 
 
 def _grad_norm(grads: dict) -> float:
-    total = 0.0
-    for g in grads.values():
-        total += float(np.sum(np.asarray(g) ** 2))
-    return float(np.sqrt(total))
+    return math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
 
 
 def _proto_domain(cfg: TrainConfig, domain: int) -> int:
@@ -233,12 +238,14 @@ def _pool(batches: dict):
 
 def meta_train_losses(leaves, batches, proto: PrototypeBank, cov: CovarianceBank,
                       table: SemanticTable | None, counts: DomainClassCounts,
-                      cfg: TrainConfig, mcfg: M.ModelConfig, aug_active: bool):
+                      cfg: TrainConfig, mcfg: M.ModelConfig, aug_active: bool,
+                      meta_test: bool = True):
     """Meta-train (or conventional) loss graph for one iteration.
 
     Returns (L_mtr tensor, component floats, proto', cov', sigma_prime).
     Bank updates happen between the classification/alignment losses and the
-    prototype-dependent losses, in iteration line order.
+    prototype-dependent losses, in iteration line order. `meta_test` says
+    whether a meta-test half follows; with it, L_MZ2S reads the prototypes.
     """
     enc = lambda v: M.encode(leaves, v, mcfg)
     x, y, dom = _pool(batches)
@@ -255,12 +262,9 @@ def meta_train_losses(leaves, batches, proto: PrototypeBank, cov: CovarianceBank
         comps["L_Z2S"] = float(l_z2s.data)
         parts.append(cfg.w1 * l_z2s)
 
-    # The prototype EMA stays one call per domain: its steps are sequential,
-    # and under single_prototype (ablation row k) every domain steps the one
-    # shared row in turn.
-    for n in sorted(batches):
-        sel = dom == n
-        proto = update_prototypes(proto, _proto_domain(cfg, n), feats.data[sel], y[sel])
+    if cfg.reads_prototypes(meta_test):
+        # under single_prototype (ablation row k) every sample feeds row 0
+        proto = update_prototypes(proto, 0 if cfg.single_prototype else dom, feats.data, y)
 
     sigma_prime = None
     if cfg.use_aug and aug_active:
@@ -354,7 +358,8 @@ def episode(params: dict, batches_mtr: dict, batches_mte: dict | None,
     """
     leaves = make_leaves(params)
     l_mtr, comps, proto, cov, sigma_prime = meta_train_losses(
-        leaves, batches_mtr, proto, cov, table, counts, cfg, mcfg, aug_active)
+        leaves, batches_mtr, proto, cov, table, counts, cfg, mcfg, aug_active,
+        meta_test=batches_mte is not None)
     l_mtr.backward()
     g_mtr = collect_grads(leaves)
     value = float(l_mtr.data)
@@ -374,10 +379,10 @@ def episode(params: dict, batches_mtr: dict, batches_mte: dict | None,
 def outer_step(params: dict, grads_mtr: dict, grads_mte: dict | None,
                cfg: TrainConfig, lr: float) -> dict:
     """theta_{t+1} = theta_t - lr (grad L_mtr + w_mte grad L_mte)."""
-    total = dict(grads_mtr)
-    if grads_mte is not None and cfg.w_mte != 0.0:
-        total = {k: total[k] + cfg.w_mte * grads_mte[k] for k in total}
-    return M.apply_step(params, total, lr)
+    if grads_mte is None or cfg.w_mte == 0.0:
+        return M.apply_step(params, grads_mtr, lr)
+    w = cfg.w_mte
+    return M.apply_step(params, {k: g + w * grads_mte[k] for k, g in grads_mtr.items()}, lr)
 
 
 def _validation_accuracy(params: dict, mcfg: M.ModelConfig, dataset: Dataset) -> dict:

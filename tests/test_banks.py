@@ -119,6 +119,43 @@ def test_update_prototypes_matches_per_class_means():
     assert np.array_equal(out.v[0], bank.v[0])
 
 
+@pytest.mark.parametrize("n_classes,d_v,batch", [(20, 16, 16), (50, 32, 48)])
+def test_pooled_update_equals_per_domain_loop(n_classes, d_v, batch):
+    # desk and paper_s1 shapes: three domains' batches in one call, each
+    # sample in its own domain's row, give the per-domain calls' bits
+    rng = Rng(21)
+    bank = B.PrototypeBank(v=rng.normal(size=(4, n_classes, d_v)),
+                           mask=np.ones((4, n_classes), dtype=bool))
+    doms = np.array([0, 2, 3])
+    feats = rng.normal(size=(3 * batch, d_v))
+    labels = rng.integers(0, n_classes, size=3 * batch)
+    rows = np.repeat(doms, batch)
+    loop = bank
+    for n in doms:
+        sel = rows == n
+        loop = B.update_prototypes(loop, n, feats[sel], labels[sel])
+    pooled = B.update_prototypes(bank, rows, feats, labels)
+    assert np.array_equal(pooled.v, loop.v)
+
+
+def test_shared_row_steps_once_toward_pooled_class_mean():
+    # one global row (ablation row k): two domains' samples of a class make
+    # one EMA step toward their pooled mean, not one step per domain
+    bank = B.PrototypeBank.zeros(np.ones((1, 2), dtype=bool), d_v=2)
+    bank.v[0] = [[4.0, 0.0], [0.0, 8.0]]
+    feats = np.array([[2.0, 0.0], [0.0, 2.0], [6.0, 4.0]])
+    out = B.update_prototypes(bank, 0, feats, np.array([0, 1, 0]))
+    assert np.array_equal(out.v[0, 0], 0.5 * np.array([4.0, 2.0]) + 0.5 * bank.v[0, 0])
+    assert np.array_equal(out.v[0, 1], 0.5 * np.array([0.0, 2.0]) + 0.5 * bank.v[0, 1])
+
+
+def test_update_prototypes_error_names_row_of_masked_sample():
+    mask = np.array([[True, True], [True, False]])
+    bank = B.PrototypeBank.zeros(mask, d_v=2)
+    with pytest.raises(ValueError, match="class 1 unseen in domain 1"):
+        B.update_prototypes(bank, np.array([0, 1, 1]), np.ones((3, 2)), np.array([1, 0, 1]))
+
+
 def test_masked_off_rows_stay_zero():
     rng = Rng(2)
     mask = np.array([[True, False, True], [False, True, True]])

@@ -335,6 +335,27 @@ def test_single_prototype_uses_one_table():
     assert np.isfinite(res.reports[-1].losses["L_S2S"])
 
 
+@pytest.mark.parametrize("row", list(MT.ABLATION_ROWS))
+def test_prototypes_update_only_when_a_loss_reads_them(row, monkeypatch):
+    # rows a-e and h run no loss that reads the bank (L_S2S, L_S2Z, or
+    # L_MZ2S on a meta-test half): they never update it
+    ds = bench()
+    cfg = MT.apply_ablation(tconf(), row)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return update_prototypes(*args)
+
+    monkeypatch.setattr(MT, "update_prototypes", spy)
+    res = MT.run(ds, cfg, MCFG)
+    if row in "abcdeh":
+        assert calls == []
+        assert np.array_equal(res.proto.v, MT.init_state(ds, cfg, MCFG).proto.v)
+    else:
+        assert len(calls) == cfg.total_steps
+
+
 def test_row_a_fits_separable_toy():
     # balanced, widely separated clusters: CE training accuracy reaches 1.0
     ds = bench(n_max=12, n_min=12, noise_scale=0.1, transform_strength=0.05,
