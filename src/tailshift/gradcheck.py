@@ -75,6 +75,14 @@ def _case_s2s(rng: Rng, n_classes: int, d_s: int, cp):
                 "b": rng.normal(size=(n_classes, d_s))}
 
 
+def _case_s2s_stack(rng: Rng, n_classes: int, d_s: int, cp):
+    def fn(t):
+        return L.s2s_stack_loss(normalize_rows(t["s"]), normalize_rows(t["tab"]), cp)
+
+    return fn, {"s": rng.normal(size=(3, n_classes, d_s)),
+                "tab": rng.normal(size=(n_classes, d_s))}
+
+
 def _case_s2z(rng: Rng, n_classes: int, d_v: int, d_s: int, cp):
     table = np.stack([v / np.linalg.norm(v) for v in rng.normal(size=(n_classes, d_s))])
 
@@ -133,6 +141,7 @@ def gradient_check_suite(n_points: int = 20, eps: float = 1e-5, tol: float = 1e-
         "s2z_loss": lambda r: _case_s2z(r, n_classes, d_v, d_s, cp),
         "aug_loss_mean": lambda r: _case_aug(r, n_classes, d_v, ap),
         "aug_bound": lambda r: _case_aug_bound(r, n_classes, d_v, ap.lam),
+        "s2s_stack_loss": lambda r: _case_s2s_stack(r, n_classes, d_s, cp),
     }
     results = []
     for name, case in cases.items():

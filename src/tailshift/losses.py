@@ -35,6 +35,7 @@ as well, returning the mean over the stack.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -284,6 +285,79 @@ def s2s_loss(s_m, s_n, cp: ContrastiveParams):
             Tensor._accum(b, _unbroadcast(db, bd.shape))
 
     return Tensor._from_op(np.asarray(value), (a, b), bw)
+
+
+@functools.lru_cache(maxsize=None)
+def _stack_pair_weights(k: int, c: int) -> np.ndarray:
+    """(K, C, K+1) weight of each term of ``s2s_stack_loss``: 1/(KC) for a
+    table pair (n = K), 1/(K(K-1)C) for a pair of distinct tables, 0 for
+    n = m, which is not a pair. Read-only."""
+    w = np.full((k, c, k + 1), 1.0 / float(k * (k - 1) * c) if k > 1 else 0.0)
+    w[..., k] = 1.0 / float(k * c)
+    w[np.arange(k), :, np.arange(k)] = 0.0
+    w.flags.writeable = False
+    return w
+
+
+def s2s_stack_loss(s_hat, table, cp: ContrastiveParams):
+    """L_S2S of a (K, C, d) stack of prototype tables:
+
+        mean_k s2s(s_hat_k, table) + mean_{m != n} s2s(s_hat_m, s_hat_n)
+
+    over the K(K - 1) ordered pairs of distinct tables; with K = 1 only the
+    table term remains. Up to round-off it equals ``s2s_loss(s_hat, table)``
+    plus ``s2s_loss`` of the stacked pairs.
+
+    One graph node. Every similarity is an entry of one Gram matrix G of the
+    stack's rows against [stack; table], scaled by 1/tau. The terms of
+    class c of table m read only row (m, c) of G, so that row's maximum is
+    their shift and its exponentials are taken once for all of them. The
+    excluded diagonal entries of each (m, n) block (the positives and the
+    self-similarities) are zeroed before the block row sums, never
+    subtracted from a full sum. In the backward, block (m, n) of dL/dG is
+    E_mn gs_mn off its diagonal for a cross block and E_mm times the sum of
+    gs_mn over n for the intra block, with the positives' derivatives on the
+    cross diagonals; the stack then gets (dG [stack; table] + dG_s' stack) /
+    tau, where dG_s is dG's stack columns, and the table dG_t' stack / tau.
+    """
+    a = _table(s_hat, "s2s_stack_loss s_hat")
+    t = _table(table, "s2s_stack_loss table")
+    ad, td = a.data, t.data
+    if ad.ndim != 3 or ad.shape[1:] != td.shape:
+        raise ValueError("s2s_stack_loss: need a (K, C, d) stack and its (C, d) table")
+    k, c, d = ad.shape
+    kc = k * c
+    diag = np.arange(c)
+    s = ad.reshape(kc, d)
+    x = np.concatenate([s, td])                                   # ((K+1)C, d)
+    gram = (s @ x.T) / cp.tau                                     # (KC, (K+1)C)
+    shift = gram.max(axis=1)
+    e = np.exp(gram - shift[:, None]).reshape(k, c, k + 1, c)     # [m, c, n, j]
+    e[:, diag, :, diag] = 0.0
+    rowsum = e.sum(axis=-1)                                       # (K, C, K+1)
+    # pos[m, c, n] - shift: the positive s_mc . s_nc / tau - alpha / tau
+    pos = gram.reshape(k, c, k + 1, c).diagonal(axis1=1, axis2=3).swapaxes(1, 2) \
+        - (shift.reshape(k, c, 1) + cp.alpha / cp.tau)
+    epos = np.exp(pos)
+    total = epos + rowsum + rowsum.diagonal(axis1=0, axis2=2).T[..., None]  # + intra sum
+    terms = np.log(total) - pos
+    wts = _stack_pair_weights(k, c)
+    value = terms.ravel() @ wts.ravel()
+
+    def bw(g):
+        w = g * wts
+        gs = w / total                                            # (K, C, K+1)
+        dpos = epos * gs - w
+        gs[np.arange(k), :, np.arange(k)] = gs.sum(axis=-1)       # intra block of m
+        dgram = e * gs[..., None]
+        dgram[:, diag, :, diag] = dpos.swapaxes(0, 1)
+        dgram = dgram.reshape(kc, (k + 1) * c)
+        if a.requires_grad:
+            Tensor._accum(a, ((dgram @ x + dgram[:, :kc].T @ s) / cp.tau).reshape(ad.shape))
+        if t.requires_grad:
+            Tensor._accum(t, (dgram[:, kc:].T @ s) / cp.tau)
+
+    return Tensor._from_op(np.asarray(value), (a, t), bw)
 
 
 def s2z_loss(v_hat, w, b, encode, table, cp: ContrastiveParams):

@@ -56,7 +56,8 @@ from .losses import (
     DomainClassCounts,
     aug_loss_mean,
     dc_loss_mean,
-    s2s_loss,
+    s2s_loss,  # not called here: perfbench/spans.py wraps this name in meta
+    s2s_stack_loss,
     s2z_loss,
     z2s_loss_mean,
 )
@@ -277,11 +278,7 @@ def meta_train_losses(leaves, batches, proto: PrototypeBank, cov: CovarianceBank
         s_hat = complete_semantic(proto, enc, table, proto_rows)    # (K, C, d_s)
 
     if cfg.use_s2s:
-        l_s2s = s2s_loss(s_hat, table, cfg.cp)
-        if len(proto_rows) > 1:
-            # every ordered pair (m, n) of distinct tables
-            m, n = np.nonzero(~np.eye(len(proto_rows), dtype=bool))
-            l_s2s = l_s2s + s2s_loss(s_hat[m], s_hat[n], cfg.cp)
+        l_s2s = s2s_stack_loss(s_hat, table, cfg.cp)
         comps["L_S2S"] = float(l_s2s.data)
         parts.append(cfg.w2 * l_s2s)
 

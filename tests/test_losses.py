@@ -360,6 +360,8 @@ def _kernel_calls():
         "dc_loss_mean": lambda: L.dc_loss_mean(rng.normal(size=(2, c)), [0, 1], [0, 0], counts),
         "z2s_loss_mean": lambda: L.z2s_loss_mean(unit_rows(rng, 2, d_s), [0, 1], table, cp),
         "s2s_loss": lambda: L.s2s_loss(table, unit_rows(rng, c, d_s), cp),
+        "s2s_stack_loss": lambda: L.s2s_stack_loss(
+            np.stack([unit_rows(rng, c, d_s) for _ in range(2)]), table, cp),
         "s2z_loss": lambda: L.s2z_loss(rng.normal(size=(c, d_v)), w, b, enc, table, cp),
         "aug_loss_mean": lambda: L.aug_loss_mean(rng.normal(size=(2, d_v)), [0, 1], w, b,
                                                  sigmas, ap),
@@ -691,6 +693,58 @@ def test_stacked_kernels_grad_match_fd():
                            "We": rng.normal(size=(d_s, d_v)), "be": rng.normal(size=d_s)})
 
 
+def _s2s_stack_from_pairs(s_hat, table, cp):
+    """L_S2S composed of s2s_loss calls: the table term over the stack plus
+    one call on the gathered ordered pairs of distinct tables."""
+    k = s_hat.data.shape[0]
+    loss = L.s2s_loss(s_hat, table, cp)
+    if k > 1:
+        m, n = np.nonzero(~np.eye(k, dtype=bool))
+        loss = loss + L.s2s_loss(s_hat[m], s_hat[n], cp)
+    return loss
+
+
+@pytest.mark.parametrize("c,d", [(20, 8), (50, 12)])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_s2s_stack_loss_matches_s2s_loss_composition(k, c, d):
+    # desk and paper_s1 shapes at the training temperature
+    rng = Rng(40 + k)
+    cp = L.ContrastiveParams(alpha=0.1, tau=1.0 / 30.0)
+    params = {"s": np.stack([unit_rows(rng, c, d) for _ in range(k)]),
+              "tab": unit_rows(rng, c, d)}
+    fused = grad(lambda t: L.s2s_stack_loss(t["s"], t["tab"], cp), params)
+    ref = grad(lambda t: _s2s_stack_from_pairs(t["s"], t["tab"], cp), params)
+    assert abs(fused.value - ref.value) <= 1e-12 * abs(ref.value)
+    for key in params:
+        err = np.abs(fused.grads[key] - ref.grads[key]).max()
+        assert err <= 1e-12 * np.abs(ref.grads[key]).max(), key
+
+
+def test_s2s_stack_loss_grad_matches_fd():
+    rng = Rng(45)
+    cp = L.ContrastiveParams(alpha=0.1, tau=0.5)
+    _grad_matches_fd(lambda t: L.s2s_stack_loss(normalize_rows(t["s"]),
+                                                normalize_rows(t["tab"]), cp),
+                     {"s": rng.normal(size=(3, 4, 3)), "tab": rng.normal(size=(4, 3))})
+
+
+def test_s2s_stack_loss_refuses_non_unit_rows_and_other_shapes():
+    rng = Rng(46)
+    cp = L.ContrastiveParams()
+    good, table = np.stack([unit_rows(rng, 4, 3) for _ in range(2)]), unit_rows(rng, 4, 3)
+    for bad_row in (1.01 * good[1, 2], np.full(3, np.nan)):
+        bad = good.copy()
+        bad[1, 2] = bad_row
+        with pytest.raises(ValueError, match="s2s_stack_loss s_hat"):
+            L.s2s_stack_loss(bad, table, cp)
+        with pytest.raises(ValueError, match="s2s_stack_loss table"):
+            L.s2s_stack_loss(good, bad[1], cp)
+    with pytest.raises(ValueError, match="need a"):
+        L.s2s_stack_loss(good[0], table, cp)
+    with pytest.raises(ValueError, match="need a"):
+        L.s2s_stack_loss(good, table[:3], cp)
+
+
 def test_semantic_table_and_its_array_give_identical_kernels():
     # a SemanticTable skips the unit-row re-check; nothing else may change
     rng = Rng(28)
@@ -705,6 +759,7 @@ def test_semantic_table_and_its_array_give_identical_kernels():
         "z2s": (lambda t, tab: L.z2s_loss_mean(t["x"], labels, tab, cp), emb),
         "s2s_n": (lambda t, tab: L.s2s_loss(t["x"], tab, cp), s_m),
         "s2s_m": (lambda t, tab: L.s2s_loss(tab, t["x"], cp), s_m),
+        "s2s_stack": (lambda t, tab: L.s2s_stack_loss(t["x"], tab, cp), s_m[None]),
         "s2z": (lambda t, tab: L.s2z_loss(t["x"], w, b, lambda v: normalize_rows(
             (v @ Tensor(enc_w).T).relu() + 1e-3), tab, cp), v_hat),
     }
