@@ -168,22 +168,16 @@ class CovarianceBank:
         return CovarianceBank(mu=self.mu.copy(), sigma=self.sigma.copy(), n=self.n.copy())
 
 
-def update_covariance(bank: CovarianceBank, features, labels) -> CovarianceBank:
-    """Merge a batch into the running per-class statistics.
+def _batch_statistics(features, labels):
+    """Per-class population statistics of one batch: the distinct labels
+    (U,), their counts (U,), means mu_b (U, d) and covariances Sigma_b
+    (U, d, d).
 
-    With n existing and m incoming samples of a class:
-        mu'    = (n mu + m mu_b) / (n + m)
-        Sigma' = (n Sigma + m Sigma_b)/(n + m) + n m (mu - mu_b)(mu - mu_b)'/(n + m)^2
-    where Sigma_b is the population covariance of the batch. The batch is
-    sorted by label once (stably); the class means are segment sums of the
-    sorted rows, and the class-centred rows are scattered into a zero-padded
-    (U, m_max, d) stack P, so Sigma_b of all U classes is one batched Gram
-    product P'P / m.
+    The batch is sorted by label once (stably); the class means are segment
+    sums of the sorted rows, and the class-centred rows are scattered into a
+    zero-padded (U, m_max, d) stack P, so Sigma_b of all U classes is one
+    batched Gram product P'P / m.
     """
-    features = np.asarray(features, dtype=np.float64)
-    if not np.isfinite(features).all():
-        raise ValueError("update_covariance: non-finite features")
-    labels = np.asarray(labels, dtype=np.int64)
     counts = np.bincount(labels)
     classes = np.flatnonzero(counts)                                   # (U,)
     counts = counts[classes]
@@ -196,7 +190,27 @@ def update_covariance(bank: CovarianceBank, features, labels) -> CovarianceBank:
     padded[seg, np.arange(len(xs)) - starts[seg]] = xs - mu_b[seg]
     sig_b = np.swapaxes(padded, 1, 2) @ padded                        # (U, d, d)
     sig_b /= m[:, None, None]
+    return classes, counts, mu_b, sig_b
 
+
+def update_covariance(bank: CovarianceBank, features, labels) -> CovarianceBank:
+    """Merge a batch into the running per-class statistics.
+
+    With n existing and m incoming samples of a class:
+        mu'    = (n mu + m mu_b) / (n + m)
+        Sigma' = (n Sigma + m Sigma_b)/(n + m) + n m (mu - mu_b)(mu - mu_b)'/(n + m)^2
+    where mu_b and Sigma_b are the batch's population statistics
+    (``_batch_statistics``). The first merge of a class (n = 0) stores them
+    exactly as computed, bit for bit, rather than their round-off through
+    the formula.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    if not np.isfinite(features).all():
+        raise ValueError("update_covariance: non-finite features")
+    labels = np.asarray(labels, dtype=np.int64)
+    classes, counts, mu_b, sig_b = _batch_statistics(features, labels)
+
+    m = counts.astype(np.float64)
     n = bank.n[classes].astype(np.float64)
     tot = n + m
     mu_old = bank.mu[classes]

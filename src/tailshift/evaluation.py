@@ -13,7 +13,8 @@ Metrics:
 Open classes are those absent from every training domain. ``decide`` is the
 one open-set rule: a prediction is OPEN when the maximum softmax probability
 (optionally the maximum logit, rescaled) falls below the threshold. Both
-``evaluate`` and ``select_threshold`` score through it. The CLI scores the
+``evaluate`` and ``select_threshold`` score through it; ``select_threshold``
+passes its whole grid in one call, so the confidences are computed once. The CLI scores the
 domain ``Dataset.heldout_domain``, which is also ``select_threshold``'s
 default.
 """
@@ -62,7 +63,9 @@ def decide(logits: np.ndarray, threshold: float,
     Returns (predicted class or OPEN, confidence) per row. Confidence is the
     max softmax probability by default ("logit" uses the max raw logit
     squashed through a sigmoid instead). OPEN iff confidence falls strictly
-    below the threshold; argmax ties go to the lowest index.
+    below the threshold; argmax ties go to the lowest index. An array of
+    thresholds broadcasts against the rows: a (G, 1) column gives one row of
+    decisions per threshold.
     """
     logits = np.asarray(logits, dtype=np.float64)
     if confidence == "softmax":
@@ -155,12 +158,10 @@ def select_threshold(params: Params, mcfg: ModelConfig, dataset: Dataset,
     idx = dataset.indices(split)
     logits = predict_logits(params, dataset.x[idx], mcfg)
     open_classes = dataset.counts.counts.sum(axis=0) == 0
-    scores = []
-    for th in grid:
-        pred, _ = decide(logits, th, confidence)
-        rep = metrics_from_predictions(dataset.y[idx], dataset.d[idx], pred,
-                                       open_classes, heldout_domain, th)
-        scores.append(rep.h)
+    preds, _ = decide(logits, np.asarray(grid)[:, None], confidence)
+    scores = [metrics_from_predictions(dataset.y[idx], dataset.d[idx], pred,
+                                       open_classes, heldout_domain, th).h
+              for th, pred in zip(grid, preds)]
     return grid[int(np.argmax(scores))]
 
 

@@ -354,11 +354,12 @@ def affine(x, w, b) -> Tensor:
     return Tensor._from_op(out_data, (xt, wt, bt), bw)
 
 
-def normalize_rows(x) -> Tensor:
+def normalize_rows(x, return_norms: bool = False):
     """Scale rows to (floored) unit Euclidean norm inside the graph.
 
     One node: y = x / n with n = sqrt(|x|^2 + NORM_FLOOR), and the backward
-    is (g - y (y . g)) / n.
+    is (g - y (y . g)) / n. With ``return_norms`` it returns (y, n), the
+    (..., 1) array of floored norms it divided by.
     """
     xt = as_tensor(x)
     xd = xt.data
@@ -368,7 +369,8 @@ def normalize_rows(x) -> Tensor:
     def bw(g):
         Tensor._accum(xt, (g - y * (y * g).sum(axis=-1, keepdims=True)) / n)
 
-    return Tensor._from_op(y, (xt,), bw)
+    out = Tensor._from_op(y, (xt,), bw)
+    return (out, n) if return_norms else out
 
 
 @dataclass

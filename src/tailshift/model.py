@@ -107,13 +107,14 @@ def encode(params: Params, z, cfg: ModelConfig):
 
     A row the rectifier kills entirely has no direction to normalize; such
     rows map to the uniform unit vector (gradient-free), keeping the output
-    exactly on the unit sphere instead of exploding through 1/norm.
+    exactly on the unit sphere instead of exploding through 1/norm. The test
+    reads the floored norms the normalization computed; the floor moves the
+    DEAD_ROW_NORM threshold by about 5e-17.
     """
     r = affine(z, params["enc.W"], params["enc.b"]).relu()
-    norms = np.linalg.norm(r.data, axis=-1, keepdims=True)
-    unit = normalize_rows(r)
-    if (norms < DEAD_ROW_NORM).any():
-        dead = norms < DEAD_ROW_NORM
+    unit, norms = normalize_rows(r, return_norms=True)
+    dead = norms < DEAD_ROW_NORM
+    if dead.any():
         fallback = np.ones(cfg.d_s) / np.sqrt(cfg.d_s)
         unit = unit * (~dead) + fallback * dead
     return unit

@@ -342,6 +342,26 @@ def test_update_covariance_matches_two_pass_per_class():
     assert np.array_equal(first.mu[0], x1[y1 == 0][0])
 
 
+def test_first_merge_of_a_class_stores_batch_statistics_exactly():
+    # a class's first batch (n = 0) is stored bit for bit as computed, and
+    # whatever its mean and covariance slots held is not read: here class 4
+    # holds NaN. From zeros the merge formula gives the same bits (m (G/m)/m
+    # rounds back to G/m), so only such slots tell the rule from the formula.
+    rng = Rng(27)
+    c, d = 6, 4
+    bank = B.update_covariance(B.CovarianceBank.zeros(c, d), rng.normal(size=(9, d)),
+                               np.repeat([0, 1, 2], 3))
+    bank.mu[4], bank.sigma[4] = np.nan, np.nan
+    x, y = 0.7 + rng.normal(size=(12, d)), np.repeat([1, 3, 4, 5], 3)
+    classes, _, mu_b, sig_b = B._batch_statistics(x, y)
+    out = B.update_covariance(bank, x, y)
+    new = classes != 1
+    assert np.array_equal(out.sigma[classes[new]], sig_b[new])
+    assert np.array_equal(out.mu[classes[new]], mu_b[new])
+    assert not np.array_equal(out.sigma[1], sig_b[0])
+    assert np.array_equal(out.n, [3, 6, 3, 3, 3, 3])
+
+
 def test_update_covariance_streaming_in_1_2_5_batches():
     rng = Rng(26)
     c, d, nb = 5, 3, 40
