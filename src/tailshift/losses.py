@@ -1,6 +1,6 @@
 """Loss kernels for long-tailed multi-domain training.
 
-Five kernels plus one closed-form bound:
+Six kernels plus one closed-form bound:
 
 - ``dc_loss_mean``  count-calibrated softmax cross-entropy, the plain
   cross-entropy of the logits plus log counts; classes absent from the
@@ -9,6 +9,9 @@ Five kernels plus one closed-form bound:
   to their class rows in a semantic table.
 - ``s2s_loss``  cross-table prototype contrast: positives are same-class rows
   across two tables, negatives are other classes in both tables.
+- ``s2s_stack_loss`` the prototype contrast of a (K, C, d) stack of tables:
+  each table against the semantic table, and every ordered pair of distinct
+  tables against each other, in one pass over one Gram matrix.
 - ``s2z_loss``  cycle-style constraint on reconstructed prototypes: classify
   each decoded prototype as its own class, and re-align its re-encoding to
   the semantic table.
@@ -19,13 +22,14 @@ Five kernels plus one closed-form bound:
   estimate of that expectation must stay below it.
 
 Every training loss is one graph node with a hand-written backward
-(``dc_loss_mean``, ``z2s_loss_mean``, ``s2s_loss``, ``aug_loss_mean``) or a
+(``dc_loss_mean``, ``z2s_loss_mean``, ``s2s_loss``, ``s2s_stack_loss``,
+``aug_loss_mean``) or a
 sum of such nodes (``s2z_loss`` adds a ``dc_loss_mean`` on its ``affine``
 logits to an ``s2s_loss``); only ``aug_bound``, which no training step
 calls, is built from ``mathcore`` primitives. The softmax cross-entropies
 of ``dc_loss_mean``, ``z2s_loss_mean`` and ``aug_loss_mean`` are one helper
-on ``mathcore``'s log-softmax core; ``s2s_loss`` keeps its own shift (see
-its docstring). Like ``model``, each accepts plain arrays or graph tensors
+on ``mathcore``'s log-softmax core; ``s2s_loss`` and ``s2s_stack_loss``
+keep their own shifts (see their docstrings). Like ``model``, each accepts plain arrays or graph tensors
 and always returns a scalar Tensor (its ``.data`` is the value). Gradients
 are analytic and cross-checked against ``mathcore.fd_grad``. A single
 sample is a batch of one, and the table kernels (``z2s_loss_mean``,
@@ -287,7 +291,7 @@ def s2s_loss(s_m, s_n, cp: ContrastiveParams):
     return Tensor._from_op(np.asarray(value), (a, b), bw)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=32)
 def _stack_pair_weights(k: int, c: int) -> np.ndarray:
     """(K, C, K+1) weight of each term of ``s2s_stack_loss``: 1/(KC) for a
     table pair (n = K), 1/(K(K-1)C) for a pair of distinct tables, 0 for

@@ -112,11 +112,6 @@ class TrainConfig:
     def total_steps(self) -> int:
         return self.t_max * self.steps_per_epoch
 
-    def reads_prototypes(self, meta_test: bool) -> bool:
-        """Whether a loss that runs reads the prototype bank: L_S2S and L_S2Z
-        on the meta-train half, L_MZ2S on a meta-test half."""
-        return self.use_s2s or self.use_s2z or (self.use_z2s and meta_test)
-
     def lr_outer(self, epoch: int) -> float:
         lr = self.beta2
         for frac in DECAY_MILESTONES:
@@ -263,8 +258,9 @@ def meta_train_losses(leaves, batches, proto: PrototypeBank, cov: CovarianceBank
         comps["L_Z2S"] = float(l_z2s.data)
         parts.append(cfg.w1 * l_z2s)
 
-    if cfg.reads_prototypes(meta_test):
-        # under single_prototype (ablation row k) every sample feeds row 0
+    # Only L_S2S, L_S2Z and a meta-test half's L_MZ2S read the prototypes.
+    # Under single_prototype (ablation row k) every sample feeds row 0.
+    if cfg.use_s2s or cfg.use_s2z or (cfg.use_z2s and meta_test):
         proto = update_prototypes(proto, 0 if cfg.single_prototype else dom, feats.data, y)
 
     sigma_prime = None
