@@ -14,9 +14,9 @@ Open classes are those absent from every training domain. ``decide`` is the
 one open-set rule: a prediction is OPEN when the maximum softmax probability
 (optionally the maximum logit, rescaled) falls below the threshold. Both
 ``evaluate`` and ``select_threshold`` score through it; ``select_threshold``
-passes its whole grid in one call, so the confidences are computed once. The CLI scores the
-domain ``Dataset.heldout_domain``, which is also ``select_threshold``'s
-default.
+passes its whole grid in one call, so the confidences are computed once.
+The CLI scores the domain ``Dataset.heldout_domain``, which is also
+``select_threshold``'s default.
 """
 
 from __future__ import annotations

@@ -23,14 +23,14 @@ Six kernels plus one closed-form bound:
 
 Every training loss is one graph node with a hand-written backward
 (``dc_loss_mean``, ``z2s_loss_mean``, ``s2s_loss``, ``s2s_stack_loss``,
-``aug_loss_mean``) or a
-sum of such nodes (``s2z_loss`` adds a ``dc_loss_mean`` on its ``affine``
-logits to an ``s2s_loss``); only ``aug_bound``, which no training step
-calls, is built from ``mathcore`` primitives. The softmax cross-entropies
-of ``dc_loss_mean``, ``z2s_loss_mean`` and ``aug_loss_mean`` are one helper
-on ``mathcore``'s log-softmax core; ``s2s_loss`` and ``s2s_stack_loss``
-keep their own shifts (see their docstrings). Like ``model``, each accepts plain arrays or graph tensors
-and always returns a scalar Tensor (its ``.data`` is the value). Gradients
+``aug_loss_mean``) or a sum of such nodes (``s2z_loss`` adds a
+``dc_loss_mean`` on its ``affine`` logits to an ``s2s_loss``); only
+``aug_bound``, which no training step calls, is built from ``mathcore``
+primitives. The softmax cross-entropies of ``dc_loss_mean``,
+``z2s_loss_mean`` and ``aug_loss_mean`` are one helper on ``mathcore``'s
+log-softmax core; ``s2s_loss`` and ``s2s_stack_loss`` keep their own shifts
+(see their docstrings). Like ``model``, each accepts plain arrays or graph
+tensors and always returns a scalar Tensor (its ``.data`` is the value). Gradients
 are analytic and cross-checked against ``mathcore.fd_grad``. A single
 sample is a batch of one, and the table kernels (``z2s_loss_mean``,
 ``s2s_loss``, ``s2z_loss``) take a stack of (C, d) tables over leading axes

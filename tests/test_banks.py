@@ -104,6 +104,9 @@ def test_update_prototypes_error_names_masked_class_and_domain():
     bank = B.PrototypeBank.zeros(mask, d_v=2)
     with pytest.raises(ValueError, match="class 1 unseen in domain 1"):
         B.update_prototypes(bank, 1, np.ones((3, 2)), np.array([2, 1, 0]))
+    # with one row per sample, the row of the offending sample is named
+    with pytest.raises(ValueError, match="class 1 unseen in domain 1"):
+        B.update_prototypes(bank, np.array([0, 1, 1]), np.ones((3, 2)), np.array([1, 0, 1]))
 
 
 def test_update_prototypes_matches_per_class_means():
@@ -147,13 +150,6 @@ def test_shared_row_steps_once_toward_pooled_class_mean():
     out = B.update_prototypes(bank, 0, feats, np.array([0, 1, 0]))
     assert np.array_equal(out.v[0, 0], 0.5 * np.array([4.0, 2.0]) + 0.5 * bank.v[0, 0])
     assert np.array_equal(out.v[0, 1], 0.5 * np.array([0.0, 2.0]) + 0.5 * bank.v[0, 1])
-
-
-def test_update_prototypes_error_names_row_of_masked_sample():
-    mask = np.array([[True, True], [True, False]])
-    bank = B.PrototypeBank.zeros(mask, d_v=2)
-    with pytest.raises(ValueError, match="class 1 unseen in domain 1"):
-        B.update_prototypes(bank, np.array([0, 1, 1]), np.ones((3, 2)), np.array([1, 0, 1]))
 
 
 def test_masked_off_rows_stay_zero():
