@@ -6,8 +6,11 @@ the training-loop random state. Every array is stored the same way, as its
 dtype, its shape and the hex of its little-endian bytes, so a save/load round
 trip is bit-exact and resuming reproduces the uninterrupted run's trace. A
 fingerprint of the training data ties the checkpoint to its dataset. A save
-writes a temporary file next to the target and renames it into place, so a
-failed save leaves any earlier checkpoint at that path intact.
+streams the document into a temporary file next to the target, making each
+array's text only when the encoder reaches it, and renames the file into
+place, so a failed save leaves any earlier checkpoint at that path intact.
+A load decodes the arrays one at a time, dropping each one's text as it
+goes, and hands back the state and the configs and fingerprint only.
 """
 
 from __future__ import annotations
@@ -24,20 +27,27 @@ from .meta import TrainerState
 
 FORMAT = "tailshift-checkpoint"
 VERSION = 3
-# Top-level fields of a version-3 payload besides format and version.
+# Top-level fields of a version-3 payload besides format and version, and
+# the ones ``load_checkpoint`` hands back beside the state.
 FIELDS = ("step", "model_config", "train_config", "dataset_fingerprint", "params",
           "proto", "cov", "rng_state")
+META = ("model_config", "train_config", "dataset_fingerprint")
 
 
-def _enc_array(a: np.ndarray) -> dict:
-    a = np.asarray(a)
+def _enc_array(a) -> dict:
+    """``json.dump``'s hook for the arrays of a payload: each is turned into
+    text only when the encoder reaches it."""
+    if not isinstance(a, np.ndarray):
+        raise TypeError(f"{type(a).__name__} is not JSON serializable")
     le = a.astype(a.dtype.newbyteorder("<"), copy=False)
     return {"dtype": le.dtype.str, "shape": list(a.shape), "hex": le.tobytes().hex()}
 
 
-def _dec_array(d: dict) -> np.ndarray:
-    stored = np.frombuffer(bytes.fromhex(d["hex"]), dtype=np.dtype(d["dtype"]))
-    return stored.astype(stored.dtype.newbyteorder("=")).reshape(d["shape"])
+def _take_array(d: dict) -> np.ndarray:
+    """Decode an encoded array, removing its hex text from ``d``; the
+    decoded bytes are the array's own writable buffer."""
+    stored = np.frombuffer(bytearray.fromhex(d.pop("hex")), dtype=np.dtype(d["dtype"]))
+    return stored.astype(stored.dtype.newbyteorder("="), copy=False).reshape(d["shape"])
 
 
 def save_checkpoint(path, state: TrainerState, model_config: dict,
@@ -51,23 +61,16 @@ def save_checkpoint(path, state: TrainerState, model_config: dict,
         "dataset_fingerprint": dataset_fingerprint,
         # list of pairs: block order is part of the state (reduction order
         # in gradient norms must survive a resume bit-exactly)
-        "params": [[k, _enc_array(v)] for k, v in state.params.items()],
-        "proto": {
-            "v": _enc_array(state.proto.v),
-            "mask": _enc_array(state.proto.mask),
-            "ema": state.proto.ema,
-        },
-        "cov": {
-            "mu": _enc_array(state.cov.mu),
-            "sigma": _enc_array(state.cov.sigma),
-            "n": _enc_array(state.cov.n),
-        },
+        "params": [[k, v] for k, v in state.params.items()],
+        "proto": {"v": state.proto.v, "mask": state.proto.mask, "ema": state.proto.ema},
+        "cov": {"mu": state.cov.mu, "sigma": state.cov.sigma, "n": state.cov.n},
         "rng_state": state.rng_state,
     }
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, sort_keys=True, default=_enc_array)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -75,8 +78,9 @@ def save_checkpoint(path, state: TrainerState, model_config: dict,
 
 
 def load_checkpoint(path) -> tuple[TrainerState, dict]:
-    """Returns (trainer state, full payload dict). A file that is not a
-    whole version-3 checkpoint raises ``DataFormatError`` naming the file."""
+    """Returns (trainer state, metadata), the metadata being the payload's
+    ``META`` fields. A file that is not a whole version-3 checkpoint raises
+    ``DataFormatError`` naming the file."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
@@ -90,16 +94,16 @@ def load_checkpoint(path) -> tuple[TrainerState, dict]:
     if missing:
         raise DataFormatError(f"{path}: checkpoint lacks {', '.join(missing)}")
     try:
-        params = {k: _dec_array(v) for k, v in raw["params"]}
-        proto = PrototypeBank(v=_dec_array(raw["proto"]["v"]),
-                              mask=_dec_array(raw["proto"]["mask"]),
+        params = {k: _take_array(v) for k, v in raw["params"]}
+        proto = PrototypeBank(v=_take_array(raw["proto"]["v"]),
+                              mask=_take_array(raw["proto"]["mask"]),
                               ema=float(raw["proto"]["ema"]))
-        cov = CovarianceBank(mu=_dec_array(raw["cov"]["mu"]),
-                             sigma=_dec_array(raw["cov"]["sigma"]),
-                             n=_dec_array(raw["cov"]["n"]))
+        cov = CovarianceBank(mu=_take_array(raw["cov"]["mu"]),
+                             sigma=_take_array(raw["cov"]["sigma"]),
+                             n=_take_array(raw["cov"]["n"]))
         state = TrainerState(params=params, proto=proto, cov=cov,
                              rng_state=raw["rng_state"], step=int(raw["step"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: malformed checkpoint "
                               f"({type(exc).__name__}: {exc})") from exc
-    return state, raw
+    return state, {k: raw[k] for k in META}

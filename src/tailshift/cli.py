@@ -51,7 +51,12 @@ MANIFEST_FILE = "manifest.json"
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    """Hash a file in 64 KiB chunks, never holding the whole file."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _load_dataset_dir(path: str | Path) -> tuple[D.Dataset, str]:

@@ -21,6 +21,7 @@ File formats (UTF-8, comma-separated, round-trip-exact floats):
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,7 @@ from .losses import DomainClassCounts
 from .mathcore import Rng
 
 SPLITS = ("train", "val", "test")
+_SPLIT_CODES = {tag: i for i, tag in enumerate(SPLITS)}
 
 
 def unit_normalize(v, eps: float = 1e-12) -> np.ndarray:
@@ -339,9 +341,10 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 
 def load_dataset(path, semantic: SemanticTable | None = None) -> Dataset:
-    """Parse a dataset CSV line by line, holding one float64 row per sample
-    rather than the file's text."""
-    xs, ys, ds, tags = [], [], [], []
+    """Parse a dataset CSV line by line into flat typed buffers, which the
+    returned columns view without a copy; neither the file's text nor a
+    per-row object is held."""
+    xs, ys, ds, tags = array("d"), array("q"), array("q"), array("b")
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline()
         if not first:
@@ -363,14 +366,21 @@ def load_dataset(path, semantic: SemanticTable | None = None) -> Dataset:
             try:
                 ds.append(int(parts[0]))
                 ys.append(int(parts[1]))
-                xs.append(np.array([float(v) for v in parts[3:]]))
+                xs.extend(map(float, parts[3:]))
             except ValueError as exc:
                 raise DataFormatError(str(exc), line=ln) from exc
-            if parts[2] not in SPLITS:
+            except OverflowError as exc:  # an int beyond int64
+                raise DataFormatError(f"domain or label out of range ({exc})",
+                                      line=ln) from exc
+            tag = _SPLIT_CODES.get(parts[2])
+            if tag is None:
                 raise DataFormatError(f"unknown split tag {parts[2]!r}", line=ln)
-            tags.append(parts[2])
+            tags.append(tag)
+    x = np.frombuffer(xs, dtype=np.float64).reshape(-1, d_x)
+    split = np.array(SPLITS)[np.frombuffer(tags, dtype=np.int8)]
     try:
-        return make_dataset(np.array(xs), ys, ds, tags, semantic=semantic)
+        return make_dataset(x, np.frombuffer(ys, dtype=np.int64),
+                            np.frombuffer(ds, dtype=np.int64), split, semantic=semantic)
     except ValueError as exc:
         raise DataFormatError(str(exc)) from exc
 

@@ -14,7 +14,8 @@ Open classes are those absent from every training domain. ``decide`` is the
 one open-set rule: a prediction is OPEN when the maximum softmax probability
 (optionally the maximum logit, rescaled) falls below the threshold. Both
 ``evaluate`` and ``select_threshold`` score through it; ``select_threshold``
-passes its whole grid in one call, so the confidences are computed once.
+passes its whole grid in one call, so the confidences are computed once,
+and scores H for every grid point from counts (``h_per_threshold``).
 The CLI scores the domain ``Dataset.heldout_domain``, which is also
 ``select_threshold``'s default.
 """
@@ -159,10 +160,33 @@ def select_threshold(params: Params, mcfg: ModelConfig, dataset: Dataset,
     logits = predict_logits(params, dataset.x[idx], mcfg)
     open_classes = dataset.counts.counts.sum(axis=0) == 0
     preds, _ = decide(logits, np.asarray(grid)[:, None], confidence)
-    scores = [metrics_from_predictions(dataset.y[idx], dataset.d[idx], pred,
-                                       open_classes, heldout_domain, th).h
-              for th, pred in zip(grid, preds)]
+    scores = h_per_threshold(dataset.y[idx], dataset.d[idx], preds, open_classes)
     return grid[int(np.argmax(scores))]
+
+
+def h_per_threshold(y: np.ndarray, d: np.ndarray, preds: np.ndarray,
+                    open_classes: np.ndarray) -> np.ndarray:
+    """``metrics_from_predictions(y, d, pred, ...).h`` for each row ``pred``
+    of the (G, N) decisions, bit for bit, from per-threshold counts: every
+    rate is an exact count over a sample count, as in ``mean``."""
+    y, d, preds = np.asarray(y), np.asarray(d), np.asarray(preds)
+    is_open_class = open_classes[y]
+    known = ~is_open_class
+    correct_known = (preds == y) & known
+
+    def rate(sel):  # per-threshold share of the selected samples scored right
+        n = int(sel.sum())
+        return correct_known[:, sel].sum(axis=1) / n if n else np.zeros(len(preds))
+
+    if is_open_class.any():
+        pooled = rate(known)
+        b = (preds[:, is_open_class] == OPEN).sum(axis=1) / int(is_open_class.sum())
+        total = pooled + b
+        h = np.divide(2.0 * pooled * b, total, out=np.zeros_like(total), where=total != 0)
+    else:
+        per_domain = [rate((d == dom) & known) for dom in np.unique(d)]
+        h = np.stack(per_domain, axis=1).mean(axis=1) if per_domain else np.zeros(len(preds))
+    return 100.0 * h
 
 
 # ---------------------------------------------------------------------------

@@ -410,6 +410,18 @@ def test_checkpoint_rejects_foreign_files(tmp_path, capsys):
             CK.load_checkpoint(path)
         assert main(["eval", "--checkpoint", str(path), "--data", str(tmp_path)]) == 2
         assert "x.json" in capsys.readouterr().err
+    # a whole checkpoint whose array records are not all objects
+    res = MT.run(D.generate(D.SyntheticConfig(n_classes=6, n_train_domains=3, d_x=5, d_s=4,
+                                              n_max=30, n_min=4, seed=0)),
+                 MT.TrainConfig(t_max=1, t_sigma=1, batch_size=6, seed=0),
+                 M.ModelConfig(d_x=5, d_v=5, d_s=4, n_classes=6, hidden=(8,)))
+    CK.save_checkpoint(path, res.state, {"m": 1}, {"t": 2}, "fp")
+    doc = json.loads(path.read_text())
+    for bad in ("0011", 7, [1, 2]):
+        doc["params"][-1][1] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError, match="x.json: malformed checkpoint"):
+            CK.load_checkpoint(path)
 
 
 def test_eval_refuses_manifest_without_config_hash(tiny_config, tmp_path, capsys):
@@ -428,7 +440,6 @@ def test_eval_refuses_manifest_without_config_hash(tiny_config, tmp_path, capsys
 
 
 def test_checkpoint_failed_save_keeps_earlier_file(tmp_path, monkeypatch):
-    from pathlib import Path
     ds = D.generate(D.SyntheticConfig(n_classes=6, n_train_domains=3, d_x=5, d_s=4,
                                       n_max=30, n_min=4, n_val_per_pair=2,
                                       n_test_per_pair=2, seed=0))
@@ -437,14 +448,33 @@ def test_checkpoint_failed_save_keeps_earlier_file(tmp_path, monkeypatch):
     path = tmp_path / "ck.json"
     CK.save_checkpoint(path, res.state, {"m": 1}, {"t": 2}, "fp")
     before = path.read_bytes()
+    room, failed_at = len(before) // 2, []
 
-    def write_half(self, text, *args, **kwargs):
-        with open(self, "w", encoding="utf-8") as fh:
-            fh.write(text[:len(text) // 2])
-        raise OSError("disk full")
+    class HalfFullDisk:
+        """A file the save opens for writing that takes the first half of
+        the document, then fails like a full disk."""
 
-    monkeypatch.setattr(Path, "write_text", write_half)
-    with pytest.raises(OSError):
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, text):
+            left = room - self.fh.tell()
+            self.fh.write(text[:left])
+            if len(text) > left:
+                failed_at.append(self.fh.tell())
+                raise OSError("disk full")
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    real_open = open
+    monkeypatch.setattr(CK, "open", lambda *a, **kw: HalfFullDisk(real_open(*a, **kw)),
+                        raising=False)
+    with pytest.raises(OSError, match="disk full"):
         CK.save_checkpoint(path, res.state, {"m": 1}, {"t": 2}, "other")
+    assert failed_at == [room]
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]

@@ -311,3 +311,20 @@ def test_dataset_bad_split_tag(tmp_path):
     path.write_text(text)
     with pytest.raises(DataFormatError):
         D.load_dataset(path)
+
+
+def test_dataset_int64_overflow_names_the_line(tmp_path, capsys):
+    from tailshift.cli import main
+    path = tmp_path / "dataset.csv"
+    D.save_dataset(D.generate(small_cfg()), path)
+    lines = path.read_text().splitlines()
+    lines[4] = "99999999999999999999" + lines[4][lines[4].index(","):]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError, match="line 5: domain or label out of range"):
+        D.load_dataset(path)
+    # the CLI refuses it as a data error (exit 2), naming the line
+    config = tmp_path / "tiny.json"
+    config.write_text('{"data": {"n_classes": 8, "n_train_domains": 3, "d_x": 5, "d_s": 4}, '
+                      '"model": {"d_v": 5, "hidden": [8]}}')
+    assert main(["train", "--config", str(config), "--data", str(tmp_path)]) == 2
+    assert "line 5" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import pytest
 from tailshift import data as D
 from tailshift import evaluation as E
 from tailshift import model as M
+from tailshift.config import load_run_config
 from tailshift.mathcore import Rng
 
 
@@ -196,15 +197,39 @@ def test_select_threshold_ties_take_smallest():
     assert th == 0.1
 
 
-def test_select_threshold_matches_exhaustive_scan():
-    ds = open_class_dataset()
-    rng = Rng(4)
-    cfg = M.ModelConfig(d_x=4, d_v=4, d_s=2, n_classes=4, hidden=())
-    params = M.init_params(cfg, rng)
-    grid = [round(0.05 * i, 2) for i in range(20)]
-    got = E.select_threshold(params, cfg, ds, grid, heldout_domain=2, split="test")
-    hs = [E.evaluate(params, cfg, ds, 2, th, split="test").h for th in grid]
-    assert got == grid[int(np.argmax(hs))]
+def _preset_case(name):
+    """The preset's val split under an untrained model whose logits are
+    scaled up so that its confidences spread over the grid."""
+    cfg, _ = load_run_config(name)
+    params = M.init_params(cfg.model, Rng(4))
+    params["cls.W"] = 5.0 * params["cls.W"]
+    return D.generate(cfg.data), cfg.model, params, cfg.eval.grid, "val"
+
+
+@pytest.mark.parametrize("case", ["open_class", "desk", "paper_s1"])
+def test_select_threshold_matches_exhaustive_scan(case):
+    if case == "open_class":  # the one case with open classes: H is not Acc
+        params, cfg = diag_model()
+        params["cls.W"] = np.diag([4.0, 3.0, 2.0, 0.5])  # confidence falls with the class
+        ds, grid, split = open_class_dataset(), [round(0.05 * i, 2) for i in range(20)], "test"
+    else:
+        ds, cfg, params, grid, split = _preset_case(case)
+    grid = sorted(grid)
+    idx = ds.indices(split)
+    y, d = ds.y[idx], ds.d[idx]
+    open_classes = ds.counts.counts.sum(axis=0) == 0
+    assert open_classes[y].any() == (case == "open_class")
+    preds, _ = E.decide(M.predict_logits(params, ds.x[idx], cfg), np.asarray(grid)[:, None])
+    want = [E.metrics_from_predictions(y, d, pred, open_classes, ds.heldout_domain, th).h
+            for th, pred in zip(grid, preds)]
+    got = E.h_per_threshold(y, d, preds, open_classes)
+    assert got.tolist() == want                      # bit for bit at every grid point
+    assert len(set(want)) > 1                        # the grid does separate the points
+    chosen = E.select_threshold(params, cfg, ds, grid, split=split)
+    assert chosen == grid[int(np.argmax(want))]
+    if case == "open_class":
+        hs = [E.evaluate(params, cfg, ds, 2, th, split=split).h for th in grid]
+        assert chosen == grid[int(np.argmax(hs))]
 
 
 # ---------------------------------------------------------------------------
