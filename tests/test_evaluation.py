@@ -197,39 +197,42 @@ def test_select_threshold_ties_take_smallest():
     assert th == 0.1
 
 
-def _preset_case(name):
-    """The preset's val split under an untrained model whose logits are
-    scaled up so that its confidences spread over the grid."""
-    cfg, _ = load_run_config(name)
-    params = M.init_params(cfg.model, Rng(4))
-    params["cls.W"] = 5.0 * params["cls.W"]
-    return D.generate(cfg.data), cfg.model, params, cfg.eval.grid, "val"
+def _threshold_cases():
+    """(name, dataset, model config, params, grid, split) of each scan: the
+    test split of the open-class set with noisy features, whose class 3 is
+    open, and each preset's val split under an untrained model whose logits
+    are scaled up so that its confidences spread over the grid."""
+    base = open_class_dataset()
+    noisy = D.make_dataset(base.x + 0.3 * Rng(2).normal(size=base.x.shape),
+                           base.y, base.d, base.split)
+    params, cfg = diag_model()
+    params["cls.W"] = np.diag([4.0, 3.0, 2.0, 0.5])  # confidence falls with the class
+    yield "open_class", noisy, cfg, params, [round(0.05 * i, 2) for i in range(20)], "test"
+    for name in ("desk", "paper_s1"):
+        cfg, _ = load_run_config(name)
+        params = M.init_params(cfg.model, Rng(4))
+        params["cls.W"] = 5.0 * params["cls.W"]
+        yield name, D.generate(cfg.data), cfg.model, params, sorted(cfg.eval.grid), "val"
 
 
-@pytest.mark.parametrize("case", ["open_class", "desk", "paper_s1"])
-def test_select_threshold_matches_exhaustive_scan(case):
-    if case == "open_class":  # the one case with open classes: H is not Acc
-        params, cfg = diag_model()
-        params["cls.W"] = np.diag([4.0, 3.0, 2.0, 0.5])  # confidence falls with the class
-        ds, grid, split = open_class_dataset(), [round(0.05 * i, 2) for i in range(20)], "test"
-    else:
-        ds, cfg, params, grid, split = _preset_case(case)
-    grid = sorted(grid)
-    idx = ds.indices(split)
-    y, d = ds.y[idx], ds.d[idx]
-    open_classes = ds.counts.counts.sum(axis=0) == 0
-    assert open_classes[y].any() == (case == "open_class")
-    preds, _ = E.decide(M.predict_logits(params, ds.x[idx], cfg), np.asarray(grid)[:, None])
-    want = [E.metrics_from_predictions(y, d, pred, open_classes, ds.heldout_domain, th).h
-            for th, pred in zip(grid, preds)]
-    got = E.h_per_threshold(y, d, preds, open_classes)
-    assert got.tolist() == want                      # bit for bit at every grid point
-    assert len(set(want)) > 1                        # the grid does separate the points
-    chosen = E.select_threshold(params, cfg, ds, grid, split=split)
-    assert chosen == grid[int(np.argmax(want))]
-    if case == "open_class":
-        hs = [E.evaluate(params, cfg, ds, 2, th, split=split).h for th in grid]
-        assert chosen == grid[int(np.argmax(hs))]
+def test_select_threshold_matches_exhaustive_scan():
+    for name, ds, cfg, params, grid, split in _threshold_cases():
+        idx = ds.indices(split)
+        y, d = ds.y[idx], ds.d[idx]
+        open_classes = ds.counts.counts.sum(axis=0) == 0
+        assert open_classes[y].any() == (name == "open_class")
+        logits = M.predict_logits(params, ds.x[idx], cfg)
+        preds, _ = E.decide(logits, np.asarray(grid)[:, None])
+        want = [E.metrics_from_predictions(y, d, pred, open_classes, ds.heldout_domain, th).h
+                for th, pred in zip(grid, preds)]
+        assert E.h_per_threshold(y, d, preds, open_classes).tolist() == want, name  # bit for bit
+        assert len(set(want)) > 1, name                  # the grid does separate the points
+        chosen = E.select_threshold(params, cfg, ds, grid, split=split)
+        assert chosen == grid[int(np.argmax(want))], name
+        if split == "test":  # the held-out domain is scored only there
+            hs = [E.evaluate(params, cfg, ds, ds.heldout_domain, th, split=split).h
+                  for th in grid]
+            assert hs == want
 
 
 # ---------------------------------------------------------------------------
