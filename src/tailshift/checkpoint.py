@@ -6,15 +6,19 @@ the training-loop random state. Every array is stored the same way, as its
 dtype, its shape and the hex of its little-endian bytes, so a save/load round
 trip is bit-exact and resuming reproduces the uninterrupted run's trace. A
 fingerprint of the training data ties the checkpoint to its dataset. A save
-streams the document into a temporary file next to the target, making each
-array's text only when the encoder reaches it, and renames the file into
-place, so a failed save leaves any earlier checkpoint at that path intact.
+encodes everything but the arrays' hex in one call of the C JSON encoder,
+with a placeholder where each hex belongs, and writes that text into a
+temporary file next to the target, hexing each array's bytes between its
+pieces a bounded slice at a time. It then renames the file into place, so a
+failed save leaves any earlier checkpoint at that path intact.
 A load decodes the arrays one at a time, dropping each one's text as it
 goes, and hands back the state and the configs and fingerprint only.
 """
 
 from __future__ import annotations
 
+import binascii
+import itertools
 import json
 import os
 from pathlib import Path
@@ -32,15 +36,29 @@ VERSION = 3
 FIELDS = ("step", "model_config", "train_config", "dataset_fingerprint", "params",
           "proto", "cov", "rng_state")
 META = ("model_config", "train_config", "dataset_fingerprint")
+# An array's bytes are hexed and written this many at a time, so a save
+# holds one slice's hex at most beside the document's array-free text.
+_SLICE = 1 << 16
+# Stands in for an array's hex in the encoded document; numbered from 0. It
+# needs no JSON escaping, and no two copies of it can overlap.
+_HOLE = "tailshift-array-hex-"
 
 
-def _enc_array(a) -> dict:
-    """``json.dump``'s hook for the arrays of a payload: each is turned into
-    text only when the encoder reaches it."""
-    if not isinstance(a, np.ndarray):
-        raise TypeError(f"{type(a).__name__} is not JSON serializable")
-    le = a.astype(a.dtype.newbyteorder("<"), copy=False)
-    return {"dtype": le.dtype.str, "shape": list(a.shape), "hex": le.tobytes().hex()}
+def _skeleton(payload: dict, hole: str) -> tuple[list[bytes], list[np.ndarray]]:
+    """Encode ``payload`` in one C-encoder call, with ``hole`` in place of
+    each array's hex. Returns the ASCII document split at every copy of
+    ``hole``, and the arrays, little-endian, in document order."""
+    arrays = []
+
+    def hold(a):
+        if not isinstance(a, np.ndarray):
+            raise TypeError(f"{type(a).__name__} is not JSON serializable")
+        le = a.astype(a.dtype.newbyteorder("<"), copy=False)
+        arrays.append(le)
+        return {"dtype": le.dtype.str, "hex": hole, "shape": list(a.shape)}
+
+    text = json.dumps(payload, sort_keys=True, default=hold)
+    return text.encode("ascii").split(hole.encode("ascii")), arrays
 
 
 def _take_array(d: dict) -> np.ndarray:
@@ -68,9 +86,20 @@ def save_checkpoint(path, state: TrainerState, model_config: dict,
     }
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
+    for n in itertools.count():
+        pieces, arrays = _skeleton(payload, f"{_HOLE}{n}")
+        # every array left one hole; a surplus copy is a payload string that
+        # spells the hole, so the next numbered hole is tried
+        if len(pieces) == len(arrays) + 1:
+            break
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, default=_enc_array)
+        with open(tmp, "wb") as fh:
+            fh.write(pieces[0])
+            for a, piece in zip(arrays, pieces[1:]):
+                raw = a.ravel().view(np.uint8)
+                for i in range(0, raw.size, _SLICE):
+                    fh.write(binascii.hexlify(raw[i:i + _SLICE]))
+                fh.write(piece)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

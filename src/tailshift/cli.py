@@ -115,12 +115,15 @@ def cmd_gen_data(args) -> int:
 
 
 def _train_once(cfg: RunConfig, dataset: D.Dataset, fingerprint: str,
-                out: Path | None, resume: str | None) -> MT.RunResult:
+                out: Path | None, resumed: tuple[MT.TrainerState, dict] | None
+                ) -> MT.RunResult:
+    """Train ``cfg`` on ``dataset``, from ``resumed`` (what ``load_checkpoint``
+    returned) when given, refusing a checkpoint of other data or configs."""
     cfg_dict = run_config_to_dict(cfg)
     model_cfg_dict, train_cfg_dict = cfg_dict["model"], cfg_dict["train"]
     state = None
-    if resume is not None:
-        state, payload = CK.load_checkpoint(resume)
+    if resumed is not None:
+        state, payload = resumed
         if payload["dataset_fingerprint"] != fingerprint:
             raise ConfigError("checkpoint was trained on different data "
                               "(fingerprint mismatch)")
@@ -170,11 +173,14 @@ def cmd_train(args) -> int:
             data=dataclasses.replace(cfg.data, seed=args.seed))
     if args.ablation is not None:
         cfg = dataclasses.replace(cfg, train=MT.apply_ablation(cfg.train, args.ablation))
+    # loaded first, so the load's transient text is freed before the
+    # dataset's arrays are made
+    resumed = None if args.resume is None else CK.load_checkpoint(args.resume)
     dataset, fingerprint = _resolve_dataset(cfg, args.data)
     out = Path(args.out) if args.out else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-    result = _train_once(cfg, dataset, fingerprint, out, args.resume)
+    result = _train_once(cfg, dataset, fingerprint, out, resumed)
     last = result.reports[-1] if result.reports else None
     if last is not None:
         print(f"finished step {last.step + 1}/{cfg.train.total_steps}  "

@@ -409,7 +409,10 @@ def aug_loss_mean(features, labels, w, b, sigma_primes, ap: AugParams):
     f, wt, bt = as_tensor(features), as_tensor(w), as_tensor(b)
     labels = np.asarray(labels, dtype=np.int64)
     classes, inv = np.unique(labels, return_inverse=True)
-    sig = check_psd(np.asarray(sigma_primes, dtype=np.float64)[classes])  # (U, d, d)
+    try:
+        sig = check_psd(np.asarray(sigma_primes, dtype=np.float64)[classes])  # (U, d, d)
+    except ValueError as exc:
+        raise ValueError(f"aug_loss_mean: {exc}") from exc
     sig += np.swapaxes(sig, 1, 2)                        # its symmetric part, in place
     sig *= 0.5
     wd = wt.data

@@ -49,7 +49,7 @@ from .banks import (
     update_prototypes,
 )
 from .data import Dataset, sample_batch
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError, DataFormatError, NumericsError, ProtocolError
 from .losses import (
     AugParams,
     ContrastiveParams,
@@ -412,7 +412,10 @@ def run(dataset: Dataset, cfg: TrainConfig, mcfg: M.ModelConfig,
 
     With the meta loop disabled this is conventional training on all domains
     pooled, using the outer learning-rate schedule. Deterministic given the
-    seed: reports from two identical runs are bit-identical.
+    seed: reports from two identical runs are bit-identical. A step whose
+    losses or update fail on their numerics (a ``ValueError`` or
+    ``NumericsError``) raises ``NumericsError`` naming the step and epoch,
+    chained to the original error.
     """
     needs_table = cfg.use_z2s or cfg.use_s2s or cfg.use_s2z or cfg.use_aug
     if needs_table and dataset.semantic is None:
@@ -453,10 +456,15 @@ def run(dataset: Dataset, cfg: TrainConfig, mcfg: M.ModelConfig,
             batches_mte = {m: sample_batch(dataset, m, cfg.batch_size, loop_rng)
                            for m in d_mte}
 
-        _, g_mtr, g_mte, comps, proto, cov = episode(
-            params, batches, batches_mte, proto, cov, table, counts, cfg, mcfg,
-            aug_active)
-        params = outer_step(params, g_mtr, g_mte, cfg, lr)
+        try:
+            _, g_mtr, g_mte, comps, proto, cov = episode(
+                params, batches, batches_mte, proto, cov, table, counts, cfg, mcfg,
+                aug_active)
+            params = outer_step(params, g_mtr, g_mte, cfg, lr)
+        except (ConfigError, DataFormatError):
+            raise
+        except (ValueError, NumericsError) as exc:
+            raise NumericsError(f"step {step} (epoch {epoch}): {exc}") from exc
 
         report = StepReport(step=step, epoch=epoch, d_mtr=d_mtr, d_mte=d_mte,
                             losses=comps, grad_norm_mtr=_grad_norm(g_mtr),

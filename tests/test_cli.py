@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from tailshift import meta as MT
 from tailshift import model as M
 from tailshift.cli import main
 from tailshift.config import load_run_config, run_config_from_dict, run_config_to_dict
+from tailshift.errors import NumericsError
 
 TINY = {
     "data": {"n_classes": 6, "n_train_domains": 3, "d_x": 5, "d_s": 4,
@@ -199,6 +201,26 @@ def test_train_resume_refuses_other_config(tiny_config, tmp_path, capsys):
                  "--resume", str(run / "checkpoint.json")])
     assert code == 2
     assert "train_config" in capsys.readouterr().err
+
+
+def test_train_divergence_names_step_epoch_and_loss(tmp_path, capsys):
+    # augmentation from epoch 0 makes desk diverge: step 67 is the last to
+    # complete, and step 68 reads a blended covariance that is not PSD
+    cfg, _ = load_run_config("desk")
+    raw = run_config_to_dict(cfg)
+    raw["train"]["t_sigma"] = 0
+    done = []
+    with pytest.raises(NumericsError) as info:
+        MT.run(D.generate(cfg.data), run_config_from_dict(raw).train, cfg.model,
+               on_step=lambda state, report: done.append(report.step))
+    message = ("step 68 (epoch 34): aug_loss_mean: "
+               "matrix is not positive semidefinite within tolerance")
+    assert str(info.value) == message and done[-1] == 67
+    assert isinstance(info.value.__cause__, ValueError)
+    path = tmp_path / "diverges.json"
+    path.write_text(json.dumps(raw))
+    assert main(["train", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_train_ablation_row_a(tiny_config, tmp_path):
@@ -476,5 +498,89 @@ def test_checkpoint_failed_save_keeps_earlier_file(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         CK.save_checkpoint(path, res.state, {"m": 1}, {"t": 2}, "other")
     assert failed_at == [room]
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def reference_checkpoint_bytes(state, model_config, train_config, fingerprint):
+    """The version-3 document as one ``json.dumps`` of the payload with every
+    array already turned into its hex record."""
+    def record(a):
+        le = a.astype(a.dtype.newbyteorder("<"))
+        return {"dtype": le.dtype.str, "shape": list(a.shape), "hex": le.tobytes().hex()}
+
+    payload = {
+        "format": "tailshift-checkpoint", "version": 3, "step": state.step,
+        "model_config": model_config, "train_config": train_config,
+        "dataset_fingerprint": fingerprint,
+        "params": [[k, record(v)] for k, v in state.params.items()],
+        "proto": {"v": record(state.proto.v), "mask": record(state.proto.mask),
+                  "ema": state.proto.ema},
+        "cov": {"mu": record(state.cov.mu), "sigma": record(state.cov.sigma),
+                "n": record(state.cov.n)},
+        "rng_state": state.rng_state,
+    }
+    return json.dumps(payload, sort_keys=True).encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def desk_state():
+    """desk's configs and its state four steps into the augmentation phase."""
+    cfg, _ = load_run_config("desk")
+    raw = run_config_to_dict(cfg)
+    raw["train"]["t_max"] = cfg.train.t_sigma + 2
+    run_cfg = run_config_from_dict(raw)
+    state = MT.run(D.generate(run_cfg.data), run_cfg.train, run_cfg.model).state
+    assert state.cov.n.sum() > 0
+    return state, raw["model"], raw["train"]
+
+
+def test_checkpoint_bytes_match_one_json_dumps(desk_state, tmp_path):
+    state, model_cfg, train_cfg = desk_state
+    path = tmp_path / "ck.json"
+    CK.save_checkpoint(path, state, model_cfg, train_cfg, "0" * 64)
+    assert path.read_bytes() == reference_checkpoint_bytes(state, model_cfg, train_cfg,
+                                                           "0" * 64)
+
+
+def test_checkpoint_bytes_of_odd_arrays_and_strings(desk_state, tmp_path):
+    state, _, _ = desk_state
+    wide = np.random.default_rng(0).random((100, 120))   # more than one hex slice
+    params = {
+        "zero_d": np.array(1.5), "empty": np.zeros((0, 3)),
+        "bool": np.array([[True, False, True]]), "int": np.arange(-3, 4, dtype=np.int64),
+        "big_endian": np.arange(6, dtype=">f8").reshape(2, 3),
+        "transposed": np.arange(12.0).reshape(3, 4).T, "strided": np.arange(20.0)[::3],
+        "wide": wide, "wide_transposed": wide.T,
+    }
+    hole = CK._HOLE
+    # strings that spell the first holes, alone or after a quote, as keys
+    # and values; non-ASCII text and NUL are escaped by the encoder
+    model_cfg = {"name": "déjà ☃", "nul": "a\x00b", hole + "0": hole + "1",
+                 "quoted": '"' + hole + "0", "list": [hole + "2", hole]}
+    train_cfg = {"note": hole + "0" + hole + "1"}
+    odd = dataclasses.replace(state, params=params,
+                              rng_state={**state.rng_state, "label": hole + "0"})
+    path = tmp_path / "ck.json"
+    CK.save_checkpoint(path, odd, model_cfg, train_cfg, hole + "3")
+    assert path.read_bytes() == reference_checkpoint_bytes(odd, model_cfg, train_cfg,
+                                                           hole + "3")
+    back, meta = CK.load_checkpoint(path)
+    assert meta == {"model_config": model_cfg, "train_config": train_cfg,
+                    "dataset_fingerprint": hole + "3"}
+    assert back.rng_state == odd.rng_state and list(back.params) == list(params)
+    for k, a in params.items():
+        got = back.params[k]
+        assert got.shape == a.shape and got.dtype == a.dtype.newbyteorder("=")
+        assert np.array_equal(got, a)
+
+
+def test_checkpoint_save_refuses_a_non_json_value(desk_state, tmp_path):
+    state, model_cfg, train_cfg = desk_state
+    path = tmp_path / "ck.json"
+    CK.save_checkpoint(path, state, model_cfg, train_cfg, "fp")
+    before = path.read_bytes()
+    with pytest.raises(TypeError, match="float32 is not JSON serializable"):
+        CK.save_checkpoint(path, state, model_cfg, {**train_cfg, "lr": np.float32(0.1)}, "fp")
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]

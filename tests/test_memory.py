@@ -64,8 +64,9 @@ def test_save_checkpoint_streams_the_document(paper_s1, tmp_path):
     _, state, _ = paper_s1
     path = tmp_path / "ck.json"
     _, peak = traced_peak(lambda: CK.save_checkpoint(path, state, {"m": 1}, {"t": 2}, "fp"))
-    # a save that builds the whole document and its UTF-8 copy peaks above 3x
-    assert peak < 2.5 * path.stat().st_size
+    # hexing one bounded slice at a time holds about 0.13x the file; a save
+    # that makes the whole document's text holds more than 1x
+    assert peak < 0.25 * path.stat().st_size
 
 
 def test_load_checkpoint_returns_no_array_text(paper_s1, tmp_path):

@@ -13,7 +13,7 @@ from tailshift.banks import (
     update_covariance,
     update_prototypes,
 )
-from tailshift.errors import ConfigError, ProtocolError
+from tailshift.errors import ConfigError, DataFormatError, NumericsError, ProtocolError
 from tailshift.losses import (
     ContrastiveParams,
     aug_loss_mean,
@@ -565,6 +565,32 @@ def test_meta_needs_two_domains():
     ds = bench(n_train_domains=1)
     with pytest.raises(ConfigError):
         MT.run(ds, tconf(), MCFG)
+
+
+@pytest.mark.parametrize("error, named", [
+    (ValueError("bad matrix"), True),
+    (NumericsError("grad: non-finite loss or gradients"), True),
+    (ConfigError("bad config"), False),
+    (DataFormatError("bad file"), False),
+])
+def test_run_names_the_step_of_a_numerics_failure(monkeypatch, error, named):
+    # the second step's update fails; configuration and data errors pass
+    real_step, calls = MT.outer_step, []
+
+    def outer_step(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise error
+        return real_step(*args)
+
+    monkeypatch.setattr(MT, "outer_step", outer_step)
+    with pytest.raises(NumericsError if named else type(error)) as info:
+        MT.run(bench(), tconf(), MCFG)
+    if named:
+        assert str(info.value) == f"step 1 (epoch 1): {error}"
+        assert info.value.__cause__ is error
+    else:
+        assert info.value is error
 
 
 def test_first_order_close_to_fd_exact():
