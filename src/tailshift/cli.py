@@ -4,8 +4,7 @@ Subcommands:
 
 - ``gen-data``   write a synthetic benchmark (dataset.csv, embeddings.csv,
   manifest.json) from a config
-- ``train``      run the training loop; writes steps.jsonl, history.json and
-  a checkpoint
+- ``train``      run the training loop; writes steps.jsonl and checkpoints
 - ``eval``       score a checkpoint on a dataset under the open-class
   protocol; writes metrics.json
 - ``gradcheck``  verify analytic gradients of every loss kernel against
@@ -157,8 +156,6 @@ def _train_once(cfg: RunConfig, dataset: D.Dataset, fingerprint: str,
             fh.writelines(kept)
             for report in result.reports:
                 fh.write(report.to_json() + "\n")
-        (out / "history.json").write_text(
-            json.dumps(result.history, indent=2), encoding="utf-8")
         CK.save_checkpoint(out / "checkpoint.json", result.state,
                            model_cfg_dict, train_cfg_dict, fingerprint)
     return result

@@ -31,6 +31,7 @@ from pathlib import Path
 
 from .data import SyntheticConfig
 from .errors import ConfigError
+from .evaluation import CONFIDENCE_RULES
 from .losses import AugParams, ContrastiveParams
 from .meta import TrainConfig
 from .model import ModelConfig
@@ -47,8 +48,10 @@ class EvalOptions:
     def __post_init__(self):
         if self.threshold is not None and not (0.0 <= self.threshold <= 1.0):
             raise ConfigError("threshold must lie in [0, 1]")
-        if not self.grid:
-            raise ConfigError("threshold grid must be nonempty")
+        if not self.grid or not all(0.0 <= g <= 1.0 for g in self.grid):
+            raise ConfigError(f"threshold grid must be points in [0, 1], not {list(self.grid)}")
+        if self.confidence not in CONFIDENCE_RULES:
+            raise ConfigError(f"unknown confidence rule {self.confidence!r}")
 
 
 @dataclass(frozen=True)

@@ -128,10 +128,6 @@ class SyntheticConfig:
             return self.tail_domain_budget
         return default_tail_budget(self.n_classes, self.n_train_domains)
 
-    @property
-    def heldout_domain(self) -> int:
-        return self.n_train_domains
-
 
 @dataclass
 class Dataset:

@@ -33,6 +33,12 @@ from .model import ModelConfig, Params, forward_features, predict_logits
 
 OPEN = -1  # predicted-class sentinel for "open class"
 
+# decide's confidence rules by name: (N, C) logits -> (N,) confidences in [0, 1]
+CONFIDENCE_RULES = {
+    "softmax": lambda logits: _log_softmax_core(logits)[1].max(axis=-1),
+    "logit": lambda logits: 1.0 / (1.0 + np.exp(-logits.max(axis=-1))),
+}
+
 
 @dataclass
 class MetricReport:
@@ -68,13 +74,10 @@ def decide(logits: np.ndarray, threshold: float,
     thresholds broadcasts against the rows: a (G, 1) column gives one row of
     decisions per threshold.
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    if confidence == "softmax":
-        conf = _log_softmax_core(logits)[1].max(axis=-1)
-    elif confidence == "logit":
-        conf = 1.0 / (1.0 + np.exp(-logits.max(axis=-1)))
-    else:
+    if confidence not in CONFIDENCE_RULES:
         raise ValueError(f"unknown confidence rule {confidence!r}")
+    logits = np.asarray(logits, dtype=np.float64)
+    conf = CONFIDENCE_RULES[confidence](logits)
     return np.where(conf < threshold, OPEN, logits.argmax(axis=-1)), conf
 
 

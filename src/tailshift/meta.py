@@ -96,7 +96,6 @@ class TrainConfig:
     use_meta: bool = True
     single_prototype: bool = False
     unweighted_blend: bool = False
-    eval_every_epochs: int = 0       # 0 disables periodic validation metrics
 
     def __post_init__(self):
         if min(self.w1, self.w2, self.w3, self.w4, self.w_mte) < 0:
@@ -187,10 +186,7 @@ class TrainerState:
 @dataclass
 class RunResult:
     params: dict
-    proto: PrototypeBank
-    cov: CovarianceBank
     reports: list
-    history: list
     state: TrainerState
 
 
@@ -209,7 +205,7 @@ def _grad_norm(grads: dict) -> float:
     return math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
 
 
-def _proto_domain(cfg: TrainConfig, domain: int) -> int:
+def _proto_domain(cfg: TrainConfig, domain):
     return 0 if cfg.single_prototype else domain
 
 
@@ -259,9 +255,8 @@ def meta_train_losses(leaves, batches, proto: PrototypeBank, cov: CovarianceBank
         parts.append(cfg.w1 * l_z2s)
 
     # Only L_S2S, L_S2Z and a meta-test half's L_MZ2S read the prototypes.
-    # Under single_prototype (ablation row k) every sample feeds row 0.
     if cfg.use_s2s or cfg.use_s2z or (cfg.use_z2s and meta_test):
-        proto = update_prototypes(proto, 0 if cfg.single_prototype else dom, feats.data, y)
+        proto = update_prototypes(proto, _proto_domain(cfg, dom), feats.data, y)
 
     sigma_prime = None
     if cfg.use_aug and aug_active:
@@ -378,20 +373,6 @@ def outer_step(params: dict, grads_mtr: dict, grads_mte: dict | None,
     return M.apply_step(params, {k: g + w * grads_mte[k] for k, g in grads_mtr.items()}, lr)
 
 
-def _validation_accuracy(params: dict, mcfg: M.ModelConfig, dataset: Dataset) -> dict:
-    idx = dataset.indices("val")
-    if idx.size == 0:
-        return {}
-    logits = M.predict_logits(params, dataset.x[idx], mcfg)
-    pred = logits.argmax(axis=1)
-    correct = pred == dataset.y[idx]
-    out = {"overall": float(correct.mean())}
-    for dom in np.unique(dataset.d[idx]):
-        sel = dataset.d[idx] == dom
-        out[f"domain_{int(dom)}"] = float(correct[sel].mean())
-    return out
-
-
 def init_state(dataset: Dataset, cfg: TrainConfig, mcfg: M.ModelConfig) -> TrainerState:
     """Fresh trainer state: seeded parameter init, zero banks, loop stream."""
     root = Rng(cfg.seed)
@@ -438,7 +419,6 @@ def run(dataset: Dataset, cfg: TrainConfig, mcfg: M.ModelConfig,
     table = dataset.semantic
     counts = dataset.counts
     reports: list[StepReport] = []
-    history: list[dict] = []
 
     for step in range(state.step, cfg.total_steps):
         epoch = step // cfg.steps_per_epoch
@@ -472,10 +452,6 @@ def run(dataset: Dataset, cfg: TrainConfig, mcfg: M.ModelConfig,
                             lr_outer=lr)
         reports.append(report)
 
-        if cfg.eval_every_epochs and (step + 1) % (cfg.eval_every_epochs * cfg.steps_per_epoch) == 0:
-            entry = {"step": step, **_validation_accuracy(params, mcfg, dataset)}
-            history.append(entry)
-
         if on_step is not None:
             on_step(TrainerState(params=params, proto=proto, cov=cov,
                                  rng_state=loop_rng.get_state(), step=step + 1),
@@ -483,5 +459,4 @@ def run(dataset: Dataset, cfg: TrainConfig, mcfg: M.ModelConfig,
 
     final = TrainerState(params=params, proto=proto, cov=cov,
                          rng_state=loop_rng.get_state(), step=cfg.total_steps)
-    return RunResult(params=params, proto=proto, cov=cov, reports=reports,
-                     history=history, state=final)
+    return RunResult(params=params, reports=reports, state=final)

@@ -53,7 +53,8 @@ def test_config_rejects_unknown_fields():
                                 ("data", "path", "bench/"),
                                 ("train", "ema", 0.5),
                                 ("train", "decay_milestones", [0.4, 0.8]),
-                                ("train", "decay_factor", 0.1)):
+                                ("train", "decay_factor", 0.1),
+                                ("train", "eval_every_epochs", 0)):
         raw = json.loads(json.dumps(TINY))
         raw[section][key] = value
         with pytest.raises(ConfigError):
@@ -129,7 +130,7 @@ def test_train_writes_outputs(tiny_config, tmp_path, capsys):
     assert len(lines) == 4
     losses = json.loads(lines[-1])["losses"]
     assert np.isfinite(list(losses.values())).all()
-    assert (out / "checkpoint.json").exists()
+    assert sorted(p.name for p in out.iterdir()) == ["checkpoint.json", "steps.jsonl"]
 
 
 def test_train_bit_identical_reports(tiny_config, tmp_path):
@@ -201,6 +202,28 @@ def test_train_resume_refuses_other_config(tiny_config, tmp_path, capsys):
                  "--resume", str(run / "checkpoint.json")])
     assert code == 2
     assert "train_config" in capsys.readouterr().err
+
+
+def test_checkpoint_with_a_removed_train_setting(tiny_config, tmp_path, capsys):
+    # a checkpoint written while train configs had eval_every_epochs
+    bench, run = tmp_path / "bench", tmp_path / "run"
+    main(["gen-data", "--config", tiny_config, "--out", str(bench)])
+    main(["train", "--config", tiny_config, "--data", str(bench), "--out", str(run)])
+    state, payload = CK.load_checkpoint(run / "checkpoint.json")
+    old = tmp_path / "old.json"
+    CK.save_checkpoint(old, state, payload["model_config"],
+                       {**payload["train_config"], "eval_every_epochs": 10},
+                       payload["dataset_fingerprint"])
+    capsys.readouterr()
+    assert main(["train", "--config", tiny_config, "--data", str(bench),
+                 "--resume", str(old)]) == 2
+    assert "train_config" in capsys.readouterr().err
+    # eval reads only the model config, so it scores the old file as before
+    for ckpt, out in ((old, tmp_path / "old_eval"), (run / "checkpoint.json", tmp_path / "eval")):
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(bench),
+                     "--out", str(out)]) == 0
+    assert (tmp_path / "old_eval" / "metrics.json").read_bytes() == \
+        (tmp_path / "eval" / "metrics.json").read_bytes()
 
 
 def test_train_divergence_names_step_epoch_and_loss(tmp_path, capsys):
@@ -379,6 +402,22 @@ def test_ablate_unknown_row(tiny_config, capsys):
     assert main(["ablate", "--config", tiny_config, "--rows", "a,zz"]) == 2
 
 
+@pytest.mark.parametrize("eval_sec, message", [
+    ({"confidence": "entropy"}, "unknown confidence rule 'entropy'"),
+    ({"grid": [-2.0, 0.5]}, "threshold grid must be points in [0, 1], not [-2.0, 0.5]"),
+    ({"grid": [0.5, 1.5]}, "threshold grid must be points in [0, 1], not [0.5, 1.5]"),
+])
+def test_ablate_refuses_bad_eval_options_before_training(eval_sec, message, tmp_path,
+                                                          capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(MT, "run", lambda *args, **kwargs: calls.append(args))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**TINY, "eval": eval_sec}))
+    assert main(["ablate", "--config", str(path), "--rows", "a", "--seeds", "1"]) == 2
+    assert message in capsys.readouterr().err
+    assert calls == []
+
+
 def test_ablate_deterministic(tiny_config, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     main(["ablate", "--config", tiny_config, "--rows", "b", "--seeds", "2",
@@ -406,12 +445,12 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert state.step == res.state.step
     for k in res.params:
         assert np.array_equal(state.params[k], res.params[k])
-    assert np.array_equal(state.proto.v, res.proto.v)
-    assert np.array_equal(state.cov.sigma, res.cov.sigma)
+    assert np.array_equal(state.proto.v, res.state.proto.v)
+    assert np.array_equal(state.cov.sigma, res.state.cov.sigma)
     assert state.rng_state == res.state.rng_state
     # integer and boolean blocks keep their dtype and come back writable
-    for got, want, dtype in ((state.cov.n, res.cov.n, np.int64),
-                             (state.proto.mask, res.proto.mask, np.bool_)):
+    for got, want, dtype in ((state.cov.n, res.state.cov.n, np.int64),
+                             (state.proto.mask, res.state.proto.mask, np.bool_)):
         assert got.dtype == dtype and want.dtype == dtype
         assert np.array_equal(got, want)
         assert got.flags.writeable

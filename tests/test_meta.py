@@ -162,7 +162,7 @@ def test_aug_inactive_before_t_sigma():
         else:
             assert rep.losses["L_Aug"] > 0.0
     # covariance bank only starts accumulating at t_sigma
-    assert res.cov.n.sum() > 0
+    assert res.state.cov.n.sum() > 0
 
 
 def test_meta_test_losses_match_train_on_identical_batches():
@@ -331,7 +331,7 @@ def test_single_prototype_uses_one_table():
     ds = bench()
     cfg = tconf(single_prototype=True)
     res = MT.run(ds, cfg, MCFG)
-    assert res.proto.v.shape[0] == 1
+    assert res.state.proto.v.shape[0] == 1
     assert np.isfinite(res.reports[-1].losses["L_S2S"])
 
 
@@ -351,7 +351,7 @@ def test_prototypes_update_only_when_a_loss_reads_them(row, monkeypatch):
     res = MT.run(ds, cfg, MCFG)
     if row in "abcdeh":
         assert calls == []
-        assert np.array_equal(res.proto.v, MT.init_state(ds, cfg, MCFG).proto.v)
+        assert np.array_equal(res.state.proto.v, MT.init_state(ds, cfg, MCFG).proto.v)
     else:
         assert len(calls) == cfg.total_steps
 

@@ -1,0 +1,57 @@
+"""Hash what the CLI pipeline writes for each preset.
+
+    python3 tools/preset_traces.py [PRESET ...]
+
+For each preset (default: every packaged preset), runs ``gen-data`` ->
+``train`` -> ``eval`` in a temporary directory, with ``tailshift`` imported
+from this checkout's ``src/``, and prints one ``<sha256>  <preset>/<file>``
+line per output file: ``manifest.json``, ``steps.jsonl``,
+``checkpoint.json`` and ``metrics.json``. A change that keeps the numbers
+leaves the lines of ``manifest.json``, ``steps.jsonl`` and ``metrics.json``
+unchanged; ``checkpoint.json`` also stores the run config, so its line
+moves with the config schema. Exits 1 if a command fails.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# each hashed file, under the --out directory of the command that writes it
+OUTPUTS = (("bench", "manifest.json"), ("run", "steps.jsonl"),
+           ("run", "checkpoint.json"), ("eval", "metrics.json"))
+
+
+def preset_traces(preset: str, main) -> list[str]:
+    """The output lines for one preset; ``main`` is ``tailshift.cli.main``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        bench, run, ev = (str(Path(tmp) / name) for name in ("bench", "run", "eval"))
+        for argv in (["gen-data", "--config", preset, "--out", bench],
+                     ["train", "--config", preset, "--data", bench, "--out", run],
+                     ["eval", "--config", preset, "--data", bench,
+                      "--checkpoint", str(Path(run) / "checkpoint.json"), "--out", ev]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            if code != 0:
+                raise SystemExit(f"{preset}: tailshift {argv[0]} exited {code}")
+        return [f"{hashlib.sha256((Path(tmp) / d / f).read_bytes()).hexdigest()}  {preset}/{f}"
+                for d, f in OUTPUTS]
+
+
+def main() -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    from tailshift.cli import main as cli_main
+    from tailshift.config import PRESETS
+
+    for preset in sys.argv[1:] or PRESETS:
+        print("\n".join(preset_traces(preset, cli_main)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
