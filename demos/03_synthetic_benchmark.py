@@ -41,6 +41,6 @@ for i in range(ds.n_train_domains + 1):
     print(f"  d{i}: " + " ".join(row))
 
 # The paper-scale curve: endpoints and mass of the published configuration.
-total = sum(D.longtail_counts(c, 1565, 20, 50, 7.0) for c in range(1, 51))
-print(f"\npaper-scale curve: n(1) = {D.longtail_counts(1, 1565, 20, 50, 7.0)}, "
-      f"n(50) = {D.longtail_counts(50, 1565, 20, 50, 7.0)}, total = {total}")
+total = sum(D.longtail_counts(c, 1565, 20, 50) for c in range(1, 51))
+print(f"\npaper-scale curve: n(1) = {D.longtail_counts(1, 1565, 20, 50)}, "
+      f"n(50) = {D.longtail_counts(50, 1565, 20, 50)}, total = {total}")

@@ -19,6 +19,7 @@ Update operations return new bank objects; callers own the state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -75,15 +76,13 @@ class PrototypeBank:
 
     v: np.ndarray          # (K, C, d_v)
     mask: np.ndarray       # (K, C) bool
-    ema: float = 0.5       # weight on the incoming batch mean
+    ema: ClassVar[float] = 0.5   # fixed weight on the incoming batch mean
 
     def __post_init__(self):
         self.v = np.asarray(self.v, dtype=np.float64)
         self.mask = np.asarray(self.mask, dtype=bool)
         if self.v.ndim != 3 or self.mask.shape != self.v.shape[:2]:
             raise ValueError("prototype bank shapes are inconsistent")
-        if not (0.0 < self.ema <= 1.0):
-            raise ValueError("ema must lie in (0, 1]")
 
     @classmethod
     def zeros(cls, mask: np.ndarray, d_v: int) -> "PrototypeBank":
@@ -91,7 +90,7 @@ class PrototypeBank:
         return cls(v=np.zeros((*mask.shape, d_v)), mask=mask)
 
     def copy(self) -> "PrototypeBank":
-        return PrototypeBank(v=self.v.copy(), mask=self.mask.copy(), ema=self.ema)
+        return PrototypeBank(v=self.v.copy(), mask=self.mask.copy())
 
 
 def update_prototypes(bank: PrototypeBank, rows, features, labels) -> PrototypeBank:

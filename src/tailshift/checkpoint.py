@@ -27,7 +27,9 @@ import numpy as np
 
 from .banks import CovarianceBank, PrototypeBank
 from .errors import DataFormatError
+from .mathcore import Rng
 from .meta import TrainerState
+from .model import ModelConfig, param_shapes
 
 FORMAT = "tailshift-checkpoint"
 VERSION = 3
@@ -108,7 +110,8 @@ def save_checkpoint(path, state: TrainerState, model_config: dict,
 
 def load_checkpoint(path) -> tuple[TrainerState, dict]:
     """Returns (trainer state, metadata), the metadata being the payload's
-    ``META`` fields. A file that is not a whole version-3 checkpoint raises
+    ``META`` fields. A file that is not a whole version-3 checkpoint, or
+    whose state no run of its stored ``model_config`` could resume, raises
     ``DataFormatError`` naming the file."""
     path = Path(path)
     try:
@@ -123,16 +126,30 @@ def load_checkpoint(path) -> tuple[TrainerState, dict]:
     if missing:
         raise DataFormatError(f"{path}: checkpoint lacks {', '.join(missing)}")
     try:
+        mcfg = ModelConfig(**raw["model_config"])
         params = {k: _take_array(v) for k, v in raw["params"]}
         proto = PrototypeBank(v=_take_array(raw["proto"]["v"]),
-                              mask=_take_array(raw["proto"]["mask"]),
-                              ema=float(raw["proto"]["ema"]))
+                              mask=_take_array(raw["proto"]["mask"]))
+        ema = raw["proto"]["ema"]
         cov = CovarianceBank(mu=_take_array(raw["cov"]["mu"]),
                              sigma=_take_array(raw["cov"]["sigma"]),
                              n=_take_array(raw["cov"]["n"]))
-        state = TrainerState(params=params, proto=proto, cov=cov,
-                             rng_state=raw["rng_state"], step=int(raw["step"]))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        Rng(0).set_state(raw["rng_state"])
+    except (AttributeError, LookupError, OverflowError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: malformed checkpoint "
                               f"({type(exc).__name__}: {exc})") from exc
+    step, c, d = raw["step"], mcfg.n_classes, mcfg.d_v
+    for bad, what in (
+            (type(step) is not int or step < 0, f"step {step!r} is not an int >= 0"),
+            ([(k, a.shape) for k, a in params.items()] != param_shapes(mcfg),
+             "parameter blocks are not the names, order and shapes its model_config builds"),
+            (proto.v.shape[1:] != (c, d) or cov.mu.shape != (c, d)
+             or cov.sigma.shape != (c, d, d) or cov.n.shape != (c,),
+             f"bank arrays are not shaped for {c} classes of d_v {d}"),
+            (ema != PrototypeBank.ema,
+             f"prototype EMA weight {ema!r} is not the fixed {PrototypeBank.ema}")):
+        if bad:
+            raise DataFormatError(f"{path}: {what}")
+    state = TrainerState(params=params, proto=proto, cov=cov,
+                         rng_state=raw["rng_state"], step=step)
     return state, {k: raw[k] for k in META}

@@ -4,7 +4,8 @@ Subcommands:
 
 - ``gen-data``   write a synthetic benchmark (dataset.csv, embeddings.csv,
   manifest.json) from a config
-- ``train``      run the training loop; writes steps.jsonl and checkpoints
+- ``train``      run the training loop; writes steps.jsonl (one line as each
+  step ends) and checkpoints
 - ``eval``       score a checkpoint on a dataset under the open-class
   protocol; writes metrics.json
 - ``gradcheck``  verify analytic gradients of every loss kernel against
@@ -131,33 +132,34 @@ def _train_once(cfg: RunConfig, dataset: D.Dataset, fingerprint: str,
                 raise ConfigError(f"checkpoint {key} differs from this run's; "
                                   "resuming would mix two configs")
 
-    hooks = None
-    if out is not None and cfg.io.checkpoint_every_epochs > 0:
-        every = cfg.io.checkpoint_every_epochs * cfg.train.steps_per_epoch
+    if out is None:
+        return MT.run(dataset, cfg.train, cfg.model, state=state)
+    every = cfg.io.checkpoint_every_epochs * cfg.train.steps_per_epoch
+    # a resumed run keeps the steps before its checkpoint and rewrites the
+    # rest, so resuming into the interrupted run's directory leaves no step
+    # twice
+    steps = out / "steps.jsonl"
+    kept = []
+    if state is not None and state.step and steps.exists():
+        with open(steps, encoding="utf-8") as fh:
+            kept = list(itertools.islice(fh, state.step))
+    with open(steps, "w", encoding="utf-8") as fh:
+        fh.writelines(kept)
 
-        # the run's last step is saved below as checkpoint.json
-        def hooks(st, report):
-            if (report.step + 1) % every == 0 and report.step + 1 < cfg.train.total_steps:
+        # each step's line is written as it ends, so a run that fails keeps
+        # the lines of the steps it finished; the run's last step is saved
+        # below as checkpoint.json
+        def hook(st, report):
+            fh.write(report.to_json() + "\n")
+            if every > 0 and (report.step + 1) % every == 0 \
+                    and report.step + 1 < cfg.train.total_steps:
+                fh.flush()  # the trace on disk covers every checkpoint
                 CK.save_checkpoint(out / f"checkpoint_{report.step + 1:06d}.json",
                                    st, model_cfg_dict, train_cfg_dict, fingerprint)
 
-    start = 0 if state is None else state.step
-    result = MT.run(dataset, cfg.train, cfg.model, state=state, on_step=hooks)
-    if out is not None:
-        # a resumed run keeps the steps before its checkpoint and rewrites
-        # the rest, so resuming into the interrupted run's directory leaves
-        # no step twice
-        steps = out / "steps.jsonl"
-        kept = []
-        if start and steps.exists():
-            with open(steps, encoding="utf-8") as fh:
-                kept = list(itertools.islice(fh, start))
-        with open(steps, "w", encoding="utf-8") as fh:
-            fh.writelines(kept)
-            for report in result.reports:
-                fh.write(report.to_json() + "\n")
-        CK.save_checkpoint(out / "checkpoint.json", result.state,
-                           model_cfg_dict, train_cfg_dict, fingerprint)
+        result = MT.run(dataset, cfg.train, cfg.model, state=state, on_step=hook)
+    CK.save_checkpoint(out / "checkpoint.json", result.state,
+                       model_cfg_dict, train_cfg_dict, fingerprint)
     return result
 
 
@@ -198,6 +200,8 @@ def _threshold(eval_opts: EvalOptions, params, mcfg, dataset: D.Dataset) -> floa
 
 
 def cmd_eval(args) -> int:
+    if args.dump_features and not args.out:
+        raise ConfigError("--dump-features writes under --out, which is not given")
     eval_opts = EvalOptions()
     if args.config is not None:
         cfg, _ = load_run_config(args.config)

@@ -46,6 +46,7 @@ class EvalOptions:
     confidence: str = "softmax"
 
     def __post_init__(self):
+        object.__setattr__(self, "grid", tuple(self.grid))
         if self.threshold is not None and not (0.0 <= self.threshold <= 1.0):
             raise ConfigError("threshold must lie in [0, 1]")
         if not self.grid or not all(0.0 <= g <= 1.0 for g in self.grid):
@@ -68,54 +69,52 @@ class RunConfig:
     io: IoOptions = field(default_factory=IoOptions)
 
 
-def _take(d: dict, cls, section: str, **overrides):
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(d) - names
+def _object(value, section: str) -> dict:
+    """A copy of config section ``value``, which must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"'{section}' must be a JSON object, not {type(value).__name__}")
+    return dict(value)
+
+
+def _take(d, cls, section: str, **overrides):
+    """``cls`` built from section ``d`` and ``overrides``. A field ``cls``
+    lacks, or a value its constructor refuses with ``ValueError`` or
+    ``TypeError`` (a wrong type), is a ``ConfigError`` naming the section."""
+    d = _object(d, section)
+    unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(f"unknown field(s) in '{section}': {sorted(unknown)}")
-    merged = {**d, **overrides}
-    return cls(**merged)
+    try:
+        return cls(**{**d, **overrides})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"'{section}': {exc}") from exc
 
 
 def run_config_from_dict(raw: dict) -> RunConfig:
-    raw = dict(raw)
+    raw = _object(raw, "run config")
     unknown = set(raw) - {"data", "model", "train", "eval", "io", "seed"}
     if unknown:
         raise ConfigError(f"unknown top-level section(s): {sorted(unknown)}")
-    seed = raw.get("seed")
+    seeded = {} if raw.get("seed") is None else {"seed": int(raw["seed"])}
 
-    data_sec = dict(raw.get("data", {}))
-    if seed is not None:
-        data_sec["seed"] = int(seed)
-    data_cfg = _take(data_sec, SyntheticConfig, "data")
+    data_cfg = _take(raw.get("data", {}), SyntheticConfig, "data", **seeded)
 
-    model_sec = dict(raw.get("model", {}))
+    model_sec = _object(raw.get("model", {}), "model")
     model_sec.setdefault("d_x", data_cfg.d_x)
     model_sec.setdefault("d_s", data_cfg.d_s)
     model_sec.setdefault("n_classes", data_cfg.n_classes)
-    if "d_v" not in model_sec:
-        raise ConfigError("model section needs 'd_v' (not derivable)")
     model_cfg = _take(model_sec, ModelConfig, "model")
 
-    train_sec = dict(raw.get("train", {}))
-    cp = train_sec.pop("cp", None)
-    ap = train_sec.pop("ap", None)
-    if cp is not None:
-        train_sec["cp"] = _take(dict(cp), ContrastiveParams, "train.cp")
-    if ap is not None:
-        train_sec["ap"] = _take(dict(ap), AugParams, "train.ap")
-    if seed is not None:
-        train_sec["seed"] = int(seed)
-    train_cfg = _take(train_sec, TrainConfig, "train")
-
-    eval_sec = dict(raw.get("eval", {}))
-    if "grid" in eval_sec:
-        eval_sec["grid"] = tuple(eval_sec["grid"])
-    eval_opts = _take(eval_sec, EvalOptions, "eval")
-    io_opts = _take(dict(raw.get("io", {})), IoOptions, "io")
+    train_sec = _object(raw.get("train", {}), "train")
+    for key, cls in (("cp", ContrastiveParams), ("ap", AugParams)):
+        sec = train_sec.pop(key, None)
+        if sec is not None:
+            train_sec[key] = _take(sec, cls, f"train.{key}")
+    train_cfg = _take(train_sec, TrainConfig, "train", **seeded)
 
     return RunConfig(data=data_cfg, model=model_cfg, train=train_cfg,
-                     eval=eval_opts, io=io_opts)
+                     eval=_take(raw.get("eval", {}), EvalOptions, "eval"),
+                     io=_take(raw.get("io", {}), IoOptions, "io"))
 
 
 def run_config_to_dict(cfg: RunConfig) -> dict:

@@ -46,21 +46,20 @@ def unit_normalize(v, eps: float = 1e-12) -> np.ndarray:
     return v / n
 
 
-def longtail_counts(rank: int, n_max: int, n_min: int, n_classes: int,
-                    curve_scale: float) -> int:
+def longtail_counts(rank: int, n_max: int, n_min: int, n_classes: int) -> int:
     """Training-sample count of the class at 1-based sorted rank.
 
-        n = floor( n_max * (n_min/n_max) ** (sqrt(rank-1) / curve_scale) )
+        n = floor( n_max * (n_min/n_max) ** (sqrt(rank-1) / sqrt(C-1)) )
 
-    Non-increasing in rank; rank 1 gives n_max, and rank C lands exactly on
-    n_min when curve_scale = sqrt(C-1).
+    Non-increasing in rank; rank 1 gives n_max and rank C lands exactly on
+    n_min.
     """
     if not 1 <= rank <= n_classes:
         raise ValueError("rank out of range")
     if n_max < n_min or n_min < 1:
         raise ValueError("need n_max >= n_min >= 1")
     ratio = n_min / n_max
-    return int(math.floor(n_max * ratio ** (math.sqrt(rank - 1) / curve_scale)))
+    return int(math.floor(n_max * ratio ** (math.sqrt(rank - 1) / math.sqrt(n_classes - 1))))
 
 
 def default_tail_budget(n_classes: int, n_train_domains: int) -> tuple[int, ...]:
@@ -86,7 +85,6 @@ class SyntheticConfig:
     d_s: int = 8
     n_max: int = 200
     n_min: int = 5
-    curve_scale: float | None = None          # None -> sqrt(n_classes - 1)
     anchor_spread: float = 3.0
     noise_scale: float = 0.6
     semantic_noise: float = 0.1
@@ -115,12 +113,6 @@ class SyntheticConfig:
             if b[0] != self.n_train_domains:
                 raise ConfigError("head class (rank 1) must be present in all train domains")
             object.__setattr__(self, "tail_domain_budget", b)
-
-    @property
-    def scale(self) -> float:
-        if self.curve_scale is not None:
-            return float(self.curve_scale)
-        return math.sqrt(self.n_classes - 1)
 
     @property
     def budget(self) -> tuple[int, ...]:
@@ -263,7 +255,7 @@ def generate(cfg: SyntheticConfig) -> Dataset:
         transforms.append((a, t))
 
     budget = cfg.budget
-    per_class_counts = [longtail_counts(c + 1, cfg.n_max, cfg.n_min, c_total, cfg.scale)
+    per_class_counts = [longtail_counts(c + 1, cfg.n_max, cfg.n_min, c_total)
                         for c in range(c_total)]
     placement = np.zeros((k_train, c_total), dtype=np.int64)
     for c in range(c_total):

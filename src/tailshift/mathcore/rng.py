@@ -45,30 +45,13 @@ class Rng:
     # -- checkpointing ---------------------------------------------------------
 
     def get_state(self) -> dict:
-        """JSON-serializable snapshot of the bit generator state."""
+        """numpy's bit-generator state with its arrays as lists of ints, so
+        it is plain JSON."""
         state = self._gen.bit_generator.state
-
-        def plain(v):
-            if isinstance(v, np.ndarray):
-                return [int(x) for x in v]
-            if isinstance(v, dict):
-                return {k: plain(u) for k, u in v.items()}
-            if isinstance(v, (np.integer,)):
-                return int(v)
-            return v
-
-        return plain(state)
+        state["state"] = {k: v.tolist() for k, v in state["state"].items()}
+        state["buffer"] = state["buffer"].tolist()
+        return state
 
     def set_state(self, state: dict) -> None:
-        raw = {
-            "bit_generator": state["bit_generator"],
-            "state": {
-                "counter": np.array(state["state"]["counter"], dtype=np.uint64),
-                "key": np.array(state["state"]["key"], dtype=np.uint64),
-            },
-            "buffer": np.array(state["buffer"], dtype=np.uint64),
-            "buffer_pos": int(state["buffer_pos"]),
-            "has_uint32": int(state["has_uint32"]),
-            "uinteger": int(state["uinteger"]),
-        }
-        self._gen.bit_generator.state = raw
+        """Hand ``state`` to numpy's setter, which refuses a malformed one."""
+        self._gen.bit_generator.state = state

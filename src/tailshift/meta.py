@@ -166,10 +166,7 @@ class StepReport:
     lr_outer: float
 
     def to_json(self) -> str:
-        payload = dataclasses.asdict(self)
-        payload["d_mtr"] = list(self.d_mtr)
-        payload["d_mte"] = list(self.d_mte)
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(dataclasses.asdict(self), sort_keys=True)
 
 
 @dataclass

@@ -42,20 +42,23 @@ class ModelConfig:
 Params = dict  # str -> np.ndarray, insertion-ordered
 
 
+def param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every parameter block, in block order: each affine
+    layer's weight, then its bias."""
+    layers = [*((f"f{i}", dims) for i, dims in enumerate(cfg.feature_dims)),
+              ("cls", (cfg.n_classes, cfg.d_v)), ("enc", (cfg.d_s, cfg.d_v)),
+              ("dec", (cfg.d_v, cfg.d_s))]
+    return [pair for prefix, (dout, din) in layers
+            for pair in ((f"{prefix}.W", (dout, din)), (f"{prefix}.b", (dout,)))]
+
+
 def init_params(cfg: ModelConfig, rng: Rng) -> Params:
     """Symmetric-uniform fan-in initialization of all blocks."""
-
-    def affine(prefix: str, dout: int, din: int, p: Params):
-        bound = 1.0 / np.sqrt(din)
-        p[f"{prefix}.W"] = rng.uniform(-bound, bound, size=(dout, din))
-        p[f"{prefix}.b"] = rng.uniform(-bound, bound, size=dout)
-
     p: Params = {}
-    for i, (dout, din) in enumerate(cfg.feature_dims):
-        affine(f"f{i}", dout, din, p)
-    affine("cls", cfg.n_classes, cfg.d_v, p)
-    affine("enc", cfg.d_s, cfg.d_v, p)
-    affine("dec", cfg.d_v, cfg.d_s, p)
+    for name, shape in param_shapes(cfg):
+        if name.endswith(".W"):  # a bias follows its weight and shares its fan-in
+            bound = 1.0 / np.sqrt(shape[1])
+        p[name] = rng.uniform(-bound, bound, size=shape)
     return p
 
 

@@ -167,9 +167,9 @@ def test_criterion_4_streaming_covariance_and_blend():
 
 
 def test_criterion_5_count_curve():
-    n1 = D.longtail_counts(1, 1565, 20, 50, 7.0)
-    n50 = D.longtail_counts(50, 1565, 20, 50, 7.0)
-    total = sum(D.longtail_counts(c, 1565, 20, 50, 7.0) for c in range(1, 51))
+    n1 = D.longtail_counts(1, 1565, 20, 50)
+    n50 = D.longtail_counts(50, 1565, 20, 50)
+    total = sum(D.longtail_counts(c, 1565, 20, 50) for c in range(1, 51))
     ratio = 1565 / 20
     ok = n1 == 1565 and n50 == 20 and 7000 <= total <= 9000 and ratio == 78.25
     _record(5, "count curve endpoints 1565/20, total in [7000, 9000], "

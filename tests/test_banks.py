@@ -111,13 +111,12 @@ def test_update_prototypes_error_names_masked_class_and_domain():
 
 def test_update_prototypes_matches_per_class_means():
     rng = Rng(20)
-    bank = B.PrototypeBank(v=rng.normal(size=(2, 5, 3)), mask=np.ones((2, 5), dtype=bool),
-                           ema=0.3)
+    bank = B.PrototypeBank(v=rng.normal(size=(2, 5, 3)), mask=np.ones((2, 5), dtype=bool))
     feats, labels = rng.normal(size=(12, 3)), rng.integers(0, 4, size=12)
     out = B.update_prototypes(bank, 1, feats, labels)
     for c in range(5):
         expect = bank.v[1, c] if c not in labels else \
-            0.3 * feats[labels == c].mean(axis=0) + 0.7 * bank.v[1, c]
+            0.5 * feats[labels == c].mean(axis=0) + 0.5 * bank.v[1, c]
         assert np.abs(out.v[1, c] - expect).max() < 1e-14
     assert np.array_equal(out.v[0], bank.v[0])
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from tailshift import meta as MT
 from tailshift import model as M
 from tailshift.cli import main
 from tailshift.config import load_run_config, run_config_from_dict, run_config_to_dict
-from tailshift.errors import NumericsError
+from tailshift.errors import DataFormatError, NumericsError
 
 TINY = {
     "data": {"n_classes": 6, "n_train_domains": 3, "d_x": 5, "d_s": 4,
@@ -54,11 +55,31 @@ def test_config_rejects_unknown_fields():
                                 ("train", "ema", 0.5),
                                 ("train", "decay_milestones", [0.4, 0.8]),
                                 ("train", "decay_factor", 0.1),
-                                ("train", "eval_every_epochs", 0)):
+                                ("train", "eval_every_epochs", 0),
+                                ("data", "curve_scale", 7.0)):
         raw = json.loads(json.dumps(TINY))
         raw[section][key] = value
         with pytest.raises(ConfigError):
             run_config_from_dict(raw)
+
+
+@pytest.mark.parametrize("keys, value", [
+    (("train", "cp", "alpha"), -1), (("train", "cp", "tau"), 0),
+    (("train", "ap", "k"), 0), (("train", "ap", "lam"), -1),
+    (("train", "t_max"), "x"), (("model", "hidden"), "ab"),
+    (("data", "n_max"), "many"), (("train",), 5),
+], ids=["cp_alpha", "cp_tau", "ap_k", "ap_lam", "t_max", "hidden", "n_max", "train_not_object"])
+def test_bad_section_value_is_config_error_naming_it(keys, value, tmp_path, capsys):
+    raw = json.loads(json.dumps(TINY))
+    sec = raw
+    for key in keys[:-1]:
+        sec = sec.setdefault(key, {})
+    sec[keys[-1]] = value
+    path, out = tmp_path / "bad.json", tmp_path / "out"
+    path.write_text(json.dumps(raw))
+    assert main(["gen-data", "--config", str(path), "--out", str(out)]) == 2
+    assert f"'{'.'.join(keys[:-1]) or keys[0]}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_dict_round_trip():
@@ -246,6 +267,26 @@ def test_train_divergence_names_step_epoch_and_loss(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_failed_train_keeps_the_steps_it_finished(tiny_config, tmp_path, capsys, monkeypatch):
+    full, out, k = tmp_path / "full", tmp_path / "failed", 2
+    assert main(["train", "--config", tiny_config, "--out", str(full)]) == 0
+    real, calls = MT.outer_step, []
+
+    def outer_step(*args):
+        calls.append(args)
+        if len(calls) == k + 1:
+            raise NumericsError("injected")
+        return real(*args)
+
+    monkeypatch.setattr(MT, "outer_step", outer_step)
+    capsys.readouterr()
+    assert main(["train", "--config", tiny_config, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: step {k} (epoch {k}): injected\n"
+    lines = (out / "steps.jsonl").read_text().splitlines()
+    assert len(lines) == k and lines == (full / "steps.jsonl").read_text().splitlines()[:k]
+    assert sorted(p.name for p in out.iterdir()) == ["steps.jsonl"]
+
+
 def test_train_ablation_row_a(tiny_config, tmp_path):
     out = tmp_path / "a"
     assert main(["train", "--config", tiny_config, "--out", str(out),
@@ -333,6 +374,8 @@ def test_eval_fingerprint_mismatch(tiny_config, tmp_path, capsys):
     (["gradcheck", "--points", "1", "--tol", "0"], "--tol"),
     (["ablate", "--config", "TINY", "--rows", "a", "--seeds", "0"], "--seeds"),
     (["ablate", "--config", "TINY", "--rows", ","], "--rows"),
+    (["eval", "--checkpoint", "ck.json", "--data", "bench", "--dump-features"],
+     "--dump-features"),
 ])
 def test_flag_with_nothing_to_do_is_usage_error(argv, flag, tiny_config, tmp_path, capsys):
     out = tmp_path / "out"
@@ -439,7 +482,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     cfg = MT.TrainConfig(t_max=3, t_sigma=1, batch_size=6, seed=0)
     res = MT.run(ds, cfg, mcfg)
     path = tmp_path / "ck.json"
-    CK.save_checkpoint(path, res.state, {"m": 1}, {"t": 2}, "fp")
+    CK.save_checkpoint(path, res.state, dataclasses.asdict(mcfg), {"t": 2}, "fp")
     state, payload = CK.load_checkpoint(path)
     assert payload["dataset_fingerprint"] == "fp"
     assert state.step == res.state.step
@@ -457,7 +500,6 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
 
 
 def test_checkpoint_rejects_foreign_files(tmp_path, capsys):
-    from tailshift.errors import DataFormatError
     path = tmp_path / "x.json"
     header = {"format": "tailshift-checkpoint", "version": 3}
     for text in (json.dumps({"format": "other"}),
@@ -472,17 +514,50 @@ def test_checkpoint_rejects_foreign_files(tmp_path, capsys):
         assert main(["eval", "--checkpoint", str(path), "--data", str(tmp_path)]) == 2
         assert "x.json" in capsys.readouterr().err
     # a whole checkpoint whose array records are not all objects
+    mcfg = M.ModelConfig(d_x=5, d_v=5, d_s=4, n_classes=6, hidden=(8,))
     res = MT.run(D.generate(D.SyntheticConfig(n_classes=6, n_train_domains=3, d_x=5, d_s=4,
                                               n_max=30, n_min=4, seed=0)),
-                 MT.TrainConfig(t_max=1, t_sigma=1, batch_size=6, seed=0),
-                 M.ModelConfig(d_x=5, d_v=5, d_s=4, n_classes=6, hidden=(8,)))
-    CK.save_checkpoint(path, res.state, {"m": 1}, {"t": 2}, "fp")
+                 MT.TrainConfig(t_max=1, t_sigma=1, batch_size=6, seed=0), mcfg)
+    CK.save_checkpoint(path, res.state, dataclasses.asdict(mcfg), {"t": 2}, "fp")
     doc = json.loads(path.read_text())
     for bad in ("0011", 7, [1, 2]):
         doc["params"][-1][1] = bad
         path.write_text(json.dumps(doc))
         with pytest.raises(DataFormatError, match="x.json: malformed checkpoint"):
             CK.load_checkpoint(path)
+
+
+def _transpose_cov_mu(doc):
+    mu = CK._take_array(dict(doc["cov"]["mu"])).T
+    doc["cov"]["mu"].update(shape=list(mu.shape), hex=np.ascontiguousarray(mu).tobytes().hex())
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (lambda doc: doc.update(step=-3), "step -3 is not an int >= 0"),
+    (lambda doc: doc["proto"].update(ema=0.3), "prototype EMA weight 0.3 is not the fixed 0.5"),
+    (lambda doc: doc.update(rng_state={}),
+     "malformed checkpoint (ValueError: state must be for a Philox PRNG)"),
+    (lambda doc: doc["params"].reverse(),
+     "parameter blocks are not the names, order and shapes its model_config builds"),
+    (lambda doc: doc["params"].pop(),
+     "parameter blocks are not the names, order and shapes its model_config builds"),
+    (_transpose_cov_mu, "bank arrays are not shaped for 6 classes of d_v 5"),
+], ids=["negative_step", "other_ema", "empty_rng_state", "reordered_params",
+        "dropped_block", "transposed_cov_mu"])
+def test_checkpoint_refused_at_load_unless_its_configs_can_resume_it(
+        spoil, message, tiny_config, tmp_path, capsys):
+    bench, run, bad = tmp_path / "bench", tmp_path / "run", tmp_path / "bad.json"
+    main(["gen-data", "--config", tiny_config, "--out", str(bench)])
+    main(["train", "--config", tiny_config, "--data", str(bench), "--out", str(run)])
+    doc = json.loads((run / "checkpoint.json").read_text())
+    spoil(doc)
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(DataFormatError, match=re.escape(f"{bad}: {message}")):
+        CK.load_checkpoint(bad)
+    capsys.readouterr()
+    assert main(["train", "--config", tiny_config, "--data", str(bench),
+                 "--resume", str(bad), "--out", str(run)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
 
 def test_eval_refuses_manifest_without_config_hash(tiny_config, tmp_path, capsys):
@@ -604,12 +679,14 @@ def test_checkpoint_bytes_of_odd_arrays_and_strings(desk_state, tmp_path):
     CK.save_checkpoint(path, odd, model_cfg, train_cfg, hole + "3")
     assert path.read_bytes() == reference_checkpoint_bytes(odd, model_cfg, train_cfg,
                                                            hole + "3")
-    back, meta = CK.load_checkpoint(path)
-    assert meta == {"model_config": model_cfg, "train_config": train_cfg,
-                    "dataset_fingerprint": hole + "3"}
-    assert back.rng_state == odd.rng_state and list(back.params) == list(params)
-    for k, a in params.items():
-        got = back.params[k]
+    # these blocks are no model's parameters, so the load would refuse the
+    # file: the document is parsed and its arrays decoded as the load does
+    doc = json.loads(path.read_text())
+    assert {k: doc[k] for k in CK.META} == {"model_config": model_cfg, "train_config": train_cfg,
+                                            "dataset_fingerprint": hole + "3"}
+    assert doc["rng_state"] == odd.rng_state and [k for k, _ in doc["params"]] == list(params)
+    for (_, record), a in zip(doc["params"], params.values()):
+        got = CK._take_array(record)
         assert got.shape == a.shape and got.dtype == a.dtype.newbyteorder("=")
         assert np.array_equal(got, a)
 

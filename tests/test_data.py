@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -7,7 +5,7 @@ from tailshift import data as D
 from tailshift.errors import ConfigError, DataFormatError
 from tailshift.mathcore import Rng
 
-PAPER = dict(n_max=1565, n_min=20, n_classes=50, curve_scale=7.0)
+PAPER = dict(n_max=1565, n_min=20, n_classes=50)
 
 
 # ---------------------------------------------------------------------------
@@ -36,9 +34,8 @@ def test_longtail_counts_total_and_ratio():
 
 def test_longtail_counts_endpoint_identity_any_c():
     for c_total in (10, 20, 33):
-        scale = math.sqrt(c_total - 1)
-        assert D.longtail_counts(c_total, 300, 7, c_total, scale) == 7
-        assert D.longtail_counts(1, 300, 7, c_total, scale) == 300
+        assert D.longtail_counts(c_total, 300, 7, c_total) == 7
+        assert D.longtail_counts(1, 300, 7, c_total) == 300
 
 
 def test_longtail_counts_rank_bounds():
@@ -62,7 +59,7 @@ def small_cfg(**kw):
 def test_generate_counts_match_curve():
     cfg = small_cfg()
     ds = D.generate(cfg)
-    expect = [D.longtail_counts(c + 1, cfg.n_max, cfg.n_min, cfg.n_classes, cfg.scale)
+    expect = [D.longtail_counts(c + 1, cfg.n_max, cfg.n_min, cfg.n_classes)
               for c in range(cfg.n_classes)]
     assert np.array_equal(ds.counts.counts.sum(axis=0), expect)
 

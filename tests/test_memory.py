@@ -14,7 +14,7 @@ from tailshift import checkpoint as CK
 from tailshift import data as D
 from tailshift import meta as MT
 from tailshift.cli import _sha256
-from tailshift.config import load_run_config
+from tailshift.config import load_run_config, run_config_to_dict
 
 MiB = 1 << 20
 
@@ -72,8 +72,9 @@ def test_save_checkpoint_streams_the_document(paper_s1, tmp_path):
 def test_load_checkpoint_returns_no_array_text(paper_s1, tmp_path):
     _, state, _ = paper_s1
     path = tmp_path / "ck.json"
-    CK.save_checkpoint(path, state, {"m": 1}, {"t": 2}, "fp")
+    model = run_config_to_dict(load_run_config("paper_s1")[0])["model"]
+    CK.save_checkpoint(path, state, model, {"t": 2}, "fp")
     loaded, meta = CK.load_checkpoint(path)
-    assert meta == {"model_config": {"m": 1}, "train_config": {"t": 2},
+    assert meta == {"model_config": model, "train_config": {"t": 2},
                     "dataset_fingerprint": "fp"}
     assert loaded.cov.sigma.tobytes() == state.cov.sigma.tobytes()

@@ -5,11 +5,12 @@
 For each preset (default: every packaged preset), runs ``gen-data`` ->
 ``train`` -> ``eval`` in a temporary directory, with ``tailshift`` imported
 from this checkout's ``src/``, and prints one ``<sha256>  <preset>/<file>``
-line per output file: ``manifest.json``, ``steps.jsonl``,
-``checkpoint.json`` and ``metrics.json``. A change that keeps the numbers
-leaves the lines of ``manifest.json``, ``steps.jsonl`` and ``metrics.json``
-unchanged; ``checkpoint.json`` also stores the run config, so its line
-moves with the config schema. Exits 1 if a command fails.
+line per output file: ``dataset.csv``, ``embeddings.csv``, ``manifest.json``,
+``steps.jsonl``, ``checkpoint.json`` and ``metrics.json``. A change that
+keeps the numbers leaves the lines of the two CSV files, ``steps.jsonl`` and
+``metrics.json`` unchanged. ``manifest.json`` also stores the data config,
+and ``checkpoint.json`` the run config and the data config's hash, so their
+lines move with the config schema. Exits 1 if a command fails.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 # each hashed file, under the --out directory of the command that writes it
-OUTPUTS = (("bench", "manifest.json"), ("run", "steps.jsonl"),
-           ("run", "checkpoint.json"), ("eval", "metrics.json"))
+OUTPUTS = (("bench", "dataset.csv"), ("bench", "embeddings.csv"), ("bench", "manifest.json"),
+           ("run", "steps.jsonl"), ("run", "checkpoint.json"), ("eval", "metrics.json"))
 
 
 def preset_traces(preset: str, main) -> list[str]:
