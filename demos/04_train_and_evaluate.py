@@ -7,8 +7,8 @@ per-domain breakdown.
 """
 
 from tailshift import data as D
-from tailshift import evaluation as E
 from tailshift import meta as MT
+from tailshift.cli import score
 from tailshift.config import load_run_config
 
 cfg, _ = load_run_config("desk")
@@ -25,9 +25,8 @@ for rep in res.reports[:: max(1, len(res.reports) // 6)]:
           f"  L_S2S {ls['L_S2S']:7.3f}  L_Aug {ls['L_Aug']:6.3f}"
           f"  L_mte {ls['L_mte']:7.3f}")
 
-heldout = ds.heldout_domain
-report = E.evaluate(res.params, cfg.model, ds, heldout, threshold=0.0)
-print(f"\nheld-out domain {heldout}:")
+report = score(res.params, cfg.model, ds, cfg.eval)
+print(f"\nheld-out domain {ds.heldout_domain} (threshold {report.threshold}):")
 print(f"  Acc-U {report.acc_u:.1f}   Acc {report.acc:.1f}   H {report.h:.1f}"
       f"{'  (no open classes: H falls back to Acc)' if report.h_fallback else ''}")
 print("  per-domain accuracy:",

@@ -82,13 +82,6 @@ def _load_dataset_dir(path: str | Path) -> tuple[D.Dataset, str]:
     return dataset, _sha256(ds_file) if fingerprint is None else fingerprint
 
 
-def _resolve_dataset(cfg: RunConfig, data_dir: str | None) -> tuple[D.Dataset, str]:
-    if data_dir is not None:
-        return _load_dataset_dir(data_dir)
-    dataset = D.generate(cfg.data)
-    return dataset, config_hash(dataclasses.asdict(cfg.data))
-
-
 def cmd_gen_data(args) -> int:
     cfg, _ = load_run_config(args.config)
     data_cfg = cfg.data if args.seed is None else dataclasses.replace(cfg.data, seed=args.seed)
@@ -175,7 +168,9 @@ def cmd_train(args) -> int:
     # loaded first, so the load's transient text is freed before the
     # dataset's arrays are made
     resumed = None if args.resume is None else CK.load_checkpoint(args.resume)
-    dataset, fingerprint = _resolve_dataset(cfg, args.data)
+    dataset, fingerprint = (
+        _load_dataset_dir(args.data) if args.data is not None
+        else (D.generate(cfg.data), config_hash(dataclasses.asdict(cfg.data))))
     out = Path(args.out) if args.out else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
@@ -189,23 +184,45 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _threshold(eval_opts: EvalOptions, params, mcfg, dataset: D.Dataset) -> float:
-    """The options' threshold (``eval --threshold``, else the config's), else
-    the grid point that maximizes H on the validation split."""
-    if eval_opts.threshold is not None:
-        return eval_opts.threshold
-    return E.select_threshold(params, mcfg, dataset, eval_opts.grid,
-                              heldout_domain=dataset.heldout_domain,
-                              confidence=eval_opts.confidence)
+def score(params, mcfg, dataset: D.Dataset, eval_opts: EvalOptions) -> E.MetricReport:
+    """Score a model on the dataset's held-out domain at the options'
+    threshold (``eval --threshold``, else the config's), else at the grid
+    point that maximizes H on the validation split."""
+    threshold = eval_opts.threshold
+    if threshold is None:
+        threshold = E.select_threshold(params, mcfg, dataset, eval_opts.grid,
+                                       confidence=eval_opts.confidence)
+    return E.evaluate(params, mcfg, dataset, dataset.heldout_domain, threshold,
+                      confidence=eval_opts.confidence)
+
+
+def ablation_scores(cfg: RunConfig, rows, n_seeds: int,
+                    dataset: D.Dataset | None = None) -> dict[str, np.ndarray]:
+    """Train and ``score`` each ablation row at ``n_seeds`` seeds; returns
+    each row's (n_seeds, 3) array of Acc-U, Acc and H. Cell i trains at
+    train seed ``cfg.train.seed + i`` on data generated at
+    ``cfg.data.seed + i``, or on ``dataset`` when one is given. Rows run in
+    the outer loop, so the last cell trained is the last row's last seed."""
+    row_cfgs = {row: MT.apply_ablation(cfg.train, row) for row in rows}
+    datasets = [dataset] * n_seeds if dataset is not None else [
+        D.generate(dataclasses.replace(cfg.data, seed=cfg.data.seed + i))
+        for i in range(n_seeds)]
+    scores = {}
+    for row, train_cfg in row_cfgs.items():
+        cells = []
+        for i, ds in enumerate(datasets):
+            result = MT.run(ds, dataclasses.replace(train_cfg, seed=train_cfg.seed + i),
+                            cfg.model)
+            rep = score(result.params, cfg.model, ds, cfg.eval)
+            cells.append((rep.acc_u, rep.acc, rep.h))
+        scores[row] = np.asarray(cells)
+    return scores
 
 
 def cmd_eval(args) -> int:
     if args.dump_features and not args.out:
         raise ConfigError("--dump-features writes under --out, which is not given")
-    eval_opts = EvalOptions()
-    if args.config is not None:
-        cfg, _ = load_run_config(args.config)
-        eval_opts = cfg.eval
+    eval_opts = EvalOptions() if args.config is None else load_run_config(args.config)[0].eval
     if args.threshold is not None:
         eval_opts = dataclasses.replace(eval_opts, threshold=args.threshold)
     state, payload = CK.load_checkpoint(args.checkpoint)
@@ -213,9 +230,7 @@ def cmd_eval(args) -> int:
     if payload["dataset_fingerprint"] != fingerprint:
         raise ConfigError("checkpoint/dataset mismatch (fingerprint differs)")
     mcfg = run_config_from_dict({"model": payload["model_config"]}).model
-    threshold = _threshold(eval_opts, state.params, mcfg, dataset)
-    report = E.evaluate(state.params, mcfg, dataset, dataset.heldout_domain, threshold,
-                        confidence=eval_opts.confidence)
+    report = score(state.params, mcfg, dataset, eval_opts)
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
     print(text)
     if args.out:
@@ -253,27 +268,12 @@ def cmd_ablate(args) -> int:
         raise ConfigError("--rows names no ablation row")
     if args.seeds < 1:
         raise ConfigError("--seeds must be >= 1")
-    for row in rows:
-        if row not in MT.ABLATION_ROWS:
-            raise ConfigError(f"unknown ablation row {row!r}")
-    # every cell trains on the same data; only the train seed varies
-    dataset, fingerprint = _resolve_dataset(cfg, args.data)
+    # a dataset directory is one fixed dataset, so every cell trains on it
+    dataset = None if args.data is None else _load_dataset_dir(args.data)[0]
 
     lines = ["row,n_seeds,acc_u,acc,h"]
-    for row in rows:
-        scores = []
-        for i in range(args.seeds):
-            seed = cfg.train.seed + i
-            run_cfg = dataclasses.replace(
-                cfg, train=dataclasses.replace(
-                    MT.apply_ablation(cfg.train, row), seed=seed))
-            result = _train_once(run_cfg, dataset, fingerprint, None, None)
-            threshold = _threshold(cfg.eval, result.params, run_cfg.model, dataset)
-            rep = E.evaluate(result.params, run_cfg.model, dataset,
-                             dataset.heldout_domain, threshold,
-                             confidence=cfg.eval.confidence)
-            scores.append((rep.acc_u, rep.acc, rep.h))
-        mean = np.mean(np.asarray(scores), axis=0)
+    for row, cells in ablation_scores(cfg, rows, args.seeds, dataset).items():
+        mean = cells.mean(axis=0)
         lines.append(f"{row},{args.seeds},{mean[0]:.2f},{mean[1]:.2f},{mean[2]:.2f}")
         print(f"row {row}: Acc-U {mean[0]:.2f}  Acc {mean[1]:.2f}  H {mean[2]:.2f}")
     csv_text = "\n".join(lines) + "\n"

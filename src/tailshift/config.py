@@ -30,7 +30,7 @@ from importlib import resources
 from pathlib import Path
 
 from .data import SyntheticConfig
-from .errors import ConfigError
+from .errors import ConfigError, check_count
 from .evaluation import CONFIDENCE_RULES
 from .losses import AugParams, ContrastiveParams
 from .meta import TrainConfig
@@ -58,6 +58,9 @@ class EvalOptions:
 @dataclass(frozen=True)
 class IoOptions:
     checkpoint_every_epochs: int = 0
+
+    def __post_init__(self):
+        check_count("checkpoint_every_epochs", self.checkpoint_every_epochs)
 
 
 @dataclass(frozen=True)
@@ -95,7 +98,7 @@ def run_config_from_dict(raw: dict) -> RunConfig:
     unknown = set(raw) - {"data", "model", "train", "eval", "io", "seed"}
     if unknown:
         raise ConfigError(f"unknown top-level section(s): {sorted(unknown)}")
-    seeded = {} if raw.get("seed") is None else {"seed": int(raw["seed"])}
+    seeded = {} if raw.get("seed") is None else {"seed": raw["seed"]}
 
     data_cfg = _take(raw.get("data", {}), SyntheticConfig, "data", **seeded)
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .banks import SemanticTable
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, check_count
 from .losses import DomainClassCounts
 from .mathcore import Rng
 
@@ -95,6 +95,7 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_count("seed", self.seed)
         if self.n_classes < 2:
             raise ConfigError("n_classes must be >= 2")
         if self.n_train_domains < 1:

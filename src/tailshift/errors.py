@@ -11,6 +11,12 @@ class ConfigError(ValueError):
     """Invalid or inconsistent configuration."""
 
 
+def check_count(name: str, value) -> None:
+    """Refuse ``value`` unless it is an int >= 0 (a bool is not an int)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ConfigError(f"{name} must be an int >= 0, not {value!r}")
+
+
 class DataFormatError(ValueError):
     """Malformed data file. Carries a line number when one is known."""
 

@@ -53,5 +53,13 @@ class Rng:
         return state
 
     def set_state(self, state: dict) -> None:
-        """Hand ``state`` to numpy's setter, which refuses a malformed one."""
-        self._gen.bit_generator.state = state
+        """Hand ``state`` to numpy's setter, which refuses a malformed one
+        but not a buffer position outside [0, 4] (the next draws would read
+        past the 4-word buffer) or a cached-word flag other than 0 or 1."""
+        bits = np.random.Philox(0)
+        bits.state = state
+        if not 0 <= state["buffer_pos"] <= 4:
+            raise ValueError(f"Philox buffer_pos {state['buffer_pos']} lies outside [0, 4]")
+        if state["has_uint32"] not in (0, 1):
+            raise ValueError(f"Philox has_uint32 {state['has_uint32']} is not 0 or 1")
+        self._gen = np.random.Generator(bits)

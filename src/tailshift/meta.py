@@ -49,7 +49,7 @@ from .banks import (
     update_prototypes,
 )
 from .data import Dataset, sample_batch
-from .errors import ConfigError, DataFormatError, NumericsError, ProtocolError
+from .errors import ConfigError, DataFormatError, NumericsError, ProtocolError, check_count
 from .losses import (
     AugParams,
     ContrastiveParams,
@@ -98,6 +98,7 @@ class TrainConfig:
     unweighted_blend: bool = False
 
     def __post_init__(self):
+        check_count("seed", self.seed)
         if min(self.w1, self.w2, self.w3, self.w4, self.w_mte) < 0:
             raise ConfigError("loss weights must be >= 0")
         if not (0 <= self.t_sigma <= self.t_max):

@@ -20,6 +20,7 @@ from tailshift import losses as L
 from tailshift import meta as MT
 from tailshift import model as M
 from tailshift.banks import update_prototypes
+from tailshift.cli import ablation_scores
 from tailshift.cli import main as cli_main
 from tailshift.config import load_run_config
 from tailshift.gradcheck import fd_exact, gradient_check_suite
@@ -213,17 +214,8 @@ def test_criterion_6_meta_gradient_oracle():
 def test_criterion_7_directional_ablations():
     t0 = time.monotonic()
     cfg, _ = load_run_config("desk")
-    means = {}
-    for row in ("a", "b", "i", "j"):
-        scores = []
-        for seed in range(5):
-            tc = dataclasses.replace(MT.apply_ablation(cfg.train, row), seed=seed)
-            ds = D.generate(dataclasses.replace(cfg.data, seed=seed))
-            res = MT.run(ds, tc, cfg.model)
-            rep = E.evaluate(res.params, cfg.model, ds, ds.heldout_domains[0],
-                             threshold=0.0)
-            scores.append((rep.acc_u, rep.acc, rep.h))
-        means[row] = np.mean(np.asarray(scores), axis=0)
+    means = {row: cells.mean(axis=0)
+             for row, cells in ablation_scores(cfg, ("a", "b", "i", "j"), 5).items()}
     elapsed = time.monotonic() - t0
     j_beats_a = bool((means["j"] > means["a"]).all())
     meta_helps = bool((means["j"] >= means["i"]).all())

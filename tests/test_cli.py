@@ -9,7 +9,7 @@ from tailshift import checkpoint as CK
 from tailshift import data as D
 from tailshift import meta as MT
 from tailshift import model as M
-from tailshift.cli import main
+from tailshift.cli import _load_dataset_dir, main
 from tailshift.config import load_run_config, run_config_from_dict, run_config_to_dict
 from tailshift.errors import DataFormatError, NumericsError
 
@@ -79,6 +79,28 @@ def test_bad_section_value_is_config_error_naming_it(keys, value, tmp_path, caps
     path.write_text(json.dumps(raw))
     assert main(["gen-data", "--config", str(path), "--out", str(out)]) == 2
     assert f"'{'.'.join(keys[:-1]) or keys[0]}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"seed": "x"}, "'data': seed must be an int >= 0, not 'x'"),
+    ({"seed": 1.5}, "'data': seed must be an int >= 0, not 1.5"),
+    ({"seed": True}, "'data': seed must be an int >= 0, not True"),
+    ({"seed": -1}, "'data': seed must be an int >= 0, not -1"),
+    ({"train": {**TINY["train"], "seed": 1.5}}, "'train': seed must be an int >= 0, not 1.5"),
+    ({"data": {**TINY["data"], "seed": "3"}}, "'data': seed must be an int >= 0, not '3'"),
+    ({"io": {"checkpoint_every_epochs": "x"}},
+     "'io': checkpoint_every_epochs must be an int >= 0, not 'x'"),
+    ({"io": {"checkpoint_every_epochs": -3}},
+     "'io': checkpoint_every_epochs must be an int >= 0, not -3"),
+], ids=["top_str", "top_float", "top_bool", "top_negative", "train_float", "data_str",
+        "io_str", "io_negative"])
+def test_bad_seed_or_io_setting_is_config_error_naming_its_section(edit, message, tmp_path,
+                                                                   capsys):
+    path, out = tmp_path / "bad.json", tmp_path / "out"
+    path.write_text(json.dumps({**TINY, **edit}))
+    assert main(["gen-data", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -327,7 +349,7 @@ def test_eval_dump_features(tiny_config, tmp_path, capsys):
                  "--out", str(tmp_path / "m"), "--dump-features"]) == 0
     lines = (tmp_path / "m" / "features.csv").read_text().splitlines()
     assert lines[0].startswith("domain,label,z_0")
-    ds, _ = __import__("tailshift.cli", fromlist=["_load_dataset_dir"])._load_dataset_dir(bench)
+    ds, _ = _load_dataset_dir(bench)
     assert len(lines) == 1 + ds.indices("test").size
 
 
@@ -461,6 +483,51 @@ def test_ablate_refuses_bad_eval_options_before_training(eval_sec, message, tmp_
     assert calls == []
 
 
+def _record_cells(monkeypatch):
+    """Record each ``MT.run`` call of an ablation as (row, data seed, train
+    seed, dataset), the data seed being that of the ``D.generate`` call that
+    made the dataset (None for a dataset made elsewhere)."""
+    made, cells = [], []
+    generate, run = D.generate, MT.run
+
+    def recording_generate(cfg):
+        made.append((generate(cfg), cfg.seed))
+        return made[-1][0]
+
+    def recording_run(ds, cfg, mcfg, **kwargs):
+        row = next(r for r in MT.ABLATION_ROWS if MT.apply_ablation(cfg, r) == cfg)
+        data_seed = next((seed for d, seed in made if d is ds), None)
+        cells.append((row, data_seed, cfg.seed, ds))
+        return run(ds, cfg, mcfg, **kwargs)
+
+    monkeypatch.setattr(D, "generate", recording_generate)
+    monkeypatch.setattr(MT, "run", recording_run)
+    return cells
+
+
+def test_ablate_cell_i_trains_at_both_seeds_plus_i(tmp_path, monkeypatch):
+    raw = json.loads(json.dumps(TINY))
+    raw["data"]["seed"], raw["train"]["seed"] = 3, 5
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    cells = _record_cells(monkeypatch)
+    assert main(["ablate", "--config", str(path), "--rows", "a,j", "--seeds", "2"]) == 0
+    assert [c[:3] for c in cells] == [("a", 3, 5), ("a", 4, 6), ("j", 3, 5), ("j", 4, 6)]
+
+
+def test_ablate_with_data_dir_trains_every_cell_on_it(tiny_config, tmp_path, monkeypatch):
+    bench = tmp_path / "bench"
+    main(["gen-data", "--config", tiny_config, "--seed", "9", "--out", str(bench)])
+    cells = _record_cells(monkeypatch)
+    assert main(["ablate", "--config", tiny_config, "--data", str(bench),
+                 "--rows", "a,j", "--seeds", "2"]) == 0
+    assert [c[:3] for c in cells] == [("a", None, 0), ("a", None, 1),
+                                      ("j", None, 0), ("j", None, 1)]
+    want, _ = _load_dataset_dir(bench)
+    assert all(np.array_equal(ds.x, want.x) and np.array_equal(ds.y, want.y)
+               and np.array_equal(ds.d, want.d) for *_, ds in cells)
+
+
 def test_ablate_deterministic(tiny_config, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     main(["ablate", "--config", tiny_config, "--rows", "b", "--seeds", "2",
@@ -542,8 +609,12 @@ def _transpose_cov_mu(doc):
     (lambda doc: doc["params"].pop(),
      "parameter blocks are not the names, order and shapes its model_config builds"),
     (_transpose_cov_mu, "bank arrays are not shaped for 6 classes of d_v 5"),
+    (lambda doc: doc["rng_state"].update(buffer_pos=-1),
+     "malformed checkpoint (ValueError: Philox buffer_pos -1 lies outside [0, 4])"),
+    (lambda doc: doc["rng_state"].update(has_uint32=7),
+     "malformed checkpoint (ValueError: Philox has_uint32 7 is not 0 or 1)"),
 ], ids=["negative_step", "other_ema", "empty_rng_state", "reordered_params",
-        "dropped_block", "transposed_cov_mu"])
+        "dropped_block", "transposed_cov_mu", "rng_buffer_pos", "rng_has_uint32"])
 def test_checkpoint_refused_at_load_unless_its_configs_can_resume_it(
         spoil, message, tiny_config, tmp_path, capsys):
     bench, run, bad = tmp_path / "bench", tmp_path / "run", tmp_path / "bad.json"

@@ -3,11 +3,12 @@
     python3 tools/preset_traces.py [PRESET ...]
 
 For each preset (default: every packaged preset), runs ``gen-data`` ->
-``train`` -> ``eval`` in a temporary directory, with ``tailshift`` imported
-from this checkout's ``src/``, and prints one ``<sha256>  <preset>/<file>``
-line per output file: ``dataset.csv``, ``embeddings.csv``, ``manifest.json``,
-``steps.jsonl``, ``checkpoint.json`` and ``metrics.json``. A change that
-keeps the numbers leaves the lines of the two CSV files, ``steps.jsonl`` and
+``train`` -> ``eval``, then ``ablate --rows a,j --seeds 2``, in a temporary
+directory, with ``tailshift`` imported from this checkout's ``src/``, and
+prints one ``<sha256>  <preset>/<file>`` line per output file:
+``dataset.csv``, ``embeddings.csv``, ``manifest.json``, ``steps.jsonl``,
+``checkpoint.json``, ``metrics.json`` and ``ablation.csv``. A change that
+keeps the numbers leaves the lines of the CSV files, ``steps.jsonl`` and
 ``metrics.json`` unchanged. ``manifest.json`` also stores the data config,
 and ``checkpoint.json`` the run config and the data config's hash, so their
 lines move with the config schema. Exits 1 if a command fails.
@@ -25,17 +26,21 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # each hashed file, under the --out directory of the command that writes it
 OUTPUTS = (("bench", "dataset.csv"), ("bench", "embeddings.csv"), ("bench", "manifest.json"),
-           ("run", "steps.jsonl"), ("run", "checkpoint.json"), ("eval", "metrics.json"))
+           ("run", "steps.jsonl"), ("run", "checkpoint.json"), ("eval", "metrics.json"),
+           ("ablate", "ablation.csv"))
 
 
 def preset_traces(preset: str, main) -> list[str]:
     """The output lines for one preset; ``main`` is ``tailshift.cli.main``."""
     with tempfile.TemporaryDirectory() as tmp:
-        bench, run, ev = (str(Path(tmp) / name) for name in ("bench", "run", "eval"))
+        bench, run, ev, ab = (str(Path(tmp) / name)
+                              for name in ("bench", "run", "eval", "ablate"))
         for argv in (["gen-data", "--config", preset, "--out", bench],
                      ["train", "--config", preset, "--data", bench, "--out", run],
                      ["eval", "--config", preset, "--data", bench,
-                      "--checkpoint", str(Path(run) / "checkpoint.json"), "--out", ev]):
+                      "--checkpoint", str(Path(run) / "checkpoint.json"), "--out", ev],
+                     ["ablate", "--config", preset, "--rows", "a,j", "--seeds", "2",
+                      "--out", ab]):
             with contextlib.redirect_stdout(io.StringIO()):
                 code = main(argv)
             if code != 0:
