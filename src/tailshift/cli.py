@@ -2,8 +2,8 @@
 
 Subcommands:
 
-- ``gen-data``   write a synthetic benchmark (dataset.csv, embeddings.csv,
-  manifest.json) from a config
+- ``gen-data``   write a synthetic benchmark (dataset.csv, its binary copy
+  dataset.npy, embeddings.csv, manifest.json) from a config
 - ``train``      run the training loop; writes steps.jsonl (one line as each
   step ends) and checkpoints
 - ``eval``       score a checkpoint on a dataset under the open-class
@@ -46,6 +46,7 @@ from .gradcheck import format_table, gradient_check_suite
 from .mathcore.autodiff import FD_EPS_MAX
 
 DATASET_FILE = "dataset.csv"
+DATASET_COPY_FILE = "dataset.npy"
 EMBEDDINGS_FILE = "embeddings.csv"
 MANIFEST_FILE = "manifest.json"
 
@@ -61,12 +62,17 @@ def _sha256(path: Path) -> str:
 
 def _load_dataset_dir(path: str | Path) -> tuple[D.Dataset, str]:
     """Load dataset + embeddings from a gen-data directory; returns the
-    dataset and its fingerprint (manifest config hash, else file hash)."""
+    dataset and its fingerprint: the manifest's config hash, unless there is
+    no manifest or ``dataset.csv`` differs from the sha256 it lists, in
+    which case the CSV's own sha256. The binary copy ``dataset.npy`` is read
+    only when the manifest lists the sha256s of both files and both match;
+    otherwise the CSV is parsed."""
     root = Path(path)
     ds_file = root / DATASET_FILE
     if not ds_file.exists():
         raise DataFormatError(f"no {DATASET_FILE} under {root}")
-    fingerprint = None
+    csv_hash = _sha256(ds_file)
+    fingerprint, files = csv_hash, {}
     man_file = root / MANIFEST_FILE
     if man_file.exists():
         try:
@@ -75,11 +81,18 @@ def _load_dataset_dir(path: str | Path) -> tuple[D.Dataset, str]:
             raise DataFormatError(f"{man_file}: not a JSON document ({exc})") from exc
         if not isinstance(manifest, dict) or not isinstance(manifest.get("config_hash"), str):
             raise DataFormatError(f"{man_file}: no config_hash string")
-        fingerprint = manifest["config_hash"]
+        files = manifest.get("files", {})
+        if not isinstance(files, dict) or not all(isinstance(v, str) for v in files.values()):
+            raise DataFormatError(f"{man_file}: files must map file names to sha256 strings")
+        if files.get(DATASET_FILE, csv_hash) == csv_hash:
+            fingerprint = manifest["config_hash"]
     emb_file = root / EMBEDDINGS_FILE
     table = D.load_embeddings(emb_file) if emb_file.exists() else None
-    dataset = D.load_dataset(ds_file, semantic=table)
-    return dataset, _sha256(ds_file) if fingerprint is None else fingerprint
+    npy_file = root / DATASET_COPY_FILE
+    if files.get(DATASET_FILE) == csv_hash and npy_file.exists() \
+            and files.get(DATASET_COPY_FILE) == _sha256(npy_file):
+        return D.load_dataset_npy(npy_file, semantic=table), fingerprint
+    return D.load_dataset(ds_file, semantic=table), fingerprint
 
 
 def cmd_gen_data(args) -> int:
@@ -89,6 +102,7 @@ def cmd_gen_data(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     dataset = D.generate(data_cfg)
     D.save_dataset(dataset, out / DATASET_FILE)
+    D.save_dataset_npy(dataset, out / DATASET_COPY_FILE)
     D.save_embeddings(dataset.semantic, out / EMBEDDINGS_FILE)
     cfg_dict = dataclasses.asdict(data_cfg)
     manifest = {
@@ -97,13 +111,14 @@ def cmd_gen_data(args) -> int:
         "config_hash": config_hash(cfg_dict),
         "files": {
             DATASET_FILE: _sha256(out / DATASET_FILE),
+            DATASET_COPY_FILE: _sha256(out / DATASET_COPY_FILE),
             EMBEDDINGS_FILE: _sha256(out / EMBEDDINGS_FILE),
         },
     }
     (out / MANIFEST_FILE).write_text(json.dumps(manifest, indent=2, sort_keys=True),
                                      encoding="utf-8")
     print(f"wrote {out / DATASET_FILE} ({len(dataset.y)} samples), "
-          f"{out / EMBEDDINGS_FILE}, {out / MANIFEST_FILE}")
+          f"{out / DATASET_COPY_FILE}, {out / EMBEDDINGS_FILE}, {out / MANIFEST_FILE}")
     return 0
 
 

@@ -16,6 +16,12 @@ File formats (UTF-8, comma-separated, round-trip-exact floats):
   sample, split in {train, val, test}.
 - embedding CSV: header ``label,s_0,...,s_{d_s-1}``, exactly one row per
   class; rows are re-normalized on load.
+
+Every CSV is written by ``write_rows``. ``gen-data`` also writes a binary
+copy of the dataset (``save_dataset_npy``), and the CLI reads it back with
+``load_dataset_npy`` in place of parsing the CSV only when the manifest lists
+the sha256 of both files and both match; the two loads give bit-identical
+columns.
 """
 
 from __future__ import annotations
@@ -190,17 +196,19 @@ def make_dataset(x, y, d, split, semantic: SemanticTable | None = None) -> Datas
     split = np.asarray(split, dtype=str)
     if not (len(x) == len(y) == len(d) == len(split)):
         raise ValueError("column lengths differ")
-    if not np.isfinite(x).all():
+    # min and max propagate NaN and reach +-inf, so both are finite exactly
+    # when every entry is; no (N, d_x) mask is made
+    if x.size and not (np.isfinite(x.min()) and np.isfinite(x.max())):
         raise ValueError("features must be finite")
-    bad = set(np.unique(split)) - set(SPLITS)
-    if bad:
-        raise ValueError(f"unknown split tags {sorted(bad)}")
+    train, val, test = (split == tag for tag in SPLITS)
+    unknown = ~(train | val | test)
+    if unknown.any():
+        raise ValueError(f"unknown split tags {sorted(set(split[unknown].tolist()))}")
 
     n_classes = semantic.n_classes if semantic is not None else int(y.max()) + 1
     if y.min() < 0 or y.max() >= n_classes:
         raise ValueError("labels out of range")
 
-    train = split == "train"
     train_domains = np.unique(d[train])
     if train_domains.size == 0:
         raise ValueError("dataset has no training samples")
@@ -211,14 +219,12 @@ def make_dataset(x, y, d, split, semantic: SemanticTable | None = None) -> Datas
     np.add.at(counts, (d[train], y[train]), 1)
     counts = DomainClassCounts(counts)
 
-    val = split == "val"
     if val.any():
         if (d[val] >= k).any():
             raise ValueError("validation data in a held-out domain")
         if (counts.counts[d[val], y[val]] <= 0).any():
             raise ValueError("validation split contains a class unseen in its domain")
 
-    test = split == "test"
     for dom in np.unique(d):
         yd = y[test & (d == dom)]
         per_class = np.bincount(yd, minlength=n_classes)
@@ -314,19 +320,65 @@ def sample_batch(dataset: Dataset, domain: int, batch_size: int, rng: Rng):
 # CSV interfaces
 # ---------------------------------------------------------------------------
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
+WRITE_BLOCK_ROWS = 64  # rows formatted per write; bounds the text held at once
+
+
+def write_rows(path, header: str, lead, values) -> None:
+    """Write a CSV of ``header`` and one line per row of the 2-D float array
+    ``values``, each led by its cells of the ``lead`` columns (1-D arrays of
+    ints or strings). Floats print as ``repr``, so they round-trip exactly.
+    Rows are formatted one block of ``WRITE_BLOCK_ROWS`` at a time from
+    ``tolist()`` slices, so no array scalar is made per value and no more
+    than one block's text is held."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(values), WRITE_BLOCK_ROWS):
+            block = slice(start, start + WRITE_BLOCK_ROWS)
+            heads = zip(*(col[block].tolist() for col in lead))
+            fh.write("".join(
+                ",".join(map(str, head)) + "," + ",".join(map(repr, row)) + "\n"
+                for head, row in zip(heads, values[block].tolist())))
 
 
 def save_dataset(dataset: Dataset, path) -> None:
     d_x = dataset.x.shape[1]
     header = "domain,label,split," + ",".join(f"x_{i}" for i in range(d_x))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for i in range(len(dataset.y)):
-            row = [str(int(dataset.d[i])), str(int(dataset.y[i])), str(dataset.split[i])]
-            row.extend(_fmt(v) for v in dataset.x[i])
-            fh.write(",".join(row) + "\n")
+    write_rows(path, header, (dataset.d, dataset.y, dataset.split), dataset.x)
+
+
+def save_dataset_npy(dataset: Dataset, path) -> None:
+    """Write the binary copy of a dataset: ``np.save`` of ``x``, then of a
+    (3, N) int64 array of domain, label and split code (the index into
+    ``SPLITS``). Its bytes depend only on the columns."""
+    codes = np.zeros(len(dataset.y), dtype=np.int64)
+    for code, tag in enumerate(SPLITS):
+        codes[dataset.split == tag] = code
+    with open(path, "wb") as fh:
+        np.save(fh, dataset.x, allow_pickle=False)
+        np.save(fh, np.stack([dataset.d, dataset.y, codes]), allow_pickle=False)
+
+
+def load_dataset_npy(path, semantic: SemanticTable | None = None) -> Dataset:
+    """Read the binary copy ``save_dataset_npy`` wrote, straight from the
+    open file into the returned ``x`` (one copy, no text). Refuses pickled
+    objects, other dtypes or shapes and unknown split codes, then validates
+    the columns as ``make_dataset`` does."""
+    try:
+        with open(path, "rb") as fh:
+            x = np.load(fh, allow_pickle=False)
+            cols = np.load(fh, allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        raise DataFormatError(f"{path}: not a dataset copy ({exc})") from exc
+    if x.dtype != np.float64 or x.ndim != 2 or x.shape[1] < 1:
+        raise DataFormatError(f"{path}: features must be a (N, d_x) float64 array")
+    if cols.dtype != np.int64 or cols.shape != (3, len(x)):
+        raise DataFormatError(f"{path}: columns must be a (3, N) int64 array")
+    if len(x) and not 0 <= cols[2].min() <= cols[2].max() < len(SPLITS):
+        raise DataFormatError(f"{path}: unknown split code")
+    try:
+        return make_dataset(x, cols[1], cols[0], np.array(SPLITS)[cols[2]], semantic=semantic)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
 
 
 def load_dataset(path, semantic: SemanticTable | None = None) -> Dataset:
@@ -376,10 +428,7 @@ def load_dataset(path, semantic: SemanticTable | None = None) -> Dataset:
 
 def save_embeddings(table: SemanticTable, path) -> None:
     header = "label," + ",".join(f"s_{i}" for i in range(table.dim))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for c in range(table.n_classes):
-            fh.write(",".join([str(c)] + [_fmt(v) for v in table.s[c]]) + "\n")
+    write_rows(path, header, (np.arange(table.n_classes),), table.s)
 
 
 def load_embeddings(path) -> SemanticTable:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, write_rows
 from .mathcore import psd_sqrt
 from .mathcore.autodiff import _log_softmax_core
 from .model import ModelConfig, Params, forward_features, predict_logits
@@ -210,17 +210,12 @@ def frechet_distance(mu1, sigma1, mu2, sigma2) -> float:
 
 def dump_features(params: Params, mcfg: ModelConfig, dataset: Dataset, path,
                   split: str | None = None) -> int:
-    """Write ``domain,label,z_0,...`` rows of extracted features; returns the
-    row count. Floats are formatted losslessly (repr round-trip)."""
+    """Write ``domain,label,z_0,...`` rows of extracted features through
+    ``data.write_rows``; returns the row count."""
     idx = (np.arange(len(dataset.y)) if split is None else dataset.indices(split))
     header = "domain,label," + ",".join(f"z_{i}" for i in range(mcfg.d_v))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        if idx.size:
-            z = forward_features(params, dataset.x[idx], mcfg).data
-            for row_i, i in enumerate(idx):
-                cells = [str(int(dataset.d[i])), str(int(dataset.y[i]))]
-                cells.extend(repr(float(v)) for v in z[row_i])
-                fh.write(",".join(cells) + "\n")
+    z = (forward_features(params, dataset.x[idx], mcfg).data if idx.size
+         else np.empty((0, mcfg.d_v)))
+    write_rows(path, header, (dataset.d[idx], dataset.y[idx]), z)
     return int(idx.size)
 

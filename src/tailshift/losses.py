@@ -334,9 +334,11 @@ def s2s_stack_loss(s_hat, table, cp: ContrastiveParams):
     diag = np.arange(c)
     s = ad.reshape(kc, d)
     x = np.concatenate([s, td])                                   # ((K+1)C, d)
-    gram = (s @ x.T) / cp.tau                                     # (KC, (K+1)C)
+    gram = s @ x.T                                                # (KC, (K+1)C)
+    gram /= cp.tau
     shift = gram.max(axis=1)
-    e = np.exp(gram - shift[:, None]).reshape(k, c, k + 1, c)     # [m, c, n, j]
+    e = gram - shift[:, None]
+    e = np.exp(e, out=e).reshape(k, c, k + 1, c)                  # [m, c, n, j]
     e[:, diag, :, diag] = 0.0
     rowsum = e.sum(axis=-1)                                       # (K, C, K+1)
     # pos[m, c, n] - shift: the positive s_mc . s_nc / tau - alpha / tau

@@ -31,7 +31,6 @@ blending.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -167,7 +166,7 @@ class StepReport:
     lr_outer: float
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True)
+        return json.dumps(vars(self), sort_keys=True)
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import re
 
@@ -139,17 +140,106 @@ def test_gen_data_writes_files_and_manifest(tiny_config, tmp_path):
     assert (out / "dataset.csv").exists()
     assert (out / "embeddings.csv").exists()
     manifest = json.loads((out / "manifest.json").read_text())
-    import hashlib
-    digest = hashlib.sha256((out / "dataset.csv").read_bytes()).hexdigest()
-    assert manifest["files"]["dataset.csv"] == digest
+    assert manifest["files"] == {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("dataset.csv", "dataset.npy", "embeddings.csv")}
 
 
 def test_gen_data_byte_identical_reruns(tiny_config, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     main(["gen-data", "--config", tiny_config, "--out", str(a)])
     main(["gen-data", "--config", tiny_config, "--out", str(b)])
-    assert (a / "dataset.csv").read_bytes() == (b / "dataset.csv").read_bytes()
-    assert (a / "embeddings.csv").read_bytes() == (b / "embeddings.csv").read_bytes()
+    for name in ("dataset.csv", "dataset.npy", "embeddings.csv", "manifest.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+# ---------------------------------------------------------------------------
+# dataset directories: the binary copy and the fingerprint
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def bench(tiny_config, tmp_path):
+    out = tmp_path / "bench"
+    assert main(["gen-data", "--config", tiny_config, "--out", str(out)]) == 0
+    return out
+
+
+@pytest.fixture
+def csv_parses(monkeypatch):
+    """Counts the calls into ``data.load_dataset``, the CSV parser."""
+    calls = []
+    parse = D.load_dataset
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(D, "load_dataset", spy)
+    return calls
+
+
+def test_dataset_dir_loads_the_copy_bit_identical_to_the_csv(bench, csv_parses):
+    via_copy, fp_copy = _load_dataset_dir(bench)
+    assert csv_parses == []
+    (bench / "dataset.npy").unlink()
+    via_csv, fp_csv = _load_dataset_dir(bench)
+    assert csv_parses == [bench / "dataset.csv"]
+    assert fp_copy == fp_csv == json.loads((bench / "manifest.json").read_text())["config_hash"]
+    assert via_copy.x.dtype == via_csv.x.dtype and via_copy.x.shape == via_csv.x.shape
+    assert via_copy.x.tobytes() == via_csv.x.tobytes()
+    for col in ("y", "d", "split"):
+        got, want = getattr(via_copy, col), getattr(via_csv, col)
+        assert got.dtype == want.dtype and np.array_equal(got, want), col
+    assert np.array_equal(via_copy.counts.counts, via_csv.counts.counts)
+    assert np.array_equal(via_copy.semantic.s, via_csv.semantic.s)
+
+
+def _drop_files(bench):
+    manifest = json.loads((bench / "manifest.json").read_text())
+    del manifest["files"]
+    (bench / "manifest.json").write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda bench: (bench / "dataset.npy").unlink(),
+    lambda bench: (bench / "dataset.npy").write_bytes(b"not the copy the manifest lists"),
+    _drop_files,
+], ids=["copy-missing", "copy-differs", "manifest-without-files"])
+def test_dataset_dir_parses_the_csv_unless_the_copy_is_verified(bench, csv_parses, spoil):
+    want, fp = _load_dataset_dir(bench)
+    spoil(bench)
+    got, fp_after = _load_dataset_dir(bench)
+    assert csv_parses == [bench / "dataset.csv"]
+    assert fp_after == fp
+    assert got.x.tobytes() == want.x.tobytes() and np.array_equal(got.split, want.split)
+
+
+def test_edited_csv_changes_the_fingerprint(tiny_config, bench, tmp_path, capsys):
+    run = tmp_path / "run"
+    assert main(["train", "--config", tiny_config, "--data", str(bench),
+                 "--out", str(run)]) == 0
+    lines = (bench / "dataset.csv").read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[3] = repr(float(cells[3]) + 0.5)
+    lines[1] = ",".join(cells)
+    (bench / "dataset.csv").write_text("\n".join(lines) + "\n")
+    _, fingerprint = _load_dataset_dir(bench)
+    assert fingerprint == hashlib.sha256((bench / "dataset.csv").read_bytes()).hexdigest()
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(run / "checkpoint.json"),
+                 "--data", str(bench), "--threshold", "0.0"]) == 2
+    assert "fingerprint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("files", [["dataset.csv"], {"dataset.csv": 1}, "sha"])
+def test_manifest_files_must_map_names_to_strings(tiny_config, bench, files, capsys):
+    manifest = json.loads((bench / "manifest.json").read_text())
+    manifest["files"] = files
+    (bench / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(DataFormatError, match="manifest.json: files"):
+        _load_dataset_dir(bench)
+    assert main(["train", "--config", tiny_config, "--data", str(bench)]) == 2
+    assert "manifest.json" in capsys.readouterr().err
 
 
 def test_gen_data_infeasible_budget_exit_2(tmp_path, capsys):

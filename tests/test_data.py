@@ -213,6 +213,59 @@ def test_dataset_regeneration_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_write_rows_matches_per_value_repr(tmp_path):
+    n = 2 * D.WRITE_BLOCK_ROWS + 3  # two full blocks and a partial one
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-8, 17, size=(n, 3))
+    x[0] = [-0.0, 1e-05, 1.5e+16]
+    d, y = np.arange(n) % 4, np.arange(n)[::-1]
+    tags = np.array(D.SPLITS)[np.arange(n) % 3]
+    path = tmp_path / "rows.csv"
+    D.write_rows(path, "domain,label,split,x_0,x_1,x_2", (d, y, tags), x)
+    want = ["domain,label,split,x_0,x_1,x_2\n"]
+    for i in range(n):
+        cells = [str(int(d[i])), str(int(y[i])), str(tags[i])]
+        cells.extend(repr(float(v)) for v in x[i])
+        want.append(",".join(cells) + "\n")
+    assert path.read_bytes() == "".join(want).encode()
+    assert want[1] == f"0,{n - 1},train,-0.0,1e-05,1.5e+16\n"
+
+
+def test_dataset_npy_roundtrip(tmp_path):
+    ds = D.generate(small_cfg())
+    path = tmp_path / "ds.npy"
+    D.save_dataset_npy(ds, path)
+    back = D.load_dataset_npy(path, semantic=ds.semantic)
+    assert back.x.dtype == np.float64 and back.x.tobytes() == ds.x.tobytes()
+    for got, want in ((back.y, ds.y), (back.d, ds.d), (back.split, ds.split)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(back.counts.counts, ds.counts.counts)
+
+
+def _write_npy(path, x, cols):
+    with open(path, "wb") as fh:
+        np.save(fh, x)
+        np.save(fh, cols)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda x, cols: (x.astype(object), cols), "not a dataset copy"),
+    (lambda x, cols: (x.astype(np.float32), cols), "features must be"),
+    (lambda x, cols: (x, cols[:2]), "columns must be"),
+    (lambda x, cols: (x, np.where(np.arange(3)[:, None] == 2, 3, cols)), "unknown split code"),
+    (lambda x, cols: (x, np.where(np.arange(3)[:, None] == 1, 99, cols)), "labels out of range"),
+])
+def test_dataset_npy_refusals_name_the_file(tmp_path, edit, message):
+    ds = D.generate(small_cfg())
+    path = tmp_path / "ds.npy"
+    D.save_dataset_npy(ds, path)
+    with open(path, "rb") as fh:
+        x, cols = np.load(fh), np.load(fh)
+    _write_npy(path, *edit(x, cols))
+    with pytest.raises(DataFormatError, match=f"ds.npy: .*{message}"):
+        D.load_dataset_npy(path, semantic=ds.semantic)
+
+
 def test_embeddings_roundtrip_and_renormalization(tmp_path):
     ds = D.generate(small_cfg())
     path = tmp_path / "emb.csv"

@@ -13,7 +13,7 @@ def test_preset_traces_desk(tmp_path):
                           cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    names = ["dataset.csv", "embeddings.csv", "manifest.json", "steps.jsonl",
+    names = ["dataset.csv", "dataset.npy", "embeddings.csv", "manifest.json", "steps.jsonl",
              "checkpoint.json", "metrics.json", "ablation.csv"]
     assert [line.split("  ")[-1] for line in lines] == [f"desk/{n}" for n in names]
     assert all(re.fullmatch(r"[0-9a-f]{64}  desk/\S+", line) for line in lines)

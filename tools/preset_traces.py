@@ -6,8 +6,8 @@ For each preset (default: every packaged preset), runs ``gen-data`` ->
 ``train`` -> ``eval``, then ``ablate --rows a,j --seeds 2``, in a temporary
 directory, with ``tailshift`` imported from this checkout's ``src/``, and
 prints one ``<sha256>  <preset>/<file>`` line per output file:
-``dataset.csv``, ``embeddings.csv``, ``manifest.json``, ``steps.jsonl``,
-``checkpoint.json``, ``metrics.json`` and ``ablation.csv``. A change that
+``dataset.csv``, ``dataset.npy``, ``embeddings.csv``, ``manifest.json``,
+``steps.jsonl``, ``checkpoint.json``, ``metrics.json`` and ``ablation.csv``. A change that
 keeps the numbers leaves the lines of the CSV files, ``steps.jsonl`` and
 ``metrics.json`` unchanged. ``manifest.json`` also stores the data config,
 and ``checkpoint.json`` the run config and the data config's hash, so their
@@ -25,9 +25,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 # each hashed file, under the --out directory of the command that writes it
-OUTPUTS = (("bench", "dataset.csv"), ("bench", "embeddings.csv"), ("bench", "manifest.json"),
-           ("run", "steps.jsonl"), ("run", "checkpoint.json"), ("eval", "metrics.json"),
-           ("ablate", "ablation.csv"))
+OUTPUTS = (("bench", "dataset.csv"), ("bench", "dataset.npy"), ("bench", "embeddings.csv"),
+           ("bench", "manifest.json"), ("run", "steps.jsonl"), ("run", "checkpoint.json"),
+           ("eval", "metrics.json"), ("ablate", "ablation.csv"))
 
 
 def preset_traces(preset: str, main) -> list[str]:
