@@ -8,10 +8,13 @@ batch) and blended across semantically similar classes so tail classes can
 borrow second-order structure from related heads.
 
 Both covariance steps are loop-free over classes. A batch is sorted by label
-once and its per-class covariances are one batched Gram product over the
-class-centred rows; blending is one (C, C) mixing matrix times the flattened
-covariance stack, with each class's top-k neighbours read from an index the
-read-only ``SemanticTable`` computes once per k.
+once, and its merge into the running statistics is one batched Gram product
+over the class-centred rows with one more row per class, the mean-shift
+term of the merge; blending is one mixing matrix (a row per class blended)
+times the flattened covariance stack, with each class's top-k neighbours
+read from an index the read-only ``SemanticTable`` computes once per k. The
+distinct labels (or bank keys) of a batch, their counts and each sample's
+group come from one ``np.bincount`` (``label_groups``).
 
 Update operations return new bank objects; callers own the state.
 """
@@ -93,6 +96,16 @@ class PrototypeBank:
         return PrototypeBank(v=self.v.copy(), mask=self.mask.copy())
 
 
+def label_groups(keys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct values of a nonnegative int array, sorted, their counts,
+    and each element's index among them, all from one ``np.bincount``: the
+    values and index are those of ``np.unique(keys, return_inverse=True)``."""
+    counts = np.bincount(keys)
+    present = counts > 0
+    groups = np.flatnonzero(present)
+    return groups, counts[groups], (np.cumsum(present) - 1)[keys]
+
+
 def update_prototypes(bank: PrototypeBank, rows, features, labels) -> PrototypeBank:
     """One EMA step per (bank row, class) toward the batch mean of its samples.
 
@@ -107,8 +120,7 @@ def update_prototypes(bank: PrototypeBank, rows, features, labels) -> PrototypeB
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     rows = np.broadcast_to(np.asarray(rows, dtype=np.int64), labels.shape)
-    keys, inv = np.unique(np.ravel_multi_index((rows, labels), bank.mask.shape),
-                          return_inverse=True)
+    keys, _, inv = label_groups(np.ravel_multi_index((rows, labels), bank.mask.shape))
     r, c = np.unravel_index(keys, bank.mask.shape)
     unseen = np.flatnonzero(~bank.mask[r, c])
     if unseen.size:
@@ -167,70 +179,53 @@ class CovarianceBank:
         return CovarianceBank(mu=self.mu.copy(), sigma=self.sigma.copy(), n=self.n.copy())
 
 
-def _batch_statistics(features, labels):
-    """Per-class population statistics of one batch: the distinct labels
-    (U,), their counts (U,), means mu_b (U, d) and covariances Sigma_b
-    (U, d, d).
-
-    The batch is sorted by label once (stably); the class means are segment
-    sums of the sorted rows, and the class-centred rows are scattered into a
-    zero-padded (U, m_max, d) stack P, so Sigma_b of all U classes is one
-    batched Gram product P'P / m.
-    """
-    counts = np.bincount(labels)
-    classes = np.flatnonzero(counts)                                   # (U,)
-    counts = counts[classes]
-    starts = np.cumsum(counts) - counts          # first row of each class once sorted
-    m = counts.astype(np.float64)
-    xs = features[np.argsort(labels, kind="stable")]
-    mu_b = np.add.reduceat(xs, starts, axis=0) / m[:, None]            # (U, d)
-    seg = np.repeat(np.arange(len(classes)), counts)                   # class of each sorted row
-    padded = np.zeros((len(classes), counts.max(initial=0), xs.shape[1]))
-    padded[seg, np.arange(len(xs)) - starts[seg]] = xs - mu_b[seg]
-    sig_b = np.swapaxes(padded, 1, 2) @ padded                        # (U, d, d)
-    sig_b /= m[:, None, None]
-    return classes, counts, mu_b, sig_b
-
-
 def update_covariance(bank: CovarianceBank, features, labels) -> CovarianceBank:
     """Merge a batch into the running per-class statistics.
 
     With n existing and m incoming samples of a class:
         mu'    = (n mu + m mu_b) / (n + m)
         Sigma' = (n Sigma + m Sigma_b)/(n + m) + n m (mu - mu_b)(mu - mu_b)'/(n + m)^2
-    where mu_b and Sigma_b are the batch's population statistics
-    (``_batch_statistics``). The first merge of a class (n = 0) stores them
-    exactly as computed, bit for bit, rather than their round-off through
-    the formula.
+    where mu_b and Sigma_b are the batch's population statistics. The batch
+    is sorted by label once (stably) and the class means are segment sums of
+    the sorted rows. Each class's centred rows, then its mean-shift row
+    sqrt(n m / (n + m)) (mu - mu_b), are scattered into a zero-padded
+    (U, m_max + 1, d) stack P, so that P_u'P_u = m Sigma_b + n m (mu - mu_b)
+    (mu - mu_b)'/(n + m) and every class's Sigma' is (n Sigma + P_u'P_u) /
+    (n + m) from one batched Gram product. The first merge of a class (n = 0)
+    reads neither of its slots: its shift row is zero and its old Sigma is
+    taken as 0, so it stores the batch's own mean and P_u'P_u / m bit for bit.
     """
     features = np.asarray(features, dtype=np.float64)
     if not np.isfinite(features).all():
         raise ValueError("update_covariance: non-finite features")
     labels = np.asarray(labels, dtype=np.int64)
-    classes, counts, mu_b, sig_b = _batch_statistics(features, labels)
-
+    classes, counts, _ = label_groups(labels)                          # (U,)
+    u = len(classes)
+    starts = np.cumsum(counts) - counts          # first row of each class once sorted
     m = counts.astype(np.float64)
+    xs = features[np.argsort(labels, kind="stable")]
+    mu_b = np.add.reduceat(xs, starts, axis=0) / m[:, None]            # (U, d)
     n = bank.n[classes].astype(np.float64)
     tot = n + m
-    mu_old = bank.mu[classes]
-    delta = mu_old - mu_b
-    mu_new = (n[:, None] * mu_old + m[:, None] * mu_b) / tot[:, None]
-    # The merge runs in place on the gathered rows; each step is the
-    # elementwise operation of the formula above, in its order.
+    seen = np.flatnonzero(n > 0)
+    seg = np.repeat(np.arange(u), counts)                              # class of each sorted row
+    padded = np.zeros((u, counts.max(initial=0) + 1, xs.shape[1]))
+    padded[seg, np.arange(len(xs)) - starts[seg]] = xs - mu_b[seg]
+    padded[seen, counts[seen]] = np.sqrt(n[seen] * m[seen] / tot[seen])[:, None] \
+        * (bank.mu[classes[seen]] - mu_b[seen])
     sig = bank.sigma[classes]
+    sig[n == 0] = 0.0
     sig *= n[:, None, None]
-    sig += m[:, None, None] * sig_b
+    gram = np.swapaxes(padded, 1, 2) @ padded
+    sig += gram
     sig /= tot[:, None, None]
-    spread = delta[:, :, None] * delta[:, None, :]
-    spread *= ((n * m) / (tot * tot))[:, None, None]
-    sig += spread
-    sig += np.swapaxes(sig, 1, 2)
-    sig *= 0.5
-    first = (n == 0)
-    sig[first] = sig_b[first]
+    sym = np.add(sig, np.swapaxes(sig, 1, 2), out=gram)
+    sym *= 0.5
     out = bank.copy()
-    out.mu[classes] = np.where(first[:, None], mu_b, mu_new)
-    out.sigma[classes] = sig
+    out.mu[classes] = mu_b
+    out.mu[classes[seen]] = (n[seen, None] * bank.mu[classes[seen]]
+                             + m[seen, None] * mu_b[seen]) / tot[seen, None]
+    out.sigma[classes] = sym
     out.n[classes] += counts
     return out
 
@@ -244,15 +239,17 @@ def topk_neighbours(table: SemanticTable, k: int) -> np.ndarray:
 
 
 def blend_covariance(bank: CovarianceBank, table: SemanticTable, k: int,
-                     weighted: bool = True) -> tuple[np.ndarray, np.ndarray]:
+                     weighted: bool = True, rows=None) -> tuple[np.ndarray, np.ndarray]:
     """Count-weighted mix of the covariances of each class's top-k semantic
     neighbours. Returns (sigma_prime stack, empty-flag per class); a class
     whose selected neighbours are all unseen gets a zero matrix and a flag.
+    With `rows` (class indices) only those classes are blended, and both
+    results hold one entry per row.
 
     The neighbours come from the table's cached index. Row c of a (C, C)
     mixing matrix holds its neighbours' weights divided by their total, so
-    the whole stack is one product of that matrix with the (C, d*d)
-    flattened covariances.
+    the whole stack is one product of that matrix (its `rows` only) with the
+    (C, d*d) flattened covariances.
     """
     c_total = table.n_classes
     if not (1 <= k <= c_total):
@@ -260,11 +257,13 @@ def blend_covariance(bank: CovarianceBank, table: SemanticTable, k: int,
     if bank.sigma.shape[0] != c_total:
         raise ValueError("blend_covariance: bank/table class count mismatch")
     sel = table.neighbours(k)                                          # (C, k)
+    if rows is not None:
+        sel = sel[rows]
     n_sel = bank.n[sel].astype(np.float64)
     empty = n_sel.sum(axis=1) <= 0
     wts = np.where(empty[:, None], 0.0, n_sel if weighted else np.ones_like(n_sel))
     total = np.where(empty, 1.0, wts.sum(axis=1))
-    mix = np.zeros((c_total, c_total))
-    mix[np.arange(c_total)[:, None], sel] = wts / total[:, None]
-    sigma_prime = (mix @ bank.sigma.reshape(c_total, -1)).reshape(bank.sigma.shape)
+    mix = np.zeros((len(sel), c_total))
+    mix[np.arange(len(sel))[:, None], sel] = wts / total[:, None]
+    sigma_prime = (mix @ bank.sigma.reshape(c_total, -1)).reshape(-1, *bank.sigma.shape[1:])
     return sigma_prime, empty

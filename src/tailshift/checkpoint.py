@@ -11,8 +11,12 @@ with a placeholder where each hex belongs, and writes that text into a
 temporary file next to the target, hexing each array's bytes between its
 pieces a bounded slice at a time. It then renames the file into place, so a
 failed save leaves any earlier checkpoint at that path intact.
-A load decodes the arrays one at a time, dropping each one's text as it
-goes, and hands back the state and the configs and fingerprint only.
+A load reads the file's bytes into one buffer and parses the document with
+each array's hex cut out. It decodes every hex run in place, over the
+front of its own text, packs the decoded arrays at the front of the buffer
+and cuts the buffer to them, so it holds about the file's size at its peak
+and about half of it after; the arrays it hands back, with the configs and
+fingerprint, are views of that buffer.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import binascii
 import itertools
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +49,13 @@ _SLICE = 1 << 16
 # Stands in for an array's hex in the encoded document; numbered from 0. It
 # needs no JSON escaping, and no two copies of it can overlap.
 _HOLE = "tailshift-array-hex-"
+# An array's hex string in a stored document: the value of a "hex" key.
+_HEX_RUN = re.compile(rb'"hex"\s*:\s*"([^"]*)"')
+# Decoded arrays start at multiples of this many bytes of the load buffer.
+# A run of 2n hex digits sits after at least `"hex":"`, so n rounded up to
+# it never outruns the run's own text: each array is written at or before
+# the start of its run.
+_ALIGN = 8
 
 
 def _skeleton(payload: dict, hole: str) -> tuple[list[bytes], list[np.ndarray]]:
@@ -63,11 +75,61 @@ def _skeleton(payload: dict, hole: str) -> tuple[list[bytes], list[np.ndarray]]:
     return text.encode("ascii").split(hole.encode("ascii")), arrays
 
 
-def _take_array(d: dict) -> np.ndarray:
-    """Decode an encoded array, removing its hex text from ``d``; the
-    decoded bytes are the array's own writable buffer."""
-    stored = np.frombuffer(bytearray.fromhex(d.pop("hex")), dtype=np.dtype(d["dtype"]))
+def _take_array(d: dict, runs=None) -> np.ndarray:
+    """Decode an encoded array, removing its hex from ``d``. Without `runs`
+    the hex is ``d``'s own text; with them, ``d`` holds the index of a run
+    ``_unhex_runs`` decoded, and the array is a writable view of its bytes."""
+    dtype = np.dtype(d["dtype"])
+    if runs is None:
+        raw = bytearray.fromhex(d.pop("hex"))
+    else:
+        hole = d.pop("hex")
+        if not (isinstance(hole, str) and hole.isdigit() and int(hole) < len(runs)):
+            raise ValueError(f"array hex {hole!r} is not a hex run of the file")
+        raw = runs[int(hole)]
+    stored = np.frombuffer(raw, dtype=dtype)
     return stored.astype(stored.dtype.newbyteorder("="), copy=False).reshape(d["shape"])
+
+
+def _read_document(path: Path) -> tuple[bytes, bytearray, list]:
+    """The file's bytes in one buffer, split into the document with each
+    hex run replaced by its index, and the (start, end) of every run."""
+    buf = bytearray(path.stat().st_size)
+    with open(path, "rb") as fh:
+        if fh.readinto(buf) != len(buf):
+            raise OSError(f"{path}: changed size while being read")
+    pieces, spans, at = [], [], 0
+    for k, run in enumerate(_HEX_RUN.finditer(buf)):
+        pieces += [buf[at:run.start(1)], str(k).encode("ascii")]
+        spans.append(run.span(1))
+        at = run.end(1)
+    pieces.append(buf[at:])
+    return b"".join(pieces), buf, spans
+
+
+def _unhex_runs(buf: bytearray, spans: list) -> list[memoryview]:
+    """Decode each hex run of `buf` in place, a bounded slice at a time,
+    packing the decoded bytes at the front of `buf`, and cut `buf` to them.
+    Every write lands before the hex still to be read. Returns one view of
+    `buf` per run."""
+    mv = memoryview(buf)
+    packed, at = [], 0
+    try:
+        for start, end in spans:
+            if (end - start) % 2:
+                raise ValueError("odd-length hex")
+            for i in range(start, end, 2 * _SLICE):
+                chunk = binascii.unhexlify(mv[i:min(i + 2 * _SLICE, end)])
+                j = at + (i - start) // 2
+                mv[j:j + len(chunk)] = chunk
+            size = (end - start) // 2
+            packed.append((at, size))
+            at += -(-size // _ALIGN) * _ALIGN
+    finally:
+        mv.release()
+    del buf[at:]
+    mv = memoryview(buf)
+    return [mv[a:a + size] for a, size in packed]
 
 
 def save_checkpoint(path, state: TrainerState, model_config: dict,
@@ -114,10 +176,12 @@ def load_checkpoint(path) -> tuple[TrainerState, dict]:
     whose state no run of its stored ``model_config`` could resume, raises
     ``DataFormatError`` naming the file."""
     path = Path(path)
+    doc, buf, spans = _read_document(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(doc)
     except ValueError as exc:
         raise DataFormatError(f"{path}: not a JSON document ({exc})") from exc
+    del doc
     if not isinstance(raw, dict) or raw.get("format") != FORMAT:
         raise DataFormatError(f"{path}: not a tailshift checkpoint")
     if raw.get("version") != VERSION:
@@ -127,13 +191,14 @@ def load_checkpoint(path) -> tuple[TrainerState, dict]:
         raise DataFormatError(f"{path}: checkpoint lacks {', '.join(missing)}")
     try:
         mcfg = ModelConfig(**raw["model_config"])
-        params = {k: _take_array(v) for k, v in raw["params"]}
-        proto = PrototypeBank(v=_take_array(raw["proto"]["v"]),
-                              mask=_take_array(raw["proto"]["mask"]))
+        runs = _unhex_runs(buf, spans)
+        params = {k: _take_array(v, runs) for k, v in raw["params"]}
+        proto = PrototypeBank(v=_take_array(raw["proto"]["v"], runs),
+                              mask=_take_array(raw["proto"]["mask"], runs))
         ema = raw["proto"]["ema"]
-        cov = CovarianceBank(mu=_take_array(raw["cov"]["mu"]),
-                             sigma=_take_array(raw["cov"]["sigma"]),
-                             n=_take_array(raw["cov"]["n"]))
+        cov = CovarianceBank(mu=_take_array(raw["cov"]["mu"], runs),
+                             sigma=_take_array(raw["cov"]["sigma"], runs),
+                             n=_take_array(raw["cov"]["n"], runs))
         Rng(0).set_state(raw["rng_state"])
     except (AttributeError, LookupError, OverflowError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: malformed checkpoint "

@@ -16,7 +16,9 @@ Six kernels plus one closed-form bound:
   each decoded prototype as its own class, and re-align its re-encoding to
   the semantic table.
 - ``aug_loss_mean`` implicit-augmentation surrogate: per-class quadratic
-  penalties from a blended covariance inflate the softmax normalizer.
+  penalties from a blended covariance inflate the softmax normalizer. A
+  training step validates its blended covariances once, as a read-only
+  ``SigmaPrimes`` that both of its ``aug_loss_mean`` calls read unchecked.
 - ``aug_bound`` the moment-generating-function upper bound on the expected
   cross-entropy under a Gaussian feature perturbation; a Monte-Carlo
   estimate of that expectation must stay below it.
@@ -44,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .banks import SemanticTable
+from .banks import SemanticTable, label_groups
 from .mathcore import Tensor, affine, as_tensor, check_psd, log_softmax
 from .mathcore.autodiff import _log_softmax_core, _unbroadcast
 
@@ -387,6 +389,54 @@ def s2z_loss(v_hat, w, b, encode, table, cp: ContrastiveParams):
 # implicit augmentation
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class SigmaPrimes:
+    """Blended covariances Sigma' of the classes a step reads, validated once.
+
+    Row i of `sigma` (R, d, d) is Sigma' of class ``classes[i]``; `classes`
+    is sorted and distinct. Building one validates the rows as given with a
+    single ``check_psd`` (a failure is reported in the name of
+    ``aug_loss_mean``, the loss that reads them) and keeps read-only copies
+    of `classes` and of the rows' symmetric part (S + S')/2, which is all a
+    quadratic penalty sees. ``aug_loss_mean`` reads that part with no further
+    check and refuses a label outside `classes`.
+    """
+
+    sigma: np.ndarray
+    classes: np.ndarray
+
+    def __post_init__(self):
+        classes = np.array(self.classes, dtype=np.int64)
+        s = np.asarray(self.sigma, dtype=np.float64)
+        if classes.ndim != 1 or (np.diff(classes) <= 0).any():
+            raise ValueError("SigmaPrimes: classes must be sorted and distinct")
+        if s.ndim != 3 or s.shape[0] != classes.size:
+            raise ValueError("SigmaPrimes: need one (d, d) row per class")
+        try:
+            check_psd(s)
+        except ValueError as exc:
+            raise ValueError(f"aug_loss_mean: {exc}") from exc
+        sym = s + np.swapaxes(s, 1, 2)
+        sym *= 0.5
+        sym.flags.writeable = classes.flags.writeable = False
+        object.__setattr__(self, "sigma", sym)
+        object.__setattr__(self, "classes", classes)
+
+    def rows(self, classes: np.ndarray) -> np.ndarray:
+        """The (U, d, d) symmetric parts of sorted distinct `classes`, the
+        stack itself when they are all of its classes."""
+        if np.array_equal(classes, self.classes):
+            return self.sigma
+        at = np.searchsorted(self.classes, classes)
+        # `at` is the row of each known class; an unknown one meets another
+        # class there or, past the last row, the appended -1 (labels are >= 0)
+        outside = classes[np.append(self.classes, -1)[at] != classes]
+        if outside.size:
+            raise ValueError(f"aug_loss_mean: class {outside[0]} lies outside "
+                             f"the validated rows of Sigma'")
+        return self.sigma[at]
+
+
 def aug_loss_mean(features, labels, w, b, sigma_primes, ap: AugParams):
     """Cross-entropy with per-class augmentation penalties in the normalizer,
     averaged over the batch.
@@ -394,33 +444,36 @@ def aug_loss_mean(features, labels, w, b, sigma_primes, ap: AugParams):
     For a sample of class y the penalty of class c is
     (lam/2)(w_c - w_y)' Sigma'_y (w_c - w_y); it is identically zero for the
     true class, so lam = 0 or Sigma' = 0 recovers the plain cross-entropy on
-    logits W f + b. `sigma_primes` stacks one blended covariance per class,
-    and penalties are shared across samples of a class.
+    logits W f + b. Penalties are shared across samples of a class.
+    `sigma_primes` is either a ``SigmaPrimes``, validated once for every
+    class a training step reads and read here as it is, or a (C, d, d) array
+    with one blended covariance per class, whose rows of the batch's labels
+    are validated on each call.
 
-    One graph node: the penalties of the U distinct labels are one batched
-    (U, C, d) @ (U, d, d) product, the U covariances read are validated by
-    one ``check_psd`` on their stack, and the backward into features, W and
-    b is written out by hand. The quadratic form only sees the symmetric
-    part of each Sigma', so the kernel uses that part (equal to Sigma' up to
-    ``SYM_TOL``): d pen / d diff is then 2 diff Sigma', the product the
-    forward already made. The per-class penalty gradients are one (U, B)
-    one-hot product with the batch's logit gradients, and the penalties and
-    their W gradients are contracted with ``einsum``, so no (U, C, d)
-    temporary is built beyond diff and diff Sigma'.
+    One graph node. The U distinct labels come from ``np.bincount``. With
+    Sigma'_u the symmetric part of each label's covariance (equal to Sigma'
+    up to ``SYM_TOL``), the forward makes A_u = W Sigma'_u, one (U, C, d)
+    batched product, and subtracts from each A_u its own label row in place,
+    so row c of A_u is (w_c - w_u)' Sigma'_u and the label row is exactly 0.
+    The penalties are then two contractions of A, one against W and one
+    against the label rows w_u; no (U, C, d) difference W - w_u is built.
+    In the backward, d pen / d w_c is 2 A_u[c] (minus its sum over c into
+    the label row w_u); the per-class penalty gradients are one (U, B)
+    one-hot product with the batch's logit gradients.
     """
     f, wt, bt = as_tensor(features), as_tensor(w), as_tensor(b)
     labels = np.asarray(labels, dtype=np.int64)
-    classes, inv = np.unique(labels, return_inverse=True)
-    try:
-        sig = check_psd(np.asarray(sigma_primes, dtype=np.float64)[classes])  # (U, d, d)
-    except ValueError as exc:
-        raise ValueError(f"aug_loss_mean: {exc}") from exc
-    sig += np.swapaxes(sig, 1, 2)                        # its symmetric part, in place
-    sig *= 0.5
+    classes, _, inv = label_groups(labels)
+    if not isinstance(sigma_primes, SigmaPrimes):
+        sigma_primes = SigmaPrimes(np.asarray(sigma_primes, dtype=np.float64)[classes], classes)
     wd = wt.data
-    diff = wd[None, :, :] - wd[classes][:, None, :]      # (U, C, d): w_c - w_y
-    diff_sig = diff @ sig
-    pen = np.einsum("ucd,ucd->uc", diff_sig, diff)      # (U, C)
+    a = wd @ sigma_primes.rows(classes)                  # (U, C, d): W Sigma'_u
+    a -= a[np.arange(len(classes)), classes][:, None, :]   # row c: (w_c - w_u)' Sigma'_u
+    # The contractions over d are batched matmuls, about twice as fast as
+    # einsum here: a[u, c] . w_c over the class axis, a[u, c] . w_u over u.
+    a_by_class = a.transpose(1, 0, 2)                    # (C, U, d) view
+    pen = (a_by_class @ wd[:, :, None])[..., 0].T
+    pen -= (a @ wd[classes][:, :, None])[..., 0]         # (U, C); exactly 0 at u's label
     logits = f.data @ wd.T + bt.data + (ap.lam / 2.0) * pen[inv]
     value, dlogits = _nll_at_labels(logits, labels, "aug_loss_mean")
 
@@ -434,11 +487,11 @@ def aug_loss_mean(features, labels, w, b, sigma_primes, ap: AugParams):
             onehot = np.where(inv[None, :] == np.arange(len(classes))[:, None],
                               ap.lam / 2.0, 0.0)                # (U, B)
             dpen = onehot @ dz                                  # (U, C)
-            # d pen / d diff = 2 diff Sigma' for a symmetric Sigma'; the
-            # label row has diff = 0 and so takes no gradient through it.
+            # d pen / d w_c = 2 A_u[c] for a symmetric Sigma'; the label row
+            # of A_u is 0 and so takes no gradient through it.
             g2 = 2.0 * dpen
-            dw = dz.T @ f.data + np.einsum("uc,ucd->cd", g2, diff_sig)
-            dw[classes] -= np.einsum("uc,ucd->ud", g2, diff_sig)
+            dw = dz.T @ f.data + (g2.T[:, None, :] @ a_by_class)[:, 0]   # sum over u
+            dw[classes] -= (g2[:, None, :] @ a)[:, 0]                     # sum over c
             Tensor._accum(wt, dw)
 
     return Tensor._from_op(np.asarray(value), (f, wt, bt), bw)

@@ -87,6 +87,10 @@ class Tensor:
     # -- graph traversal ---------------------------------------------------
 
     def backward(self):
+        """Run every op node's backward once, each after all nodes that
+        consume it. The depth-first walk visits op nodes only: a leaf or a
+        constant has no parents and no backward, so skipping it leaves the
+        op nodes, and the gradients, in the order a walk of every node gives."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
         topo: list[Tensor] = []
@@ -102,7 +106,7 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if id(p) not in seen:
+                if p._backward is not None and id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):

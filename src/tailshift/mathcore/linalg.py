@@ -14,7 +14,8 @@ def _check_square_symmetric(s: np.ndarray, tol: float, ndims: tuple) -> np.ndarr
         raise ValueError("expected a square matrix")
     if not np.isfinite(s).all():
         raise ValueError("matrix has non-finite entries")
-    if np.abs(s - np.swapaxes(s, -1, -2)).max(initial=0.0) > tol:
+    asym = s - np.swapaxes(s, -1, -2)
+    if np.abs(asym, out=asym).max(initial=0.0) > tol:
         raise ValueError("matrix is not symmetric within tolerance")
     return s
 

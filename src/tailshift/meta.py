@@ -16,6 +16,8 @@ kernel call on one feature pass, and the per-domain prototype tables are
 one (K, C, d_s) stack. The prototype EMA is one update of the pooled batch,
 made only when a loss that runs reads the bank (L_S2S, L_S2Z, or L_MZ2S on
 a meta-test half), as covariance tracking waits for the augmentation phase.
+In that phase the meta-train half blends Sigma' for the classes of both
+halves only and validates it once, as the ``SigmaPrimes`` both halves read.
 
 ``episode`` computes one iteration's losses and gradients; ``run`` trains
 with it by the first-order rule, which treats the meta-test gradient at the
@@ -53,6 +55,7 @@ from .losses import (
     AugParams,
     ContrastiveParams,
     DomainClassCounts,
+    SigmaPrimes,
     aug_loss_mean,
     dc_loss_mean,
     s2s_loss,  # not called here: perfbench/spans.py wraps this name in meta
@@ -228,13 +231,16 @@ def _pool(batches: dict):
 def meta_train_losses(leaves, batches, proto: PrototypeBank, cov: CovarianceBank,
                       table: SemanticTable | None, counts: DomainClassCounts,
                       cfg: TrainConfig, mcfg: M.ModelConfig, aug_active: bool,
-                      meta_test: bool = True):
+                      batches_mte: dict | None = None):
     """Meta-train (or conventional) loss graph for one iteration.
 
     Returns (L_mtr tensor, component floats, proto', cov', sigma_prime).
     Bank updates happen between the classification/alignment losses and the
-    prototype-dependent losses, in iteration line order. `meta_test` says
-    whether a meta-test half follows; with it, L_MZ2S reads the prototypes.
+    prototype-dependent losses, in iteration line order. `batches_mte` are
+    the batches of the meta-test half that follows, if one does; then L_MZ2S
+    reads the prototypes. In the augmentation phase `sigma_prime` is the
+    step's ``SigmaPrimes``: Sigma' blended for, and validated on, the labels
+    of both halves, so that it is built and checked once per step.
     """
     enc = lambda v: M.encode(leaves, v, mcfg)
     x, y, dom = _pool(batches)
@@ -252,14 +258,17 @@ def meta_train_losses(leaves, batches, proto: PrototypeBank, cov: CovarianceBank
         parts.append(cfg.w1 * l_z2s)
 
     # Only L_S2S, L_S2Z and a meta-test half's L_MZ2S read the prototypes.
-    if cfg.use_s2s or cfg.use_s2z or (cfg.use_z2s and meta_test):
+    if cfg.use_s2s or cfg.use_s2z or (cfg.use_z2s and batches_mte is not None):
         proto = update_prototypes(proto, _proto_domain(cfg, dom), feats.data, y)
 
     sigma_prime = None
     if cfg.use_aug and aug_active:
         cov = update_covariance(cov, feats.data, y)
-        sigma_prime, _ = blend_covariance(cov, table, min(cfg.ap.k, counts.n_classes),
-                                          weighted=not cfg.unweighted_blend)
+        read = [y] + [np.asarray(batches_mte[m][1], dtype=np.int64) for m in batches_mte or ()]
+        rows = np.flatnonzero(np.bincount(np.concatenate(read)))
+        blended, _ = blend_covariance(cov, table, min(cfg.ap.k, counts.n_classes),
+                                      weighted=not cfg.unweighted_blend, rows=rows)
+        sigma_prime = SigmaPrimes(blended, rows)
 
     proto_rows = sorted({_proto_domain(cfg, n) for n in batches})
     if cfg.use_s2s or cfg.use_s2z:
@@ -343,8 +352,7 @@ def episode(params: dict, batches_mtr: dict, batches_mte: dict | None,
     """
     leaves = make_leaves(params)
     l_mtr, comps, proto, cov, sigma_prime = meta_train_losses(
-        leaves, batches_mtr, proto, cov, table, counts, cfg, mcfg, aug_active,
-        meta_test=batches_mte is not None)
+        leaves, batches_mtr, proto, cov, table, counts, cfg, mcfg, aug_active, batches_mte)
     l_mtr.backward()
     g_mtr = collect_grads(leaves)
     value = float(l_mtr.data)

@@ -337,6 +337,26 @@ def test_update_covariance_matches_two_pass_per_class():
     assert np.array_equal(first.mu[0], x1[y1 == 0][0])
 
 
+def _batch_statistics(x, y):
+    """Each class's mean, from segment sums of the label-sorted batch, and
+    population covariance G / m, G the Gram product of its centred rows. The
+    rows are zero-padded to one more than the largest class, the length of
+    ``update_covariance``'s stack, since the product's length can change its
+    summation order."""
+    counts = np.bincount(y)
+    classes = np.flatnonzero(counts)
+    counts = counts[classes]
+    starts = np.cumsum(counts) - counts
+    xs = x[np.argsort(y, kind="stable")]
+    mu_b = np.add.reduceat(xs, starts, axis=0) / counts[:, None].astype(np.float64)
+    padded = np.zeros((len(classes), counts.max() + 1, x.shape[1]))
+    for i, (s, m) in enumerate(zip(starts, counts)):
+        padded[i, :m] = xs[s:s + m] - mu_b[i]
+    sig_b = np.swapaxes(padded, 1, 2) @ padded
+    sig_b /= counts[:, None, None].astype(np.float64)
+    return classes, mu_b, sig_b
+
+
 def test_first_merge_of_a_class_stores_batch_statistics_exactly():
     # a class's first batch (n = 0) is stored bit for bit as computed, and
     # whatever its mean and covariance slots held is not read: here class 4
@@ -348,7 +368,7 @@ def test_first_merge_of_a_class_stores_batch_statistics_exactly():
                                np.repeat([0, 1, 2], 3))
     bank.mu[4], bank.sigma[4] = np.nan, np.nan
     x, y = 0.7 + rng.normal(size=(12, d)), np.repeat([1, 3, 4, 5], 3)
-    classes, _, mu_b, sig_b = B._batch_statistics(x, y)
+    classes, mu_b, sig_b = _batch_statistics(x, y)
     out = B.update_covariance(bank, x, y)
     new = classes != 1
     assert np.array_equal(out.sigma[classes[new]], sig_b[new])
@@ -508,6 +528,21 @@ def test_blend_matches_per_class_mix():
             wts = n_sel if weighted else np.ones(2)
             expect = np.einsum("i,ijk->jk", wts, bank.sigma[sel]) / wts.sum()
             assert np.abs(sig[c] - expect).max() < 1e-13
+
+
+def test_blend_of_rows_is_those_rows_of_the_whole_blend():
+    rng = Rng(24)
+    c, d = 9, 4
+    table = make_table(rng, c=c, d_s=3)
+    x, y = rng.normal(size=(40, d)), rng.integers(0, c - 2, size=40)
+    bank = B.update_covariance(B.CovarianceBank.zeros(c, d), x, y)
+    for weighted in (True, False):
+        whole, whole_empty = B.blend_covariance(bank, table, k=3, weighted=weighted)
+        for rows in (np.array([0, 3, 7, 8]), np.arange(c), np.array([5])):
+            sig, empty = B.blend_covariance(bank, table, k=3, weighted=weighted, rows=rows)
+            assert sig.shape == (len(rows), d, d)
+            assert np.array_equal(empty, whole_empty[rows])
+            assert np.abs(sig - whole[rows]).max() <= 1e-15 * np.abs(whole).max()
 
 
 def test_blend_k_out_of_range():

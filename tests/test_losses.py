@@ -455,6 +455,68 @@ def test_aug_loss_mean_refuses_indefinite_sigma_of_batch_class():
         L.aug_loss_mean(feats, labels, w, b, sigmas, ap).data
 
 
+def test_sigma_primes_is_a_read_only_symmetrized_copy():
+    feats, labels, w, b, sigmas = _aug_case(22)
+    sigmas[1] += np.triu(np.full((3, 3), 1e-12), 1)   # symmetric only within tolerance
+    rows = np.array([0, 1, 3])
+    given = sigmas[rows].copy()
+    sp = L.SigmaPrimes(given, rows)
+    assert np.array_equal(sp.sigma, (given + np.swapaxes(given, 1, 2)) * 0.5)
+    assert np.array_equal(sp.sigma, np.swapaxes(sp.sigma, 1, 2))
+    given[0] = 7.0                      # the caller's arrays change afterwards
+    rows[0] = 2
+    assert np.array_equal(sp.classes, [0, 1, 3]) and sp.sigma[0, 0, 0] != 7.0
+    for a in (sp.sigma, sp.classes):
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
+def test_sigma_primes_refuses_bad_rows():
+    sig = np.stack([np.eye(2)] * 3)
+    for classes in ([0, 2, 1], [0, 1, 1], [[0, 1, 2]]):
+        with pytest.raises(ValueError, match="sorted and distinct"):
+            L.SigmaPrimes(sig, classes)
+    with pytest.raises(ValueError, match="one \\(d, d\\) row per class"):
+        L.SigmaPrimes(sig, [0, 1])
+    bad = sig.copy()
+    bad[2] = np.diag([1.0, -1e-6])
+    with pytest.raises(ValueError, match="^aug_loss_mean: matrix is not positive semidefinite"):
+        L.SigmaPrimes(bad, [0, 1, 2])
+
+
+def test_aug_loss_mean_on_sigma_primes_equals_raw_array_bit_for_bit():
+    feats, labels, w, b, sigmas = _aug_case(23, c=6, d=4, nb=9)
+    sigmas[2] += np.triu(np.full((4, 4), 1e-12), 1)
+    ap = L.AugParams(lam=3.0, k=1)
+    params = {"F": feats, "W": w, "b": b}
+    raw = grad(lambda t: L.aug_loss_mean(t["F"], labels, t["W"], t["b"], sigmas, ap), params)
+    # the stack holds the batch's classes and more, as a training step's does
+    rows = np.union1d(labels, [5])
+    sp = L.SigmaPrimes(sigmas[rows], rows)
+    for stack in (sp, L.SigmaPrimes(sigmas[np.unique(labels)], np.unique(labels))):
+        got = grad(lambda t: L.aug_loss_mean(t["F"], labels, t["W"], t["b"], stack, ap), params)
+        assert got.value == raw.value
+        for k in params:
+            assert got.grads[k].tobytes() == raw.grads[k].tobytes(), k
+
+
+def test_aug_loss_mean_refuses_label_outside_validated_rows(monkeypatch):
+    feats, labels, w, b, sigmas = _aug_case(24)
+    labels = np.array([0, 1, 1, 3, 0, 3, 1])
+    sp = L.SigmaPrimes(sigmas[[0, 3]], [0, 3])
+    ap = L.AugParams(lam=2.0, k=1)
+    checked = []
+    monkeypatch.setattr(L, "check_psd", lambda s: checked.append(s) or s)
+    # a class between the validated ones, and one past the last
+    with pytest.raises(ValueError, match="^aug_loss_mean: class 1 lies outside the validated"):
+        L.aug_loss_mean(feats, labels, w, b, sp, ap)
+    with pytest.raises(ValueError, match="class 4 lies outside"):
+        L.aug_loss_mean(feats, np.where(labels == 1, 4, labels), w, b, sp, ap)
+    # a stack is read as it is: the call validates nothing again
+    L.aug_loss_mean(feats, np.where(labels == 1, 0, labels), w, b, sp, ap)
+    assert checked == []
+
+
 def test_aug_bound_grad_bias_only_leaf():
     rng = Rng(17)
     c, d = 5, 3

@@ -538,6 +538,87 @@ def test_desk_episode_builds_no_gradient_for_constants(monkeypatch):
     assert targets and all(targets)
 
 
+def full_dfs_backward(loss):
+    """``Tensor.backward`` as a depth-first walk of every node, leaves and
+    constants included, then each op node's backward in reverse post-order."""
+    topo, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in seen:
+                stack.append((p, False))
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(topo):
+        if node._backward is not None:
+            node._backward(node.grad)
+
+
+def test_backward_over_op_nodes_matches_full_walk_bit_for_bit(monkeypatch):
+    # desk's first augmentation-active episode, meta-train and meta-test
+    cfg, _ = load_run_config("desk")
+    ds = D.generate(cfg.data)
+    st, b_mtr, b_mte = episode_inputs(ds, cfg.train, cfg.model)
+    args = (st.params, b_mtr, b_mte, st.proto, st.cov, ds.semantic, ds.counts,
+            cfg.train, cfg.model, True)
+    _, g_mtr, g_mte, *_ = MT.episode(*args)
+    monkeypatch.setattr(Tensor, "backward", full_dfs_backward)
+    _, r_mtr, r_mte, *_ = MT.episode(*args)
+    for got, want in ((g_mtr, r_mtr), (g_mte, r_mte)):
+        assert list(got) == list(want)
+        for k in want:
+            assert got[k].tobytes() == want[k].tobytes(), k
+
+
+def test_sigma_prime_is_validated_once_per_step_on_both_halves(monkeypatch):
+    # one check_psd per augmentation step, through the losses binding, on
+    # exactly the classes the two halves read
+    cfg, _ = load_run_config("desk")
+    ds = D.generate(cfg.data)
+    st, b_mtr, b_mte = episode_inputs(ds, cfg.train, cfg.model)
+    checked, real = [], L.check_psd
+    monkeypatch.setattr(L, "check_psd", lambda s: checked.append(s.shape[0]) or real(s))
+    built = []
+    monkeypatch.setattr(MT, "SigmaPrimes", lambda *a: built.append(L.SigmaPrimes(*a)) or built[-1])
+    MT.episode(st.params, b_mtr, b_mte, st.proto, st.cov, ds.semantic, ds.counts,
+               cfg.train, cfg.model, True)
+    labels = np.concatenate([b[1] for b in (*b_mtr.values(), *b_mte.values())])
+    assert len(built) == 1
+    assert np.array_equal(built[0].classes, np.unique(labels))
+    assert checked == [len(np.unique(labels))]
+
+
+def test_non_psd_row_read_only_by_meta_test_half_stops_the_step(monkeypatch):
+    cfg, _ = load_run_config("desk")
+    ds = D.generate(cfg.data)
+    st, b_mtr, b_mte = episode_inputs(ds, cfg.train, cfg.model)
+    y_mtr = np.concatenate([b[1] for b in b_mtr.values()])
+    y_mte = np.concatenate([b[1] for b in b_mte.values()])
+    only_mte = np.setdiff1d(y_mte, y_mtr)
+    assert only_mte.size
+    real = MT.blend_covariance
+
+    def spoiled_blend(bank, table, k, weighted=True, rows=None):
+        sig, empty = real(bank, table, k, weighted, rows)
+        sig[np.searchsorted(rows, only_mte[0])] = np.diag(np.r_[-1.0, np.ones(len(sig[0]) - 1)])
+        return sig, empty
+
+    monkeypatch.setattr(MT, "blend_covariance", spoiled_blend)
+    calls = []
+    monkeypatch.setattr(MT, "meta_test_losses", lambda *a: calls.append(a))
+    with pytest.raises(ValueError) as info:
+        MT.episode(st.params, b_mtr, b_mte, st.proto, st.cov, ds.semantic, ds.counts,
+                   cfg.train, cfg.model, True)
+    assert str(info.value) == "aug_loss_mean: matrix is not positive semidefinite within tolerance"
+    assert not calls
+
+
 def test_fd_exact_rejects_large_models():
     ds = bench()
     cfg = tconf()

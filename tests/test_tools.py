@@ -14,6 +14,7 @@ def test_preset_traces_desk(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     names = ["dataset.csv", "dataset.npy", "embeddings.csv", "manifest.json", "steps.jsonl",
-             "checkpoint.json", "metrics.json", "ablation.csv"]
+             "steps.jsonl[:t_sigma]", "checkpoint.json", "metrics.json", "ablation.csv"]
     assert [line.split("  ")[-1] for line in lines] == [f"desk/{n}" for n in names]
     assert all(re.fullmatch(r"[0-9a-f]{64}  desk/\S+", line) for line in lines)
+    assert lines[4].split()[0] != lines[5].split()[0]

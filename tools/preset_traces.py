@@ -7,11 +7,15 @@ For each preset (default: every packaged preset), runs ``gen-data`` ->
 directory, with ``tailshift`` imported from this checkout's ``src/``, and
 prints one ``<sha256>  <preset>/<file>`` line per output file:
 ``dataset.csv``, ``dataset.npy``, ``embeddings.csv``, ``manifest.json``,
-``steps.jsonl``, ``checkpoint.json``, ``metrics.json`` and ``ablation.csv``. A change that
-keeps the numbers leaves the lines of the CSV files, ``steps.jsonl`` and
-``metrics.json`` unchanged. ``manifest.json`` also stores the data config,
-and ``checkpoint.json`` the run config and the data config's hash, so their
-lines move with the config schema. Exits 1 if a command fails.
+``steps.jsonl``, ``checkpoint.json``, ``metrics.json`` and ``ablation.csv``.
+After ``steps.jsonl`` comes ``<preset>/steps.jsonl[:t_sigma]``, the hash of
+its lines for the steps before the augmentation phase (epochs below the
+preset's ``t_sigma``). A change that keeps the numbers leaves the lines of
+the CSV files, ``steps.jsonl`` and ``metrics.json`` unchanged, and a change
+to the augmentation phase alone leaves ``steps.jsonl[:t_sigma]`` unchanged.
+``manifest.json`` also stores the data config, and ``checkpoint.json`` the
+run config and the data config's hash, so their lines move with the config
+schema. Exits 1 if a command fails.
 """
 
 from __future__ import annotations
@@ -30,8 +34,10 @@ OUTPUTS = (("bench", "dataset.csv"), ("bench", "dataset.npy"), ("bench", "embedd
            ("eval", "metrics.json"), ("ablate", "ablation.csv"))
 
 
-def preset_traces(preset: str, main) -> list[str]:
-    """The output lines for one preset; ``main`` is ``tailshift.cli.main``."""
+def preset_traces(preset: str, main, pre_aug_steps: int) -> list[str]:
+    """The output lines for one preset; ``main`` is ``tailshift.cli.main``,
+    and the first `pre_aug_steps` lines of ``steps.jsonl`` are hashed on
+    their own as well."""
     with tempfile.TemporaryDirectory() as tmp:
         bench, run, ev, ab = (str(Path(tmp) / name)
                               for name in ("bench", "run", "eval", "ablate"))
@@ -45,17 +51,25 @@ def preset_traces(preset: str, main) -> list[str]:
                 code = main(argv)
             if code != 0:
                 raise SystemExit(f"{preset}: tailshift {argv[0]} exited {code}")
-        return [f"{hashlib.sha256((Path(tmp) / d / f).read_bytes()).hexdigest()}  {preset}/{f}"
-                for d, f in OUTPUTS]
+        lines = []
+        for d, f in OUTPUTS:
+            data = (Path(tmp) / d / f).read_bytes()
+            lines.append(f"{hashlib.sha256(data).hexdigest()}  {preset}/{f}")
+            if f == "steps.jsonl":
+                head = b"".join(data.splitlines(keepends=True)[:pre_aug_steps])
+                lines.append(f"{hashlib.sha256(head).hexdigest()}  {preset}/{f}[:t_sigma]")
+        return lines
 
 
 def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
     from tailshift.cli import main as cli_main
-    from tailshift.config import PRESETS
+    from tailshift.config import PRESETS, load_run_config
 
     for preset in sys.argv[1:] or PRESETS:
-        print("\n".join(preset_traces(preset, cli_main)), flush=True)
+        train = load_run_config(preset)[0].train
+        lines = preset_traces(preset, cli_main, train.t_sigma * train.steps_per_epoch)
+        print("\n".join(lines), flush=True)
     return 0
 
 
