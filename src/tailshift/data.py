@@ -139,7 +139,7 @@ class Dataset:
     x: np.ndarray          # (N, d_x) float64
     y: np.ndarray          # (N,) int64
     d: np.ndarray          # (N,) int64
-    split: np.ndarray      # (N,) str in SPLITS
+    split: np.ndarray      # (N,) int8 code, an index into SPLITS
     counts: DomainClassCounts
     semantic: SemanticTable | None = None
     _indices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -168,13 +168,14 @@ class Dataset:
         return held[0] if held else int(self.domains[-1])
 
     def indices(self, split: str, domain: int | None = None) -> np.ndarray:
-        """Row indices of a split, optionally of one domain; computed once per
-        (split, domain) and returned read-only. The columns are never
-        changed after ``make_dataset``, so the cache cannot go stale."""
+        """Row indices of the split named `split` (one of ``SPLITS``),
+        optionally of one domain; computed once per (split, domain) and
+        returned read-only. The columns are never changed after
+        ``make_dataset``, so the cache cannot go stale."""
         key = (split, domain)
         idx = self._indices.get(key)
         if idx is None:
-            sel = self.split == split
+            sel = self.split == _SPLIT_CODES[split]
             if domain is not None:
                 sel &= self.d == domain
             idx = np.nonzero(sel)[0]
@@ -186,24 +187,28 @@ class Dataset:
 def make_dataset(x, y, d, split, semantic: SemanticTable | None = None) -> Dataset:
     """Assemble and validate a dataset from columns.
 
-    Checks the split invariants: train domains are contiguous from 0, every
-    validation (domain, class) pair has training data in that domain, and
-    each domain's test split is class-balanced over all classes.
+    `split` holds integer codes, indices into ``SPLITS``; they are kept as
+    int8. Checks the split invariants: train domains are contiguous from 0,
+    every validation (domain, class) pair has training data in that domain,
+    and each domain's test split is class-balanced over all classes.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     d = np.asarray(d, dtype=np.int64)
-    split = np.asarray(split, dtype=str)
+    split = np.asarray(split)
+    if split.dtype.kind not in "iu":
+        raise ValueError("split must hold integer codes into SPLITS")
     if not (len(x) == len(y) == len(d) == len(split)):
         raise ValueError("column lengths differ")
     # min and max propagate NaN and reach +-inf, so both are finite exactly
     # when every entry is; no (N, d_x) mask is made
     if x.size and not (np.isfinite(x.min()) and np.isfinite(x.max())):
         raise ValueError("features must be finite")
-    train, val, test = (split == tag for tag in SPLITS)
-    unknown = ~(train | val | test)
+    unknown = (split < 0) | (split >= len(SPLITS))
     if unknown.any():
-        raise ValueError(f"unknown split tags {sorted(set(split[unknown].tolist()))}")
+        raise ValueError(f"unknown split codes {sorted(set(split[unknown].tolist()))}")
+    split = split.astype(np.int8, copy=False)
+    train, val, test = (split == code for code in range(len(SPLITS)))
 
     n_classes = semantic.n_classes if semantic is not None else int(y.max()) + 1
     if y.min() < 0 or y.max() >= n_classes:
@@ -289,7 +294,7 @@ def generate(cfg: SyntheticConfig) -> Dataset:
         xs.append(draw(dom, cls, n))
         ys.append(np.full(n, cls, dtype=np.int64))
         ds.append(np.full(n, dom, dtype=np.int64))
-        tags.extend([tag] * n)
+        tags.extend([_SPLIT_CODES[tag]] * n)
 
     for dom in range(k_train):
         for cls in range(c_total):
@@ -303,7 +308,7 @@ def generate(cfg: SyntheticConfig) -> Dataset:
             emit(dom, cls, cfg.n_test_per_pair, "test")
 
     return make_dataset(np.concatenate(xs), np.concatenate(ys), np.concatenate(ds),
-                        np.array(tags), semantic=table)
+                        np.array(tags, dtype=np.int8), semantic=table)
 
 
 def sample_batch(dataset: Dataset, domain: int, batch_size: int, rng: Rng):
@@ -343,26 +348,25 @@ def write_rows(path, header: str, lead, values) -> None:
 def save_dataset(dataset: Dataset, path) -> None:
     d_x = dataset.x.shape[1]
     header = "domain,label,split," + ",".join(f"x_{i}" for i in range(d_x))
-    write_rows(path, header, (dataset.d, dataset.y, dataset.split), dataset.x)
+    tags = np.array(SPLITS, dtype=object)[dataset.split]
+    write_rows(path, header, (dataset.d, dataset.y, tags), dataset.x)
 
 
 def save_dataset_npy(dataset: Dataset, path) -> None:
     """Write the binary copy of a dataset: ``np.save`` of ``x``, then of a
     (3, N) int64 array of domain, label and split code (the index into
     ``SPLITS``). Its bytes depend only on the columns."""
-    codes = np.zeros(len(dataset.y), dtype=np.int64)
-    for code, tag in enumerate(SPLITS):
-        codes[dataset.split == tag] = code
+    cols = np.stack([dataset.d, dataset.y, dataset.split.astype(np.int64)])
     with open(path, "wb") as fh:
         np.save(fh, dataset.x, allow_pickle=False)
-        np.save(fh, np.stack([dataset.d, dataset.y, codes]), allow_pickle=False)
+        np.save(fh, cols, allow_pickle=False)
 
 
 def load_dataset_npy(path, semantic: SemanticTable | None = None) -> Dataset:
     """Read the binary copy ``save_dataset_npy`` wrote, straight from the
     open file into the returned ``x`` (one copy, no text). Refuses pickled
-    objects, other dtypes or shapes and unknown split codes, then validates
-    the columns as ``make_dataset`` does."""
+    objects and other dtypes or shapes, then validates the columns, split
+    codes included, as ``make_dataset`` does."""
     try:
         with open(path, "rb") as fh:
             x = np.load(fh, allow_pickle=False)
@@ -373,10 +377,8 @@ def load_dataset_npy(path, semantic: SemanticTable | None = None) -> Dataset:
         raise DataFormatError(f"{path}: features must be a (N, d_x) float64 array")
     if cols.dtype != np.int64 or cols.shape != (3, len(x)):
         raise DataFormatError(f"{path}: columns must be a (3, N) int64 array")
-    if len(x) and not 0 <= cols[2].min() <= cols[2].max() < len(SPLITS):
-        raise DataFormatError(f"{path}: unknown split code")
     try:
-        return make_dataset(x, cols[1], cols[0], np.array(SPLITS)[cols[2]], semantic=semantic)
+        return make_dataset(x, cols[1], cols[0], cols[2], semantic=semantic)
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
 
@@ -418,10 +420,10 @@ def load_dataset(path, semantic: SemanticTable | None = None) -> Dataset:
                 raise DataFormatError(f"unknown split tag {parts[2]!r}", line=ln)
             tags.append(tag)
     x = np.frombuffer(xs, dtype=np.float64).reshape(-1, d_x)
-    split = np.array(SPLITS)[np.frombuffer(tags, dtype=np.int8)]
     try:
         return make_dataset(x, np.frombuffer(ys, dtype=np.int64),
-                            np.frombuffer(ds, dtype=np.int64), split, semantic=semantic)
+                            np.frombuffer(ds, dtype=np.int64), np.frombuffer(tags, dtype=np.int8),
+                            semantic=semantic)
     except ValueError as exc:
         raise DataFormatError(str(exc)) from exc
 

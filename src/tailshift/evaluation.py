@@ -16,8 +16,9 @@ one open-set rule: a prediction is OPEN when the maximum softmax probability
 ``evaluate`` and ``select_threshold`` score through it; ``select_threshold``
 passes its whole grid in one call, so the confidences are computed once,
 and scores H for every grid point from counts (``h_per_threshold``).
-The CLI scores the domain ``Dataset.heldout_domain``, which is also
-``select_threshold``'s default.
+``evaluate`` scores Acc-U on one held-out domain (the CLI passes
+``Dataset.heldout_domain``); ``select_threshold`` scores H over every domain
+of its split and reads no held-out domain.
 """
 
 from __future__ import annotations
@@ -150,15 +151,14 @@ def evaluate(params: Params, mcfg: ModelConfig, dataset: Dataset,
 def select_threshold(params: Params, mcfg: ModelConfig, dataset: Dataset,
                      grid, heldout_domain: int | None = None,
                      split: str = "val", confidence: str = "softmax") -> float:
-    """Grid point maximizing H on the given split; ties -> smallest value.
-    The held-out domain defaults to ``dataset.heldout_domain``."""
+    """Grid point maximizing H over every domain of the given split; ties
+    -> smallest value. H reads no held-out domain: `heldout_domain` is
+    accepted from callers that pass one and is not read."""
     grid = sorted(float(g) for g in grid)
     if not grid:
         raise ValueError("threshold grid is empty")
     if len(grid) == 1:
         return grid[0]
-    if heldout_domain is None:
-        heldout_domain = dataset.heldout_domain
     idx = dataset.indices(split)
     logits = predict_logits(params, dataset.x[idx], mcfg)
     open_classes = dataset.counts.counts.sum(axis=0) == 0

@@ -67,17 +67,9 @@ def _case_z2s(rng: Rng, n_classes: int, d_s: int, cp):
     return fn, {"e": rng.normal(size=(3, d_s)), "tab": rng.normal(size=(n_classes, d_s))}
 
 
-def _case_s2s(rng: Rng, n_classes: int, d_s: int, cp):
+def _case_s2s(rng: Rng, n_classes: int, d_s: int, cp, pairs: bool):
     def fn(t):
-        return L.s2s_loss(normalize_rows(t["a"]), normalize_rows(t["b"]), cp)
-
-    return fn, {"a": rng.normal(size=(n_classes, d_s)),
-                "b": rng.normal(size=(n_classes, d_s))}
-
-
-def _case_s2s_stack(rng: Rng, n_classes: int, d_s: int, cp):
-    def fn(t):
-        return L.s2s_stack_loss(normalize_rows(t["s"]), normalize_rows(t["tab"]), cp)
+        return L.s2s_loss(normalize_rows(t["s"]), normalize_rows(t["tab"]), cp, pairs=pairs)
 
     return fn, {"s": rng.normal(size=(3, n_classes, d_s)),
                 "tab": rng.normal(size=(n_classes, d_s))}
@@ -137,11 +129,11 @@ def gradient_check_suite(n_points: int = 20, eps: float = 1e-5, tol: float = 1e-
     cases = {
         "dc_loss_mean": lambda r: _case_dc(r, n_classes),
         "z2s_loss_mean": lambda r: _case_z2s(r, n_classes, d_s, cp),
-        "s2s_loss": lambda r: _case_s2s(r, n_classes, d_s, cp),
+        "s2s_loss": lambda r: _case_s2s(r, n_classes, d_s, cp, False),
         "s2z_loss": lambda r: _case_s2z(r, n_classes, d_v, d_s, cp),
         "aug_loss_mean": lambda r: _case_aug(r, n_classes, d_v, ap),
         "aug_bound": lambda r: _case_aug_bound(r, n_classes, d_v, ap.lam),
-        "s2s_stack_loss": lambda r: _case_s2s_stack(r, n_classes, d_s, cp),
+        "s2s_loss pairs": lambda r: _case_s2s(r, n_classes, d_s, cp, True),
     }
     results = []
     for name, case in cases.items():

@@ -1,17 +1,17 @@
 """Loss kernels for long-tailed multi-domain training.
 
-Six kernels plus one closed-form bound:
+Five kernels plus one closed-form bound:
 
 - ``dc_loss_mean``  count-calibrated softmax cross-entropy, the plain
   cross-entropy of the logits plus log counts; classes absent from the
   sample's own domain get log 0 = -inf and a gradient of exactly zero.
 - ``z2s_loss_mean`` margin contrastive alignment of unit feature embeddings
   to their class rows in a semantic table.
-- ``s2s_loss``  cross-table prototype contrast: positives are same-class rows
-  across two tables, negatives are other classes in both tables.
-- ``s2s_stack_loss`` the prototype contrast of a (K, C, d) stack of tables:
-  each table against the semantic table, and every ordered pair of distinct
-  tables against each other, in one pass over one Gram matrix.
+- ``s2s_loss``  prototype contrast of a stack of tables: positives are
+  same-class rows of two tables, negatives are other classes in both. Each
+  table meets the one semantic table, and with ``pairs=True`` (L_S2S) every
+  ordered pair of distinct tables meets as well, in one pass over one Gram
+  matrix.
 - ``s2z_loss``  cycle-style constraint on reconstructed prototypes: classify
   each decoded prototype as its own class, and re-align its re-encoding to
   the semantic table.
@@ -24,19 +24,18 @@ Six kernels plus one closed-form bound:
   estimate of that expectation must stay below it.
 
 Every training loss is one graph node with a hand-written backward
-(``dc_loss_mean``, ``z2s_loss_mean``, ``s2s_loss``, ``s2s_stack_loss``,
-``aug_loss_mean``) or a sum of such nodes (``s2z_loss`` adds a
-``dc_loss_mean`` on its ``affine`` logits to an ``s2s_loss``); only
-``aug_bound``, which no training step calls, is built from ``mathcore``
-primitives. The softmax cross-entropies of ``dc_loss_mean``,
-``z2s_loss_mean`` and ``aug_loss_mean`` are one helper on ``mathcore``'s
-log-softmax core; ``s2s_loss`` and ``s2s_stack_loss`` keep their own shifts
-(see their docstrings). Like ``model``, each accepts plain arrays or graph
-tensors and always returns a scalar Tensor (its ``.data`` is the value). Gradients
-are analytic and cross-checked against ``mathcore.fd_grad``. A single
-sample is a batch of one, and the table kernels (``z2s_loss_mean``,
-``s2s_loss``, ``s2z_loss``) take a stack of (C, d) tables over leading axes
-as well, returning the mean over the stack.
+(``dc_loss_mean``, ``z2s_loss_mean``, ``s2s_loss``, ``aug_loss_mean``) or a
+sum of such nodes (``s2z_loss`` adds a ``dc_loss_mean`` on its ``affine``
+logits to an ``s2s_loss``); only ``aug_bound``, which no training step
+calls, is built from ``mathcore`` primitives. The softmax cross-entropies of
+``dc_loss_mean``, ``z2s_loss_mean`` and ``aug_loss_mean`` are one helper on
+``mathcore``'s log-softmax core; ``s2s_loss`` keeps its own shift, one per
+Gram row (see its docstring). Like ``model``, each accepts plain arrays or
+graph tensors and always returns a scalar Tensor (its ``.data`` is the
+value). Gradients are analytic and cross-checked against
+``mathcore.fd_grad``. A single sample is a batch of one, and the table
+kernels (``z2s_loss_mean``, ``s2s_loss``, ``s2z_loss``) take a stack of
+(C, d) tables over leading axes as well, returning the mean over the stack.
 """
 
 from __future__ import annotations
@@ -238,84 +237,37 @@ def z2s_loss_mean(embeddings, labels, table, cp: ContrastiveParams):
     return Tensor._from_op(np.asarray(value), (e, t), bw)
 
 
-def s2s_loss(s_m, s_n, cp: ContrastiveParams):
-    """Cross-table prototype contrast, averaged over classes.
-
-    For each class c the positive pair is (s_m_c, s_n_c); the negatives are
-    s_n_j and s_m_j for j != c, pushing other classes away both across and
-    within tables. Stacks of (C, d) tables broadcast over their leading axes
-    and pair up table by table; the result is the mean over the pairs.
-
-    One graph node: with G_cross and G_intra the loss's derivatives by the
-    scaled cross and intra similarities, the backward adds
-    (G_cross b + (G_intra + G_intra') a) / tau into s_m and G_cross' a / tau
-    into s_n, summed back over broadcast stack axes. It keeps one shift per
-    table pair: a (C, 2C) row softmax through the log-softmax core, with
-    -inf on the intra diagonal, gives the same loss but ran slower at
-    paper_s1 shapes.
-    """
-    a, b = _table(s_m, "s2s_loss s_m"), _table(s_n, "s2s_loss s_n")
-    if a.data.shape[-2:] != b.data.shape[-2:]:
-        raise ValueError("s2s_loss: table shapes differ")
-    ad, bd = a.data, b.data
-    c = ad.shape[-2]
-    diag = np.arange(c)
-
-    cross = (ad @ np.swapaxes(bd, -1, -2)) / cp.tau    # (..., C, C), row c: s_m_c vs s_n_j
-    intra = (ad @ np.swapaxes(ad, -1, -2)) / cp.tau    # (..., C, C), row c: s_m_c vs s_m_j
-    pos = cross[..., diag, diag] - cp.alpha / cp.tau
-    offdiag = 1.0 - np.eye(c)
-
-    # One detached shift per table pair keeps every exponent in range;
-    # similarities are bounded by 1 so the spread is at most ~2/tau. With
-    # alpha >= 0 no positive exceeds its pair's largest cross similarity.
-    shift = np.maximum(cross, intra).max(axis=(-2, -1))[..., None]   # (..., 1)
-    epos = np.exp(pos - shift)
-    ecross = np.exp(cross - shift[..., None]) * offdiag
-    eintra = np.exp(intra - shift[..., None]) * offdiag
-    total = epos + ecross.sum(axis=-1) + eintra.sum(axis=-1)
-    terms = -(pos - shift) + np.log(total)
-    value = terms.sum() / float(terms.size)
-
-    def bw(g):
-        gn = g / float(terms.size)
-        gs = gn / total                                     # (..., C)
-        g_cross = ecross * gs[..., None]
-        g_cross[..., diag, diag] = epos * gs - gn
-        if a.requires_grad:
-            g_intra = eintra * gs[..., None]
-            da = (g_cross @ bd + (g_intra + np.swapaxes(g_intra, -1, -2)) @ ad) / cp.tau
-            Tensor._accum(a, _unbroadcast(da, ad.shape))
-        if b.requires_grad:
-            db = (np.swapaxes(g_cross, -1, -2) @ ad) / cp.tau
-            Tensor._accum(b, _unbroadcast(db, bd.shape))
-
-    return Tensor._from_op(np.asarray(value), (a, b), bw)
-
-
 @functools.lru_cache(maxsize=32)
-def _stack_pair_weights(k: int, c: int) -> np.ndarray:
-    """(K, C, K+1) weight of each term of ``s2s_stack_loss``: 1/(KC) for a
-    table pair (n = K), 1/(K(K-1)C) for a pair of distinct tables, 0 for
-    n = m, which is not a pair. Read-only."""
-    w = np.full((k, c, k + 1), 1.0 / float(k * (k - 1) * c) if k > 1 else 0.0)
-    w[..., k] = 1.0 / float(k * c)
-    w[np.arange(k), :, np.arange(k)] = 0.0
+def _s2s_weights(k: int, c: int, pairs: bool) -> np.ndarray:
+    """(K, C, N) weight of each term of ``s2s_loss``, where block N - 1 is the
+    (C, d) table: 1/(KC) for a table term, 1/(K(K-1)C) for a pair of distinct
+    tables of the stack (with ``pairs`` only), 0 for a table's own block,
+    which is not a pair. Read-only."""
+    n = k + 1 if pairs else 2
+    w = np.full((k, c, n), 1.0 / float(k * (k - 1) * c) if pairs and k > 1 else 0.0)
+    w[..., n - 1] = 1.0 / float(k * c)
+    w[np.arange(k), :, np.arange(k) if pairs else 0] = 0.0
     w.flags.writeable = False
     return w
 
 
-def s2s_stack_loss(s_hat, table, cp: ContrastiveParams):
-    """L_S2S of a (K, C, d) stack of prototype tables:
+def s2s_loss(s_hat, table, cp: ContrastiveParams, pairs: bool = False):
+    """Prototype contrast of a stack of (C, d) tables against one (C, d)
+    table, and with ``pairs`` also between the tables of the stack:
 
-        mean_k s2s(s_hat_k, table) + mean_{m != n} s2s(s_hat_m, s_hat_n)
+        mean_k s2s(s_hat_k, table) [+ mean_{m != n} s2s(s_hat_m, s_hat_n)]
 
-    over the K(K - 1) ordered pairs of distinct tables; with K = 1 only the
-    table term remains. Up to round-off it equals ``s2s_loss(s_hat, table)``
-    plus ``s2s_loss`` of the stacked pairs.
+    For tables a, b, s2s(a, b) is the mean over classes c of the softmax
+    cross-entropy whose positive is (a_c . b_c - alpha) / tau and whose
+    negatives are a_c . b_j / tau and a_c . a_j / tau for j != c: other
+    classes are pushed away both across and within tables. `s_hat` is one
+    (C, d) table or a (..., C, d) stack; ``pairs=True`` (L_S2S) needs a
+    (K, C, d) stack and adds the mean over its K(K - 1) ordered pairs of
+    distinct tables, so with K = 1 only the table term remains.
 
-    One graph node. Every similarity is an entry of one Gram matrix G of the
-    stack's rows against [stack; table], scaled by 1/tau. The terms of
+    One graph node. Every similarity is an entry of a Gram matrix G of the
+    stack's rows, scaled by 1/tau: against [stack; table] with ``pairs``,
+    else each table's rows against [its own table; table]. The terms of
     class c of table m read only row (m, c) of G, so that row's maximum is
     their shift and its exponentials are taken once for all of them. The
     excluded diagonal entries of each (m, n) block (the positives and the
@@ -323,47 +275,59 @@ def s2s_stack_loss(s_hat, table, cp: ContrastiveParams):
     subtracted from a full sum. In the backward, block (m, n) of dL/dG is
     E_mn gs_mn off its diagonal for a cross block and E_mm times the sum of
     gs_mn over n for the intra block, with the positives' derivatives on the
-    cross diagonals; the stack then gets (dG [stack; table] + dG_s' stack) /
-    tau, where dG_s is dG's stack columns, and the table dG_t' stack / tau.
+    cross diagonals; the stack then gets (dG X + dG_s' S) / tau, where X is
+    G's column rows and dG_s is dG's stack columns, and the table
+    dG_t' S / tau.
     """
-    a = _table(s_hat, "s2s_stack_loss s_hat")
-    t = _table(table, "s2s_stack_loss table")
+    a = _table(s_hat, "s2s_loss s_hat")
+    t = _table(table, "s2s_loss table")
     ad, td = a.data, t.data
-    if ad.ndim != 3 or ad.shape[1:] != td.shape:
-        raise ValueError("s2s_stack_loss: need a (K, C, d) stack and its (C, d) table")
-    k, c, d = ad.shape
-    kc = k * c
+    if td.ndim != 2 or ad.shape[-2:] != td.shape or (pairs and ad.ndim != 3):
+        raise ValueError(f"s2s_loss: need a {'(K' if pairs else '(...'}, C, d) stack "
+                         f"and its (C, d) table")
+    c, d = td.shape
     diag = np.arange(c)
-    s = ad.reshape(kc, d)
-    x = np.concatenate([s, td])                                   # ((K+1)C, d)
-    gram = s @ x.T                                                # (KC, (K+1)C)
+    s = ad.reshape(-1, c, d)
+    k = s.shape[0]
+    if pairs:
+        s = s.reshape(1, k * c, d)
+        x = np.concatenate([s, td[None]], axis=1)                 # (1, (K+1)C, d)
+    else:
+        x = np.concatenate([s, np.broadcast_to(td, s.shape)], axis=1)   # (K, 2C, d)
+    ks = np.arange(k)
+    own = ks if pairs else np.zeros(k, dtype=np.int64)         # block n of m's own rows
+    rows, n = s.shape[1], x.shape[1] // c
+    gram = s @ np.swapaxes(x, -1, -2)                             # (., rows, NC)
     gram /= cp.tau
-    shift = gram.max(axis=1)
-    e = gram - shift[:, None]
-    e = np.exp(e, out=e).reshape(k, c, k + 1, c)                  # [m, c, n, j]
+    shift = gram.max(axis=-1)
+    e = gram - shift[..., None]
+    e = np.exp(e, out=e).reshape(k, c, n, c)                      # [m, c, n, j]
     e[:, diag, :, diag] = 0.0
-    rowsum = e.sum(axis=-1)                                       # (K, C, K+1)
-    # pos[m, c, n] - shift: the positive s_mc . s_nc / tau - alpha / tau
-    pos = gram.reshape(k, c, k + 1, c).diagonal(axis1=1, axis2=3).swapaxes(1, 2) \
+    rowsum = e.sum(axis=-1)                                       # (K, C, N)
+    # pos[m, c, n] - shift: the positive s_mc . x_nc / tau - alpha / tau
+    pos = gram.reshape(k, c, n, c).diagonal(axis1=1, axis2=3).swapaxes(1, 2) \
         - (shift.reshape(k, c, 1) + cp.alpha / cp.tau)
     epos = np.exp(pos)
-    total = epos + rowsum + rowsum.diagonal(axis1=0, axis2=2).T[..., None]  # + intra sum
+    total = epos + rowsum + rowsum[ks, :, own][..., None]         # + intra sum
     terms = np.log(total) - pos
-    wts = _stack_pair_weights(k, c)
+    wts = _s2s_weights(k, c, pairs)
     value = terms.ravel() @ wts.ravel()
 
     def bw(g):
         w = g * wts
-        gs = w / total                                            # (K, C, K+1)
+        gs = w / total                                            # (K, C, N)
         dpos = epos * gs - w
-        gs[np.arange(k), :, np.arange(k)] = gs.sum(axis=-1)       # intra block of m
+        gs[ks, :, own] = gs.sum(axis=-1)                          # intra block of m
         dgram = e * gs[..., None]
         dgram[:, diag, :, diag] = dpos.swapaxes(0, 1)
-        dgram = dgram.reshape(kc, (k + 1) * c)
+        # the shape is rebuilt so that this closure keeps no reference to
+        # `gram`; holding it made a paper_s1 pairs call about 15% slower
+        dgram = dgram.reshape(len(s), rows, n * c)
         if a.requires_grad:
-            Tensor._accum(a, ((dgram @ x + dgram[:, :kc].T @ s) / cp.tau).reshape(ad.shape))
+            da = (dgram @ x + np.swapaxes(dgram[..., :rows], -1, -2) @ s) / cp.tau
+            Tensor._accum(a, da.reshape(ad.shape))
         if t.requires_grad:
-            Tensor._accum(t, (dgram[:, kc:].T @ s) / cp.tau)
+            Tensor._accum(t, (dgram[..., rows:].reshape(-1, c).T @ s.reshape(-1, d)) / cp.tau)
 
     return Tensor._from_op(np.asarray(value), (a, t), bw)
 

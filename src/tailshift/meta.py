@@ -58,8 +58,7 @@ from .losses import (
     SigmaPrimes,
     aug_loss_mean,
     dc_loss_mean,
-    s2s_loss,  # not called here: perfbench/spans.py wraps this name in meta
-    s2s_stack_loss,
+    s2s_loss,
     s2z_loss,
     z2s_loss_mean,
 )
@@ -275,7 +274,7 @@ def meta_train_losses(leaves, batches, proto: PrototypeBank, cov: CovarianceBank
         s_hat = complete_semantic(proto, enc, table, proto_rows)    # (K, C, d_s)
 
     if cfg.use_s2s:
-        l_s2s = s2s_stack_loss(s_hat, table, cfg.cp)
+        l_s2s = s2s_loss(s_hat, table, cfg.cp, pairs=True)
         comps["L_S2S"] = float(l_s2s.data)
         parts.append(cfg.w2 * l_s2s)
 

@@ -75,19 +75,19 @@ def test_generate_heldout_only_in_test():
     ds = D.generate(small_cfg())
     held = ds.heldout_domains
     assert held == [3]
-    assert not np.any((ds.d == 3) & (ds.split != "test"))
+    assert not np.any((ds.d == 3) & (ds.split != D.SPLITS.index("test")))
 
 
 def test_generate_val_classes_seen_in_train():
     ds = D.generate(small_cfg())
-    val = ds.split == "val"
+    val = ds.split == D.SPLITS.index("val")
     assert (ds.counts.counts[ds.d[val], ds.y[val]] > 0).all()
 
 
 def test_generate_test_balanced_everywhere():
     cfg = small_cfg()
     ds = D.generate(cfg)
-    test = ds.split == "test"
+    test = ds.split == D.SPLITS.index("test")
     for dom in range(cfg.n_train_domains + 1):
         per = np.bincount(ds.y[test & (ds.d == dom)], minlength=cfg.n_classes)
         assert (per == cfg.n_test_per_pair).all()
@@ -107,10 +107,10 @@ def test_generate_zero_strength_degenerate():
     ds = D.generate(cfg)
     # all domains identical: a nearest-anchor rule classifies perfectly
     anchors = {}
-    train = ds.split == "train"
+    train = ds.split == D.SPLITS.index("train")
     for cls in range(cfg.n_classes):
         anchors[cls] = ds.x[train & (ds.y == cls)][0]
-    test = ds.split == "test"
+    test = ds.split == D.SPLITS.index("test")
     centers = np.stack([anchors[c] for c in range(cfg.n_classes)])
     pred = np.argmin(((ds.x[test][:, None, :] - centers) ** 2).sum(-1), axis=1)
     assert (pred == ds.y[test]).all()
@@ -151,7 +151,7 @@ def test_sample_batch_single_sample_domain():
     x = np.array([[1.0, 2.0]])
     mini = D.make_dataset(
         np.concatenate([x, np.tile(x, (2, 1))]),
-        [0, 0, 1], [0, 0, 0], ["train", "test", "test"])
+        [0, 0, 1], [0, 0, 0], [0, 2, 2])
     xb, yb = D.sample_batch(mini, 0, 1, Rng(0))
     assert np.array_equal(xb, x) and yb[0] == 0
 
@@ -174,12 +174,23 @@ def test_sample_batch_frequencies_match_counts():
     assert (np.abs(freq - p) <= 3 * sigma + 1e-12).all()
 
 
+def test_make_dataset_keeps_int8_split_codes_and_refuses_others():
+    ds = D.generate(small_cfg())
+    assert ds.split.dtype == np.int8
+    with pytest.raises(ValueError, match="integer codes"):
+        D.make_dataset(ds.x, ds.y, ds.d, np.array(D.SPLITS)[ds.split])
+    bad = ds.split.astype(np.int64)
+    bad[0] = 256  # a code that would wrap to "train" as int8
+    with pytest.raises(ValueError, match=r"unknown split codes \[256\]"):
+        D.make_dataset(ds.x, ds.y, ds.d, bad)
+
+
 def test_indices_computed_once_and_read_only():
     ds = D.generate(small_cfg())
     idx = ds.indices("train", 1)
     assert idx is ds.indices("train", 1)
-    assert np.array_equal(idx, np.nonzero((ds.split == "train") & (ds.d == 1))[0])
-    assert np.array_equal(ds.indices("test"), np.nonzero(ds.split == "test")[0])
+    assert np.array_equal(idx, np.nonzero((ds.split == D.SPLITS.index("train")) & (ds.d == 1))[0])
+    assert np.array_equal(ds.indices("test"), np.nonzero(ds.split == D.SPLITS.index("test"))[0])
     with pytest.raises(ValueError):
         idx[0] = 0
 

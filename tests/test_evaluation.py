@@ -29,7 +29,7 @@ def open_class_dataset():
                 ys.append(cls)
                 ds_.append(dom)
                 tags.append("test")
-    return D.make_dataset(np.array(xs), ys, ds_, tags)
+    return D.make_dataset(np.array(xs), ys, ds_, [D.SPLITS.index(t) for t in tags])
 
 
 def diag_model(scale=4.0):
@@ -83,8 +83,8 @@ def test_perfect_closed_set_no_open_classes():
     # available, so instead check the fallback flag with a perfect oracle on
     # the open-class dataset below. Here: metric mechanics only.
     rep = E.metrics_from_predictions(
-        ds.y[ds.split == "test"], ds.d[ds.split == "test"],
-        ds.y[ds.split == "test"],  # oracle predictions
+        ds.y[ds.indices("test")], ds.d[ds.indices("test")],
+        ds.y[ds.indices("test")],  # oracle predictions
         np.zeros(4, dtype=bool), heldout_domain=2, threshold=0.0)
     assert rep.acc_u == 100.0 and rep.acc == 100.0
     assert rep.h == 100.0 and rep.h_fallback
@@ -134,7 +134,7 @@ def test_evaluate_acc_u_equals_acc_single_domain():
             ys.append(cls)
             ds_.append(0)
             tags.append("test")
-    mini = D.make_dataset(np.array(xs), ys, ds_, tags)
+    mini = D.make_dataset(np.array(xs), ys, ds_, [D.SPLITS.index(t) for t in tags])
     cfg = M.ModelConfig(d_x=2, d_v=2, d_s=2, n_classes=2, hidden=())
     params = M.init_params(cfg, Rng(3))
     params["f0.W"] = np.eye(2)

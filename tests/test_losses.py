@@ -184,7 +184,8 @@ def test_s2z_uniform_logits_first_term():
     b = np.zeros(c)
     enc = lambda v: Tensor(np.eye(c, d_s))  # encoded rows equal the table
     val = L.s2z_loss(v_hat, w, b, enc, table, CP0).data
-    assert val == pytest.approx(np.log(c) + L.s2s_loss(table, table, CP0).data, abs=1e-12)
+    expect = np.log(c) + _s2s_loss_from_primitives(Tensor(table), Tensor(table), CP0).data
+    assert val == pytest.approx(expect, abs=1e-12)
 
 
 def test_s2z_compositional_oracle():
@@ -206,7 +207,8 @@ def test_s2z_compositional_oracle():
     for i in range(c):
         zi = logits[i]
         ce_terms.append(-(zi[i] - zi.max() - np.log(np.exp(zi - zi.max()).sum())))
-    expect = np.mean(ce_terms) + L.s2s_loss(enc(Tensor(v_hat)).data, table, CP0).data
+    expect = np.mean(ce_terms) + _s2s_loss_from_primitives(enc(Tensor(v_hat)), Tensor(table),
+                                                           CP0).data
     assert total == pytest.approx(expect, abs=1e-10)
 
 
@@ -360,8 +362,8 @@ def _kernel_calls():
         "dc_loss_mean": lambda: L.dc_loss_mean(rng.normal(size=(2, c)), [0, 1], [0, 0], counts),
         "z2s_loss_mean": lambda: L.z2s_loss_mean(unit_rows(rng, 2, d_s), [0, 1], table, cp),
         "s2s_loss": lambda: L.s2s_loss(table, unit_rows(rng, c, d_s), cp),
-        "s2s_stack_loss": lambda: L.s2s_stack_loss(
-            np.stack([unit_rows(rng, c, d_s) for _ in range(2)]), table, cp),
+        "s2s_stack_loss": lambda: L.s2s_loss(
+            np.stack([unit_rows(rng, c, d_s) for _ in range(2)]), table, cp, pairs=True),
         "s2z_loss": lambda: L.s2z_loss(rng.normal(size=(c, d_v)), w, b, enc, table, cp),
         "aug_loss_mean": lambda: L.aug_loss_mean(rng.normal(size=(2, d_v)), [0, 1], w, b,
                                                  sigmas, ap),
@@ -527,7 +529,8 @@ def test_aug_bound_grad_bias_only_leaf():
 
 
 def _s2s_loss_from_primitives(a, b, cp):
-    """The prototype contrast as a graph of mathcore primitives."""
+    """The prototype contrast of table a (or a stack of them) against one
+    table b as a graph of mathcore primitives, with one shift per table."""
     c = a.data.shape[-2]
     diag = np.arange(c)
     cross = (a @ b.T) / cp.tau
@@ -541,10 +544,10 @@ def _s2s_loss_from_primitives(a, b, cp):
     return (-(pos - shift) + (epos + ecross + eintra).log()).mean()
 
 
-# (s_m shape, s_n shape, leaves): a pair, a stack against one broadcast
-# table, stacked pairs, and each side alone as the leaf.
-S2S_CASES = [((5, 4), (5, 4), "ab"), ((3, 5, 4), (5, 4), "ab"), ((3, 5, 4), (3, 5, 4), "ab"),
-             ((3, 5, 4), (5, 4), "a"), ((3, 5, 4), (3, 5, 4), "b")]
+# (s_hat shape, table shape, leaves): a pair, a stack against one table,
+# a stack over two leading axes, and each side alone as the leaf.
+S2S_CASES = [((5, 4), (5, 4), "ab"), ((3, 5, 4), (5, 4), "ab"), ((2, 3, 5, 4), (5, 4), "ab"),
+             ((3, 5, 4), (5, 4), "a"), ((3, 5, 4), (5, 4), "b")]
 
 
 @pytest.mark.parametrize("sa,sb,leaves", S2S_CASES)
@@ -701,23 +704,11 @@ def _stack_case(seed, k=3, c=4, d_v=3, d_s=3):
     rng = Rng(seed)
     cp = L.ContrastiveParams(alpha=0.1, tau=0.5)
     tables = np.stack([unit_rows(rng, c, d_s) for _ in range(k)])
-    others = np.stack([unit_rows(rng, c, d_s) for _ in range(k)])
-    return rng, cp, tables, others
-
-
-def test_s2s_loss_stack_is_mean_of_pairs():
-    _, cp, a, b = _stack_case(30)
-    stacked = L.s2s_loss(a, b, cp).data
-    assert stacked == pytest.approx(np.mean([L.s2s_loss(x, y, cp).data
-                                             for x, y in zip(a, b)]), abs=1e-14)
-    # one table broadcasts against the stack
-    anchored = L.s2s_loss(a, b[0], cp).data
-    assert anchored == pytest.approx(np.mean([L.s2s_loss(x, b[0], cp).data for x in a]),
-                                     abs=1e-14)
+    return rng, cp, tables
 
 
 def test_z2s_loss_mean_stack_is_mean_over_tables():
-    rng, cp, tables, _ = _stack_case(31)
+    rng, cp, tables = _stack_case(31)
     e, labels = unit_rows(rng, 5, 3), rng.integers(0, 4, size=5)
     stacked = L.z2s_loss_mean(e, labels, tables, cp).data
     assert stacked == pytest.approx(np.mean([L.z2s_loss_mean(e, labels, t, cp).data
@@ -725,7 +716,7 @@ def test_z2s_loss_mean_stack_is_mean_over_tables():
 
 
 def test_s2z_loss_stack_is_mean_over_tables():
-    rng, cp, _, _ = _stack_case(32)
+    rng, cp, _ = _stack_case(32)
     table = unit_rows(rng, 4, 3)
     v_hat = rng.normal(size=(3, 4, 3))
     w, b = 0.5 * rng.normal(size=(4, 3)), rng.normal(size=4)
@@ -736,12 +727,12 @@ def test_s2z_loss_stack_is_mean_over_tables():
 
 
 def test_stacked_kernels_grad_match_fd():
-    rng, cp, _, _ = _stack_case(33)
+    rng, cp, _ = _stack_case(33)
     k, c, d_v, d_s = 3, 4, 3, 3
     labels = rng.integers(0, c, size=5)
     table = unit_rows(rng, c, d_s)
     _grad_matches_fd(lambda t: L.s2s_loss(normalize_rows(t["a"]), normalize_rows(t["b"]), cp),
-                     {"a": rng.normal(size=(k, c, d_s)), "b": rng.normal(size=(k, c, d_s))})
+                     {"a": rng.normal(size=(k, c, d_s)), "b": rng.normal(size=(c, d_s))})
     _grad_matches_fd(lambda t: L.z2s_loss_mean(normalize_rows(t["e"]), labels,
                                                normalize_rows(t["tab"]), cp),
                      {"e": rng.normal(size=(5, d_s)), "tab": rng.normal(size=(k, c, d_s))})
@@ -755,38 +746,41 @@ def test_stacked_kernels_grad_match_fd():
                            "We": rng.normal(size=(d_s, d_v)), "be": rng.normal(size=d_s)})
 
 
-def _s2s_stack_from_pairs(s_hat, table, cp):
-    """L_S2S composed of s2s_loss calls: the table term over the stack plus
-    one call on the gathered ordered pairs of distinct tables."""
+def _s2s_from_pairs(s_hat, table, cp, pairs):
+    """s2s_loss composed of per-pair contrasts written here: the mean table
+    term over the stack, plus with `pairs` the mean over the ordered pairs
+    of distinct tables."""
     k = s_hat.data.shape[0]
-    loss = L.s2s_loss(s_hat, table, cp)
-    if k > 1:
-        m, n = np.nonzero(~np.eye(k, dtype=bool))
-        loss = loss + L.s2s_loss(s_hat[m], s_hat[n], cp)
+    loss = sum(_s2s_loss_from_primitives(s_hat[m], table, cp) for m in range(k)) * (1.0 / k)
+    if pairs and k > 1:
+        loss = loss + sum(_s2s_loss_from_primitives(s_hat[m], s_hat[n], cp)
+                          for m in range(k) for n in range(k) if m != n) * (1.0 / (k * (k - 1)))
     return loss
 
 
 @pytest.mark.parametrize("c,d", [(20, 8), (50, 12)])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_s2s_stack_loss_matches_s2s_loss_composition(k, c, d):
-    # desk and paper_s1 shapes at the training temperature
+    # s2s_loss with and without pairs against per-pair contrasts, at desk and
+    # paper_s1 shapes and the training temperature
     rng = Rng(40 + k)
     cp = L.ContrastiveParams(alpha=0.1, tau=1.0 / 30.0)
     params = {"s": np.stack([unit_rows(rng, c, d) for _ in range(k)]),
               "tab": unit_rows(rng, c, d)}
-    fused = grad(lambda t: L.s2s_stack_loss(t["s"], t["tab"], cp), params)
-    ref = grad(lambda t: _s2s_stack_from_pairs(t["s"], t["tab"], cp), params)
-    assert abs(fused.value - ref.value) <= 1e-12 * abs(ref.value)
-    for key in params:
-        err = np.abs(fused.grads[key] - ref.grads[key]).max()
-        assert err <= 1e-12 * np.abs(ref.grads[key]).max(), key
+    for pairs in (True, False):
+        fused = grad(lambda t: L.s2s_loss(t["s"], t["tab"], cp, pairs=pairs), params)
+        ref = grad(lambda t: _s2s_from_pairs(t["s"], t["tab"], cp, pairs), params)
+        assert abs(fused.value - ref.value) <= 1e-12 * abs(ref.value), pairs
+        for key in params:
+            err = np.abs(fused.grads[key] - ref.grads[key]).max()
+            assert err <= 1e-12 * np.abs(ref.grads[key]).max(), (key, pairs)
 
 
 def test_s2s_stack_loss_grad_matches_fd():
     rng = Rng(45)
     cp = L.ContrastiveParams(alpha=0.1, tau=0.5)
-    _grad_matches_fd(lambda t: L.s2s_stack_loss(normalize_rows(t["s"]),
-                                                normalize_rows(t["tab"]), cp),
+    _grad_matches_fd(lambda t: L.s2s_loss(normalize_rows(t["s"]),
+                                          normalize_rows(t["tab"]), cp, pairs=True),
                      {"s": rng.normal(size=(3, 4, 3)), "tab": rng.normal(size=(4, 3))})
 
 
@@ -797,14 +791,17 @@ def test_s2s_stack_loss_refuses_non_unit_rows_and_other_shapes():
     for bad_row in (1.01 * good[1, 2], np.full(3, np.nan)):
         bad = good.copy()
         bad[1, 2] = bad_row
-        with pytest.raises(ValueError, match="s2s_stack_loss s_hat"):
-            L.s2s_stack_loss(bad, table, cp)
-        with pytest.raises(ValueError, match="s2s_stack_loss table"):
-            L.s2s_stack_loss(good, bad[1], cp)
+        with pytest.raises(ValueError, match="s2s_loss s_hat"):
+            L.s2s_loss(bad, table, cp, pairs=True)
+        with pytest.raises(ValueError, match="s2s_loss table"):
+            L.s2s_loss(good, bad[1], cp, pairs=True)
     with pytest.raises(ValueError, match="need a"):
-        L.s2s_stack_loss(good[0], table, cp)
-    with pytest.raises(ValueError, match="need a"):
-        L.s2s_stack_loss(good, table[:3], cp)
+        L.s2s_loss(good[0], table, cp, pairs=True)
+    for pairs in (True, False):
+        with pytest.raises(ValueError, match="need a"):
+            L.s2s_loss(good, table[:3], cp, pairs=pairs)
+        with pytest.raises(ValueError, match="need a"):
+            L.s2s_loss(good, good, cp, pairs=pairs)
 
 
 def test_semantic_table_and_its_array_give_identical_kernels():
@@ -821,7 +818,7 @@ def test_semantic_table_and_its_array_give_identical_kernels():
         "z2s": (lambda t, tab: L.z2s_loss_mean(t["x"], labels, tab, cp), emb),
         "s2s_n": (lambda t, tab: L.s2s_loss(t["x"], tab, cp), s_m),
         "s2s_m": (lambda t, tab: L.s2s_loss(tab, t["x"], cp), s_m),
-        "s2s_stack": (lambda t, tab: L.s2s_stack_loss(t["x"], tab, cp), s_m[None]),
+        "s2s_pairs": (lambda t, tab: L.s2s_loss(t["x"], tab, cp, pairs=True), s_m[None]),
         "s2z": (lambda t, tab: L.s2z_loss(t["x"], w, b, lambda v: normalize_rows(
             (v @ Tensor(enc_w).T).relu() + 1e-3), tab, cp), v_hat),
     }
@@ -847,9 +844,9 @@ def test_arrays_with_a_non_unit_row_are_still_refused():
             L.z2s_loss_mean(good[:3], labels, bad, cp)
         with pytest.raises(ValueError, match="z2s_loss_mean table"):
             L.z2s_loss_mean(good[:3], labels, Tensor(bad), cp)
-        with pytest.raises(ValueError, match="s2s_loss s_m"):
+        with pytest.raises(ValueError, match="s2s_loss s_hat"):
             L.s2s_loss(bad, good, cp)
-        with pytest.raises(ValueError, match="s2s_loss s_n"):
+        with pytest.raises(ValueError, match="s2s_loss table"):
             L.s2s_loss(good, bad, cp)
 
 

@@ -65,9 +65,9 @@ def test_load_dataset_npy_reads_one_copy_of_x(paper_s1):
     path = root / "dataset.npy"
     D.save_dataset_npy(ds, path)
     back, peak = traced_peak(lambda: D.load_dataset_npy(path, semantic=ds.semantic))
-    # x itself, the (3, N) int64 columns (0.125x at d_x 24), the split
-    # strings (0.10x) and make_dataset's transient column copies: 1.32x
-    assert peak <= 1.35 * ds.x.nbytes
+    # x itself, the (3, N) int64 columns (0.125x at d_x 24), the int8 split
+    # codes (0.005x) and make_dataset's transient column copies: 1.22x
+    assert peak <= 1.25 * ds.x.nbytes
     assert back.x.tobytes() == ds.x.tobytes()
 
 

@@ -362,7 +362,7 @@ def test_row_a_fits_separable_toy():
                anchor_spread=5.0)
     cfg = MT.apply_ablation(tconf(t_max=200, t_sigma=200, batch_size=12), "a")
     res = MT.run(ds, cfg, MCFG)
-    train = ds.split == "train"
+    train = ds.indices("train")
     logits = M.predict_logits(res.params, ds.x[train], MCFG)
     acc = (logits.argmax(axis=1) == ds.y[train]).mean()
     assert acc == 1.0
@@ -732,8 +732,26 @@ def test_desk_episode_checks_unit_rows_of_arrays_only(monkeypatch):
     MT.episode(st.params, b_mtr, b_mte, st.proto, st.cov, ds.semantic, ds.counts,
                cfg.train, cfg.model, True)
     # one table check: the completed meta-test tables in z2s_loss_mean; the
-    # completed meta-train stack is checked once, by s2s_stack_loss, and the
-    # re-encoded prototypes of s2z_loss once, as s2s_loss's s_m
+    # completed meta-train stack is checked once, by L_S2S's s2s_loss, and
+    # the re-encoded prototypes of s2z_loss once, by its s2s_loss
     assert sorted(checked) == sorted(
-        ["z2s_loss_mean embeddings"] * 3 + ["z2s_loss_mean table"]
-        + ["s2s_stack_loss s_hat"] + ["s2s_loss s_m"])
+        ["z2s_loss_mean embeddings"] * 3 + ["z2s_loss_mean table"] + ["s2s_loss s_hat"] * 2)
+
+
+def test_row_j_meta_train_half_calls_each_s2s_loss_binding_once(monkeypatch):
+    # L_S2S is called through meta's binding of s2s_loss (pairs on) and the
+    # re-alignment inside s2z_loss through losses' binding (pairs off)
+    cfg, _ = load_run_config("desk")
+    train = MT.apply_ablation(cfg.train, "j")
+    ds = D.generate(cfg.data)
+    st, b_mtr, b_mte = episode_inputs(ds, train, cfg.model)
+    calls = {"meta": [], "losses": []}
+    for name, module in (("meta", MT), ("losses", L)):
+        def counting(*args, _kernel=module.s2s_loss, _name=name, **kw):
+            calls[_name].append(kw.get("pairs", False))
+            return _kernel(*args, **kw)
+
+        monkeypatch.setattr(module, "s2s_loss", counting)
+    MT.meta_train_losses(make_leaves(st.params), b_mtr, st.proto, st.cov, ds.semantic,
+                         ds.counts, train, cfg.model, True, b_mte)
+    assert calls == {"meta": [True], "losses": [False]}
