@@ -26,7 +26,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .mathcore import Tensor, as_tensor
+from .mathcore import Tensor, mask_fill
 
 UNIT_TOL = 1e-10
 
@@ -145,10 +145,8 @@ def complete_semantic(bank: PrototypeBank, encode, table: SemanticTable, rows):
     build a gradient graph; filled rows contribute no gradient.
     """
     v = bank.v[rows]
-    enc = as_tensor(encode(Tensor(v)))
     known = bank.mask[rows] & (np.abs(v).max(axis=-1) > 0)
-    m = known.astype(np.float64)[..., None]
-    return enc * m + table.s * (1.0 - m)
+    return mask_fill(encode(Tensor(v)), known[..., None], table.s)
 
 
 @dataclass

@@ -136,7 +136,8 @@ def _table(table, what: str) -> Tensor:
 
 def _check_unit_rows(x: np.ndarray, what: str):
     # `<=` is False for NaN, so a NaN row is refused as well
-    dev = np.abs(np.linalg.norm(np.atleast_2d(x), axis=-1) - 1.0)
+    x = np.atleast_2d(x)
+    dev = np.abs(np.sqrt(np.add.reduce(x * x, axis=-1)) - 1.0)   # np.linalg.norm's sum
     if not (dev <= UNIT_TOL).all():
         raise ValueError(f"{what}: rows must be unit-normalized (max deviation "
                          f"{dev.max():.3g})")
@@ -220,11 +221,9 @@ def z2s_loss_mean(embeddings, labels, table, cp: ContrastiveParams):
     t = _table(table, "z2s_loss_mean table")
     labels = np.asarray(labels, dtype=np.int64)
     ed, td = e.data, t.data
-    b = ed.shape[-2]
-    c = td.shape[-2]
-    margin = np.zeros((b, c))
-    margin[np.arange(b), labels] = cp.alpha
-    z = (ed @ np.swapaxes(td, -1, -2) - margin) / cp.tau   # (..., B, C)
+    z = ed @ np.swapaxes(td, -1, -2)                       # (..., B, C)
+    z[..., np.arange(ed.shape[-2]), labels] -= cp.alpha
+    z /= cp.tau
     value, dz = _nll_at_labels(z, labels, "z2s_loss_mean")
 
     def bw(g):
@@ -362,8 +361,10 @@ class SigmaPrimes:
     single ``check_psd`` (a failure is reported in the name of
     ``aug_loss_mean``, the loss that reads them) and keeps read-only copies
     of `classes` and of the rows' symmetric part (S + S')/2, which is all a
-    quadratic penalty sees. ``aug_loss_mean`` reads that part with no further
-    check and refuses a label outside `classes`.
+    quadratic penalty sees. When the check finds S - S' exactly zero, that
+    part is a plain copy of S, with no second transposed read.
+    ``aug_loss_mean`` reads that part with no further check and refuses a
+    label outside `classes`.
     """
 
     sigma: np.ndarray
@@ -377,11 +378,14 @@ class SigmaPrimes:
         if s.ndim != 3 or s.shape[0] != classes.size:
             raise ValueError("SigmaPrimes: need one (d, d) row per class")
         try:
-            check_psd(s)
+            _, asym = check_psd(s, return_asym=True)
         except ValueError as exc:
             raise ValueError(f"aug_loss_mean: {exc}") from exc
-        sym = s + np.swapaxes(s, 1, 2)
-        sym *= 0.5
+        if asym == 0.0:     # S = S' exactly, so (S + S')/2 is S bit for bit
+            sym = s.copy()
+        else:
+            sym = s + np.swapaxes(s, 1, 2)
+            sym *= 0.5
         sym.flags.writeable = classes.flags.writeable = False
         object.__setattr__(self, "sigma", sym)
         object.__setattr__(self, "classes", classes)

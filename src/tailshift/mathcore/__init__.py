@@ -12,8 +12,10 @@ from .autodiff import (
     grad,
     log_softmax,
     make_leaves,
+    mask_fill,
     normalize_rows,
     stack,
+    weighted_sum,
 )
 from .linalg import check_psd, check_symmetric, psd_sqrt
 from .rng import Rng
@@ -31,8 +33,10 @@ __all__ = [
     "grad",
     "log_softmax",
     "make_leaves",
+    "mask_fill",
     "normalize_rows",
     "psd_sqrt",
     "stack",
+    "weighted_sum",
 ]
 

@@ -5,8 +5,12 @@ built. Calling ``backward()`` on a scalar result accumulates gradients into
 every reachable leaf created with ``requires_grad=True``. The primitive set
 is deliberately small: affine algebra, elementwise transcendentals, rectifier,
 reductions, indexing/stacking, and the numerically stable log-softmax.
-Two layers are one node each with a hand-written backward: ``affine``
-(``x @ w.T + b``) and ``normalize_rows``. The log-softmax array math lives
+Four compositions are one node each with a hand-written backward, and each
+gives the value and gradients of its primitive composition bit for bit:
+``affine`` (``x @ w.T + b``, optionally rectified: a whole layer),
+``normalize_rows``, ``mask_fill`` (``x * keep + fill * (1 - keep)`` for a
+constant fill) and ``weighted_sum`` (a loss total ``w_0 t_0 + w_1 t_1 + ...``
+summed left to right). The log-softmax array math lives
 once, in ``_log_softmax_core``; ``log_softmax``, the fused cross-entropy
 nodes of ``losses`` and ``evaluation.decide`` call it. It takes no weights:
 a prior enters as a log-prior added to the logits, with -inf for an entry
@@ -94,19 +98,19 @@ class Tensor:
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
         topo: list[Tensor] = []
-        seen: set[int] = set()
+        seen: set[Tensor] = set()      # a Tensor hashes by identity
         stack: list[tuple[Tensor, bool]] = [(self, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
                 topo.append(node)
                 continue
-            if id(node) in seen:
+            if node in seen:
                 continue
-            seen.add(id(node))
+            seen.add(node)
             stack.append((node, True))
             for p in node._parents:
-                if p._backward is not None and id(p) not in seen:
+                if p._backward is not None and p not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
@@ -334,20 +338,29 @@ def log_softmax(x):
     return Tensor._from_op(xt.data - lse, (xt,), bw)
 
 
-def affine(x, w, b) -> Tensor:
-    """One node for ``x @ w.T + b``: x is (..., n, d_in), w is (d_out, d_in)
-    and b is (d_out,).
+def affine(x, w, b, relu: bool = False) -> Tensor:
+    """One node for ``x @ w.T + b``, or with ``relu`` for the layer
+    ``(x @ w.T + b).relu()``: x is (..., n, d_in), w is (d_out, d_in) and b
+    is (d_out,).
 
-    The backward adds g @ w into x, (x' g)' summed over stack axes into w,
-    and g summed over every axis but the last into b.
+    The backward first masks g where the rectifier cut (with ``relu``), then
+    adds g @ w into x, (x' g)' summed over stack axes into w, and g summed
+    over every axis but the last into b.
     """
     xt, wt, bt = as_tensor(x), as_tensor(w), as_tensor(b)
     xd, wd = xt.data, wt.data
     if xd.ndim < 2:
         raise ValueError("affine: x needs a row axis")
-    out_data = xd @ wd.T + bt.data
+    out_data = xd @ wd.T
+    out_data += bt.data
+    mask = None
+    if relu:
+        mask = out_data > 0
+        np.maximum(out_data, 0.0, out=out_data)
 
     def bw(g):
+        if mask is not None:
+            g = g * mask
         if xt.requires_grad:
             Tensor._accum(xt, g @ wd)
         if wt.requires_grad:
@@ -356,6 +369,55 @@ def affine(x, w, b) -> Tensor:
             Tensor._accum(bt, _unbroadcast(g, bt.data.shape))
 
     return Tensor._from_op(out_data, (xt, wt, bt), bw)
+
+
+def mask_fill(x, keep, fill) -> Tensor:
+    """One node for ``x * keep + fill * (1 - keep)``: entries where the 0/1
+    (or bool) mask `keep` is 1 come from x, the others from the constant
+    array `fill`, which takes no gradient. `keep` and `fill` broadcast
+    against x; the result may not be larger than ``x * keep``.
+
+    The backward adds g * keep into x.
+    """
+    xt = as_tensor(x)
+    keep = np.asarray(keep, dtype=np.float64)
+    kept = xt.data * keep
+    out_data = kept + fill * (1.0 - keep)
+    if out_data.shape != kept.shape:
+        raise ValueError("mask_fill: fill broadcasts beyond x * keep")
+
+    def bw(g):
+        Tensor._accum(xt, _unbroadcast(g * keep, xt.data.shape))
+
+    return Tensor._from_op(out_data, (xt,), bw)
+
+
+def weighted_sum(pairs) -> Tensor:
+    """One node for ``w_0 t_0 + w_1 t_1 + ...`` over (float weight, term)
+    pairs of same-shape terms, summed left to right. A weight of 1.0 takes
+    its term as it is, so ``weighted_sum([(1.0, a), (w, b)])`` is
+    ``a + w * b``, and a lone term of weight 1.0 is returned itself.
+
+    The backward adds g * w_i into term i (g itself for a weight of 1.0).
+    """
+    weights = [float(w) for w, _ in pairs]
+    terms = [as_tensor(t) for _, t in pairs]
+    if len(terms) == 1 and weights[0] == 1.0:
+        return terms[0]
+    shape = terms[0].data.shape
+    if any(t.data.shape != shape for t in terms):
+        raise ValueError("weighted_sum: terms differ in shape")
+    out_data = None
+    for w, t in zip(weights, terms):
+        part = t.data if w == 1.0 else t.data * w
+        out_data = part if out_data is None else out_data + part
+
+    def bw(g):
+        for w, t in zip(weights, terms):
+            if t.requires_grad:
+                Tensor._accum(t, g if w == 1.0 else g * w)
+
+    return Tensor._from_op(out_data, tuple(terms), bw)
 
 
 def normalize_rows(x, return_norms: bool = False):

@@ -8,37 +8,41 @@ SYM_TOL = 1e-10
 EIG_TOL = 1e-10
 
 
-def _check_square_symmetric(s: np.ndarray, tol: float, ndims: tuple) -> np.ndarray:
+def _check_square_symmetric(s: np.ndarray, tol: float, ndims: tuple):
+    """The input as a float64 array and its largest |S - S'| entry, after
+    refusing a non-square, non-finite or asymmetric input."""
     s = np.asarray(s, dtype=np.float64)
     if s.ndim not in ndims or s.shape[-1] != s.shape[-2]:
         raise ValueError("expected a square matrix")
     if not np.isfinite(s).all():
         raise ValueError("matrix has non-finite entries")
     asym = s - np.swapaxes(s, -1, -2)
-    if np.abs(asym, out=asym).max(initial=0.0) > tol:
+    asym = np.abs(asym, out=asym).max(initial=0.0)
+    if asym > tol:
         raise ValueError("matrix is not symmetric within tolerance")
-    return s
+    return s, asym
 
 
 def check_symmetric(s: np.ndarray, tol: float = SYM_TOL) -> np.ndarray:
-    return _check_square_symmetric(s, tol, (2,))
+    return _check_square_symmetric(s, tol, (2,))[0]
 
 
-def check_psd(s: np.ndarray, eig_tol: float = EIG_TOL) -> np.ndarray:
+def check_psd(s: np.ndarray, eig_tol: float = EIG_TOL, return_asym: bool = False):
     """Validate symmetry and eigenvalues >= -eig_tol of one (d, d) matrix or
-    an (n, d, d) stack; returns the input.
+    an (n, d, d) stack; returns the input, and with ``return_asym`` also the
+    largest |S - S'| entry the symmetry test found (0.0 when S = S' exactly).
 
     The eigenvalue test is one batched Cholesky factorization of
     S + eig_tol * I, which exists exactly when every eigenvalue of S
     exceeds -eig_tol (up to round-off).
     """
-    s = _check_square_symmetric(s, SYM_TOL, (2, 3))
+    s, asym = _check_square_symmetric(s, SYM_TOL, (2, 3))
     if s.shape[-1]:
         try:
             np.linalg.cholesky(s + eig_tol * np.eye(s.shape[-1]))
         except np.linalg.LinAlgError:
             raise ValueError("matrix is not positive semidefinite within tolerance") from None
-    return s
+    return (s, asym) if return_asym else s
 
 
 def psd_sqrt(s: np.ndarray, eig_tol: float = EIG_TOL) -> np.ndarray:

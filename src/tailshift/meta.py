@@ -16,6 +16,7 @@ kernel call on one feature pass, and the per-domain prototype tables are
 one (K, C, d_s) stack. The prototype EMA is one update of the pooled batch,
 made only when a loss that runs reads the bank (L_S2S, L_S2Z, or L_MZ2S on
 a meta-test half), as covariance tracking waits for the augmentation phase.
+Each half's weighted total (L_mtr, L_mte) is one ``weighted_sum`` node.
 In that phase the meta-train half blends Sigma' for the classes of both
 halves only and validates it once, as the ``SigmaPrimes`` both halves read.
 
@@ -62,7 +63,7 @@ from .losses import (
     s2z_loss,
     z2s_loss_mean,
 )
-from .mathcore import Rng, collect_grads, make_leaves
+from .mathcore import Rng, collect_grads, make_leaves, weighted_sum
 
 # Outer-rate schedule: 10x decays at 40% and 80% of t_max.
 DECAY_MILESTONES = (0.4, 0.8)
@@ -201,7 +202,8 @@ def split_domains(train_domains, mte_size: int, rng: Rng):
 
 
 def _grad_norm(grads: dict) -> float:
-    return math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    # np.add.reduce is what ndarray.sum() calls, without its wrapper
+    return math.sqrt(sum(float(np.add.reduce(g * g, axis=None)) for g in grads.values()))
 
 
 def _proto_domain(cfg: TrainConfig, domain):
@@ -249,12 +251,12 @@ def meta_train_losses(leaves, batches, proto: PrototypeBank, cov: CovarianceBank
     l_cls = dc_loss_mean(M.forward_logits(leaves, feats), y, dom,
                          counts if cfg.use_dc else None)
     comps["L_Cls"] = float(l_cls.data)
-    parts = [l_cls]
+    parts = [(1.0, l_cls)]
 
     if cfg.use_z2s:
         l_z2s = z2s_loss_mean(enc(feats), y, table, cfg.cp)
         comps["L_Z2S"] = float(l_z2s.data)
-        parts.append(cfg.w1 * l_z2s)
+        parts.append((cfg.w1, l_z2s))
 
     # Only L_S2S, L_S2Z and a meta-test half's L_MZ2S read the prototypes.
     if cfg.use_s2s or cfg.use_s2z or (cfg.use_z2s and batches_mte is not None):
@@ -276,21 +278,21 @@ def meta_train_losses(leaves, batches, proto: PrototypeBank, cov: CovarianceBank
     if cfg.use_s2s:
         l_s2s = s2s_loss(s_hat, table, cfg.cp, pairs=True)
         comps["L_S2S"] = float(l_s2s.data)
-        parts.append(cfg.w2 * l_s2s)
+        parts.append((cfg.w2, l_s2s))
 
     if cfg.use_s2z:
         l_s2z = s2z_loss(M.decode(leaves, s_hat, mcfg), leaves["cls.W"], leaves["cls.b"],
                          enc, table, cfg.cp)
         comps["L_S2Z"] = float(l_s2z.data)
-        parts.append(cfg.w3 * l_s2z)
+        parts.append((cfg.w3, l_s2z))
 
     if cfg.use_aug and aug_active:
         l_aug = aug_loss_mean(feats, y, leaves["cls.W"], leaves["cls.b"],
                               sigma_prime, cfg.ap)
         comps["L_Aug"] = float(l_aug.data)
-        parts.append(cfg.w4 * l_aug)
+        parts.append((cfg.w4, l_aug))
 
-    l_mtr = sum(parts[1:], parts[0])
+    l_mtr = weighted_sum(parts)
     comps["L_mtr"] = float(l_mtr.data)
     return l_mtr, comps, proto, cov, sigma_prime
 
@@ -315,7 +317,7 @@ def meta_test_losses(leaves, batches, proto: PrototypeBank,
     l_cls = dc_loss_mean(M.forward_logits(leaves, feats), y, dom,
                          counts if cfg.use_dc else None)
     comps["L_MCls"] = float(l_cls.data)
-    parts = [l_cls]
+    parts = [(1.0, l_cls)]
 
     if cfg.use_z2s:
         emb = enc(feats)
@@ -324,15 +326,15 @@ def meta_test_losses(leaves, batches, proto: PrototypeBank,
         l_z2s = z2s_loss_mean(emb, y, table, cfg.cp) \
             + z2s_loss_mean(emb, y, s_hat_prime, cfg.cp)
         comps["L_MZ2S"] = float(l_z2s.data)
-        parts.append(cfg.w1 * l_z2s)
+        parts.append((cfg.w1, l_z2s))
 
     if cfg.use_aug and aug_active:
         l_aug = aug_loss_mean(feats, y, leaves["cls.W"], leaves["cls.b"],
                               sigma_prime, cfg.ap)
         comps["L_MAug"] = float(l_aug.data)
-        parts.append(cfg.w4 * l_aug)
+        parts.append((cfg.w4, l_aug))
 
-    l_mte = sum(parts[1:], parts[0])
+    l_mte = weighted_sum(parts)
     comps["L_mte"] = float(l_mte.data)
     return l_mte, comps
 
@@ -373,8 +375,7 @@ def outer_step(params: dict, grads_mtr: dict, grads_mte: dict | None,
     """theta_{t+1} = theta_t - lr (grad L_mtr + w_mte grad L_mte)."""
     if grads_mte is None or cfg.w_mte == 0.0:
         return M.apply_step(params, grads_mtr, lr)
-    w = cfg.w_mte
-    return M.apply_step(params, {k: g + w * grads_mte[k] for k, g in grads_mtr.items()}, lr)
+    return M.apply_step(params, grads_mtr, lr, grads_mte, cfg.w_mte)
 
 
 def init_state(dataset: Dataset, cfg: TrainConfig, mcfg: M.ModelConfig) -> TrainerState:

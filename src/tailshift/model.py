@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .mathcore import Rng, affine, normalize_rows
+from .mathcore import Rng, affine, mask_fill, normalize_rows
 
 
 @dataclass(frozen=True)
@@ -71,15 +71,24 @@ def param_count(params: Params) -> int:
     return int(sum(np.asarray(v).size for v in params.values()))
 
 
-def apply_step(params: Params, grads, lr: float) -> Params:
-    """theta' = theta - lr * grad, leaving the inputs untouched."""
-    if set(grads) != set(params):
+def apply_step(params: Params, grads, lr: float, extra=None, w: float = 1.0) -> Params:
+    """theta' = theta - lr * grad over float64 array blocks, or with a
+    second gradient `extra` theta - lr * (grad + w * extra), leaving the
+    inputs untouched."""
+    if grads.keys() != params.keys() or (extra is not None and extra.keys() != params.keys()):
         raise ValueError("apply_step: gradient blocks do not match parameters")
     out: Params = {}
     for k, v in params.items():
-        if np.shape(grads[k]) != np.shape(v):
+        g = grads[k]
+        if g.shape != v.shape or (extra is not None and extra[k].shape != v.shape):
             raise ValueError(f"apply_step: shape mismatch for block {k}")
-        out[k] = np.asarray(v, dtype=np.float64) - lr * np.asarray(grads[k], dtype=np.float64)
+        if extra is None:
+            step = lr * g
+        else:
+            step = w * extra[k]
+            step += g
+            step *= lr
+        out[k] = np.subtract(v, step, out=step)
     return out
 
 
@@ -90,11 +99,9 @@ def apply_step(params: Params, grads, lr: float) -> Params:
 def forward_features(params: Params, x, cfg: ModelConfig):
     """z = f(x): MLP over rows of x, rectifiers between layers."""
     z = x
-    n_layers = len(cfg.feature_dims)
-    for i in range(n_layers):
-        z = affine(z, params[f"f{i}.W"], params[f"f{i}.b"])
-        if i < n_layers - 1:
-            z = z.relu()
+    last = len(cfg.feature_dims) - 1
+    for i in range(last + 1):
+        z = affine(z, params[f"f{i}.W"], params[f"f{i}.b"], relu=i < last)
     return z
 
 
@@ -114,18 +121,17 @@ def encode(params: Params, z, cfg: ModelConfig):
     reads the floored norms the normalization computed; the floor moves the
     DEAD_ROW_NORM threshold by about 5e-17.
     """
-    r = affine(z, params["enc.W"], params["enc.b"]).relu()
+    r = affine(z, params["enc.W"], params["enc.b"], relu=True)
     unit, norms = normalize_rows(r, return_norms=True)
     dead = norms < DEAD_ROW_NORM
     if dead.any():
-        fallback = np.ones(cfg.d_s) / np.sqrt(cfg.d_s)
-        unit = unit * (~dead) + fallback * dead
+        unit = mask_fill(unit, ~dead, np.ones(cfg.d_s) / np.sqrt(cfg.d_s))
     return unit
 
 
 def decode(params: Params, s, cfg: ModelConfig):
     """Visual reconstruction of semantic rows."""
-    return affine(s, params["dec.W"], params["dec.b"]).relu()
+    return affine(s, params["dec.W"], params["dec.b"], relu=True)
 
 
 def predict_logits(params: Params, x, cfg: ModelConfig) -> np.ndarray:

@@ -473,6 +473,18 @@ def test_sigma_primes_is_a_read_only_symmetrized_copy():
             a[0] = 0
 
 
+def test_sigma_primes_of_an_exactly_symmetric_stack_is_its_copy():
+    *_, sigmas = _aug_case(25)
+    rows = np.array([0, 2, 3])
+    given = sigmas[rows].copy()
+    assert np.array_equal(given, np.swapaxes(given, 1, 2))
+    sp = L.SigmaPrimes(given, rows)
+    assert sp.sigma.tobytes() == given.tobytes()
+    assert sp.sigma.tobytes() == ((given + np.swapaxes(given, 1, 2)) * 0.5).tobytes()
+    given[1] = 7.0
+    assert not sp.sigma.flags.writeable and sp.sigma[1, 0, 0] != 7.0
+
+
 def test_sigma_primes_refuses_bad_rows():
     sig = np.stack([np.eye(2)] * 3)
     for classes in ([0, 2, 1], [0, 1, 1], [[0, 1, 2]]):

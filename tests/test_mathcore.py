@@ -14,9 +14,11 @@ from tailshift.mathcore import (
     fd_grad,
     grad,
     log_softmax,
+    mask_fill,
     normalize_rows,
     psd_sqrt,
     stack,
+    weighted_sum,
 )
 
 
@@ -188,6 +190,79 @@ def test_affine_refuses_a_single_row_vector():
         affine(np.ones(4), np.ones((3, 4)), np.ones(3))
 
 
+def _assert_same_bits(fn_fused, fn_ref, params):
+    """Value and every gradient of two graphs equal bit for bit."""
+    fused, ref = grad(fn_fused, params), grad(fn_ref, params)
+    assert fused.value == ref.value
+    for k in params:
+        assert fused.grads[k].shape == params[k].shape
+        assert np.array_equal(fused.grads[k], ref.grads[k]), k
+
+
+@pytest.mark.parametrize("sx", [(5, 4), (3, 5, 4)])
+def test_affine_relu_is_one_node_matching_affine_then_relu(sx):
+    rng = Rng(13)
+    params = {"x": rng.normal(size=sx), "w": rng.normal(size=(3, 4)),
+              "b": -np.abs(rng.normal(size=3)) - 0.1}
+    params["x"][..., 1, :] = 0.0                 # row 1 is b < 0: the rectifier zeroes it
+    wts = rng.normal(size=sx[:-1] + (3,))
+    leaves = [Tensor(params[k], requires_grad=True) for k in "xwb"]
+    out = affine(*leaves, relu=True)
+    assert out._parents == tuple(leaves)
+    ref = affine(*leaves).relu()
+    assert np.array_equal(out.data, ref.data)
+    assert not out.data[..., 1, :].any() and out.data.any()
+    _assert_same_bits(lambda t: (affine(t["x"], t["w"], t["b"], relu=True) * wts).sum(),
+                      lambda t: (affine(t["x"], t["w"], t["b"]).relu() * wts).sum(), params)
+
+
+@pytest.mark.parametrize("kind", ["bool", "float"])
+def test_mask_fill_is_one_node_matching_primitive_graph(kind):
+    rng = Rng(14)
+    x = rng.normal(size=(2, 5, 4))
+    fill = rng.normal(size=(5, 4))
+    keep = rng.uniform(size=(2, 5, 1)) < 0.5
+    keep[0, 0] = keep[1, 1] = True
+    keep[0, 1] = False
+    if kind == "bool":      # the encoder's dead-row fallback: x * ~dead + fill * dead
+        ref = lambda t: t["x"] * keep + fill * ~keep
+    else:                   # prototype completion: x * m + fill * (1 - m)
+        keep = keep.astype(np.float64)
+        ref = lambda t: t["x"] * keep + fill * (1.0 - keep)
+    wts = rng.normal(size=x.shape)
+    leaf = Tensor(x, requires_grad=True)
+    out = mask_fill(leaf, keep, fill)
+    assert out._parents == (leaf,)
+    assert np.array_equal(out.data, ref({"x": leaf}).data)
+    _assert_same_bits(lambda t: (mask_fill(t["x"], keep, fill) * wts).sum(),
+                      lambda t: (ref(t) * wts).sum(), {"x": x})
+
+
+def test_weighted_sum_is_one_node_matching_left_to_right_total():
+    rng = Rng(15)
+    params = {"x": rng.normal(size=(4, 3)), "y": rng.normal(size=3)}
+    weights = [1.0, 0.1, 0.3, 1.0, 0.7]
+
+    def terms(t):
+        x, y = t["x"], t["y"]
+        return [(x * x).sum(), (x @ y).exp().sum(), (y * y).sum(), x.sum(), (x @ y).sum()]
+
+    def ref(t):
+        first, *rest = terms(t)
+        return sum((w * term for w, term in zip(weights[1:], rest)), first)
+
+    def fused(t):
+        return weighted_sum(list(zip(weights, terms(t))))
+
+    leaves = {k: Tensor(v, requires_grad=True) for k, v in params.items()}
+    parts = terms(leaves)
+    out = weighted_sum(list(zip(weights, parts)))
+    assert out._parents == tuple(parts)
+    assert out.data == ref(leaves).data
+    _assert_same_bits(fused, ref, params)
+    assert weighted_sum([(1.0, parts[0])]) is parts[0]
+
+
 # ---------------------------------------------------------------------------
 # psd_sqrt
 # ---------------------------------------------------------------------------
@@ -234,6 +309,17 @@ def test_check_psd_accepts_matrix_and_stack():
     assert check_psd(stack_[0]) is not None
     assert np.array_equal(check_psd(stack_), stack_)
     assert check_psd(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+
+
+def test_check_psd_returns_largest_asymmetry_on_request():
+    a = np.array([[2.0, 0.5], [0.5, 1.0]])
+    s, asym = check_psd(a, return_asym=True)
+    assert s is a and asym == 0.0
+    b = a.copy()
+    b[0, 1] += 3e-11
+    s, asym = check_psd(np.stack([a, b]), return_asym=True)
+    assert asym == abs(b[0, 1] - b[1, 0])
+    assert check_psd(np.zeros((0, 3, 3)), return_asym=True)[1] == 0.0
 
 
 def test_check_psd_accepts_rank_deficient_covariances():

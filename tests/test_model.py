@@ -128,6 +128,23 @@ def test_apply_step_shape_validation():
         M.apply_step(params, {"w": np.ones(4)}, 0.1)
     with pytest.raises(ValueError):
         M.apply_step(params, {"v": np.ones(3)}, 0.1)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        M.apply_step(params, {"w": np.ones(3)}, 0.1, {"w": np.ones(4)}, 0.5)
+    with pytest.raises(ValueError, match="do not match"):
+        M.apply_step(params, {"w": np.ones(3)}, 0.1, {"v": np.ones(3)}, 0.5)
+
+
+def test_apply_step_with_extra_gradient_equals_combined_gradient_bit_for_bit():
+    rng = Rng(16)
+    params = make_params(16)
+    g = {k: rng.normal(size=v.shape) for k, v in params.items()}
+    extra = {k: rng.normal(size=v.shape) for k, v in params.items()}
+    digest = {k: (g[k].tobytes(), extra[k].tobytes()) for k in params}
+    got = M.apply_step(params, g, 0.07, extra, 0.3)
+    want = M.apply_step(params, {k: g[k] + 0.3 * extra[k] for k in params}, 0.07)
+    for k in params:
+        assert got[k].tobytes() == want[k].tobytes(), k
+        assert (g[k].tobytes(), extra[k].tobytes()) == digest[k]
 
 
 def test_flatten_params_order_and_size():

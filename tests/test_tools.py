@@ -12,9 +12,13 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _preset_traces(cwd, *args):
+    return subprocess.run([sys.executable, str(ROOT / "tools" / "preset_traces.py"), *args],
+                          cwd=cwd, capture_output=True, text=True, timeout=120)
+
+
 def test_preset_traces_desk(tmp_path):
-    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "preset_traces.py"), "desk"],
-                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    proc = _preset_traces(tmp_path, "desk")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     names = ["dataset.csv", "dataset.npy", "embeddings.csv", "manifest.json", "steps.jsonl",
@@ -22,6 +26,21 @@ def test_preset_traces_desk(tmp_path):
     assert [line.split("  ")[-1] for line in lines] == [f"desk/{n}" for n in names]
     assert all(re.fullmatch(r"[0-9a-f]{64}  desk/\S+", line) for line in lines)
     assert lines[4].split()[0] != lines[5].split()[0]
+
+    # --expect: a run matches its own saved output, and one altered hash
+    # (among lines of a preset that is not run) is the one line reported
+    (tmp_path / "same.txt").write_text(proc.stdout + "0" * 64 + "  paper_s1/steps.jsonl\n")
+    same = _preset_traces(tmp_path, "--expect", "same.txt", "desk")
+    assert same.returncode == 0, same.stderr
+    assert same.stdout == proc.stdout and same.stderr == ""
+    altered = list(lines)
+    altered[4] = "f" * 64 + "  desk/steps.jsonl"
+    (tmp_path / "altered.txt").write_text("\n".join(altered) + "\n")
+    differ = _preset_traces(tmp_path, "--expect", "altered.txt", "desk")
+    assert differ.returncode == 1
+    assert differ.stdout == proc.stdout
+    assert differ.stderr.splitlines() == [
+        f"differs: desk/steps.jsonl: expected {'f' * 64}, got {lines[4].split()[0]}"]
 
 
 def _write_trace(path, steps, losses):

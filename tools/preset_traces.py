@@ -1,6 +1,6 @@
 """Hash what the CLI pipeline writes for each preset.
 
-    python3 tools/preset_traces.py [PRESET ...]
+    python3 tools/preset_traces.py [--expect FILE] [PRESET ...]
 
 For each preset (default: every packaged preset), runs ``gen-data`` ->
 ``train`` -> ``eval``, then ``ablate --rows a,j --seeds 2``, in a temporary
@@ -16,10 +16,19 @@ to the augmentation phase alone leaves ``steps.jsonl[:t_sigma]`` unchanged.
 ``manifest.json`` also stores the data config, and ``checkpoint.json`` the
 run config and the data config's hash, so their lines move with the config
 schema. Exits 1 if a command fails.
+
+With ``--expect FILE``, a saved output of this tool, each printed line is
+also compared with the line of the same ``<preset>/<file>`` name in FILE
+(lines of presets not run are ignored); every line that differs, or that
+one side lacks, is reported on stderr, and any difference exits 1. So
+``python3 tools/preset_traces.py > before.txt`` on one tree and
+``python3 tools/preset_traces.py --expect before.txt`` on another checks
+that a change keeps every output byte-identical.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -61,16 +70,44 @@ def preset_traces(preset: str, main, pre_aug_steps: int) -> list[str]:
         return lines
 
 
+def mismatches(lines: list[str], expected: list[str], presets) -> list[str]:
+    """A report line for each ``<hash>  <preset>/<file>`` line of `lines`
+    that differs from, or is missing in, the `expected` lines of `presets`,
+    and for each such expected line that `lines` lacks."""
+    got = {name: h for h, name in (line.split("  ", 1) for line in lines)}
+    want = {name: h for h, name in (line.split("  ", 1) for line in expected if line.strip())
+            if name.split("/", 1)[0] in presets}
+    out = []
+    for name in [*got, *(n for n in want if n not in got)]:
+        if got.get(name) != want.get(name):
+            out.append(f"differs: {name}: expected {want.get(name, '(none)')}, "
+                       f"got {got.get(name, '(none)')}")
+    return out
+
+
 def main() -> int:
+    parser = argparse.ArgumentParser(description="Hash the CLI outputs of each preset.")
+    parser.add_argument("presets", nargs="*", metavar="PRESET")
+    parser.add_argument("--expect", metavar="FILE",
+                        help="a saved output to compare the printed lines with")
+    args = parser.parse_args()
     sys.path.insert(0, str(ROOT / "src"))
     from tailshift.cli import main as cli_main
     from tailshift.config import PRESETS, load_run_config
 
-    for preset in sys.argv[1:] or PRESETS:
+    presets = args.presets or list(PRESETS)
+    printed = []
+    for preset in presets:
         train = load_run_config(preset)[0].train
         lines = preset_traces(preset, cli_main, train.t_sigma * train.steps_per_epoch)
         print("\n".join(lines), flush=True)
-    return 0
+        printed += lines
+    if args.expect is None:
+        return 0
+    report = mismatches(printed, Path(args.expect).read_text().splitlines(), presets)
+    for line in report:
+        print(line, file=sys.stderr)
+    return 1 if report else 0
 
 
 if __name__ == "__main__":
