@@ -6,6 +6,7 @@ import pytest
 from tailshift.data import unit_normalize
 from tailshift.errors import NumericsError
 from tailshift.mathcore.autodiff import NORM_FLOOR
+from tailshift.mathcore.linalg import EIG_TOL
 from tailshift.mathcore import (
     Rng,
     Tensor,
@@ -320,6 +321,23 @@ def test_check_psd_returns_largest_asymmetry_on_request():
     s, asym = check_psd(np.stack([a, b]), return_asym=True)
     assert asym == abs(b[0, 1] - b[1, 0])
     assert check_psd(np.zeros((0, 3, 3)), return_asym=True)[1] == 0.0
+
+
+def test_check_psd_factorizes_the_shifted_input_up_to_the_sign_of_zeros(monkeypatch):
+    # S + eig_tol * I is built in the symmetry test's scratch array: against
+    # the sum with eig_tol * eye(d), an off-diagonal -0.0 stays -0.0 (the
+    # sum gives +0.0), and every other entry is the same float
+    a = np.array([[2.0, -0.0, 0.5], [-0.0, 1.0, 0.0], [0.5, 0.0, 3.0]])
+    b = np.array([[1.0, 0.25, -0.0], [0.25, 1.0, 0.0], [-0.0, 0.0, 1.0]])
+    seen, real = [], np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda m: seen.append(m.copy()) or real(m))
+    for s in (np.stack([a, b]), a, np.asfortranarray(b), b.T):
+        before = s.copy()
+        assert check_psd(s) is s and s.tobytes() == before.tobytes()
+        got, want = seen.pop(), s + EIG_TOL * np.eye(3)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        moved = got.view(np.int64) != want.view(np.int64)
+        assert moved.any() and (got[moved] == 0.0).all() and np.signbit(got[moved]).all()
 
 
 def test_check_psd_accepts_rank_deficient_covariances():
