@@ -26,7 +26,7 @@ for rep in res.reports[:: max(1, len(res.reports) // 6)]:
           f"  L_mte {ls['L_mte']:7.3f}")
 
 report = score(res.params, cfg.model, ds, cfg.eval)
-print(f"\nheld-out domain {ds.heldout_domain} (threshold {report.threshold}):")
+print(f"\nheld-out domain {ds.heldout_domains[0]} (threshold {report.threshold}):")
 print(f"  Acc-U {report.acc_u:.1f}   Acc {report.acc:.1f}   H {report.h:.1f}"
       f"{'  (no open classes: H falls back to Acc)' if report.h_fallback else ''}")
 print("  per-domain accuracy:",

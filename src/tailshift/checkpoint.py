@@ -75,19 +75,15 @@ def _skeleton(payload: dict, hole: str) -> tuple[list[bytes], list[np.ndarray]]:
     return text.encode("ascii").split(hole.encode("ascii")), arrays
 
 
-def _take_array(d: dict, runs=None) -> np.ndarray:
-    """Decode an encoded array, removing its hex from ``d``. Without `runs`
-    the hex is ``d``'s own text; with them, ``d`` holds the index of a run
-    ``_unhex_runs`` decoded, and the array is a writable view of its bytes."""
+def _take_array(d: dict, runs) -> np.ndarray:
+    """Decode an encoded array, removing its hex from ``d``, which holds the
+    index of a run ``_unhex_runs`` decoded; the array is a writable view of
+    that run's bytes."""
     dtype = np.dtype(d["dtype"])
-    if runs is None:
-        raw = bytearray.fromhex(d.pop("hex"))
-    else:
-        hole = d.pop("hex")
-        if not (isinstance(hole, str) and hole.isdigit() and int(hole) < len(runs)):
-            raise ValueError(f"array hex {hole!r} is not a hex run of the file")
-        raw = runs[int(hole)]
-    stored = np.frombuffer(raw, dtype=dtype)
+    hole = d.pop("hex")
+    if not (isinstance(hole, str) and hole.isdigit() and int(hole) < len(runs)):
+        raise ValueError(f"array hex {hole!r} is not a hex run of the file")
+    stored = np.frombuffer(runs[int(hole)], dtype=dtype)
     return stored.astype(stored.dtype.newbyteorder("="), copy=False).reshape(d["shape"])
 
 

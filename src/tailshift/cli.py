@@ -199,15 +199,26 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _heldout_domain(dataset: D.Dataset) -> int:
+    """The domain scored as unseen, the first of ``dataset.heldout_domains``;
+    a dataset with none is refused."""
+    if not dataset.heldout_domains:
+        raise DataFormatError("dataset has no held-out domain: every domain of its "
+                              "test split has training data, so none can be scored as unseen")
+    return dataset.heldout_domains[0]
+
+
 def score(params, mcfg, dataset: D.Dataset, eval_opts: EvalOptions) -> E.MetricReport:
-    """Score a model on the dataset's held-out domain at the options'
+    """Score a model on the dataset's first held-out domain (the first domain
+    with no training data; a dataset without one is refused) at the options'
     threshold (``eval --threshold``, else the config's), else at the grid
     point that maximizes H on the validation split."""
+    held = _heldout_domain(dataset)
     threshold = eval_opts.threshold
     if threshold is None:
         threshold = E.select_threshold(params, mcfg, dataset, eval_opts.grid,
                                        confidence=eval_opts.confidence)
-    return E.evaluate(params, mcfg, dataset, dataset.heldout_domain, threshold,
+    return E.evaluate(params, mcfg, dataset, held, threshold,
                       confidence=eval_opts.confidence)
 
 
@@ -217,7 +228,11 @@ def ablation_scores(cfg: RunConfig, rows, n_seeds: int,
     each row's (n_seeds, 3) array of Acc-U, Acc and H. Cell i trains at
     train seed ``cfg.train.seed + i`` on data generated at
     ``cfg.data.seed + i``, or on ``dataset`` when one is given. Rows run in
-    the outer loop, so the last cell trained is the last row's last seed."""
+    the outer loop, so the last cell trained is the last row's last seed.
+    A given dataset without a held-out domain is refused before any cell
+    trains."""
+    if dataset is not None:
+        _heldout_domain(dataset)
     row_cfgs = {row: MT.apply_ablation(cfg.train, row) for row in rows}
     datasets = [dataset] * n_seeds if dataset is not None else [
         D.generate(dataclasses.replace(cfg.data, seed=cfg.data.seed + i))

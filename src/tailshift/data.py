@@ -158,14 +158,9 @@ class Dataset:
 
     @property
     def heldout_domains(self) -> list[int]:
+        """The domains with no training data, which only the test split
+        holds; the first is scored as unseen (Acc-U)."""
         return [int(k) for k in self.domains if k >= self.n_train_domains]
-
-    @property
-    def heldout_domain(self) -> int:
-        """The domain scored as unseen: the first held-out domain, else the
-        last domain."""
-        held = self.heldout_domains
-        return held[0] if held else int(self.domains[-1])
 
     def indices(self, split: str, domain: int | None = None) -> np.ndarray:
         """Row indices of the split named `split` (one of ``SPLITS``),

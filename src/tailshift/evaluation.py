@@ -12,13 +12,14 @@ Metrics:
 
 Open classes are those absent from every training domain. ``decide`` is the
 one open-set rule: a prediction is OPEN when the maximum softmax probability
-(optionally the maximum logit, rescaled) falls below the threshold. Both
-``evaluate`` and ``select_threshold`` score through it; ``select_threshold``
-passes its whole grid in one call, so the confidences are computed once,
-and scores H for every grid point from counts (``h_per_threshold``).
-``evaluate`` scores Acc-U on one held-out domain (the CLI passes
-``Dataset.heldout_domain``); ``select_threshold`` scores H over every domain
-of its split and reads no held-out domain.
+(optionally the maximum logit, rescaled) falls below the threshold.
+``evaluate`` and ``select_threshold`` decide their split through one helper
+(``select_threshold`` passes its whole grid, so the confidences are computed
+once), and one counting function, ``_score``, scores a (G, N) grid of
+decisions: ``metrics_from_predictions`` reports its row 0, and
+``select_threshold`` takes the argmax of its H row. ``evaluate`` scores
+Acc-U on one held-out domain (the CLI passes the first of
+``Dataset.heldout_domains``); H is scored over every domain of the split.
 """
 
 from __future__ import annotations
@@ -82,54 +83,69 @@ def decide(logits: np.ndarray, threshold: float,
     return np.where(conf < threshold, OPEN, logits.argmax(axis=-1)), conf
 
 
-def harmonic(a: float, b: float) -> float:
-    return 0.0 if a + b == 0 else 2.0 * a * b / (a + b)
+def harmonic(a, b):
+    """2ab / (a + b), 0 where a + b is 0: elementwise for arrays, a float for floats."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    total = a + b
+    h = np.divide(2.0 * a * b, total, out=np.zeros_like(total), where=total != 0)
+    return h if h.ndim else float(h)
+
+
+def _score(y, d, preds, open_classes):
+    """Score (G, N) decisions (OPEN = -1), one row per threshold, of samples
+    labelled `y` in domains `d`. Returns the domains present and, per row in
+    percent: each one's known-class accuracy (G, D), their mean (Acc), the
+    pooled known-class accuracy, the share of open-class samples rejected
+    (None when none is open) and H, which is then Acc. Each rate is an exact
+    count over a sample count, 0 over no samples."""
+    y, preds = np.asarray(y), np.atleast_2d(preds)
+    is_open = open_classes[y]
+    hit = (preds == y) & ~is_open
+    domains, dom = np.unique(d, return_inverse=True)
+    in_domain = (dom[:, None] == np.arange(domains.size)) & ~is_open[:, None]   # (N, D)
+
+    def rate(hits, n):
+        return np.divide(hits, n, out=np.zeros(np.shape(hits)), where=n != 0)
+
+    per_domain = rate(hit.astype(np.int64) @ in_domain, in_domain.sum(axis=0))
+    acc = per_domain.mean(axis=1) if domains.size else np.zeros(len(preds))
+    pooled = rate(hit.sum(axis=1), in_domain.sum())
+    rejected = ((preds[:, is_open] == OPEN).sum(axis=1) / is_open.sum()
+                if is_open.any() else None)
+    h = acc if rejected is None else harmonic(pooled, rejected)
+    return (domains, 100.0 * per_domain, 100.0 * acc, 100.0 * pooled,
+            None if rejected is None else 100.0 * rejected, 100.0 * h)
 
 
 def metrics_from_predictions(y: np.ndarray, d: np.ndarray, pred: np.ndarray,
                              open_classes: np.ndarray, heldout_domain: int,
                              threshold: float) -> MetricReport:
-    """Assemble the report from per-sample decisions (OPEN = -1)."""
-    y = np.asarray(y)
-    d = np.asarray(d)
-    pred = np.asarray(pred)
-    is_open_class = open_classes[y]
-    known = ~is_open_class
-    correct_known = (pred == y) & known
-    correct_open = (pred == OPEN) & is_open_class
+    """The report of per-sample decisions (OPEN = -1): row 0 of ``_score``,
+    Acc-U being the held-out domain's rate (0.0 if it is absent), plus each
+    class's share scored right."""
+    y, pred = np.asarray(y), np.asarray(pred)
+    domains, per_domain, acc, pooled, rejected, h = _score(y, d, pred, open_classes)
+    per_domain = dict(zip(domains.tolist(), per_domain[0].tolist()))
+    n = np.bincount(y)
+    hits = np.bincount(y[np.where(open_classes[y], pred == OPEN, pred == y)], minlength=n.size)
+    seen = np.flatnonzero(n)
+    return MetricReport(acc_u=per_domain.get(heldout_domain, 0.0), acc=float(acc[0]),
+                        h=float(h[0]), threshold=threshold, pooled_acc=float(pooled[0]),
+                        open_acc=None if rejected is None else float(rejected[0]),
+                        per_domain=per_domain,
+                        per_class=dict(zip(seen.tolist(),
+                                           (100.0 * (hits[seen] / n[seen])).tolist())),
+                        h_fallback=rejected is None)
 
-    held = d == heldout_domain
-    acc_u = float(correct_known[held & known].mean()) if (held & known).any() else 0.0
 
-    per_domain = {}
-    for dom in np.unique(d):
-        sel = (d == dom) & known
-        per_domain[int(dom)] = float(correct_known[sel].mean()) if sel.any() else 0.0
-    acc = float(np.mean(list(per_domain.values()))) if per_domain else 0.0
-    pooled = float(correct_known[known].mean()) if known.any() else 0.0
-
-    per_class = {}
-    for cls in np.unique(y):
-        sel = y == cls
-        ok = correct_open[sel] if open_classes[cls] else correct_known[sel]
-        per_class[int(cls)] = float(ok.mean())
-
-    if is_open_class.any():
-        b = float(correct_open[is_open_class].mean())
-        h = harmonic(pooled, b)
-        open_acc = 100.0 * b
-        fallback = False
-    else:
-        h = acc
-        open_acc = None
-        fallback = True
-
-    return MetricReport(acc_u=100.0 * acc_u, acc=100.0 * acc, h=100.0 * h,
-                        threshold=threshold, pooled_acc=100.0 * pooled,
-                        open_acc=open_acc,
-                        per_domain={k: 100.0 * v for k, v in per_domain.items()},
-                        per_class={k: 100.0 * v for k, v in per_class.items()},
-                        h_fallback=fallback)
+def _decisions(params: Params, mcfg: ModelConfig, dataset: Dataset, split: str,
+               threshold, confidence: str):
+    """(labels, domains, decisions, open classes) of a split: ``decide`` at
+    `threshold` (a (G, 1) column gives one row of decisions per value), the
+    open classes being those with no training sample."""
+    idx = dataset.indices(split)
+    pred, _ = decide(predict_logits(params, dataset.x[idx], mcfg), threshold, confidence)
+    return dataset.y[idx], dataset.d[idx], pred, dataset.counts.counts.sum(axis=0) == 0
 
 
 def evaluate(params: Params, mcfg: ModelConfig, dataset: Dataset,
@@ -139,13 +155,11 @@ def evaluate(params: Params, mcfg: ModelConfig, dataset: Dataset,
     idx = dataset.indices(split)
     if idx.size == 0:
         raise ValueError(f"no {split} data to evaluate")
-    if heldout_domain not in set(int(v) for v in np.unique(dataset.d[idx])):
+    if heldout_domain not in dataset.d[idx]:
         raise ValueError(f"held-out domain {heldout_domain} absent from {split} split")
-    logits = predict_logits(params, dataset.x[idx], mcfg)
-    pred, _ = decide(logits, threshold, confidence)
-    open_classes = dataset.counts.counts.sum(axis=0) == 0
-    return metrics_from_predictions(dataset.y[idx], dataset.d[idx], pred,
-                                    open_classes, heldout_domain, threshold)
+    return metrics_from_predictions(
+        *_decisions(params, mcfg, dataset, split, threshold, confidence),
+        heldout_domain, threshold)
 
 
 def select_threshold(params: Params, mcfg: ModelConfig, dataset: Dataset,
@@ -159,37 +173,9 @@ def select_threshold(params: Params, mcfg: ModelConfig, dataset: Dataset,
         raise ValueError("threshold grid is empty")
     if len(grid) == 1:
         return grid[0]
-    idx = dataset.indices(split)
-    logits = predict_logits(params, dataset.x[idx], mcfg)
-    open_classes = dataset.counts.counts.sum(axis=0) == 0
-    preds, _ = decide(logits, np.asarray(grid)[:, None], confidence)
-    scores = h_per_threshold(dataset.y[idx], dataset.d[idx], preds, open_classes)
+    scores = _score(*_decisions(params, mcfg, dataset, split, np.asarray(grid)[:, None],
+                                confidence))[-1]
     return grid[int(np.argmax(scores))]
-
-
-def h_per_threshold(y: np.ndarray, d: np.ndarray, preds: np.ndarray,
-                    open_classes: np.ndarray) -> np.ndarray:
-    """``metrics_from_predictions(y, d, pred, ...).h`` for each row ``pred``
-    of the (G, N) decisions, bit for bit, from per-threshold counts: every
-    rate is an exact count over a sample count, as in ``mean``."""
-    y, d, preds = np.asarray(y), np.asarray(d), np.asarray(preds)
-    is_open_class = open_classes[y]
-    known = ~is_open_class
-    correct_known = (preds == y) & known
-
-    def rate(sel):  # per-threshold share of the selected samples scored right
-        n = int(sel.sum())
-        return correct_known[:, sel].sum(axis=1) / n if n else np.zeros(len(preds))
-
-    if is_open_class.any():
-        pooled = rate(known)
-        b = (preds[:, is_open_class] == OPEN).sum(axis=1) / int(is_open_class.sum())
-        total = pooled + b
-        h = np.divide(2.0 * pooled * b, total, out=np.zeros_like(total), where=total != 0)
-    else:
-        per_domain = [rate((d == dom) & known) for dom in np.unique(d)]
-        h = np.stack(per_domain, axis=1).mean(axis=1) if per_domain else np.zeros(len(preds))
-    return 100.0 * h
 
 
 # ---------------------------------------------------------------------------

@@ -480,6 +480,31 @@ def test_eval_fingerprint_mismatch(tiny_config, tmp_path, capsys):
     assert "mismatch" in capsys.readouterr().err
 
 
+def test_dataset_without_a_heldout_domain_is_refused(tiny_config, tmp_path, capsys,
+                                                    monkeypatch):
+    # a hand-made CSV-only directory whose test split has no domain without
+    # training data: the tiny benchmark with its held-out domain's rows removed
+    ds = D.generate(run_config_from_dict(TINY).data)
+    keep = ds.d < ds.n_train_domains
+    bench, run = tmp_path / "bench", tmp_path / "run"
+    bench.mkdir()
+    D.save_dataset(D.make_dataset(ds.x[keep], ds.y[keep], ds.d[keep], ds.split[keep],
+                                  ds.semantic), bench / "dataset.csv")
+    D.save_embeddings(ds.semantic, bench / "embeddings.csv")
+    assert main(["train", "--config", tiny_config, "--data", str(bench),
+                 "--out", str(run)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(run / "checkpoint.json"),
+                 "--data", str(bench)]) == 2
+    assert "dataset has no held-out domain" in capsys.readouterr().err
+    calls = []
+    monkeypatch.setattr(MT, "run", lambda *args, **kwargs: calls.append(args))
+    assert main(["ablate", "--config", tiny_config, "--data", str(bench),
+                 "--rows", "a", "--seeds", "1"]) == 2
+    assert "dataset has no held-out domain" in capsys.readouterr().err
+    assert calls == []
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["gradcheck", "--points", "0"], "--points"),
     (["gradcheck", "--points", "1", "--eps", "0.5"], "--eps"),
@@ -685,7 +710,8 @@ def test_checkpoint_rejects_foreign_files(tmp_path, capsys):
 
 
 def _transpose_cov_mu(doc):
-    mu = CK._take_array(dict(doc["cov"]["mu"])).T
+    rec = doc["cov"]["mu"]
+    mu = np.frombuffer(bytes.fromhex(rec["hex"]), dtype=rec["dtype"]).reshape(rec["shape"]).T
     doc["cov"]["mu"].update(shape=list(mu.shape), hex=np.ascontiguousarray(mu).tobytes().hex())
 
 
@@ -841,13 +867,14 @@ def test_checkpoint_bytes_of_odd_arrays_and_strings(desk_state, tmp_path):
     assert path.read_bytes() == reference_checkpoint_bytes(odd, model_cfg, train_cfg,
                                                            hole + "3")
     # these blocks are no model's parameters, so the load would refuse the
-    # file: the document is parsed and its arrays decoded as the load does
+    # file: the document is parsed and each array's hex decoded here
     doc = json.loads(path.read_text())
     assert {k: doc[k] for k in CK.META} == {"model_config": model_cfg, "train_config": train_cfg,
                                             "dataset_fingerprint": hole + "3"}
     assert doc["rng_state"] == odd.rng_state and [k for k, _ in doc["params"]] == list(params)
     for (_, record), a in zip(doc["params"], params.values()):
-        got = CK._take_array(record)
+        got = np.frombuffer(bytes.fromhex(record["hex"]),
+                            dtype=record["dtype"]).reshape(record["shape"])
         assert got.shape == a.shape and got.dtype == a.dtype.newbyteorder("=")
         assert np.array_equal(got, a)
 

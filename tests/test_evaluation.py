@@ -167,7 +167,19 @@ def test_metrics_brute_force_ten_samples():
     assert rep.pooled_acc == pytest.approx(100 * a)
     assert rep.open_acc == pytest.approx(100 * b)
     assert rep.h == pytest.approx(100 * 2 * a * b / (a + b))
-    assert rep.per_class[2] == pytest.approx(100 * 2 / 3)
+    # per class, domains pooled: class 0 right 2 of 3, class 1 right 2 of 4,
+    # open class 2 rejected 2 of 3
+    assert rep.per_class == {0: pytest.approx(100 * 2 / 3), 1: 50.0,
+                             2: pytest.approx(100 * 2 / 3)}
+
+
+def test_metrics_of_no_samples_fall_back_to_zero():
+    empty = np.array([], dtype=np.int64)
+    rep = E.metrics_from_predictions(empty, empty, empty, np.zeros(3, dtype=bool),
+                                     heldout_domain=2, threshold=0.1)
+    assert (rep.acc_u, rep.acc, rep.h, rep.pooled_acc) == (0.0, 0.0, 0.0, 0.0)
+    assert rep.h_fallback and rep.open_acc is None
+    assert rep.per_domain == {} and rep.per_class == {}
 
 
 def test_decide_logit_confidence_flag():
@@ -197,6 +209,16 @@ def test_select_threshold_ties_take_smallest():
     assert th == 0.1
 
 
+def test_select_threshold_on_an_empty_split_takes_the_smallest_point():
+    cfg = D.SyntheticConfig(n_classes=4, n_train_domains=2, d_x=3, d_s=3, n_max=20,
+                            n_min=4, n_val_per_pair=0, n_test_per_pair=2, seed=0)
+    ds = D.generate(cfg)
+    assert ds.indices("val").size == 0
+    mcfg = M.ModelConfig(d_x=3, d_v=4, d_s=3, n_classes=4, hidden=())
+    params = M.init_params(mcfg, Rng(0))
+    assert E.select_threshold(params, mcfg, ds, [0.4, 0.2, 0.6]) == 0.2
+
+
 def _threshold_cases():
     """(name, dataset, model config, params, grid, split) of each scan: the
     test split of the open-class set with noisy features, whose class 3 is
@@ -223,14 +245,15 @@ def test_select_threshold_matches_exhaustive_scan():
         assert open_classes[y].any() == (name == "open_class")
         logits = M.predict_logits(params, ds.x[idx], cfg)
         preds, _ = E.decide(logits, np.asarray(grid)[:, None])
-        want = [E.metrics_from_predictions(y, d, pred, open_classes, ds.heldout_domain, th).h
+        held = ds.heldout_domains[0]
+        want = [E.metrics_from_predictions(y, d, pred, open_classes, held, th).h
                 for th, pred in zip(grid, preds)]
-        assert E.h_per_threshold(y, d, preds, open_classes).tolist() == want, name  # bit for bit
+        assert E._score(y, d, preds, open_classes)[-1].tolist() == want, name  # bit for bit
         assert len(set(want)) > 1, name                  # the grid does separate the points
         chosen = E.select_threshold(params, cfg, ds, grid, split=split)
         assert chosen == grid[int(np.argmax(want))], name
         if split == "test":  # the held-out domain is scored only there
-            hs = [E.evaluate(params, cfg, ds, ds.heldout_domain, th, split=split).h
+            hs = [E.evaluate(params, cfg, ds, held, th, split=split).h
                   for th in grid]
             assert hs == want
 
