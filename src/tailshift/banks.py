@@ -99,7 +99,10 @@ class PrototypeBank:
 def label_groups(keys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct values of a nonnegative int array, sorted, their counts,
     and each element's index among them, all from one ``np.bincount``: the
-    values and index are those of ``np.unique(keys, return_inverse=True)``."""
+    values and index are those of ``np.unique(keys, return_inverse=True)``.
+    The count array runs up to the largest key, so the keys must be bounded
+    by a size the program chose, such as the cells of a bank; codes read
+    from a file, which have no bound, take ``data``'s sort-based path."""
     counts = np.bincount(keys)
     present = counts > 0
     groups = np.flatnonzero(present)

@@ -42,7 +42,6 @@ from .config import (
     run_config_to_dict,
 )
 from .errors import ConfigError, DataFormatError
-from .gradcheck import format_table, gradient_check_suite
 from .mathcore.autodiff import FD_EPS_MAX
 
 DATASET_FILE = "dataset.csv"
@@ -186,6 +185,7 @@ def cmd_train(args) -> int:
     dataset, fingerprint = (
         _load_dataset_dir(args.data) if args.data is not None
         else (D.generate(cfg.data), config_hash(dataclasses.asdict(cfg.data))))
+    _heldout_domain(dataset)  # no checkpoint of a run without one could be scored
     out = Path(args.out) if args.out else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
@@ -281,6 +281,9 @@ def cmd_gradcheck(args) -> int:
         raise ConfigError(f"--eps must lie in (0, {FD_EPS_MAX:g}]")
     if not args.tol > 0.0:
         raise ConfigError("--tol must be > 0")
+    # imported here, so the other commands do not load it
+    from .gradcheck import format_table, gradient_check_suite
+
     results = gradient_check_suite(n_points=args.points, eps=args.eps,
                                    tol=args.tol, seed=args.seed)
     print(format_table(results))

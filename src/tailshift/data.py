@@ -154,7 +154,7 @@ class Dataset:
 
     @property
     def domains(self) -> np.ndarray:
-        return np.unique(self.d)
+        return _distinct(self.d)
 
     @property
     def heldout_domains(self) -> list[int]:
@@ -179,13 +179,26 @@ class Dataset:
         return idx
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a 1-D array, from one sort and a compare
+    of neighbours. A bare ``np.unique`` imports ``numpy.ma`` on its first
+    call, and ``np.bincount`` would allocate up to the largest value, which
+    for domain codes read from a file has no bound."""
+    s = np.sort(a)
+    keep = np.empty(s.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
+
+
 def make_dataset(x, y, d, split, semantic: SemanticTable | None = None) -> Dataset:
     """Assemble and validate a dataset from columns.
 
     `split` holds integer codes, indices into ``SPLITS``; they are kept as
     int8. Checks the split invariants: train domains are contiguous from 0,
     every validation (domain, class) pair has training data in that domain,
-    and each domain's test split is class-balanced over all classes.
+    and each domain's test split is class-balanced over all classes. Domain
+    codes must be nonnegative.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -209,7 +222,10 @@ def make_dataset(x, y, d, split, semantic: SemanticTable | None = None) -> Datas
     if y.min() < 0 or y.max() >= n_classes:
         raise ValueError("labels out of range")
 
-    train_domains = np.unique(d[train])
+    domains = _distinct(d)
+    if domains.size and domains[0] < 0:
+        raise ValueError(f"negative domain codes {domains[domains < 0].tolist()}")
+    train_domains = _distinct(d[train])
     if train_domains.size == 0:
         raise ValueError("dataset has no training samples")
     k = int(train_domains.max()) + 1
@@ -225,7 +241,7 @@ def make_dataset(x, y, d, split, semantic: SemanticTable | None = None) -> Datas
         if (counts.counts[d[val], y[val]] <= 0).any():
             raise ValueError("validation split contains a class unseen in its domain")
 
-    for dom in np.unique(d):
+    for dom in domains:
         yd = y[test & (d == dom)]
         per_class = np.bincount(yd, minlength=n_classes)
         if (per_class == 0).any() or per_class.max() != per_class.min():
@@ -276,34 +292,35 @@ def generate(cfg: SyntheticConfig) -> Dataset:
         for j, dom in enumerate(order):
             placement[dom, c] = base + (1 if j < rem else 0)
 
-    def draw(dom: int, cls: int, n: int) -> np.ndarray:
-        a, t = transforms[dom]
-        eps = cfg.noise_scale * sample_rng.normal(size=(n, cfg.d_x))
-        return (anchors[cls] + eps) @ a.T + t
+    # one block per (split, domain, class) with samples, in row order: train
+    # then val over the train domains, then test over all domains, classes
+    # innermost
+    n_pairs = k_train * c_total
+    dom, cls = np.divmod(np.arange(n_pairs + c_total), c_total)
+    n_train = placement.ravel()
+    blk_d = np.concatenate([dom[:n_pairs], dom[:n_pairs], dom])
+    blk_c = np.concatenate([cls[:n_pairs], cls[:n_pairs], cls])
+    blk_s = np.repeat(np.arange(len(SPLITS), dtype=np.int8),
+                      [n_pairs, n_pairs, n_pairs + c_total])
+    blk_n = np.concatenate([n_train, np.where(n_train > 0, cfg.n_val_per_pair, 0),
+                            np.full(n_pairs + c_total, cfg.n_test_per_pair)])
+    kept = blk_n > 0
+    blk_d, blk_c, blk_s, blk_n = blk_d[kept], blk_c[kept], blk_s[kept], blk_n[kept]
 
-    xs, ys, ds, tags = [], [], [], []
+    # the blocks' noise drawn back to back from one stream is one draw
+    x = sample_rng.normal(size=(int(blk_n.sum()), cfg.d_x))
+    x *= cfg.noise_scale
+    stops = np.cumsum(blk_n).tolist()
+    for k, c, start, stop in zip(blk_d.tolist(), blk_c.tolist(), [0] + stops, stops):
+        a, t = transforms[k]
+        rows = x[start:stop]
+        # one product per block: one over a whole domain sums in another
+        # order at some d_x (32, for one), which would change the data
+        np.matmul(anchors[c] + rows, a.T, out=rows)
+        rows += t
 
-    def emit(dom: int, cls: int, n: int, tag: str):
-        if n <= 0:
-            return
-        xs.append(draw(dom, cls, n))
-        ys.append(np.full(n, cls, dtype=np.int64))
-        ds.append(np.full(n, dom, dtype=np.int64))
-        tags.extend([_SPLIT_CODES[tag]] * n)
-
-    for dom in range(k_train):
-        for cls in range(c_total):
-            emit(dom, cls, int(placement[dom, cls]), "train")
-    for dom in range(k_train):
-        for cls in range(c_total):
-            if placement[dom, cls] > 0:
-                emit(dom, cls, cfg.n_val_per_pair, "val")
-    for dom in range(k_train + 1):
-        for cls in range(c_total):
-            emit(dom, cls, cfg.n_test_per_pair, "test")
-
-    return make_dataset(np.concatenate(xs), np.concatenate(ys), np.concatenate(ds),
-                        np.array(tags, dtype=np.int8), semantic=table)
+    return make_dataset(x, np.repeat(blk_c, blk_n), np.repeat(blk_d, blk_n),
+                        np.repeat(blk_s, blk_n), semantic=table)
 
 
 def sample_batch(dataset: Dataset, domain: int, batch_size: int, rng: Rng):

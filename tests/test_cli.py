@@ -1,7 +1,11 @@
 import dataclasses
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +14,11 @@ from tailshift import checkpoint as CK
 from tailshift import data as D
 from tailshift import meta as MT
 from tailshift import model as M
-from tailshift.cli import _load_dataset_dir, main
+from tailshift.cli import _load_dataset_dir, _train_once, main
 from tailshift.config import load_run_config, run_config_from_dict, run_config_to_dict
 from tailshift.errors import DataFormatError, NumericsError
+
+ROOT = Path(__file__).resolve().parent.parent
 
 TINY = {
     "data": {"n_classes": 6, "n_train_domains": 3, "d_x": 5, "d_s": 4,
@@ -491,18 +497,45 @@ def test_dataset_without_a_heldout_domain_is_refused(tiny_config, tmp_path, caps
     D.save_dataset(D.make_dataset(ds.x[keep], ds.y[keep], ds.d[keep], ds.split[keep],
                                   ds.semantic), bench / "dataset.csv")
     D.save_embeddings(ds.semantic, bench / "embeddings.csv")
-    assert main(["train", "--config", tiny_config, "--data", str(bench),
-                 "--out", str(run)]) == 0
-    capsys.readouterr()
+    calls = []
+    with monkeypatch.context() as patch:
+        patch.setattr(MT, "run", lambda *args, **kwargs: calls.append(args))
+        assert main(["train", "--config", tiny_config, "--data", str(bench),
+                     "--out", str(run)]) == 2
+        assert "dataset has no held-out domain" in capsys.readouterr().err
+        assert main(["ablate", "--config", tiny_config, "--data", str(bench),
+                     "--rows", "a", "--seeds", "1"]) == 2
+        assert "dataset has no held-out domain" in capsys.readouterr().err
+    assert calls == [] and not run.exists()
+    # a checkpoint of that data, trained past the CLI, is refused by eval
+    dataset, fingerprint = _load_dataset_dir(bench)
+    run.mkdir()
+    _train_once(load_run_config(tiny_config)[0], dataset, fingerprint, run, None)
     assert main(["eval", "--checkpoint", str(run / "checkpoint.json"),
                  "--data", str(bench)]) == 2
     assert "dataset has no held-out domain" in capsys.readouterr().err
-    calls = []
-    monkeypatch.setattr(MT, "run", lambda *args, **kwargs: calls.append(args))
-    assert main(["ablate", "--config", tiny_config, "--data", str(bench),
-                 "--rows", "a", "--seeds", "1"]) == 2
-    assert "dataset has no held-out domain" in capsys.readouterr().err
-    assert calls == []
+
+
+def test_pipeline_commands_load_neither_numpy_ma_nor_gradcheck(tiny_config, tmp_path):
+    # a fresh process, so no other test's imports count
+    bench, run = tmp_path / "bench", tmp_path / "run"
+    script = f"""
+import sys
+from tailshift.cli import main
+for argv in (["gen-data", "--config", {tiny_config!r}, "--out", {str(bench)!r}],
+             ["train", "--config", {tiny_config!r}, "--data", {str(bench)!r},
+              "--out", {str(run)!r}],
+             ["eval", "--checkpoint", {str(run / "checkpoint.json")!r},
+              "--data", {str(bench)!r}, "--out", {str(run)!r}, "--dump-features"],
+             ["ablate", "--config", {tiny_config!r}, "--rows", "a,j", "--seeds", "1"]):
+    assert main(argv) == 0, argv
+print(sorted(m for m in ("numpy.ma", "tailshift.gradcheck") if m in sys.modules))
+"""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("argv, flag", [

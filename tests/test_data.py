@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,69 @@ def test_generate_deterministic():
     assert not np.array_equal(a.x, c.x)
 
 
+def _per_block_reference(cfg):
+    """``generate``'s columns as they were once drawn: the anchors,
+    transforms and placement from the same streams, then one noise draw and
+    one product per (split, domain, class) block, concatenated."""
+    c_total, k_train = cfg.n_classes, cfg.n_train_domains
+    anchor_rng, _, style_rng, assign_rng, sample_rng = Rng(cfg.seed).split(5)
+    anchors = cfg.anchor_spread * anchor_rng.normal(size=(c_total, cfg.d_x))
+    transforms = []
+    for _ in range(k_train + 1):
+        while True:
+            a = np.eye(cfg.d_x) + cfg.transform_strength \
+                * style_rng.normal(size=(cfg.d_x, cfg.d_x)) / math.sqrt(cfg.d_x)
+            if abs(np.linalg.det(a)) > 1e-3:
+                break
+        transforms.append((a, cfg.transform_strength * style_rng.normal(size=cfg.d_x)))
+    placement = np.zeros((k_train, c_total), dtype=np.int64)
+    for c in range(c_total):
+        n = D.longtail_counts(c + 1, cfg.n_max, cfg.n_min, c_total)
+        m = cfg.budget[c]
+        assigned = np.sort(assign_rng.choice(k_train, size=m, replace=False))
+        base, rem = divmod(n, m)
+        for j, dom in enumerate(assign_rng.permutation(assigned)):
+            placement[dom, c] = base + (1 if j < rem else 0)
+    xs, ys, dsx, tags = [], [], [], []
+
+    def emit(dom, cls, n, tag):
+        if n <= 0:
+            return
+        a, t = transforms[dom]
+        eps = cfg.noise_scale * sample_rng.normal(size=(n, cfg.d_x))
+        xs.append((anchors[cls] + eps) @ a.T + t)
+        ys.append(np.full(n, cls, dtype=np.int64))
+        dsx.append(np.full(n, dom, dtype=np.int64))
+        tags.extend([D.SPLITS.index(tag)] * n)
+
+    for dom in range(k_train):
+        for cls in range(c_total):
+            emit(dom, cls, int(placement[dom, cls]), "train")
+    for dom in range(k_train):
+        for cls in range(c_total):
+            if placement[dom, cls] > 0:
+                emit(dom, cls, cfg.n_val_per_pair, "val")
+    for dom in range(k_train + 1):
+        for cls in range(c_total):
+            emit(dom, cls, cfg.n_test_per_pair, "test")
+    return (np.concatenate(xs), np.concatenate(ys), np.concatenate(dsx),
+            np.array(tags, dtype=np.int8))
+
+
+# the data section of the tiny CLI config in test_cli.py
+TINY_DATA = dict(n_classes=6, n_train_domains=3, d_x=5, d_s=4, n_max=30, n_min=4,
+                 n_val_per_pair=2, n_test_per_pair=2, seed=0)
+
+
+@pytest.mark.parametrize("kw", [{}, {"d_x": 32}, {"n_val_per_pair": 0}],
+                         ids=["tiny", "d_x_32", "no_val"])
+def test_generate_equals_per_block_draws_bit_for_bit(kw):
+    cfg = D.SyntheticConfig(**{**TINY_DATA, **kw})
+    ds = D.generate(cfg)
+    for got, want in zip((ds.x, ds.y, ds.d, ds.split), _per_block_reference(cfg)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_generate_zero_strength_degenerate():
     cfg = small_cfg(transform_strength=0.0, noise_scale=0.0)
     ds = D.generate(cfg)
@@ -183,6 +248,20 @@ def test_make_dataset_keeps_int8_split_codes_and_refuses_others():
     bad[0] = 256  # a code that would wrap to "train" as int8
     with pytest.raises(ValueError, match=r"unknown split codes \[256\]"):
         D.make_dataset(ds.x, ds.y, ds.d, bad)
+
+
+def test_negative_domain_codes_are_refused_by_both_loaders(tmp_path):
+    # the held-out domain recoded as -1 would leave no domain held out
+    ds = D.generate(small_cfg())
+    d = np.where(ds.d == ds.n_train_domains, -1, ds.d)
+    csv_path, npy_path = tmp_path / "ds.csv", tmp_path / "ds.npy"
+    header = "domain,label,split," + ",".join(f"x_{i}" for i in range(ds.x.shape[1]))
+    D.write_rows(csv_path, header, (d, ds.y, np.array(D.SPLITS)[ds.split]), ds.x)
+    _write_npy(npy_path, ds.x, np.stack([d, ds.y, ds.split.astype(np.int64)]))
+    with pytest.raises(DataFormatError, match=r"negative domain codes \[-1\]"):
+        D.load_dataset(csv_path, semantic=ds.semantic)
+    with pytest.raises(DataFormatError, match=r"ds.npy: negative domain codes \[-1\]"):
+        D.load_dataset_npy(npy_path, semantic=ds.semantic)
 
 
 def test_indices_computed_once_and_read_only():
