@@ -22,6 +22,13 @@ later one replaces it with a new sum. So no backward function may write
 into its incoming gradient. An op computes an operand's gradient only when
 that operand requires one.
 
+``backward()`` consumes the graph it sweeps: once an op node's backward has
+run, the node drops its gradient, its parent links and its backward
+function, which holds the forward arrays, so each part of the graph is
+freed as soon as the sweep is past it. Leaves keep their gradients and
+every node keeps its value. A second ``backward()`` through a consumed node
+raises ``ValueError``.
+
 ``grad`` runs the analytic path, ``fd_grad`` is the independent
 central-difference oracle used to cross-check it; the two must never be
 collapsed into one code path.
@@ -43,6 +50,10 @@ NORM_FLOOR = 1e-24
 # Largest step fd_grad accepts; beyond it the central difference's
 # truncation error swamps the comparison it exists for.
 FD_EPS_MAX = 1e-2
+
+
+def _consumed(g):
+    raise ValueError("backward() through a graph that an earlier backward() consumed")
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -94,7 +105,11 @@ class Tensor:
         """Run every op node's backward once, each after all nodes that
         consume it. The depth-first walk visits op nodes only: a leaf or a
         constant has no parents and no backward, so skipping it leaves the
-        op nodes, and the gradients, in the order a walk of every node gives."""
+        op nodes, and the gradients, in the order a walk of every node gives.
+
+        Each op node is consumed as soon as its backward has run: its
+        gradient, parents and backward function are dropped, and a backward
+        that raises ``ValueError`` takes the function's place."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
         topo: list[Tensor] = []
@@ -112,10 +127,15 @@ class Tensor:
             for p in node._parents:
                 if p._backward is not None and p not in seen:
                     stack.append((p, False))
+        seen = None     # so that `topo` holds the only walk reference to a node
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad = None
+                node._parents = ()
+                node._backward = _consumed
 
     # -- basic arithmetic --------------------------------------------------
 

@@ -538,6 +538,31 @@ print(sorted(m for m in ("numpy.ma", "tailshift.gradcheck") if m in sys.modules)
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+@pytest.mark.skipif(MT._openblas() is None, reason="numpy bundles no scipy-openblas here")
+@pytest.mark.parametrize("pin, threads", [(None, "1"), ("2", "2")])
+def test_cli_runs_blas_on_one_thread_unless_the_environment_says(pin, threads, tiny_config,
+                                                                 tmp_path):
+    # a fresh process; two threads are set first, so that the result does
+    # not depend on the number of cores
+    script = f"""
+from tailshift import meta as MT
+from tailshift.cli import main
+lib = MT._openblas()
+lib.scipy_openblas_set_num_threads64_(2)
+assert main(["gen-data", "--config", {tiny_config!r}, "--out", {str(tmp_path / "bench")!r}]) == 0
+print(lib.scipy_openblas_get_num_threads64_())
+"""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    if pin is not None:
+        env["OPENBLAS_NUM_THREADS"] = pin
+    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == threads
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["gradcheck", "--points", "0"], "--points"),
     (["gradcheck", "--points", "1", "--eps", "0.5"], "--eps"),

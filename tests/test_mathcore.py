@@ -466,6 +466,63 @@ def test_first_gradient_bound_from_another_operand_is_not_altered():
         assert np.abs(leaves[k].grad - f.grads[k]).max() < 1e-8, k
 
 
+def _reachable(loss):
+    """Every tensor reachable from `loss` through parent links, `loss` included."""
+    seen, todo = {id(loss): loss}, [loss]
+    while todo:
+        for p in todo.pop()._parents:
+            if id(p) not in seen:
+                seen[id(p)] = p
+                todo.append(p)
+    return list(seen.values())
+
+
+def test_backward_consumes_op_nodes_and_keeps_leaf_grads_and_values():
+    rng = Rng(21)
+    params = {"x": rng.normal(size=(4, 3)), "w": rng.normal(size=(5, 3)),
+              "b": rng.normal(size=5), "v": rng.normal(size=5)}
+    keep = np.array([[1.0], [1.0], [0.0], [1.0]])
+
+    def fn(t):
+        h = affine(t["x"], t["w"], t["b"], relu=True)
+        y = normalize_rows(mask_fill(h, keep, 0.5))
+        z = stack([(y @ t["v"]).exp(), log_softmax(h)[:, 0]]).sum()
+        return weighted_sum([(1.0, z), (0.3, (t["v"] * t["v"]).sum())])
+
+    leaves = {k: Tensor(v, requires_grad=True) for k, v in params.items()}
+    loss = fn(leaves)
+    nodes = _reachable(loss)
+    ops = [t for t in nodes if t._backward is not None]
+    values = [t.data.copy() for t in nodes]
+    assert len(ops) == 12
+
+    loss.backward()
+    assert all(t.grad is None and t._parents == () for t in ops)
+    assert all(np.array_equal(t.data, v) for t, v in zip(nodes, values))
+    f = fd_grad(fn, params, eps=1e-6)
+    for k, t in leaves.items():
+        assert np.abs(t.grad - f.grads[k]).max() < 1e-7, k
+
+
+def test_second_backward_through_a_consumed_graph_raises():
+    # 6 w^2 at w = 3: 36 after one backward. Before graphs were consumed, a
+    # second backward re-added into the stale intermediate gradients: 180.
+    w = Tensor(3.0, requires_grad=True)
+    loss = (w * 2.0) * (w * 3.0)
+    loss.backward()
+    assert w.grad == 36.0
+    with pytest.raises(ValueError, match="consumed"):
+        loss.backward()
+    assert w.grad == 36.0
+    # so does a backward through a new node built on a consumed one
+    with pytest.raises(ValueError, match="consumed"):
+        (loss * w).backward()
+    # a fresh graph over the same leaf still works
+    w.grad = None
+    ((w * 2.0) * (w * 3.0)).backward()
+    assert w.grad == 36.0
+
+
 # (a shape, b shape) pairs under numpy's matmul rule: stacked against one
 # matrix, stack against stack, and every 1-D/2-D combination.
 MATMUL_SHAPES = [((2, 3, 4), (4, 3)), ((2, 3, 4), (2, 4, 3)), ((3, 4), (4, 2)),

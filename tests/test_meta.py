@@ -1,4 +1,5 @@
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -579,6 +580,31 @@ def test_backward_over_op_nodes_matches_full_walk_bit_for_bit(monkeypatch):
         assert list(got) == list(want)
         for k in want:
             assert got[k].tobytes() == want[k].tobytes(), k
+
+
+def test_meta_train_graph_is_freed_before_the_meta_test_graph_is_built(monkeypatch):
+    # backward() consumes the meta-train graph, so nothing holds the
+    # meta-train features once their gradient has been collected
+    cfg, _ = load_run_config("desk")
+    ds = D.generate(cfg.data)
+    st, b_mtr, b_mte = episode_inputs(ds, cfg.train, cfg.model)
+    feats, alive = [], []
+    forward_features, meta_test_losses = M.forward_features, MT.meta_test_losses
+
+    def recording_features(*args):
+        out = forward_features(*args)
+        feats.append(weakref.ref(out.data))
+        return out
+
+    def checking_meta_test(*args):
+        alive.append(feats[0]() is not None)
+        return meta_test_losses(*args)
+
+    monkeypatch.setattr(M, "forward_features", recording_features)
+    monkeypatch.setattr(MT, "meta_test_losses", checking_meta_test)
+    MT.episode(st.params, b_mtr, b_mte, st.proto, st.cov, ds.semantic, ds.counts,
+               cfg.train, cfg.model, True)
+    assert alive == [False] and len(feats) == 2
 
 
 def test_sigma_prime_is_validated_once_per_step_on_both_halves(monkeypatch):

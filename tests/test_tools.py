@@ -88,10 +88,11 @@ def test_step_faults_reports_each_phase(tmp_path):
         assert proc.returncode == 0, proc.stderr
         lines = [line.split() for line in proc.stdout.splitlines()]
         assert lines[0] == ["phase", "steps", "cpu_ms_p50", "minflt_p50"]
-        assert [row[:2] for row in lines[1:]] == [["pre-aug", str(n)], ["aug", str(n)]]
-        assert all(float(v) >= 0 for row in lines[1:] for v in row[2:])
+        assert [row[:2] for row in lines[1:3]] == [["pre-aug", str(n)], ["aug", str(n)]]
+        assert all(float(v) >= 0 for row in lines[1:3] for v in row[2:])
+        assert len(lines) == 4 and lines[3][0] == "peak_rss_mb" and 10 < float(lines[3][1]) < 1000
     proc = subprocess.run(tool + ["--skip", "6"], capture_output=True, text=True, timeout=120)
-    assert [line.split()[1:] for line in proc.stdout.splitlines()[1:]] == [["0", "-", "-"]] * 2
+    assert [line.split()[1:] for line in proc.stdout.splitlines()[1:3]] == [["0", "-", "-"]] * 2
     proc = subprocess.run(tool[:2] + ["no-such-preset"], capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 2 and "neither a file nor a preset" in proc.stderr

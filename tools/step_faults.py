@@ -12,7 +12,9 @@ is counted from the end of the one before it (the first from the call into
 the steps before epoch ``t_sigma`` (``pre-aug``) and from it on (``aug``):
 the number of steps and the median CPU ms and minor faults per step
 (``-`` for a phase without steps). ``--skip N`` leaves the first N steps of
-each phase out of its line, the steps that first grow the heap.
+each phase out of its line, the steps that first grow the heap. A last line
+gives the process's peak RSS once training has ended (``ru_maxrss``, in
+MiB), data generation and imports included.
 
 A steady-state step that reuses the heap memory it already holds takes
 about 0 faults; one whose freed memory went back to the system faults it in
@@ -90,6 +92,9 @@ def main() -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print("\n".join(phase_lines(step_costs(generate(cfg.data), cfg), args.skip)))
+    # ru_maxrss is in KiB on Linux, in bytes on macOS
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    print(f"peak_rss_mb {peak / (1 << 20 if sys.platform == 'darwin' else 1 << 10):.2f}")
     return 0
 
 
