@@ -1,6 +1,7 @@
 """tailshift: long-tailed classification under domain shift.
 
-Library layout:
+Library layout (``import tailshift`` loads none of these; import each by
+name, e.g. ``from tailshift import meta``):
 
 - ``mathcore``   float64 tensors, reverse-mode gradients + fd oracle, rng
 - ``losses``     calibrated classification, contrastive alignment, implicit
@@ -14,8 +15,8 @@ Library layout:
 - ``evaluation`` open-class confidence thresholding, Acc-U/Acc/H metrics,
                  distribution diagnostics
 - ``cli``        gen-data / train / eval / gradcheck / ablate commands
+- ``__main__``   the ``tailshift`` / ``python -m tailshift`` entry: BLAS on one
+                 thread unless the environment says otherwise, then ``cli``
 """
 
 __version__ = "0.1.0"
-
-from . import banks, data, evaluation, losses, mathcore, meta, model  # noqa: E402,F401

@@ -368,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    MT._one_blas_thread()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

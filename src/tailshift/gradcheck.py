@@ -21,6 +21,8 @@ from .errors import ConfigError
 from .mathcore import Rng, fd_grad, grad, normalize_rows
 
 FD_EXACT_MAX_PARAMS = 512
+# shapes of every kernel check: classes, visual and semantic widths
+N_CLASSES, D_V, D_S = 5, 6, 4
 
 
 @dataclass
@@ -45,79 +47,78 @@ def _max_rel_err(fn, params, eps: float) -> float:
     return worst
 
 
-def _case_dc(rng: Rng, n_classes: int):
+def _case_dc(rng: Rng):
     counts = L.DomainClassCounts(
-        rng.integers(0, 6, size=(2, n_classes)) + np.eye(2, n_classes, dtype=np.int64))
+        rng.integers(0, 6, size=(2, N_CLASSES)) + np.eye(2, N_CLASSES, dtype=np.int64))
     labels = [0, 1]
     domains = [0, 1]
 
     def fn(t):
         return L.dc_loss_mean(t["z"], labels, domains, counts)
 
-    return fn, {"z": rng.normal(size=(2, n_classes))}
+    return fn, {"z": rng.normal(size=(2, N_CLASSES))}
 
 
-def _case_z2s(rng: Rng, n_classes: int, d_s: int, cp):
-    labels = rng.integers(0, n_classes, size=3)
+def _case_z2s(rng: Rng, cp):
+    labels = rng.integers(0, N_CLASSES, size=3)
 
     def fn(t):
         return L.z2s_loss_mean(normalize_rows(t["e"]), labels,
                                normalize_rows(t["tab"]), cp)
 
-    return fn, {"e": rng.normal(size=(3, d_s)), "tab": rng.normal(size=(n_classes, d_s))}
+    return fn, {"e": rng.normal(size=(3, D_S)), "tab": rng.normal(size=(N_CLASSES, D_S))}
 
 
-def _case_s2s(rng: Rng, n_classes: int, d_s: int, cp, pairs: bool):
+def _case_s2s(rng: Rng, cp, pairs: bool):
     def fn(t):
         return L.s2s_loss(normalize_rows(t["s"]), normalize_rows(t["tab"]), cp, pairs=pairs)
 
-    return fn, {"s": rng.normal(size=(3, n_classes, d_s)),
-                "tab": rng.normal(size=(n_classes, d_s))}
+    return fn, {"s": rng.normal(size=(3, N_CLASSES, D_S)),
+                "tab": rng.normal(size=(N_CLASSES, D_S))}
 
 
-def _case_s2z(rng: Rng, n_classes: int, d_v: int, d_s: int, cp):
-    table = np.stack([v / np.linalg.norm(v) for v in rng.normal(size=(n_classes, d_s))])
+def _case_s2z(rng: Rng, cp):
+    table = np.stack([v / np.linalg.norm(v) for v in rng.normal(size=(N_CLASSES, D_S))])
 
     def fn(t):
         enc = lambda v: normalize_rows((v @ t["We"].T + t["be"]).relu() + 1e-3)
         return L.s2z_loss(t["vhat"], t["W"], t["b"], enc, table, cp)
 
-    return fn, {"vhat": rng.normal(size=(n_classes, d_v)),
-                "W": 0.5 * rng.normal(size=(n_classes, d_v)),
-                "b": rng.normal(size=n_classes),
-                "We": rng.normal(size=(d_s, d_v)),
-                "be": rng.normal(size=d_s)}
+    return fn, {"vhat": rng.normal(size=(N_CLASSES, D_V)),
+                "W": 0.5 * rng.normal(size=(N_CLASSES, D_V)),
+                "b": rng.normal(size=N_CLASSES),
+                "We": rng.normal(size=(D_S, D_V)),
+                "be": rng.normal(size=D_S)}
 
 
-def _case_aug(rng: Rng, n_classes: int, d_v: int, ap):
-    labels = rng.integers(0, n_classes, size=3)
-    factors = 0.3 * rng.normal(size=(n_classes, d_v, d_v))
+def _case_aug(rng: Rng, ap):
+    labels = rng.integers(0, N_CLASSES, size=3)
+    factors = 0.3 * rng.normal(size=(N_CLASSES, D_V, D_V))
     sigmas = np.stack([f.T @ f for f in factors])
 
     def fn(t):
         return L.aug_loss_mean(t["F"], labels, t["W"], t["b"], sigmas, ap)
 
-    return fn, {"F": rng.normal(size=(3, d_v)),
-                "W": 0.3 * rng.normal(size=(n_classes, d_v)),
-                "b": rng.normal(size=n_classes)}
+    return fn, {"F": rng.normal(size=(3, D_V)),
+                "W": 0.3 * rng.normal(size=(N_CLASSES, D_V)),
+                "b": rng.normal(size=N_CLASSES)}
 
 
-def _case_aug_bound(rng: Rng, n_classes: int, d_v: int, lam: float):
-    label = int(rng.integers(0, n_classes))
+def _case_aug_bound(rng: Rng, lam: float):
+    label = int(rng.integers(0, N_CLASSES))
 
     def fn(t):
         sigma = t["Ls"].T @ t["Ls"]
         return L.aug_bound(t["mu"], sigma, t["W"], t["b"], label, lam)
 
-    return fn, {"mu": rng.normal(size=d_v),
-                "Ls": 0.3 * rng.normal(size=(d_v, d_v)),
-                "W": 0.3 * rng.normal(size=(n_classes, d_v)),
-                "b": rng.normal(size=n_classes)}
+    return fn, {"mu": rng.normal(size=D_V),
+                "Ls": 0.3 * rng.normal(size=(D_V, D_V)),
+                "W": 0.3 * rng.normal(size=(N_CLASSES, D_V)),
+                "b": rng.normal(size=N_CLASSES)}
 
 
 def gradient_check_suite(n_points: int = 20, eps: float = 1e-5, tol: float = 1e-4,
-                         seed: int = 0, n_classes: int = 5, d_v: int = 6,
-                         d_s: int = 4) -> list[CheckResult]:
+                         seed: int = 0) -> list[CheckResult]:
     """Run every kernel's check at `n_points` random points; one result each."""
     rng = Rng(seed)
     # Moderate temperature keeps every gradient coordinate well above the
@@ -127,13 +128,13 @@ def gradient_check_suite(n_points: int = 20, eps: float = 1e-5, tol: float = 1e-
     cp = L.ContrastiveParams(alpha=0.1, tau=0.5)
     ap = L.AugParams(lam=2.0, k=3)
     cases = {
-        "dc_loss_mean": lambda r: _case_dc(r, n_classes),
-        "z2s_loss_mean": lambda r: _case_z2s(r, n_classes, d_s, cp),
-        "s2s_loss": lambda r: _case_s2s(r, n_classes, d_s, cp, False),
-        "s2z_loss": lambda r: _case_s2z(r, n_classes, d_v, d_s, cp),
-        "aug_loss_mean": lambda r: _case_aug(r, n_classes, d_v, ap),
-        "aug_bound": lambda r: _case_aug_bound(r, n_classes, d_v, ap.lam),
-        "s2s_loss pairs": lambda r: _case_s2s(r, n_classes, d_s, cp, True),
+        "dc_loss_mean": _case_dc,
+        "z2s_loss_mean": lambda r: _case_z2s(r, cp),
+        "s2s_loss": lambda r: _case_s2s(r, cp, False),
+        "s2z_loss": lambda r: _case_s2z(r, cp),
+        "aug_loss_mean": lambda r: _case_aug(r, ap),
+        "aug_bound": lambda r: _case_aug_bound(r, ap.lam),
+        "s2s_loss pairs": lambda r: _case_s2s(r, cp, True),
     }
     results = []
     for name, case in cases.items():

@@ -28,14 +28,14 @@ def check_symmetric(s: np.ndarray, tol: float = SYM_TOL) -> np.ndarray:
     return _check_square_symmetric(s, tol, (2,))[0]
 
 
-def check_psd(s: np.ndarray, eig_tol: float = EIG_TOL, return_asym: bool = False):
-    """Validate symmetry and eigenvalues >= -eig_tol of one (d, d) matrix or
+def check_psd(s: np.ndarray, return_asym: bool = False):
+    """Validate symmetry and eigenvalues >= -EIG_TOL of one (d, d) matrix or
     an (n, d, d) stack; returns the input, and with ``return_asym`` also the
     largest |S - S'| entry the symmetry test found (0.0 when S = S' exactly).
 
     The eigenvalue test is one batched Cholesky factorization of
-    S + eig_tol * I, which exists exactly when every eigenvalue of S
-    exceeds -eig_tol (up to round-off). S + eig_tol * I is built in the
+    S + EIG_TOL * I, which exists exactly when every eigenvalue of S
+    exceeds -EIG_TOL (up to round-off). S + EIG_TOL * I is built in the
     symmetry test's scratch array, so that it adds no second temporary of
     the input's size.
     """
@@ -44,7 +44,7 @@ def check_psd(s: np.ndarray, eig_tol: float = EIG_TOL, return_asym: bool = False
     if d:
         np.copyto(shifted, s)
         diag = np.arange(d)
-        shifted[..., diag, diag] += eig_tol
+        shifted[..., diag, diag] += EIG_TOL
         try:
             np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
@@ -52,15 +52,15 @@ def check_psd(s: np.ndarray, eig_tol: float = EIG_TOL, return_asym: bool = False
     return (s, asym) if return_asym else s
 
 
-def psd_sqrt(s: np.ndarray, eig_tol: float = EIG_TOL) -> np.ndarray:
+def psd_sqrt(s: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root R with R @ R = s.
 
-    Eigenvalues below -eig_tol raise; small negatives from round-off are
+    Eigenvalues below -EIG_TOL raise; small negatives from round-off are
     clamped to zero before the square root.
     """
     s = check_symmetric(s)
     vals, vecs = np.linalg.eigh(s)
-    if vals.size and vals.min() < -eig_tol:
+    if vals.size and vals.min() < -EIG_TOL:
         raise ValueError("psd_sqrt: matrix is indefinite beyond tolerance")
     vals = np.clip(vals, 0.0, None)
     r = (vecs * np.sqrt(vals)) @ vecs.T

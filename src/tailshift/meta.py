@@ -39,7 +39,6 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -422,38 +421,6 @@ def _keep_heap() -> None:
     if mallopt is not None:
         mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
         mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
-
-
-def _openblas():
-    """numpy's bundled scipy-openblas as a ``ctypes`` library, or None where
-    numpy ships none or it lacks ``scipy_openblas_set_num_threads64_``."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
-        try:
-            lib = ctypes.CDLL(str(path))
-            set_threads = lib.scipy_openblas_set_num_threads64_
-        except (AttributeError, OSError):
-            continue
-        set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
-        return lib
-    return None
-
-
-def _one_blas_thread() -> None:
-    """Run numpy's bundled OpenBLAS on one thread, unless the environment
-    sets ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS``.
-
-    The products here are too small to split: with OpenBLAS's default of one
-    thread per core, ``train --config paper_s1`` took as long on two cores
-    but spent 1.97 s of CPU against 1.22 s after this call, its idle
-    workers spinning. Where numpy bundles no such library, nothing is set.
-    No value changes.
-    """
-    if os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS"):
-        return
-    lib = _openblas()
-    if lib is not None:
-        lib.scipy_openblas_set_num_threads64_(1)
 
 
 def init_state(dataset: Dataset, cfg: TrainConfig, mcfg: M.ModelConfig) -> TrainerState:

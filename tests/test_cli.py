@@ -538,20 +538,18 @@ print(sorted(m for m in ("numpy.ma", "tailshift.gradcheck") if m in sys.modules)
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
-@pytest.mark.skipif(MT._openblas() is None, reason="numpy bundles no scipy-openblas here")
-@pytest.mark.parametrize("pin, threads", [(None, "1"), ("2", "2")])
-def test_cli_runs_blas_on_one_thread_unless_the_environment_says(pin, threads, tiny_config,
-                                                                 tmp_path):
-    # a fresh process; two threads are set first, so that the result does
-    # not depend on the number of cores
-    script = f"""
-from tailshift import meta as MT
-from tailshift.cli import main
-lib = MT._openblas()
-lib.scipy_openblas_set_num_threads64_(2)
-assert main(["gen-data", "--config", {tiny_config!r}, "--out", {str(tmp_path / "bench")!r}]) == 0
-print(lib.scipy_openblas_get_num_threads64_())
-"""
+def _openblas_path():
+    """numpy's bundled scipy-openblas, or None where numpy ships none."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    return next(iter(sorted(libs.glob("libscipy_openblas64_*.so"))), None)
+
+
+def _blas_threads_after_gen_data(script: str, tiny_config, tmp_path, pin=None) -> str:
+    """The last line that `script` prints in a fresh process with both BLAS
+    thread variables unset (or ``OPENBLAS_NUM_THREADS`` = `pin`); the script
+    reads ``ARGV`` (a tiny ``gen-data``) and ``LIB`` (the OpenBLAS path)."""
+    argv = ["gen-data", "--config", tiny_config, "--out", str(tmp_path / "bench")]
+    script = f"ARGV = {argv!r}\nLIB = {str(_openblas_path())!r}\n" + script
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     env["PYTHONPATH"] = str(ROOT / "src")
@@ -560,7 +558,54 @@ print(lib.scipy_openblas_get_num_threads64_())
     proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == threads
+    return proc.stdout.splitlines()[-1]
+
+
+@pytest.mark.skipif(_openblas_path() is None, reason="numpy bundles no scipy-openblas here")
+@pytest.mark.parametrize("pin, threads", [(None, "1"), ("2", "2")])
+def test_console_entry_runs_blas_on_one_thread_unless_the_environment_says(
+        pin, threads, tiny_config, tmp_path):
+    # the library is opened only after the entry has run, so it is the copy
+    # that numpy loaded under the entry's environment
+    script = """
+import ctypes
+from tailshift.__main__ import main
+assert main(ARGV) == 0
+print(ctypes.CDLL(LIB).scipy_openblas_get_num_threads64_())
+"""
+    assert _blas_threads_after_gen_data(script, tiny_config, tmp_path, pin) == threads
+
+
+@pytest.mark.skipif(_openblas_path() is None, reason="numpy bundles no scipy-openblas here")
+def test_cli_main_as_a_library_call_leaves_blas_threads_alone(tiny_config, tmp_path):
+    script = """
+import ctypes
+lib = ctypes.CDLL(LIB)
+lib.scipy_openblas_set_num_threads64_(2)
+from tailshift.cli import main
+assert main(ARGV) == 0
+print(lib.scipy_openblas_get_num_threads64_())
+"""
+    assert _blas_threads_after_gen_data(script, tiny_config, tmp_path) == "2"
+
+
+def test_python_dash_m_tailshift_runs_the_cli(tiny_config, tmp_path):
+    bench = tmp_path / "bench"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "tailshift", "gen-data", "--config",
+                           tiny_config, "--out", str(bench)],
+                          env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (bench / "manifest.json").is_file()
+
+
+def test_import_tailshift_loads_no_numpy(tmp_path):
+    script = "import sys, tailshift; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("argv, flag", [

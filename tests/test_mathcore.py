@@ -324,8 +324,8 @@ def test_check_psd_returns_largest_asymmetry_on_request():
 
 
 def test_check_psd_factorizes_the_shifted_input_up_to_the_sign_of_zeros(monkeypatch):
-    # S + eig_tol * I is built in the symmetry test's scratch array: against
-    # the sum with eig_tol * eye(d), an off-diagonal -0.0 stays -0.0 (the
+    # S + EIG_TOL * I is built in the symmetry test's scratch array: against
+    # the sum with EIG_TOL * eye(d), an off-diagonal -0.0 stays -0.0 (the
     # sum gives +0.0), and every other entry is the same float
     a = np.array([[2.0, -0.0, 0.5], [-0.0, 1.0, 0.0], [0.5, 0.0, 3.0]])
     b = np.array([[1.0, 0.25, -0.0], [0.25, 1.0, 0.0], [-0.0, 0.0, 1.0]])

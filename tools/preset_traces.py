@@ -4,7 +4,8 @@
 
 For each preset (default: every packaged preset), runs ``gen-data`` ->
 ``train`` -> ``eval``, then ``ablate --rows a,j --seeds 2``, in a temporary
-directory, with ``tailshift`` imported from this checkout's ``src/``, and
+directory, with ``tailshift`` imported from this checkout's ``src/`` and
+BLAS on one thread (unless the environment sets the thread counts), and
 prints one ``<sha256>  <preset>/<file>`` line per output file:
 ``dataset.csv``, ``dataset.npy``, ``embeddings.csv``, ``manifest.json``,
 ``steps.jsonl``, ``checkpoint.json``, ``metrics.json`` and ``ablation.csv``.
@@ -32,6 +33,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -91,6 +93,8 @@ def main() -> int:
     parser.add_argument("--expect", metavar="FILE",
                         help="a saved output to compare the printed lines with")
     args = parser.parse_args()
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
     sys.path.insert(0, str(ROOT / "src"))
     from tailshift.cli import main as cli_main
     from tailshift.config import PRESETS, load_run_config
