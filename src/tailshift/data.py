@@ -340,28 +340,31 @@ def sample_batch(dataset: Dataset, domain: int, batch_size: int, rng: Rng):
 WRITE_BLOCK_ROWS = 64  # rows formatted per write; bounds the text held at once
 
 
-def write_rows(path, header: str, lead, values) -> None:
-    """Write a CSV of ``header`` and one line per row of the 2-D float array
-    ``values``, each led by its cells of the ``lead`` columns (1-D arrays of
-    ints or strings). Floats print as ``repr``, so they round-trip exactly.
-    Rows are formatted one block of ``WRITE_BLOCK_ROWS`` at a time from
-    ``tolist()`` slices, so no array scalar is made per value and no more
-    than one block's text is held."""
+def write_rows(path, header: str, blocks) -> None:
+    """Write a CSV of ``header`` and, for each ``(lead, values)`` pair of the
+    iterable `blocks` in turn, one line per row of the 2-D float array
+    ``values``, led by its cells of the ``lead`` columns (1-D arrays of ints
+    or strings). A caller that computes its rows block by block passes a
+    generator, so only one block of them exists at a time. Floats print as
+    ``repr``, so they round-trip exactly. Rows are formatted
+    ``WRITE_BLOCK_ROWS`` at a time from ``tolist()`` slices, so no array
+    scalar is made per value and no more than that many rows' text is held."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for start in range(0, len(values), WRITE_BLOCK_ROWS):
-            block = slice(start, start + WRITE_BLOCK_ROWS)
-            heads = zip(*(col[block].tolist() for col in lead))
-            fh.write("".join(
-                ",".join(map(str, head)) + "," + ",".join(map(repr, row)) + "\n"
-                for head, row in zip(heads, values[block].tolist())))
+        for lead, values in blocks:
+            for start in range(0, len(values), WRITE_BLOCK_ROWS):
+                block = slice(start, start + WRITE_BLOCK_ROWS)
+                heads = zip(*(col[block].tolist() for col in lead))
+                fh.write("".join(
+                    ",".join(map(str, head)) + "," + ",".join(map(repr, row)) + "\n"
+                    for head, row in zip(heads, values[block].tolist())))
 
 
 def save_dataset(dataset: Dataset, path) -> None:
     d_x = dataset.x.shape[1]
     header = "domain,label,split," + ",".join(f"x_{i}" for i in range(d_x))
     tags = np.array(SPLITS, dtype=object)[dataset.split]
-    write_rows(path, header, (dataset.d, dataset.y, tags), dataset.x)
+    write_rows(path, header, [((dataset.d, dataset.y, tags), dataset.x)])
 
 
 def save_dataset_npy(dataset: Dataset, path) -> None:
@@ -442,7 +445,7 @@ def load_dataset(path, semantic: SemanticTable | None = None) -> Dataset:
 
 def save_embeddings(table: SemanticTable, path) -> None:
     header = "label," + ",".join(f"s_{i}" for i in range(table.dim))
-    write_rows(path, header, (np.arange(table.n_classes),), table.s)
+    write_rows(path, header, [((np.arange(table.n_classes),), table.s)])
 
 
 def load_embeddings(path) -> SemanticTable:

@@ -20,6 +20,12 @@ decisions: ``metrics_from_predictions`` reports its row 0, and
 ``select_threshold`` takes the argmax of its H row. ``evaluate`` scores
 Acc-U on one held-out domain (the CLI passes the first of
 ``Dataset.heldout_domains``); H is scored over every domain of the split.
+
+Every pass over a split (``evaluate``, ``select_threshold``,
+``dump_features``) runs the model on at most ``SCORE_BLOCK_ROWS`` rows at a
+time, so its logits, features and confidences are bounded by the block, not
+by the split. What still grows with the split is the integer decisions, one
+row per threshold, and ``_score``'s counts over them.
 """
 
 from __future__ import annotations
@@ -30,14 +36,29 @@ import numpy as np
 
 from .data import Dataset, write_rows
 from .mathcore import psd_sqrt
-from .mathcore.autodiff import _log_softmax_core
 from .model import ModelConfig, Params, forward_features, predict_logits
 
 OPEN = -1  # predicted-class sentinel for "open class"
+SCORE_BLOCK_ROWS = 256  # most rows of a split run through the model at once
+
+
+def _softmax_confidence(logits: np.ndarray) -> np.ndarray:
+    """Max softmax probability of each row, as 1 / sum_j e^{z_j - max z},
+    with no probability matrix built. The argmax's term is e^0 = 1 exactly
+    and dividing by the positive row sum keeps the order, so this is
+    ``max(softmax)`` bit for bit. Refuses a row holding NaN or +inf, or no
+    finite entry."""
+    m = logits.max(axis=-1, keepdims=True)
+    if not np.isfinite(m).all():
+        raise ValueError("log_softmax: a row holds NaN or +inf, or no finite entry")
+    ez = np.subtract(logits, m)
+    np.exp(ez, out=ez)
+    return 1.0 / ez.sum(axis=-1)
+
 
 # decide's confidence rules by name: (N, C) logits -> (N,) confidences in [0, 1]
 CONFIDENCE_RULES = {
-    "softmax": lambda logits: _log_softmax_core(logits)[1].max(axis=-1),
+    "softmax": _softmax_confidence,
     "logit": lambda logits: 1.0 / (1.0 + np.exp(-logits.max(axis=-1))),
 }
 
@@ -138,13 +159,25 @@ def metrics_from_predictions(y: np.ndarray, d: np.ndarray, pred: np.ndarray,
                         h_fallback=rejected is None)
 
 
+def _row_blocks(idx: np.ndarray) -> list[np.ndarray]:
+    """`idx` cut into the fewest blocks of at most ``SCORE_BLOCK_ROWS`` rows,
+    whose sizes differ by at most one (one empty block when `idx` is empty).
+    Even blocks leave no short tail: BLAS sums a product of few rows in
+    another order, so a short last block could move the last bit of its
+    rows against one pass over the whole split."""
+    return np.array_split(idx, max(1, -(-idx.size // SCORE_BLOCK_ROWS)))
+
+
 def _decisions(params: Params, mcfg: ModelConfig, dataset: Dataset, split: str,
                threshold, confidence: str):
     """(labels, domains, decisions, open classes) of a split: ``decide`` at
-    `threshold` (a (G, 1) column gives one row of decisions per value), the
-    open classes being those with no training sample."""
+    `threshold` (a (G, 1) column gives one row of decisions per value) on
+    one row block at a time, the open classes being those with no training
+    sample."""
     idx = dataset.indices(split)
-    pred, _ = decide(predict_logits(params, dataset.x[idx], mcfg), threshold, confidence)
+    pred = np.concatenate([decide(predict_logits(params, dataset.x[rows], mcfg),
+                                  threshold, confidence)[0]
+                           for rows in _row_blocks(idx)], axis=-1)
     return dataset.y[idx], dataset.d[idx], pred, dataset.counts.counts.sum(axis=0) == 0
 
 
@@ -197,11 +230,12 @@ def frechet_distance(mu1, sigma1, mu2, sigma2) -> float:
 def dump_features(params: Params, mcfg: ModelConfig, dataset: Dataset, path,
                   split: str | None = None) -> int:
     """Write ``domain,label,z_0,...`` rows of extracted features through
-    ``data.write_rows``; returns the row count."""
+    ``data.write_rows``, computing and writing one row block at a time;
+    returns the row count."""
     idx = (np.arange(len(dataset.y)) if split is None else dataset.indices(split))
     header = "domain,label," + ",".join(f"z_{i}" for i in range(mcfg.d_v))
-    z = (forward_features(params, dataset.x[idx], mcfg).data if idx.size
-         else np.empty((0, mcfg.d_v)))
-    write_rows(path, header, (dataset.d[idx], dataset.y[idx]), z)
+    write_rows(path, header, (((dataset.d[rows], dataset.y[rows]),
+                               forward_features(params, dataset.x[rows], mcfg).data)
+                              for rows in _row_blocks(idx)))
     return int(idx.size)
 

@@ -11,8 +11,8 @@ gives the value and gradients of its primitive composition bit for bit:
 ``normalize_rows``, ``mask_fill`` (``x * keep + fill * (1 - keep)`` for a
 constant fill) and ``weighted_sum`` (a loss total ``w_0 t_0 + w_1 t_1 + ...``
 summed left to right). The log-softmax array math lives
-once, in ``_log_softmax_core``; ``log_softmax``, the fused cross-entropy
-nodes of ``losses`` and ``evaluation.decide`` call it. It takes no weights:
+once, in ``_log_softmax_core``; ``log_softmax`` and the fused
+cross-entropy nodes of ``losses`` call it. It takes no weights:
 a prior enters as a log-prior added to the logits, with -inf for an entry
 that must get probability 0.
 
@@ -330,7 +330,9 @@ def _log_softmax_core(z: np.ndarray):
 
     An entry of -inf gets probability exactly 0. One check on the row max
     refuses NaN (the max propagates it), +inf and a row with no finite
-    entry. Only ``losses.s2s_loss`` keeps a max shift of its own.
+    entry. Only ``losses.s2s_loss`` and the softmax confidence of
+    ``evaluation.decide`` (which needs no probability matrix) keep a max
+    shift of their own.
     """
     m = z.max(axis=-1, keepdims=True)
     if not np.isfinite(m).all():
@@ -365,7 +367,8 @@ def affine(x, w, b, relu: bool = False) -> Tensor:
 
     The backward first masks g where the rectifier cut (with ``relu``), then
     adds g @ w into x, (x' g)' summed over stack axes into w, and g summed
-    over every axis but the last into b.
+    over every axis but the last into b. When no operand requires a
+    gradient (inference), neither the mask nor the backward is built.
     """
     xt, wt, bt = as_tensor(x), as_tensor(w), as_tensor(b)
     xd, wd = xt.data, wt.data
@@ -373,10 +376,12 @@ def affine(x, w, b, relu: bool = False) -> Tensor:
         raise ValueError("affine: x needs a row axis")
     out_data = xd @ wd.T
     out_data += bt.data
-    mask = None
+    needs_grad = xt.requires_grad or wt.requires_grad or bt.requires_grad
+    mask = out_data > 0 if relu and needs_grad else None
     if relu:
-        mask = out_data > 0
         np.maximum(out_data, 0.0, out=out_data)
+    if not needs_grad:
+        return Tensor(out_data)
 
     def bw(g):
         if mask is not None:

@@ -256,7 +256,7 @@ def test_negative_domain_codes_are_refused_by_both_loaders(tmp_path):
     d = np.where(ds.d == ds.n_train_domains, -1, ds.d)
     csv_path, npy_path = tmp_path / "ds.csv", tmp_path / "ds.npy"
     header = "domain,label,split," + ",".join(f"x_{i}" for i in range(ds.x.shape[1]))
-    D.write_rows(csv_path, header, (d, ds.y, np.array(D.SPLITS)[ds.split]), ds.x)
+    D.write_rows(csv_path, header, [((d, ds.y, np.array(D.SPLITS)[ds.split]), ds.x)])
     _write_npy(npy_path, ds.x, np.stack([d, ds.y, ds.split.astype(np.int64)]))
     with pytest.raises(DataFormatError, match=r"negative domain codes \[-1\]"):
         D.load_dataset(csv_path, semantic=ds.semantic)
@@ -311,7 +311,7 @@ def test_write_rows_matches_per_value_repr(tmp_path):
     d, y = np.arange(n) % 4, np.arange(n)[::-1]
     tags = np.array(D.SPLITS)[np.arange(n) % 3]
     path = tmp_path / "rows.csv"
-    D.write_rows(path, "domain,label,split,x_0,x_1,x_2", (d, y, tags), x)
+    D.write_rows(path, "domain,label,split,x_0,x_1,x_2", [((d, y, tags), x)])
     want = ["domain,label,split,x_0,x_1,x_2\n"]
     for i in range(n):
         cells = [str(int(d[i])), str(int(y[i])), str(tags[i])]
@@ -319,6 +319,11 @@ def test_write_rows_matches_per_value_repr(tmp_path):
         want.append(",".join(cells) + "\n")
     assert path.read_bytes() == "".join(want).encode()
     assert want[1] == f"0,{n - 1},train,-0.0,1e-05,1.5e+16\n"
+    # the same rows in uneven blocks from a generator, an empty one among them
+    cuts = [0, 5, 5, D.WRITE_BLOCK_ROWS + 7, n]
+    blocks = (((d[a:b], y[a:b], tags[a:b]), x[a:b]) for a, b in zip(cuts, cuts[1:]))
+    D.write_rows(tmp_path / "blocks.csv", "domain,label,split,x_0,x_1,x_2", blocks)
+    assert (tmp_path / "blocks.csv").read_bytes() == path.read_bytes()
 
 
 def test_dataset_npy_roundtrip(tmp_path):

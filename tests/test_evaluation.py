@@ -6,6 +6,7 @@ from tailshift import evaluation as E
 from tailshift import model as M
 from tailshift.config import load_run_config
 from tailshift.mathcore import Rng
+from tailshift.mathcore.autodiff import _log_softmax_core
 
 
 def open_class_dataset():
@@ -61,6 +62,26 @@ def test_decide_threshold_extremes():
 def test_decide_tie_lowest_index():
     pred, _ = E.decide(np.array([[1.0, 1.0, 0.0]]), 0.0)
     assert pred[0] == 0
+
+
+def test_softmax_confidence_is_max_softmax_bit_for_bit():
+    rng = Rng(8)
+    z = rng.normal(size=(300, 7)) * 10.0 ** rng.integers(-3, 4, size=(300, 1))
+    z[:60, 2] = z[:60, 5] = z[:60].max(axis=1) + 0.5   # a tied maximum
+    z[60, :] = 1.25                                     # every entry tied
+    z[61:120, ::2] = -np.inf                            # -inf entries beside finite ones
+    z[120, 1:] = -np.inf                                # one finite entry: confidence 1
+    _, conf = E.decide(z, 0.5)
+    want = _log_softmax_core(z)[1].max(axis=-1)
+    assert np.array_equal(conf, want)
+    assert conf[120] == 1.0 and conf[60] == 1 / 7
+    for bad in (np.nan, np.inf):
+        rows = z[:3].copy()
+        rows[1, 4] = bad
+        with pytest.raises(ValueError, match=r"NaN or \+inf, or no finite entry"):
+            E.decide(rows, 0.5)
+    with pytest.raises(ValueError, match="no finite entry"):
+        E.decide(np.full((2, 3), -np.inf), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +277,78 @@ def test_select_threshold_matches_exhaustive_scan():
             hs = [E.evaluate(params, cfg, ds, held, th, split=split).h
                   for th in grid]
             assert hs == want
+
+
+# ---------------------------------------------------------------------------
+# row blocks
+# ---------------------------------------------------------------------------
+
+BLOCK = E.SCORE_BLOCK_ROWS
+BLOCK_SIZES = [0, 37, BLOCK, 3 * BLOCK + 3]   # none, under a block, one block, k blocks + r
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES + [1, BLOCK + 1])
+def test_row_blocks_are_even_and_bounded(n):
+    idx = np.arange(5, 5 + 2 * n, 2)
+    blocks = E._row_blocks(idx)
+    sizes = [b.size for b in blocks]
+    assert len(blocks) == max(1, -(-n // BLOCK))
+    assert max(sizes) <= BLOCK and max(sizes) - min(sizes) <= 1
+    assert np.array_equal(np.concatenate(blocks), idx)
+
+
+def val_split_of(n):
+    """A dataset of paper_s1's shapes (24 inputs, 50 classes) whose val split
+    has `n` rows, scattered among the train and test rows; and an untrained
+    paper_s1-shaped model with its logits scaled up."""
+    rng, c = Rng(7), 50
+    y = np.concatenate([np.tile(np.arange(c), 2), rng.integers(0, c, size=n),
+                        np.tile(np.arange(c), 3)])
+    d = np.concatenate([np.repeat([0, 1], c), rng.integers(0, 2, size=n),
+                        np.repeat([0, 1, 2], c)])
+    tags = np.repeat([D.SPLITS.index(t) for t in ("train", "val", "test")], [2 * c, n, 3 * c])
+    order = rng.permutation(y.size)
+    ds = D.make_dataset(rng.normal(size=(y.size, 24)), y[order], d[order], tags[order])
+    cfg = M.ModelConfig(d_x=24, d_v=32, d_s=12, n_classes=c, hidden=(64,))
+    params = M.init_params(cfg, Rng(4))
+    params["cls.W"] = 5.0 * params["cls.W"]
+    return ds, cfg, params
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+def test_blocked_passes_equal_one_pass_over_the_split(n, tmp_path):
+    ds, cfg, params = val_split_of(n)
+    idx = ds.indices("val")
+    assert idx.size == n
+    y, d = ds.y[idx], ds.d[idx]
+    open_classes = ds.counts.counts.sum(axis=0) == 0
+    logits = M.predict_logits(params, ds.x[idx], cfg)          # the whole split at once
+    conf = _log_softmax_core(logits)[1].max(axis=-1)
+    # thresholds at and one ulp above each confidence: a last-bit move of any
+    # row's confidence flips one of its decisions
+    grid = np.unique(np.concatenate([conf, np.nextafter(conf, 2.0), [0.0, 0.5, 1.0]]))
+    want = np.where(conf < grid[:, None], E.OPEN, logits.argmax(axis=-1))
+    got = E._decisions(params, cfg, ds, "val", grid[:, None], "softmax")
+    assert np.array_equal(got[0], y) and np.array_equal(got[1], d)
+    assert got[2].shape == want.shape and np.array_equal(got[2], want)
+
+    h = E._score(y, d, want, open_classes)[-1]
+    assert E.select_threshold(params, cfg, ds, grid, split="val") == grid[int(np.argmax(h))]
+    if n:
+        th = float(np.median(conf))
+        rep = E.evaluate(params, cfg, ds, 0, th, split="val")
+        row = np.where(conf < th, E.OPEN, logits.argmax(axis=-1))
+        assert rep.to_dict() == E.metrics_from_predictions(y, d, row, open_classes, 0,
+                                                           th).to_dict()
+    else:
+        with pytest.raises(ValueError, match="no val data"):
+            E.evaluate(params, cfg, ds, 0, 0.5, split="val")
+
+    header = "domain,label," + ",".join(f"z_{i}" for i in range(cfg.d_v))
+    D.write_rows(tmp_path / "want.csv", header,
+                 [((d, y), M.forward_features(params, ds.x[idx], cfg).data)])
+    assert E.dump_features(params, cfg, ds, tmp_path / "got.csv", split="val") == n
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------

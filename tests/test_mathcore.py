@@ -213,6 +213,10 @@ def test_affine_relu_is_one_node_matching_affine_then_relu(sx):
     ref = affine(*leaves).relu()
     assert np.array_equal(out.data, ref.data)
     assert not out.data[..., 1, :].any() and out.data.any()
+    for relu, want in ((True, out), (False, affine(*leaves))):  # inference: no graph
+        const = affine(*(params[k] for k in "xwb"), relu=relu)
+        assert np.array_equal(const.data, want.data)
+        assert not const.requires_grad and const._parents == () and const._backward is None
     _assert_same_bits(lambda t: (affine(t["x"], t["w"], t["b"], relu=True) * wts).sum(),
                       lambda t: (affine(t["x"], t["w"], t["b"]).relu() * wts).sum(), params)
 

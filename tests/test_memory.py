@@ -1,9 +1,10 @@
 """Memory bounds of the file path at paper_s1 size: the dataset hash, the
-CSV loader, the binary-copy loader and the checkpoint save and load. Peaks
-are the ``tracemalloc`` high-water of one call, which counts NumPy's buffers
-as well as Python objects. Then the heap policy of ``meta.run``: steady
-training steps take (almost) no minor page faults on glibc, and the policy
-changes no value."""
+CSV loader, the binary-copy loader and the checkpoint save and load; and of
+scoring a split, which runs the model one row block at a time. Peaks are the
+``tracemalloc`` high-water of one call, which counts NumPy's buffers as well
+as Python objects. Then the heap policy of ``meta.run``: steady training
+steps take (almost) no minor page faults on glibc, and the policy changes no
+value."""
 
 import dataclasses
 import hashlib
@@ -19,6 +20,7 @@ import pytest
 
 from tailshift import checkpoint as CK
 from tailshift import data as D
+from tailshift import evaluation as E
 from tailshift import meta as MT
 from tailshift.cli import _sha256
 from tailshift.config import load_run_config, run_config_to_dict
@@ -110,6 +112,39 @@ def test_load_checkpoint_returns_no_array_text(paper_s1, tmp_path):
     assert meta == {"model_config": model, "train_config": {"t": 2},
                     "dataset_fingerprint": "fp"}
     assert loaded.cov.sigma.tobytes() == state.cov.sigma.tobytes()
+
+
+def test_evaluate_holds_one_row_block_of_the_test_split(paper_s1):
+    ds, state, _ = paper_s1
+    mcfg = load_run_config("paper_s1")[0].model
+    ds.indices("test")  # cached once per dataset, not per pass
+    rep, peak = traced_peak(lambda: E.evaluate(state.params, mcfg, ds, ds.heldout_domains[0],
+                                               0.5))
+    # 1500 rows, six blocks: about 0.30 MiB; the (1500, 50) logits and the
+    # two softmax temporaries of one pass over the split make 1.82 MiB
+    assert ds.indices("test").size == 1500 and 0.0 <= rep.acc_u <= 100.0
+    assert peak < 0.6 * MiB
+
+
+def test_evaluate_peak_does_not_grow_with_the_split(paper_s1):
+    ds, state, _ = paper_s1
+    mcfg = load_run_config("paper_s1")[0].model
+    train, test = ds.indices("train"), ds.indices("test")
+
+    def peak_on_val_of(n):
+        # the train and test rows, and the first n train rows again as val
+        rows = np.concatenate([train, test, train[:n]])
+        split = np.repeat([D.SPLITS.index(t) for t in ("train", "test", "val")],
+                          [train.size, test.size, n])
+        sub = D.make_dataset(ds.x[rows], ds.y[rows], ds.d[rows], split, semantic=ds.semantic)
+        assert sub.indices("val").size == n
+        return traced_peak(lambda: E.evaluate(state.params, mcfg, sub, 0, 0.5, split="val"))[1]
+
+    one, eight = peak_on_val_of(E.SCORE_BLOCK_ROWS), peak_on_val_of(8 * E.SCORE_BLOCK_ROWS)
+    # what stays per row is the decisions, labels and domains, and the
+    # scorer's counts over them (about 9 bytes a row); the 50 logits of a
+    # row alone take 400
+    assert eight - one < 64 * 7 * E.SCORE_BLOCK_ROWS, (one, eight)
 
 
 @needs_glibc

@@ -1,6 +1,7 @@
 """``tools/preset_traces.py`` hashes one preset's CLI outputs,
-``tools/trace_diff.py`` compares the losses of two traces, and
-``tools/step_faults.py`` reports the cost of the training steps by phase."""
+``tools/trace_diff.py`` compares the losses of two traces,
+``tools/step_faults.py`` reports the cost of the training steps by phase,
+and ``tools/eval_peaks.py`` the memory peak of each pass over a split."""
 
 import json
 import re
@@ -95,4 +96,19 @@ def test_step_faults_reports_each_phase(tmp_path):
     assert [line.split()[1:] for line in proc.stdout.splitlines()[1:3]] == [["0", "-", "-"]] * 2
     proc = subprocess.run(tool[:2] + ["no-such-preset"], capture_output=True, text=True,
                           timeout=60)
+    assert proc.returncode == 2 and "neither a file nor a preset" in proc.stderr
+
+
+def test_eval_peaks_reports_each_pass():
+    tool = [sys.executable, str(ROOT / "tools" / "eval_peaks.py")]
+    proc = subprocess.run(tool + ["desk"], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    assert lines[0] == ["pass", "split", "rows", "peak_mib"]
+    # desk: 600 test rows (5 domains x 20 classes x 6), 192 val rows
+    assert [row[:3] for row in lines[1:]] == [["evaluate", "test", "600"],
+                                              ["select_threshold", "val", "192"],
+                                              ["dump_features", "test", "600"]]
+    assert all(0 < float(row[3]) < 1 for row in lines[1:]), proc.stdout
+    proc = subprocess.run(tool + ["no-such-preset"], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2 and "neither a file nor a preset" in proc.stderr
