@@ -3,7 +3,7 @@
 A run config file has five sections, all optional (defaults apply):
 
     {
-      "data":  { synthetic generator fields },
+      "data":  { data.SyntheticConfig fields },
       "model": { "d_v": 16, "hidden": [32] },
       "train": { training loop fields, incl. "cp": {"alpha","tau"},
                  "ap": {"lam","k"}, "ablation" toggles },
@@ -12,12 +12,12 @@ A run config file has five sections, all optional (defaults apply):
     }
 
 An existing dataset directory is passed with ``--data``, not through the
-config. Model input/semantic/class dimensions are filled from the data
-section when omitted. ``run_config_to_dict`` is the one serialized form (plain JSON types)
-that checkpoints store and ``--resume`` compares; ``run_config_from_dict``
-reads it back. ``load_run_config`` accepts a config file or the name of a
-packaged preset (``paper_s1``, ``desk``). The config hash is the sha256 of
-the canonical JSON and ties checkpoints to the data they were trained on.
+config, and a field its section does not define is refused. Model input,
+semantic and class sizes are filled from the data section when omitted.
+``run_config_to_dict`` is the one serialized form (plain JSON types) that
+checkpoints store and ``--resume`` compares; ``run_config_from_dict`` reads
+it back. ``load_run_config`` takes a config file or a preset name (``paper_s1``,
+``desk``). The data section's ``config_hash`` fingerprints its dataset.
 """
 
 from __future__ import annotations

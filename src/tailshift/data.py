@@ -6,9 +6,9 @@ noisy projection of those anchors (so semantic similarity tracks visual
 similarity, which the covariance blending relies on), and each domain is an
 invertible affine distortion of the shared geometry, i.e. a style that
 shifts P(X|Y) while leaving class semantics alone. Training counts follow
-the long-tail curve, non-head classes are carried by only a few domains, and
-the last domain is held out entirely: it appears only in the class-balanced
-test split.
+the long-tail curve; the thirds rule (``default_tail_budget``) puts the head
+third of the classes in every training domain, the middle third in two and
+the tail in one. The last domain is held out: only the test split holds it.
 
 File formats (UTF-8, comma-separated, round-trip-exact floats):
 
@@ -39,16 +39,17 @@ from .mathcore import Rng
 
 SPLITS = ("train", "val", "test")
 _SPLIT_CODES = {tag: i for i, tag in enumerate(SPLITS)}
+NORM_EPS = 1e-12  # smallest norm unit_normalize scales
 
 
-def unit_normalize(v, eps: float = 1e-12) -> np.ndarray:
-    """Scale a vector to unit Euclidean norm; near-zero norms are an error."""
+def unit_normalize(v) -> np.ndarray:
+    """Scale a vector to unit Euclidean norm; a norm <= NORM_EPS is an error."""
     v = np.asarray(v, dtype=np.float64)
     if not np.isfinite(v).all():
         raise ValueError("unit_normalize: non-finite input")
     n = float(np.linalg.norm(v))
-    if n <= eps:
-        raise ValueError("unit_normalize: norm below %g" % eps)
+    if n <= NORM_EPS:
+        raise ValueError("unit_normalize: norm below %g" % NORM_EPS)
     return v / n
 
 
@@ -95,7 +96,6 @@ class SyntheticConfig:
     noise_scale: float = 0.6
     semantic_noise: float = 0.1
     transform_strength: float = 0.4
-    tail_domain_budget: tuple[int, ...] | None = None
     n_val_per_pair: int = 4
     n_test_per_pair: int = 6
     seed: int = 0
@@ -108,24 +108,6 @@ class SyntheticConfig:
             raise ConfigError("n_train_domains must be >= 1")
         if not (self.n_max >= self.n_min >= 1):
             raise ConfigError("need n_max >= n_min >= 1")
-        if self.tail_domain_budget is not None:
-            b = tuple(int(v) for v in self.tail_domain_budget)
-            if len(b) != self.n_classes:
-                raise ConfigError("tail_domain_budget must have one entry per class")
-            if any(v < 1 for v in b):
-                raise ConfigError("tail_domain_budget entries must be >= 1 "
-                                  "(a class assigned 0 domains cannot be trained)")
-            if any(v > self.n_train_domains for v in b):
-                raise ConfigError("tail_domain_budget exceeds the number of train domains")
-            if b[0] != self.n_train_domains:
-                raise ConfigError("head class (rank 1) must be present in all train domains")
-            object.__setattr__(self, "tail_domain_budget", b)
-
-    @property
-    def budget(self) -> tuple[int, ...]:
-        if self.tail_domain_budget is not None:
-            return self.tail_domain_budget
-        return default_tail_budget(self.n_classes, self.n_train_domains)
 
 
 @dataclass
@@ -208,6 +190,8 @@ def make_dataset(x, y, d, split, semantic: SemanticTable | None = None) -> Datas
         raise ValueError("split must hold integer codes into SPLITS")
     if not (len(x) == len(y) == len(d) == len(split)):
         raise ValueError("column lengths differ")
+    if not len(y):
+        raise ValueError("dataset has no samples")
     # min and max propagate NaN and reach +-inf, so both are finite exactly
     # when every entry is; no (N, d_x) mask is made
     if x.size and not (np.isfinite(x.min()) and np.isfinite(x.max())):
@@ -223,7 +207,7 @@ def make_dataset(x, y, d, split, semantic: SemanticTable | None = None) -> Datas
         raise ValueError("labels out of range")
 
     domains = _distinct(d)
-    if domains.size and domains[0] < 0:
+    if domains[0] < 0:
         raise ValueError(f"negative domain codes {domains[domains < 0].tolist()}")
     train_domains = _distinct(d[train])
     if train_domains.size == 0:
@@ -277,7 +261,7 @@ def generate(cfg: SyntheticConfig) -> Dataset:
         t = cfg.transform_strength * style_rng.normal(size=cfg.d_x)
         transforms.append((a, t))
 
-    budget = cfg.budget
+    budget = default_tail_budget(c_total, k_train)
     per_class_counts = [longtail_counts(c + 1, cfg.n_max, cfg.n_min, c_total)
                         for c in range(c_total)]
     placement = np.zeros((k_train, c_total), dtype=np.int64)

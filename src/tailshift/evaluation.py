@@ -50,7 +50,7 @@ def _softmax_confidence(logits: np.ndarray) -> np.ndarray:
     finite entry."""
     m = logits.max(axis=-1, keepdims=True)
     if not np.isfinite(m).all():
-        raise ValueError("log_softmax: a row holds NaN or +inf, or no finite entry")
+        raise ValueError("decide: a row holds NaN or +inf, or no finite entry")
     ez = np.subtract(logits, m)
     np.exp(ez, out=ez)
     return 1.0 / ez.sum(axis=-1)
@@ -204,8 +204,6 @@ def select_threshold(params: Params, mcfg: ModelConfig, dataset: Dataset,
     grid = sorted(float(g) for g in grid)
     if not grid:
         raise ValueError("threshold grid is empty")
-    if len(grid) == 1:
-        return grid[0]
     scores = _score(*_decisions(params, mcfg, dataset, split, np.asarray(grid)[:, None],
                                 confidence))[-1]
     return grid[int(np.argmax(scores))]
@@ -227,12 +225,11 @@ def frechet_distance(mu1, sigma1, mu2, sigma2) -> float:
     return max(val, 0.0)
 
 
-def dump_features(params: Params, mcfg: ModelConfig, dataset: Dataset, path,
-                  split: str | None = None) -> int:
-    """Write ``domain,label,z_0,...`` rows of extracted features through
-    ``data.write_rows``, computing and writing one row block at a time;
-    returns the row count."""
-    idx = (np.arange(len(dataset.y)) if split is None else dataset.indices(split))
+def dump_features(params: Params, mcfg: ModelConfig, dataset: Dataset, path, split: str) -> int:
+    """Write ``domain,label,z_0,...`` rows of the features of the split named
+    `split` through ``data.write_rows``, computing and writing one row block
+    at a time; returns the row count."""
+    idx = dataset.indices(split)
     header = "domain,label," + ",".join(f"z_{i}" for i in range(mcfg.d_v))
     write_rows(path, header, (((dataset.d[rows], dataset.y[rows]),
                                forward_features(params, dataset.x[rows], mcfg).data)

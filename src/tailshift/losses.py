@@ -97,8 +97,7 @@ class DomainClassCounts:
         if c.ndim != 2:
             raise ValueError("counts must be 2-D (domains x classes)")
         if not np.issubdtype(c.dtype, np.integer):
-            if not np.all(c == np.floor(c)):
-                raise ValueError("counts must be integers")
+            raise ValueError(f"counts must be an integer array, not {c.dtype}")
         c = c.astype(np.int64)
         if (c < 0).any():
             raise ValueError("counts must be nonnegative")

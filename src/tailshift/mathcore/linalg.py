@@ -8,7 +8,7 @@ SYM_TOL = 1e-10
 EIG_TOL = 1e-10
 
 
-def _check_square_symmetric(s: np.ndarray, tol: float, ndims: tuple):
+def _check_square_symmetric(s: np.ndarray, ndims: tuple):
     """The input as a float64 array, its largest |S - S'| entry and the
     scratch array of its shape that the test wrote |S - S'| to, after
     refusing a non-square, non-finite or asymmetric input."""
@@ -19,13 +19,13 @@ def _check_square_symmetric(s: np.ndarray, tol: float, ndims: tuple):
         raise ValueError("matrix has non-finite entries")
     scratch = s - np.swapaxes(s, -1, -2)
     asym = np.abs(scratch, out=scratch).max(initial=0.0)
-    if asym > tol:
+    if asym > SYM_TOL:
         raise ValueError("matrix is not symmetric within tolerance")
     return s, asym, scratch
 
 
-def check_symmetric(s: np.ndarray, tol: float = SYM_TOL) -> np.ndarray:
-    return _check_square_symmetric(s, tol, (2,))[0]
+def check_symmetric(s: np.ndarray) -> np.ndarray:
+    return _check_square_symmetric(s, (2,))[0]
 
 
 def check_psd(s: np.ndarray, return_asym: bool = False):
@@ -39,7 +39,7 @@ def check_psd(s: np.ndarray, return_asym: bool = False):
     symmetry test's scratch array, so that it adds no second temporary of
     the input's size.
     """
-    s, asym, shifted = _check_square_symmetric(s, SYM_TOL, (2, 3))
+    s, asym, shifted = _check_square_symmetric(s, (2, 3))
     d = s.shape[-1]
     if d:
         np.copyto(shifted, s)

@@ -249,13 +249,24 @@ def test_manifest_files_must_map_names_to_strings(tiny_config, bench, files, cap
 
 
 def test_gen_data_infeasible_budget_exit_2(tmp_path, capsys):
+    # the head class must be split over all 3 train domains, but gets 2 samples
     bad = dict(TINY)
-    bad["data"] = {**TINY["data"], "tail_domain_budget": [3, 3, 3, 3, 3, 0]}
+    bad["data"] = {**TINY["data"], "n_max": 2, "n_min": 1}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
     code = main(["gen-data", "--config", str(path), "--out", str(tmp_path / "x")])
     assert code == 2
-    assert "tail_domain_budget" in capsys.readouterr().err
+    assert "cannot cover 3 domains" in capsys.readouterr().err
+
+
+def test_config_naming_tail_domain_budget_is_an_unknown_field(tmp_path, capsys):
+    bad = dict(TINY)
+    bad["data"] = {**TINY["data"], "tail_domain_budget": [3, 3, 2, 2, 1, 1]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    code = main(["gen-data", "--config", str(path), "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "unknown field(s) in 'data': ['tail_domain_budget']" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,7 @@ def test_generate_budget_respected():
     cfg = small_cfg()
     ds = D.generate(cfg)
     carried = (ds.counts.counts > 0).sum(axis=0)
-    assert np.array_equal(carried, cfg.budget)
+    assert np.array_equal(carried, D.default_tail_budget(cfg.n_classes, cfg.n_train_domains))
 
 
 def test_generate_heldout_only_in_test():
@@ -122,7 +122,7 @@ def _per_block_reference(cfg):
     placement = np.zeros((k_train, c_total), dtype=np.int64)
     for c in range(c_total):
         n = D.longtail_counts(c + 1, cfg.n_max, cfg.n_min, c_total)
-        m = cfg.budget[c]
+        m = D.default_tail_budget(c_total, k_train)[c]
         assigned = np.sort(assign_rng.choice(k_train, size=m, replace=False))
         base, rem = divmod(n, m)
         for j, dom in enumerate(assign_rng.permutation(assigned)):
@@ -181,29 +181,15 @@ def test_generate_zero_strength_degenerate():
     assert (pred == ds.y[test]).all()
 
 
-def test_generate_full_budget_dense_mask():
-    cfg = small_cfg(tail_domain_budget=(3,) * 8)
-    ds = D.generate(cfg)
-    assert ds.counts.mask.all()
-
-
 def test_synthetic_config_validation():
     with pytest.raises(ConfigError):
         small_cfg(n_max=3, n_min=5)
-    with pytest.raises(ConfigError):
-        small_cfg(tail_domain_budget=(3,) * 7)  # wrong length
-    with pytest.raises(ConfigError):
-        small_cfg(tail_domain_budget=(3, 3, 3, 3, 3, 3, 3, 0))  # zero budget
-    with pytest.raises(ConfigError):
-        small_cfg(tail_domain_budget=(3, 3, 3, 3, 3, 3, 3, 4))  # exceeds domains
-    with pytest.raises(ConfigError):
-        small_cfg(tail_domain_budget=(2, 3, 3, 3, 3, 3, 3, 1))  # head not everywhere
 
 
 def test_generate_infeasible_count_vs_budget():
-    with pytest.raises(ConfigError):
-        D.generate(small_cfg(n_max=2, n_min=1,
-                             tail_domain_budget=(3, 3, 3, 3, 3, 3, 3, 3)))
+    # the thirds rule puts the head class in all 3 train domains
+    with pytest.raises(ConfigError, match="class rank 1: count 2 cannot cover 3 domains"):
+        D.generate(small_cfg(n_max=2, n_min=1))
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +248,21 @@ def test_negative_domain_codes_are_refused_by_both_loaders(tmp_path):
         D.load_dataset(csv_path, semantic=ds.semantic)
     with pytest.raises(DataFormatError, match=r"ds.npy: negative domain codes \[-1\]"):
         D.load_dataset_npy(npy_path, semantic=ds.semantic)
+
+
+def test_empty_dataset_is_refused_before_any_reduction(tmp_path):
+    ds = D.generate(small_cfg())
+    csv_path, npy_path = tmp_path / "ds.csv", tmp_path / "ds.npy"
+    header = "domain,label,split," + ",".join(f"x_{i}" for i in range(ds.x.shape[1]))
+    csv_path.write_text(header + "\n")
+    _write_npy(npy_path, ds.x[:0], np.zeros((3, 0), dtype=np.int64))
+    for semantic in (None, ds.semantic):
+        with pytest.raises(ValueError, match="^dataset has no samples$"):
+            D.make_dataset(ds.x[:0], ds.y[:0], ds.d[:0], ds.split[:0], semantic=semantic)
+        with pytest.raises(DataFormatError, match="^dataset has no samples$"):
+            D.load_dataset(csv_path, semantic=semantic)
+        with pytest.raises(DataFormatError, match="ds.npy: dataset has no samples$"):
+            D.load_dataset_npy(npy_path, semantic=semantic)
 
 
 def test_indices_computed_once_and_read_only():

@@ -78,7 +78,7 @@ def test_softmax_confidence_is_max_softmax_bit_for_bit():
     for bad in (np.nan, np.inf):
         rows = z[:3].copy()
         rows[1, 4] = bad
-        with pytest.raises(ValueError, match=r"NaN or \+inf, or no finite entry"):
+        with pytest.raises(ValueError, match=r"^decide: a row holds NaN or \+inf, or no finite"):
             E.decide(rows, 0.5)
     with pytest.raises(ValueError, match="no finite entry"):
         E.decide(np.full((2, 3), -np.inf), 0.5)
@@ -396,6 +396,14 @@ def test_dump_features_roundtrip(tmp_path):
     z = M.forward_features(params, ds.x[idx], cfg).data
     parsed = np.array([[float(v) for v in ln.split(",")[2:]] for ln in lines[1:]])
     assert np.array_equal(parsed, z)
+
+
+def test_dump_features_requires_a_split(tmp_path):
+    ds = open_class_dataset()
+    params, cfg = diag_model()
+    with pytest.raises(TypeError, match="split"):
+        E.dump_features(params, cfg, ds, tmp_path / "features.csv")
+    assert not (tmp_path / "features.csv").exists()
 
 
 def test_dump_features_empty_dataset(tmp_path):

@@ -95,6 +95,8 @@ def test_domain_class_counts_validation():
         L.DomainClassCounts(np.array([[0, 0], [1, 1]]))  # empty domain row
     with pytest.raises(ValueError):
         L.DomainClassCounts(np.array([[-1, 2]]))
+    with pytest.raises(ValueError, match="counts must be an integer array, not float64"):
+        L.DomainClassCounts(np.array([[1.0, 2.0]]))  # whole numbers, but floats
 
 
 # ---------------------------------------------------------------------------
