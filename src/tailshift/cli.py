@@ -97,9 +97,9 @@ def _load_dataset_dir(path: str | Path) -> tuple[D.Dataset, str]:
 def cmd_gen_data(args) -> int:
     cfg, _ = load_run_config(args.config)
     data_cfg = cfg.data if args.seed is None else dataclasses.replace(cfg.data, seed=args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     dataset = D.generate(data_cfg)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)   # after generate: a refused config leaves nothing
     D.save_dataset(dataset, out / DATASET_FILE)
     D.save_dataset_npy(dataset, out / DATASET_COPY_FILE)
     D.save_embeddings(dataset.semantic, out / EMBEDDINGS_FILE)

@@ -12,29 +12,25 @@ Metrics:
 
 Open classes are those absent from every training domain. ``decide`` is the
 one open-set rule: a prediction is OPEN when the maximum softmax probability
-(optionally the maximum logit, rescaled) falls below the threshold.
-``evaluate`` and ``select_threshold`` decide their split through one helper
-(``select_threshold`` passes its whole grid, so the confidences are computed
-once), and one counting function, ``_score``, scores a (G, N) grid of
-decisions: ``metrics_from_predictions`` reports its row 0, and
-``select_threshold`` takes the argmax of its H row. ``evaluate`` scores
+(optionally the maximum logit, rescaled) falls below the threshold. Every
+score is read by ``_score`` from two integer tables that ``_count`` fills:
+(G, D, C) hits per threshold, domain and class, and (D, C) sample counts.
+``evaluate`` and ``metrics_from_predictions`` report row 0, and
+``select_threshold`` takes the argmax of the H row. ``evaluate`` scores
 Acc-U on one held-out domain (the CLI passes the first of
 ``Dataset.heldout_domains``); H is scored over every domain of the split.
-
-Every pass over a split (``evaluate``, ``select_threshold``,
-``dump_features``) runs the model on at most ``SCORE_BLOCK_ROWS`` rows at a
-time, so its logits, features and confidences are bounded by the block, not
-by the split. What still grows with the split is the integer decisions, one
-row per threshold, and ``_score``'s counts over them.
+Every pass over a split runs the model on at most ``SCORE_BLOCK_ROWS`` rows
+at a time and counts each block before the next one runs, so what a pass
+holds does not grow with the split.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import Dataset, write_rows
+from .data import Dataset, _distinct, write_rows
 from .mathcore import psd_sqrt
 from .model import ModelConfig, Params, forward_features, predict_logits
 
@@ -76,14 +72,8 @@ class MetricReport:
     h_fallback: bool = False                         # no open classes in the data
 
     def to_dict(self) -> dict:
-        return {
-            "acc_u": self.acc_u, "acc": self.acc, "h": self.h,
-            "threshold": self.threshold, "pooled_acc": self.pooled_acc,
-            "open_acc": self.open_acc,
-            "per_domain": {str(k): v for k, v in self.per_domain.items()},
-            "per_class": {str(k): v for k, v in self.per_class.items()},
-            "h_fallback": self.h_fallback,
-        }
+        return {**asdict(self), "per_domain": {str(k): v for k, v in self.per_domain.items()},
+                "per_class": {str(k): v for k, v in self.per_class.items()}}
 
 
 def decide(logits: np.ndarray, threshold: float,
@@ -112,73 +102,84 @@ def harmonic(a, b):
     return h if h.ndim else float(h)
 
 
-def _score(y, d, preds, open_classes):
-    """Score (G, N) decisions (OPEN = -1), one row per threshold, of samples
-    labelled `y` in domains `d`. Returns the domains present and, per row in
-    percent: each one's known-class accuracy (G, D), their mean (Acc), the
-    pooled known-class accuracy, the share of open-class samples rejected
-    (None when none is open) and H, which is then Acc. Each rate is an exact
-    count over a sample count, 0 over no samples."""
-    y, preds = np.asarray(y), np.atleast_2d(preds)
-    is_open = open_classes[y]
-    hit = (preds == y) & ~is_open
-    domains, dom = np.unique(d, return_inverse=True)
-    in_domain = (dom[:, None] == np.arange(domains.size)) & ~is_open[:, None]   # (N, D)
+def _count(domains, open_classes, blocks, g: int = 1):
+    """The (G, D, C) hits and (D, C) sample counts of row blocks of (G, B)
+    decisions (OPEN = -1, a row per threshold), labels and domains: a hit is a
+    known class predicted as itself or an open class rejected; D is `domains`."""
+    n = np.zeros((domains.size, open_classes.size), dtype=np.int64)
+    hits = np.zeros((g, *n.shape), dtype=np.int64)
+    for preds, y, d in blocks:
+        cell = np.searchsorted(domains, d) * open_classes.size + y
+        right = np.where(open_classes[y], preds == OPEN, preds == y)
+        hits += np.bincount((np.arange(g)[:, None] * n.size + cell)[right],
+                            minlength=hits.size).reshape(hits.shape)
+        n += np.bincount(cell, minlength=n.size).reshape(n.shape)
+        del preds, y, d, cell, right  # so no block's arrays live while the next one runs
+    return hits, n
+
+
+def _score(hits, n, open_classes):
+    """Each threshold row of the tables, in percent: per-domain known-class
+    accuracy (G, D), their mean (Acc), pooled known-class accuracy, open-class
+    rejection (None when no sample is open), per-class accuracy (G, C) and H
+    (Acc when none is open). Each rate is one count over another, 0 over none."""
+    known, n_known = hits[..., ~open_classes].sum(axis=-1), n[:, ~open_classes].sum(axis=-1)
+    n_open = n[:, open_classes].sum()
 
     def rate(hits, n):
         return np.divide(hits, n, out=np.zeros(np.shape(hits)), where=n != 0)
 
-    per_domain = rate(hit.astype(np.int64) @ in_domain, in_domain.sum(axis=0))
-    acc = per_domain.mean(axis=1) if domains.size else np.zeros(len(preds))
-    pooled = rate(hit.sum(axis=1), in_domain.sum())
-    rejected = ((preds[:, is_open] == OPEN).sum(axis=1) / is_open.sum()
-                if is_open.any() else None)
+    per_domain = rate(known, n_known)
+    acc = per_domain.mean(axis=1) if n.shape[0] else np.zeros(len(hits))
+    pooled = rate(known.sum(axis=1), n_known.sum())
+    rejected = hits[..., open_classes].sum(axis=(1, 2)) / n_open if n_open else None
     h = acc if rejected is None else harmonic(pooled, rejected)
-    return (domains, 100.0 * per_domain, 100.0 * acc, 100.0 * pooled,
-            None if rejected is None else 100.0 * rejected, 100.0 * h)
+    return (100.0 * per_domain, 100.0 * acc, 100.0 * pooled,
+            None if rejected is None else 100.0 * rejected,
+            100.0 * rate(hits.sum(axis=1), n.sum(axis=0)), 100.0 * h)
+
+
+def _report(domains, hits, n, open_classes, heldout_domain, threshold) -> MetricReport:
+    """Row 0 of the tables; Acc-U is the held-out domain's rate (0.0 if it is
+    absent), and per-class accuracy covers the classes with samples."""
+    per_domain, acc, pooled, rejected, per_class, h = _score(hits[:1], n, open_classes)
+    per_domain = dict(zip(domains.tolist(), per_domain[0].tolist()))
+    seen = np.flatnonzero(n.sum(axis=0))
+    return MetricReport(acc_u=per_domain.get(heldout_domain, 0.0), acc=float(acc[0]),
+                        h=float(h[0]), threshold=threshold, pooled_acc=float(pooled[0]),
+                        open_acc=None if rejected is None else float(rejected[0]),
+                        per_domain=per_domain,
+                        per_class=dict(zip(seen.tolist(), per_class[0, seen].tolist())),
+                        h_fallback=rejected is None)
 
 
 def metrics_from_predictions(y: np.ndarray, d: np.ndarray, pred: np.ndarray,
                              open_classes: np.ndarray, heldout_domain: int,
                              threshold: float) -> MetricReport:
-    """The report of per-sample decisions (OPEN = -1): row 0 of ``_score``,
-    Acc-U being the held-out domain's rate (0.0 if it is absent), plus each
-    class's share scored right."""
-    y, pred = np.asarray(y), np.asarray(pred)
-    domains, per_domain, acc, pooled, rejected, h = _score(y, d, pred, open_classes)
-    per_domain = dict(zip(domains.tolist(), per_domain[0].tolist()))
-    n = np.bincount(y)
-    hits = np.bincount(y[np.where(open_classes[y], pred == OPEN, pred == y)], minlength=n.size)
-    seen = np.flatnonzero(n)
-    return MetricReport(acc_u=per_domain.get(heldout_domain, 0.0), acc=float(acc[0]),
-                        h=float(h[0]), threshold=threshold, pooled_acc=float(pooled[0]),
-                        open_acc=None if rejected is None else float(rejected[0]),
-                        per_domain=per_domain,
-                        per_class=dict(zip(seen.tolist(),
-                                           (100.0 * (hits[seen] / n[seen])).tolist())),
-                        h_fallback=rejected is None)
+    """The report of per-sample decisions (OPEN = -1), counted into tables."""
+    domains = _distinct(np.asarray(d))
+    tables = _count(domains, open_classes, [(np.asarray(pred)[None], np.asarray(y), d)])
+    return _report(domains, *tables, open_classes, heldout_domain, threshold)
 
 
 def _row_blocks(idx: np.ndarray) -> list[np.ndarray]:
-    """`idx` cut into the fewest blocks of at most ``SCORE_BLOCK_ROWS`` rows,
-    whose sizes differ by at most one (one empty block when `idx` is empty).
-    Even blocks leave no short tail: BLAS sums a product of few rows in
-    another order, so a short last block could move the last bit of its
-    rows against one pass over the whole split."""
+    """`idx` cut into the fewest blocks of at most ``SCORE_BLOCK_ROWS`` rows, of
+    sizes within one (one empty block for an empty `idx`): BLAS would sum a short
+    tail block's product in another order and could move its rows' last bit."""
     return np.array_split(idx, max(1, -(-idx.size // SCORE_BLOCK_ROWS)))
 
 
-def _decisions(params: Params, mcfg: ModelConfig, dataset: Dataset, split: str,
-               threshold, confidence: str):
-    """(labels, domains, decisions, open classes) of a split: ``decide`` at
-    `threshold` (a (G, 1) column gives one row of decisions per value) on
-    one row block at a time, the open classes being those with no training
-    sample."""
+def _tables(params: Params, mcfg: ModelConfig, dataset: Dataset, split: str,
+            threshold, confidence: str):
+    """(domains, hits, n, open classes: those with no training sample) of ``decide``
+    over a split at `threshold` (a (G, 1) column: a row per value), block by block."""
     idx = dataset.indices(split)
-    pred = np.concatenate([decide(predict_logits(params, dataset.x[rows], mcfg),
-                                  threshold, confidence)[0]
-                           for rows in _row_blocks(idx)], axis=-1)
-    return dataset.y[idx], dataset.d[idx], pred, dataset.counts.counts.sum(axis=0) == 0
+    domains = _distinct(dataset.d[idx])
+    open_classes = dataset.counts.counts.sum(axis=0) == 0
+    blocks = ((np.atleast_2d(decide(predict_logits(params, dataset.x[rows], mcfg),
+                                    threshold, confidence)[0]),
+               dataset.y[rows], dataset.d[rows]) for rows in _row_blocks(idx))
+    return domains, *_count(domains, open_classes, blocks, np.size(threshold)), open_classes
 
 
 def evaluate(params: Params, mcfg: ModelConfig, dataset: Dataset,
@@ -190,9 +191,8 @@ def evaluate(params: Params, mcfg: ModelConfig, dataset: Dataset,
         raise ValueError(f"no {split} data to evaluate")
     if heldout_domain not in dataset.d[idx]:
         raise ValueError(f"held-out domain {heldout_domain} absent from {split} split")
-    return metrics_from_predictions(
-        *_decisions(params, mcfg, dataset, split, threshold, confidence),
-        heldout_domain, threshold)
+    return _report(*_tables(params, mcfg, dataset, split, threshold, confidence),
+                   heldout_domain, threshold)
 
 
 def select_threshold(params: Params, mcfg: ModelConfig, dataset: Dataset,
@@ -204,9 +204,9 @@ def select_threshold(params: Params, mcfg: ModelConfig, dataset: Dataset,
     grid = sorted(float(g) for g in grid)
     if not grid:
         raise ValueError("threshold grid is empty")
-    scores = _score(*_decisions(params, mcfg, dataset, split, np.asarray(grid)[:, None],
-                                confidence))[-1]
-    return grid[int(np.argmax(scores))]
+    _, hits, n, open_classes = _tables(params, mcfg, dataset, split,
+                                       np.asarray(grid)[:, None], confidence)
+    return grid[int(np.argmax(_score(hits, n, open_classes)[-1]))]
 
 
 # ---------------------------------------------------------------------------

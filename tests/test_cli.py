@@ -257,6 +257,7 @@ def test_gen_data_infeasible_budget_exit_2(tmp_path, capsys):
     code = main(["gen-data", "--config", str(path), "--out", str(tmp_path / "x")])
     assert code == 2
     assert "cannot cover 3 domains" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_config_naming_tail_domain_budget_is_an_unknown_field(tmp_path, capsys):

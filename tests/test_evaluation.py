@@ -258,6 +258,17 @@ def _threshold_cases():
         yield name, D.generate(cfg.data), cfg.model, params, sorted(cfg.eval.grid), "val"
 
 
+def reference_tables(domains, open_classes, preds, y, d):
+    """The (G, D, C) hits and (D, C) counts of (G, N) decisions, counted one
+    sample at a time."""
+    hits = np.zeros((len(preds), domains.size, open_classes.size), dtype=np.int64)
+    n = np.zeros(hits.shape[1:], dtype=np.int64)
+    for i, (label, dom) in enumerate(zip(y, np.searchsorted(domains, d))):
+        n[dom, label] += 1
+        hits[:, dom, label] += preds[:, i] == (E.OPEN if open_classes[label] else label)
+    return hits, n
+
+
 def test_select_threshold_matches_exhaustive_scan():
     for name, ds, cfg, params, grid, split in _threshold_cases():
         idx = ds.indices(split)
@@ -269,7 +280,11 @@ def test_select_threshold_matches_exhaustive_scan():
         held = ds.heldout_domains[0]
         want = [E.metrics_from_predictions(y, d, pred, open_classes, held, th).h
                 for th, pred in zip(grid, preds)]
-        assert E._score(y, d, preds, open_classes)[-1].tolist() == want, name  # bit for bit
+        domains = D._distinct(d)
+        hits, n = E._count(domains, open_classes, [(preds, y, d)], len(grid))
+        for got, ref in zip((hits, n), reference_tables(domains, open_classes, preds, y, d)):
+            assert np.array_equal(got, ref), name
+        assert E._score(hits, n, open_classes)[-1].tolist() == want, name  # bit for bit
         assert len(set(want)) > 1, name                  # the grid does separate the points
         chosen = E.select_threshold(params, cfg, ds, grid, split=split)
         assert chosen == grid[int(np.argmax(want))], name
@@ -328,11 +343,21 @@ def test_blocked_passes_equal_one_pass_over_the_split(n, tmp_path):
     # row's confidence flips one of its decisions
     grid = np.unique(np.concatenate([conf, np.nextafter(conf, 2.0), [0.0, 0.5, 1.0]]))
     want = np.where(conf < grid[:, None], E.OPEN, logits.argmax(axis=-1))
-    got = E._decisions(params, cfg, ds, "val", grid[:, None], "softmax")
-    assert np.array_equal(got[0], y) and np.array_equal(got[1], d)
-    assert got[2].shape == want.shape and np.array_equal(got[2], want)
+    domains = D._distinct(d)
+    # relabelled by the one-pass argmax, a row is a hit until it is rejected,
+    # so each flipped decision moves a count of the table
+    relabelled = ds.y.copy()
+    relabelled[idx] = logits.argmax(axis=-1)
+    for labels in (ds.y, relabelled):
+        sub = D.make_dataset(ds.x, labels, ds.d, ds.split)
+        got = E._tables(params, cfg, sub, "val", grid[:, None], "softmax")
+        assert np.array_equal(got[0], domains) and np.array_equal(got[3], open_classes)
+        ref = reference_tables(domains, open_classes, want, labels[idx], d)
+        assert np.array_equal(got[1], ref[0]) and np.array_equal(got[2], ref[1])
+    # relabelled, each threshold's hits are the rows that it accepts
+    assert ref[0].sum(axis=(1, 2)).tolist() == [(conf >= t).sum() for t in grid]
 
-    h = E._score(y, d, want, open_classes)[-1]
+    h = E._score(*reference_tables(domains, open_classes, want, y, d), open_classes)[-1]
     assert E.select_threshold(params, cfg, ds, grid, split="val") == grid[int(np.argmax(h))]
     if n:
         th = float(np.median(conf))

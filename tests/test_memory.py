@@ -126,25 +126,43 @@ def test_evaluate_holds_one_row_block_of_the_test_split(paper_s1):
     assert peak < 0.6 * MiB
 
 
-def test_evaluate_peak_does_not_grow_with_the_split(paper_s1):
+def peak_on_val_of(paper_s1, n, score):
+    """Traced peak of ``score(params, model config, dataset)`` on a paper_s1
+    dataset whose val split is its first `n` train rows again."""
     ds, state, _ = paper_s1
     mcfg = load_run_config("paper_s1")[0].model
     train, test = ds.indices("train"), ds.indices("test")
+    rows = np.concatenate([train, test, train[:n]])
+    split = np.repeat([D.SPLITS.index(t) for t in ("train", "test", "val")],
+                      [train.size, test.size, n])
+    sub = D.make_dataset(ds.x[rows], ds.y[rows], ds.d[rows], split, semantic=ds.semantic)
+    assert sub.indices("val").size == n
+    return traced_peak(lambda: score(state.params, mcfg, sub))[1]
 
-    def peak_on_val_of(n):
-        # the train and test rows, and the first n train rows again as val
-        rows = np.concatenate([train, test, train[:n]])
-        split = np.repeat([D.SPLITS.index(t) for t in ("train", "test", "val")],
-                          [train.size, test.size, n])
-        sub = D.make_dataset(ds.x[rows], ds.y[rows], ds.d[rows], split, semantic=ds.semantic)
-        assert sub.indices("val").size == n
-        return traced_peak(lambda: E.evaluate(state.params, mcfg, sub, 0, 0.5, split="val"))[1]
 
-    one, eight = peak_on_val_of(E.SCORE_BLOCK_ROWS), peak_on_val_of(8 * E.SCORE_BLOCK_ROWS)
-    # what stays per row is the decisions, labels and domains, and the
-    # scorer's counts over them (about 9 bytes a row); the 50 logits of a
-    # row alone take 400
-    assert eight - one < 64 * 7 * E.SCORE_BLOCK_ROWS, (one, eight)
+def test_evaluate_peak_does_not_grow_with_the_split(paper_s1):
+    def score(params, mcfg, sub):
+        return E.evaluate(params, mcfg, sub, 0, 0.5, split="val")
+
+    one = peak_on_val_of(paper_s1, E.SCORE_BLOCK_ROWS, score)
+    eight = peak_on_val_of(paper_s1, 8 * E.SCORE_BLOCK_ROWS, score)
+    # each block is counted into (D, C) tables before the next one runs, so
+    # nothing stays per row; holding the decisions alone would add 8 bytes a
+    # row (14 KiB here)
+    assert eight - one < 8 * 1024, (one, eight)
+
+
+def test_select_threshold_peak_does_not_grow_with_the_split(paper_s1):
+    grid = load_run_config("paper_s1")[0].eval.grid
+
+    def score(params, mcfg, sub):
+        return E.select_threshold(params, mcfg, sub, grid)
+
+    one = peak_on_val_of(paper_s1, E.SCORE_BLOCK_ROWS, score)
+    sixteen = peak_on_val_of(paper_s1, 16 * E.SCORE_BLOCK_ROWS, score)
+    # the (G, D, C) tables of the 20 thresholds do not grow with the rows; a
+    # (G, N) grid of int64 decisions alone would add 600 KiB at 3840 more rows
+    assert sixteen - one < 0.1 * MiB, (one, sixteen)
 
 
 @needs_glibc
