@@ -15,8 +15,7 @@ cfg, _ = load_run_config("desk")
 ds = D.generate(cfg.data)
 
 print(f"training: {cfg.train.total_steps} steps, "
-      f"batch {cfg.train.batch_size} per domain, meta split "
-      f"{ds.n_train_domains - cfg.train.mte_size}+{cfg.train.mte_size}")
+      f"batch {cfg.train.batch_size} per domain, meta split {ds.n_train_domains - 1}+1")
 res = MT.run(ds, cfg.train, cfg.model)
 
 for rep in res.reports[:: max(1, len(res.reports) // 6)]:

@@ -160,6 +160,18 @@ class Dataset:
             self._indices[key] = idx
         return idx
 
+    def domains_of(self, split: str) -> np.ndarray:
+        """The sorted distinct domains of the split named `split`, computed
+        once beside its indices and returned read-only, so a pass over the
+        split gathers no copy of its domain column."""
+        key = (split, "domains")
+        doms = self._indices.get(key)
+        if doms is None:
+            doms = _distinct(self.d[self.indices(split)])
+            doms.flags.writeable = False
+            self._indices[key] = doms
+        return doms
+
 
 def _distinct(a: np.ndarray) -> np.ndarray:
     """The sorted distinct values of a 1-D array, from one sort and a compare

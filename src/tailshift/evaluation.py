@@ -12,16 +12,17 @@ Metrics:
 
 Open classes are those absent from every training domain. ``decide`` is the
 one open-set rule: a prediction is OPEN when the maximum softmax probability
-(optionally the maximum logit, rescaled) falls below the threshold. Every
-score is read by ``_score`` from two integer tables that ``_count`` fills:
-(G, D, C) hits per threshold, domain and class, and (D, C) sample counts.
-``evaluate`` and ``metrics_from_predictions`` report row 0, and
-``select_threshold`` takes the argmax of the H row. ``evaluate`` scores
-Acc-U on one held-out domain (the CLI passes the first of
-``Dataset.heldout_domains``); H is scored over every domain of the split.
-Every pass over a split runs the model on at most ``SCORE_BLOCK_ROWS`` rows
-at a time and counts each block before the next one runs, so what a pass
-holds does not grow with the split.
+falls below the threshold. Every score is read by ``_score`` from two
+integer tables that ``_count`` fills: (G, D, C) hits per threshold, domain
+and class, and (D, C) sample counts. ``evaluate`` and
+``metrics_from_predictions`` report row 0, and ``select_threshold`` takes
+the argmax of the H row. ``evaluate`` scores Acc-U on one held-out domain
+(the CLI passes the first of ``Dataset.heldout_domains``); H is scored over
+every domain of the split. Every pass over a split runs the model on at most
+``SCORE_BLOCK_ROWS`` rows at a time and counts each block before the next
+one runs, and reads the split's rows and domains from the dataset's cache
+(``Dataset.indices``, ``Dataset.domains_of``), so what a pass holds does
+not grow with the split.
 """
 
 from __future__ import annotations
@@ -52,11 +53,8 @@ def _softmax_confidence(logits: np.ndarray) -> np.ndarray:
     return 1.0 / ez.sum(axis=-1)
 
 
-# decide's confidence rules by name: (N, C) logits -> (N,) confidences in [0, 1]
-CONFIDENCE_RULES = {
-    "softmax": _softmax_confidence,
-    "logit": lambda logits: 1.0 / (1.0 + np.exp(-logits.max(axis=-1))),
-}
+# the names decide's `confidence` accepts: the max softmax probability alone
+CONFIDENCE_RULES = ("softmax",)
 
 
 @dataclass
@@ -81,16 +79,15 @@ def decide(logits: np.ndarray, threshold: float,
     """Classify rows of logits, or reject them as an open class.
 
     Returns (predicted class or OPEN, confidence) per row. Confidence is the
-    max softmax probability by default ("logit" uses the max raw logit
-    squashed through a sigmoid instead). OPEN iff confidence falls strictly
-    below the threshold; argmax ties go to the lowest index. An array of
-    thresholds broadcasts against the rows: a (G, 1) column gives one row of
-    decisions per threshold.
+    max softmax probability, the one rule ``confidence`` names. OPEN iff
+    confidence falls strictly below the threshold; argmax ties go to the
+    lowest index. An array of thresholds broadcasts against the rows: a
+    (G, 1) column gives one row of decisions per threshold.
     """
     if confidence not in CONFIDENCE_RULES:
         raise ValueError(f"unknown confidence rule {confidence!r}")
     logits = np.asarray(logits, dtype=np.float64)
-    conf = CONFIDENCE_RULES[confidence](logits)
+    conf = _softmax_confidence(logits)
     return np.where(conf < threshold, OPEN, logits.argmax(axis=-1)), conf
 
 
@@ -173,8 +170,7 @@ def _tables(params: Params, mcfg: ModelConfig, dataset: Dataset, split: str,
             threshold, confidence: str):
     """(domains, hits, n, open classes: those with no training sample) of ``decide``
     over a split at `threshold` (a (G, 1) column: a row per value), block by block."""
-    idx = dataset.indices(split)
-    domains = _distinct(dataset.d[idx])
+    idx, domains = dataset.indices(split), dataset.domains_of(split)
     open_classes = dataset.counts.counts.sum(axis=0) == 0
     blocks = ((np.atleast_2d(decide(predict_logits(params, dataset.x[rows], mcfg),
                                     threshold, confidence)[0]),
@@ -189,7 +185,7 @@ def evaluate(params: Params, mcfg: ModelConfig, dataset: Dataset,
     idx = dataset.indices(split)
     if idx.size == 0:
         raise ValueError(f"no {split} data to evaluate")
-    if heldout_domain not in dataset.d[idx]:
+    if heldout_domain not in dataset.domains_of(split):
         raise ValueError(f"held-out domain {heldout_domain} absent from {split} split")
     return _report(*_tables(params, mcfg, dataset, split, threshold, confidence),
                    heldout_domain, threshold)

@@ -14,10 +14,9 @@ from .autodiff import (
     make_leaves,
     mask_fill,
     normalize_rows,
-    stack,
     weighted_sum,
 )
-from .linalg import check_psd, check_symmetric, psd_sqrt
+from .linalg import check_psd, psd_sqrt
 from .rng import Rng
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "affine",
     "as_tensor",
     "check_psd",
-    "check_symmetric",
     "collect_grads",
     "fd_grad",
     "grad",
@@ -36,7 +34,6 @@ __all__ = [
     "mask_fill",
     "normalize_rows",
     "psd_sqrt",
-    "stack",
     "weighted_sum",
 ]
 

@@ -4,7 +4,7 @@ A :class:`Tensor` wraps an ndarray and records the operation graph as it is
 built. Calling ``backward()`` on a scalar result accumulates gradients into
 every reachable leaf created with ``requires_grad=True``. The primitive set
 is deliberately small: affine algebra, elementwise transcendentals, rectifier,
-reductions, indexing/stacking, and the numerically stable log-softmax.
+reductions, indexing, and the numerically stable log-softmax.
 Four compositions are one node each with a hand-written backward, and each
 gives the value and gradients of its primitive composition bit for bit:
 ``affine`` (``x @ w.T + b``, optionally rectified: a whole layer),
@@ -164,9 +164,6 @@ class Tensor:
     def __sub__(self, other):
         return self + (-as_tensor(other))
 
-    def __rsub__(self, other):
-        return as_tensor(other) + (-self)
-
     def __mul__(self, other):
         a, b = self, as_tensor(other)
         out_data = a.data * b.data
@@ -192,9 +189,6 @@ class Tensor:
                 Tensor._accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
         return Tensor._from_op(out_data, (a, b), bw)
-
-    def __rtruediv__(self, other):
-        return as_tensor(other) / self
 
     def __matmul__(self, other):
         """Matrix product under numpy's rule: leading axes broadcast, and a
@@ -310,18 +304,6 @@ class Tensor:
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def stack(tensors, axis: int = 0) -> Tensor:
-    parts = [as_tensor(t) for t in tensors]
-    out_data = np.stack([p.data for p in parts], axis=axis)
-
-    def bw(g):
-        for i, p in enumerate(parts):
-            if p.requires_grad:
-                Tensor._accum(p, np.take(g, i, axis=axis))
-
-    return Tensor._from_op(out_data, tuple(parts), bw)
 
 
 def _log_softmax_core(z: np.ndarray):

@@ -24,10 +24,6 @@ def _check_square_symmetric(s: np.ndarray, ndims: tuple):
     return s, asym, scratch
 
 
-def check_symmetric(s: np.ndarray) -> np.ndarray:
-    return _check_square_symmetric(s, (2,))[0]
-
-
 def check_psd(s: np.ndarray, return_asym: bool = False):
     """Validate symmetry and eigenvalues >= -EIG_TOL of one (d, d) matrix or
     an (n, d, d) stack; returns the input, and with ``return_asym`` also the
@@ -58,7 +54,7 @@ def psd_sqrt(s: np.ndarray) -> np.ndarray:
     Eigenvalues below -EIG_TOL raise; small negatives from round-off are
     clamped to zero before the square root.
     """
-    s = check_symmetric(s)
+    s = _check_square_symmetric(s, (2,))[0]
     vals, vecs = np.linalg.eigh(s)
     if vals.size and vals.min() < -EIG_TOL:
         raise ValueError("psd_sqrt: matrix is indefinite beyond tolerance")

@@ -1,14 +1,15 @@
 """Episodic meta-train / meta-test optimization loop.
 
-Each iteration randomly splits the training domains into meta-train and
-meta-test sets, accumulates the enabled losses on the meta-train batches
-(calibrated classification, semantic alignment, cross-prototype contrast,
-prototype cycle, implicit augmentation), takes an inner step with learning
-rate beta1, evaluates the meta-test losses under the stepped parameters,
-and finally updates the real parameters with beta2 on the combined
-objective. Prototype and covariance banks are updated between the
-classification and alignment losses, matching the iteration's line order;
-the augmentation loss and covariance tracking switch on at epoch t_sigma.
+Each iteration draws one training domain at random as the meta-test set
+and keeps the others as meta-train, accumulates the enabled losses on the
+meta-train batches (calibrated classification, semantic alignment,
+cross-prototype contrast, prototype cycle, implicit augmentation), takes an
+inner step with learning rate beta1, evaluates the meta-test losses under
+the stepped parameters, and finally updates the real parameters with beta2
+on the combined objective. Prototype and covariance banks are updated
+between the classification and alignment losses, matching the iteration's
+line order; the augmentation loss and covariance tracking switch on at
+epoch t_sigma.
 
 Each half of an episode pools its equal-size per-domain batches into one
 batch (per-sample domains select the count rows), so every loss is one
@@ -90,7 +91,6 @@ class TrainConfig:
     batch_size: int = 48             # per participating domain
     cp: ContrastiveParams = field(default_factory=ContrastiveParams)
     ap: AugParams = field(default_factory=AugParams)
-    mte_size: int = 1
     seed: int = 0
     use_dc: bool = True              # False -> plain cross-entropy
     use_z2s: bool = True
@@ -109,8 +109,6 @@ class TrainConfig:
             raise ConfigError("need 0 <= t_sigma <= t_max")
         if self.steps_per_epoch < 1 or self.batch_size < 1:
             raise ConfigError("steps_per_epoch and batch_size must be >= 1")
-        if self.mte_size < 1:
-            raise ConfigError("mte_size must be >= 1")
 
     @property
     def total_steps(self) -> int:
@@ -192,15 +190,14 @@ class RunResult:
     state: TrainerState
 
 
-def split_domains(train_domains, mte_size: int, rng: Rng):
-    """Disjoint (meta-train, meta-test) split, uniform over valid splits."""
+def split_domains(train_domains, rng: Rng):
+    """Disjoint (meta-train, meta-test) split: one meta-test domain, drawn
+    uniformly, and the others as meta-train."""
     domains = sorted(int(v) for v in train_domains)
-    if not 1 <= mte_size < len(domains):
-        raise ConfigError("mte_size must satisfy 1 <= mte_size < #train domains")
-    chosen = rng.choice(len(domains), size=mte_size, replace=False)
-    mte = tuple(sorted(domains[i] for i in chosen))
-    mtr = tuple(v for v in domains if v not in mte)
-    return mtr, mte
+    if len(domains) < 2:
+        raise ConfigError("the meta loop needs >= 2 training domains")
+    mte = domains[int(rng.choice(len(domains), size=1, replace=False)[0])]
+    return tuple(v for v in domains if v != mte), (mte,)
 
 
 def _grad_norm(grads: dict) -> float:
@@ -460,11 +457,8 @@ def run(dataset: Dataset, cfg: TrainConfig, mcfg: M.ModelConfig,
     if mcfg.n_classes != dataset.n_classes or mcfg.d_x != dataset.x.shape[1]:
         raise ConfigError("model config does not match the dataset")
     train_domains = list(range(dataset.n_train_domains))
-    if cfg.use_meta:
-        if len(train_domains) < 2:
-            raise ConfigError("the meta loop needs >= 2 training domains")
-        if not cfg.mte_size < len(train_domains):
-            raise ConfigError("mte_size must leave at least one meta-train domain")
+    if cfg.use_meta and len(train_domains) < 2:
+        raise ConfigError("the meta loop needs >= 2 training domains")
 
     if state is None:
         state = init_state(dataset, cfg, mcfg)
@@ -482,7 +476,7 @@ def run(dataset: Dataset, cfg: TrainConfig, mcfg: M.ModelConfig,
         lr = cfg.lr_outer(epoch)
 
         if cfg.use_meta:
-            d_mtr, d_mte = split_domains(train_domains, cfg.mte_size, loop_rng)
+            d_mtr, d_mte = split_domains(train_domains, loop_rng)
         else:
             d_mtr, d_mte = tuple(train_domains), ()
         batches = {n: sample_batch(dataset, n, cfg.batch_size, loop_rng) for n in d_mtr}

@@ -62,11 +62,6 @@ def init_params(cfg: ModelConfig, rng: Rng) -> Params:
     return p
 
 
-def flatten_params(params: Params) -> np.ndarray:
-    return np.concatenate([np.asarray(v, dtype=np.float64).reshape(-1)
-                           for v in params.values()])
-
-
 def param_count(params: Params) -> int:
     return int(sum(np.asarray(v).size for v in params.values()))
 

@@ -16,7 +16,7 @@ from tailshift import meta as MT
 from tailshift import model as M
 from tailshift.cli import _load_dataset_dir, _train_once, main
 from tailshift.config import load_run_config, run_config_from_dict, run_config_to_dict
-from tailshift.errors import DataFormatError, NumericsError
+from tailshift.errors import ConfigError, DataFormatError, NumericsError
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -48,7 +48,6 @@ def test_presets_load():
 
 
 def test_config_rejects_unknown_fields():
-    from tailshift.errors import ConfigError
     with pytest.raises(ConfigError):
         run_config_from_dict({"train": {"bogus_field": 1},
                               "model": {"d_x": 2, "d_s": 2, "n_classes": 2, "d_v": 2}})
@@ -63,7 +62,8 @@ def test_config_rejects_unknown_fields():
                                 ("train", "decay_milestones", [0.4, 0.8]),
                                 ("train", "decay_factor", 0.1),
                                 ("train", "eval_every_epochs", 0),
-                                ("data", "curve_scale", 7.0)):
+                                ("data", "curve_scale", 7.0),
+                                ("train", "mte_size", 1)):
         raw = json.loads(json.dumps(TINY))
         raw[section][key] = value
         with pytest.raises(ConfigError):
@@ -268,6 +268,18 @@ def test_config_naming_tail_domain_budget_is_an_unknown_field(tmp_path, capsys):
     code = main(["gen-data", "--config", str(path), "--out", str(tmp_path / "x")])
     assert code == 2
     assert "unknown field(s) in 'data': ['tail_domain_budget']" in capsys.readouterr().err
+
+
+def test_config_naming_mte_size_is_an_unknown_field(tmp_path, capsys):
+    # every episode meta-tests one domain; the setting is gone
+    bad = {**TINY, "train": {**TINY["train"], "mte_size": 1}}
+    with pytest.raises(ConfigError, match=r"unknown field\(s\) in 'train': \['mte_size'\]"):
+        run_config_from_dict(bad)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert "unknown field(s) in 'train': ['mte_size']" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 # ---------------------------------------------------------------------------

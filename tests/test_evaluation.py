@@ -82,6 +82,10 @@ def test_softmax_confidence_is_max_softmax_bit_for_bit():
             E.decide(rows, 0.5)
     with pytest.raises(ValueError, match="no finite entry"):
         E.decide(np.full((2, 3), -np.inf), 0.5)
+    # the max softmax probability is the one rule
+    for rule in ("logit", "entropy"):
+        with pytest.raises(ValueError, match=f"unknown confidence rule '{rule}'"):
+            E.decide(z, 0.5, confidence=rule)
 
 
 # ---------------------------------------------------------------------------
@@ -201,14 +205,6 @@ def test_metrics_of_no_samples_fall_back_to_zero():
     assert (rep.acc_u, rep.acc, rep.h, rep.pooled_acc) == (0.0, 0.0, 0.0, 0.0)
     assert rep.h_fallback and rep.open_acc is None
     assert rep.per_domain == {} and rep.per_class == {}
-
-
-def test_decide_logit_confidence_flag():
-    pred, conf = E.decide(np.array([[3.0, 0.0]]), 0.9, confidence="logit")
-    assert conf[0] == pytest.approx(1 / (1 + np.exp(-3.0)), abs=1e-12)
-    assert pred[0] != E.OPEN
-    with pytest.raises(ValueError):
-        E.decide(np.zeros((1, 2)), 0.5, confidence="entropy")
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 
 from tailshift import banks as B
 from tailshift import losses as L
-from tailshift.mathcore import Rng, Tensor, fd_grad, grad, log_softmax, normalize_rows, stack
+from tailshift.mathcore import Rng, Tensor, fd_grad, grad, log_softmax, normalize_rows
 from tailshift.mathcore.linalg import SYM_TOL
 
 CP0 = L.ContrastiveParams(alpha=0.0, tau=1.0)
@@ -421,13 +421,13 @@ def test_aug_loss_mean_grad_weights_only_leaf():
 
 def _aug_loss_from_primitives(f, labels, w, b, sigmas, lam):
     """The augmentation loss as a graph of mathcore primitives, one penalty
-    row per sample."""
+    row per sample, added into its logit row through a one-hot column."""
     nb = f.data.shape[0]
-    pen = []
-    for y in labels:
+    logits = f @ w.T + b
+    for i, y in enumerate(labels):
         d = w - w[int(y)]
-        pen.append(((d @ Tensor(sigmas[int(y)])) * d).sum(axis=1))
-    logits = f @ w.T + b + (lam / 2.0) * stack(pen, axis=0)
+        pen = ((d @ Tensor(sigmas[int(y)])) * d).sum(axis=1)
+        logits = logits + Tensor(np.eye(nb)[:, i:i + 1]) * ((lam / 2.0) * pen)
     return -log_softmax(logits)[np.arange(nb), labels].mean()
 
 

@@ -24,6 +24,7 @@ from tailshift import evaluation as E
 from tailshift import meta as MT
 from tailshift.cli import _sha256
 from tailshift.config import load_run_config, run_config_to_dict
+from tailshift.mathcore import Rng
 
 MiB = 1 << 20
 ROOT = Path(__file__).resolve().parent.parent
@@ -126,17 +127,21 @@ def test_evaluate_holds_one_row_block_of_the_test_split(paper_s1):
     assert peak < 0.6 * MiB
 
 
-def peak_on_val_of(paper_s1, n, score):
+def peak_on_val_of(paper_s1, n, score, shuffled=False):
     """Traced peak of ``score(params, model config, dataset)`` on a paper_s1
-    dataset whose val split is its first `n` train rows again."""
+    dataset whose val split is its first `n` train rows again, or with
+    `shuffled` `n` rows cycled through a fixed permutation of them, so that
+    every training domain has val rows. The split's cached indices and
+    domains are made first, once per dataset."""
     ds, state, _ = paper_s1
     mcfg = load_run_config("paper_s1")[0].model
     train, test = ds.indices("train"), ds.indices("test")
-    rows = np.concatenate([train, test, train[:n]])
+    val = np.resize(train[Rng(0).permutation(train.size)], n) if shuffled else train[:n]
+    rows = np.concatenate([train, test, val])
     split = np.repeat([D.SPLITS.index(t) for t in ("train", "test", "val")],
                       [train.size, test.size, n])
     sub = D.make_dataset(ds.x[rows], ds.y[rows], ds.d[rows], split, semantic=ds.semantic)
-    assert sub.indices("val").size == n
+    assert sub.indices("val").size == n and sub.domains_of("val").size >= 1
     return traced_peak(lambda: score(state.params, mcfg, sub))[1]
 
 
@@ -163,6 +168,21 @@ def test_select_threshold_peak_does_not_grow_with_the_split(paper_s1):
     # the (G, D, C) tables of the 20 thresholds do not grow with the rows; a
     # (G, N) grid of int64 decisions alone would add 600 KiB at 3840 more rows
     assert sixteen - one < 0.1 * MiB, (one, sixteen)
+
+
+@pytest.mark.parametrize("name", ["evaluate", "select_threshold"])
+def test_passes_gather_no_copy_of_the_domain_column(paper_s1, name):
+    grid = load_run_config("paper_s1")[0].eval.grid
+    score = {"evaluate": lambda params, mcfg, sub: E.evaluate(params, mcfg, sub, 0, 0.5,
+                                                              split="val"),
+             "select_threshold": lambda params, mcfg, sub: E.select_threshold(params, mcfg,
+                                                                              sub, grid)}[name]
+    small = peak_on_val_of(paper_s1, 4096, score, shuffled=True)
+    large = peak_on_val_of(paper_s1, 32768, score, shuffled=True)
+    # a split's domains come from the dataset's cache; gathering and sorting
+    # the split's domain column in each pass held 16 bytes a row and, past
+    # about 16k rows, set the pass's peak: it grew by 203-232 KiB here
+    assert large - small < 32 * 1024, (small, large)
 
 
 @needs_glibc

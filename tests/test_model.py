@@ -147,16 +147,6 @@ def test_apply_step_with_extra_gradient_equals_combined_gradient_bit_for_bit():
         assert (g[k].tobytes(), extra[k].tobytes()) == digest[k]
 
 
-def test_flatten_params_order_and_size():
-    params = make_params(16)
-    vec = M.flatten_params(params)
-    assert M.param_count(params) == vec.size
-    # blocks follow insertion order, each flattened row-major
-    ends = np.cumsum([v.size for v in params.values()])
-    for part, v in zip(np.split(vec, ends[:-1]), params.values()):
-        assert np.array_equal(part, v.reshape(-1))
-
-
 def test_forward_deterministic():
     rng = Rng(17)
     params = make_params(18)

@@ -24,27 +24,45 @@ def _preset_traces(cwd, *args):
 def test_preset_traces_desk(tmp_path):
     proc = _preset_traces(tmp_path, "desk")
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
+    setting, *lines = proc.stdout.splitlines()
+    assert re.fullmatch(r"setting: blas \S+; simd \S+", setting)
     names = ["dataset.csv", "dataset.npy", "embeddings.csv", "manifest.json", "steps.jsonl",
              "steps.jsonl[:t_sigma]", "checkpoint.json", "metrics.json", "ablation.csv"]
     assert [line.split("  ")[-1] for line in lines] == [f"desk/{n}" for n in names]
     assert all(re.fullmatch(r"[0-9a-f]{64}  desk/\S+", line) for line in lines)
     assert lines[4].split()[0] != lines[5].split()[0]
 
-    # --expect: a run matches its own saved output, and one altered hash
-    # (among lines of a preset that is not run) is the one line reported
+    # --expect: a run matches its own saved output, with or without the
+    # setting line, and one altered hash (among lines of a preset that is not
+    # run) is the one line reported
     (tmp_path / "same.txt").write_text(proc.stdout + "0" * 64 + "  paper_s1/steps.jsonl\n")
-    same = _preset_traces(tmp_path, "--expect", "same.txt", "desk")
-    assert same.returncode == 0, same.stderr
-    assert same.stdout == proc.stdout and same.stderr == ""
-    altered = list(lines)
-    altered[4] = "f" * 64 + "  desk/steps.jsonl"
+    (tmp_path / "bare.txt").write_text("\n".join(lines) + "\n")
+    for saved in ("same.txt", "bare.txt"):
+        same = _preset_traces(tmp_path, "--expect", saved, "desk")
+        assert same.returncode == 0, same.stderr
+        assert same.stdout == proc.stdout and same.stderr == ""
+    altered = [setting, *lines]
+    altered[5] = "f" * 64 + "  desk/steps.jsonl"
     (tmp_path / "altered.txt").write_text("\n".join(altered) + "\n")
     differ = _preset_traces(tmp_path, "--expect", "altered.txt", "desk")
     assert differ.returncode == 1
     assert differ.stdout == proc.stdout
     assert differ.stderr.splitlines() == [
         f"differs: desk/steps.jsonl: expected {'f' * 64}, got {lines[4].split()[0]}"]
+
+
+def test_preset_traces_refuses_a_file_of_another_setting(tmp_path):
+    # another BLAS core moves every data and training byte, so the hashes
+    # are not compared; the refusal comes before any preset runs
+    other = "setting: blas Nehalem; simd none"
+    (tmp_path / "other.txt").write_text(other + "\n" + "0" * 64 + "  desk/dataset.csv\n")
+    proc = _preset_traces(tmp_path, "--expect", "other.txt", "desk")
+    assert proc.returncode == 2
+    setting, = proc.stdout.splitlines()
+    assert re.fullmatch(r"setting: blas \S+; simd \S+", setting) and setting != other
+    assert proc.stderr.splitlines() == [
+        f"setting differs: other.txt has 'blas Nehalem; simd none', "
+        f"this run has '{setting[len('setting: '):]}'"]
 
 
 def _write_trace(path, steps, losses):

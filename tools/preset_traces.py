@@ -5,10 +5,15 @@
 For each preset (default: every packaged preset), runs ``gen-data`` ->
 ``train`` -> ``eval``, then ``ablate --rows a,j --seeds 2``, in a temporary
 directory, with ``tailshift`` imported from this checkout's ``src/`` and
-BLAS on one thread (unless the environment sets the thread counts), and
-prints one ``<sha256>  <preset>/<file>`` line per output file:
-``dataset.csv``, ``dataset.npy``, ``embeddings.csv``, ``manifest.json``,
-``steps.jsonl``, ``checkpoint.json``, ``metrics.json`` and ``ablation.csv``.
+BLAS on one thread (unless the environment sets the thread counts). Its
+first line names the setting that the bytes depend on, ``setting: blas
+<core>; simd <targets>``: the BLAS core that numpy's bundled OpenBLAS
+selected for this CPU (``unknown`` where the library does not export
+``scipy_openblas_get_corename64_``) and numpy's SIMD dispatch targets that
+this CPU enables. Then it prints one ``<sha256>  <preset>/<file>`` line per
+output file: ``dataset.csv``, ``dataset.npy``, ``embeddings.csv``,
+``manifest.json``, ``steps.jsonl``, ``checkpoint.json``, ``metrics.json``
+and ``ablation.csv``.
 After ``steps.jsonl`` comes ``<preset>/steps.jsonl[:t_sigma]``, the hash of
 its lines for the steps before the augmentation phase (epochs below the
 preset's ``t_sigma``). A change that keeps the numbers leaves the lines of
@@ -24,7 +29,11 @@ also compared with the line of the same ``<preset>/<file>`` name in FILE
 one side lacks, is reported on stderr, and any difference exits 1. So
 ``python3 tools/preset_traces.py > before.txt`` on one tree and
 ``python3 tools/preset_traces.py --expect before.txt`` on another checks
-that a change keeps every output byte-identical.
+that a change keeps every output byte-identical. Another BLAS core or SIMD
+level changes the bytes of the data and training outputs, so a FILE whose
+setting line differs from this run's is refused with both settings named
+on stderr (exit 2) before any preset runs; a FILE without a setting line
+is compared line by line.
 """
 
 from __future__ import annotations
@@ -43,6 +52,30 @@ ROOT = Path(__file__).resolve().parent.parent
 OUTPUTS = (("bench", "dataset.csv"), ("bench", "dataset.npy"), ("bench", "embeddings.csv"),
            ("bench", "manifest.json"), ("run", "steps.jsonl"), ("run", "checkpoint.json"),
            ("eval", "metrics.json"), ("ablate", "ablation.csv"))
+SETTING = "setting: "
+
+
+def setting() -> str:
+    """The setting line of this process: numpy's BLAS core and its enabled
+    SIMD dispatch targets. It imports numpy, whose OpenBLAS reads the
+    environment once, as it loads, so call it once the environment is set."""
+    import ctypes
+
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    try:
+        # dlsym through the extension module's handle searches the libraries
+        # it links, among them the OpenBLAS that numpy's wheel bundles
+        corename = ctypes.CDLL(umath.__file__).scipy_openblas_get_corename64_
+    except (AttributeError, OSError):
+        core = "unknown"
+    else:
+        corename.argtypes, corename.restype = (), ctypes.c_char_p
+        core = corename().decode()
+    simd = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    return f"{SETTING}blas {core}; simd {','.join(simd) or 'none'}"
 
 
 def preset_traces(preset: str, main, pre_aug_steps: int) -> list[str]:
@@ -77,7 +110,8 @@ def mismatches(lines: list[str], expected: list[str], presets) -> list[str]:
     that differs from, or is missing in, the `expected` lines of `presets`,
     and for each such expected line that `lines` lacks."""
     got = {name: h for h, name in (line.split("  ", 1) for line in lines)}
-    want = {name: h for h, name in (line.split("  ", 1) for line in expected if line.strip())
+    want = {name: h for h, name in (line.split("  ", 1) for line in expected
+                                    if line.strip() and not line.startswith(SETTING))
             if name.split("/", 1)[0] in presets}
     out = []
     for name in [*got, *(n for n in want if n not in got)]:
@@ -99,6 +133,14 @@ def main() -> int:
     from tailshift.cli import main as cli_main
     from tailshift.config import PRESETS, load_run_config
 
+    ours = setting()
+    print(ours, flush=True)
+    expected = None if args.expect is None else Path(args.expect).read_text().splitlines()
+    saved = next((line for line in expected or () if line.startswith(SETTING)), ours)
+    if saved != ours:
+        print(f"setting differs: {args.expect} has '{saved[len(SETTING):]}', "
+              f"this run has '{ours[len(SETTING):]}'", file=sys.stderr)
+        return 2
     presets = args.presets or list(PRESETS)
     printed = []
     for preset in presets:
@@ -106,9 +148,9 @@ def main() -> int:
         lines = preset_traces(preset, cli_main, train.t_sigma * train.steps_per_epoch)
         print("\n".join(lines), flush=True)
         printed += lines
-    if args.expect is None:
+    if expected is None:
         return 0
-    report = mismatches(printed, Path(args.expect).read_text().splitlines(), presets)
+    report = mismatches(printed, expected, presets)
     for line in report:
         print(line, file=sys.stderr)
     return 1 if report else 0
