@@ -75,11 +75,14 @@ def _skeleton(payload: dict, hole: str) -> tuple[list[bytes], list[np.ndarray]]:
     return text.encode("ascii").split(hole.encode("ascii")), arrays
 
 
-def _take_array(d: dict, runs) -> np.ndarray:
-    """Decode an encoded array, removing its hex from ``d``, which holds the
-    index of a run ``_unhex_runs`` decoded; the array is a writable view of
-    that run's bytes."""
+def _take_array(d: dict, runs, name: str, want=np.float64) -> np.ndarray:
+    """Decode encoded array `name`, which must be of dtype `want` in either
+    byte order, removing its hex from ``d``, which holds the index of a run
+    ``_unhex_runs`` decoded; the array is a writable view of that run's
+    bytes."""
     dtype = np.dtype(d["dtype"])
+    if dtype.newbyteorder("=") != want:
+        raise ValueError(f"{name} is stored as {dtype.name}, not {np.dtype(want).name}")
     hole = d.pop("hex")
     if not (isinstance(hole, str) and hole.isdigit() and int(hole) < len(runs)):
         raise ValueError(f"array hex {hole!r} is not a hex run of the file")
@@ -188,13 +191,13 @@ def load_checkpoint(path) -> tuple[TrainerState, dict]:
     try:
         mcfg = ModelConfig(**raw["model_config"])
         runs = _unhex_runs(buf, spans)
-        params = {k: _take_array(v, runs) for k, v in raw["params"]}
-        proto = PrototypeBank(v=_take_array(raw["proto"]["v"], runs),
-                              mask=_take_array(raw["proto"]["mask"], runs))
+        params = {k: _take_array(v, runs, f"parameter block {k}") for k, v in raw["params"]}
+        proto = PrototypeBank(v=_take_array(raw["proto"]["v"], runs, "proto.v"),
+                              mask=_take_array(raw["proto"]["mask"], runs, "proto.mask", bool))
         ema = raw["proto"]["ema"]
-        cov = CovarianceBank(mu=_take_array(raw["cov"]["mu"], runs),
-                             sigma=_take_array(raw["cov"]["sigma"], runs),
-                             n=_take_array(raw["cov"]["n"], runs))
+        cov = CovarianceBank(mu=_take_array(raw["cov"]["mu"], runs, "cov.mu"),
+                             sigma=_take_array(raw["cov"]["sigma"], runs, "cov.sigma"),
+                             n=_take_array(raw["cov"]["n"], runs, "cov.n", np.int64))
         Rng(0).set_state(raw["rng_state"])
     except (AttributeError, LookupError, OverflowError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: malformed checkpoint "

@@ -65,7 +65,8 @@ def _load_dataset_dir(path: str | Path) -> tuple[D.Dataset, str]:
     no manifest or ``dataset.csv`` differs from the sha256 it lists, in
     which case the CSV's own sha256. The binary copy ``dataset.npy`` is read
     only when the manifest lists the sha256s of both files and both match;
-    otherwise the CSV is parsed."""
+    otherwise the CSV is parsed. A dataset with no held-out domain is
+    refused: ``generate`` always makes one, so only a directory can lack it."""
     root = Path(path)
     ds_file = root / DATASET_FILE
     if not ds_file.exists():
@@ -90,8 +91,13 @@ def _load_dataset_dir(path: str | Path) -> tuple[D.Dataset, str]:
     npy_file = root / DATASET_COPY_FILE
     if files.get(DATASET_FILE) == csv_hash and npy_file.exists() \
             and files.get(DATASET_COPY_FILE) == _sha256(npy_file):
-        return D.load_dataset_npy(npy_file, semantic=table), fingerprint
-    return D.load_dataset(ds_file, semantic=table), fingerprint
+        dataset = D.load_dataset_npy(npy_file, semantic=table)
+    else:
+        dataset = D.load_dataset(ds_file, semantic=table)
+    if not dataset.heldout_domains:
+        raise DataFormatError("dataset has no held-out domain: every domain of its "
+                              "test split has training data, so none can be scored as unseen")
+    return dataset, fingerprint
 
 
 def cmd_gen_data(args) -> int:
@@ -185,7 +191,6 @@ def cmd_train(args) -> int:
     dataset, fingerprint = (
         _load_dataset_dir(args.data) if args.data is not None
         else (D.generate(cfg.data), config_hash(dataclasses.asdict(cfg.data))))
-    _heldout_domain(dataset)  # no checkpoint of a run without one could be scored
     out = Path(args.out) if args.out else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
@@ -199,27 +204,16 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _heldout_domain(dataset: D.Dataset) -> int:
-    """The domain scored as unseen, the first of ``dataset.heldout_domains``;
-    a dataset with none is refused."""
-    if not dataset.heldout_domains:
-        raise DataFormatError("dataset has no held-out domain: every domain of its "
-                              "test split has training data, so none can be scored as unseen")
-    return dataset.heldout_domains[0]
-
-
 def score(params, mcfg, dataset: D.Dataset, eval_opts: EvalOptions) -> E.MetricReport:
     """Score a model on the dataset's first held-out domain (the first domain
-    with no training data; a dataset without one is refused) at the options'
-    threshold (``eval --threshold``, else the config's), else at the grid
-    point that maximizes H on the validation split."""
-    held = _heldout_domain(dataset)
+    with no training data, which ``_load_dataset_dir`` requires of a dataset
+    directory and ``generate`` always makes) at the options' threshold
+    (``eval --threshold``, else the config's), else at the grid point that
+    maximizes H on the validation split."""
     threshold = eval_opts.threshold
     if threshold is None:
-        threshold = E.select_threshold(params, mcfg, dataset, eval_opts.grid,
-                                       confidence=eval_opts.confidence)
-    return E.evaluate(params, mcfg, dataset, held, threshold,
-                      confidence=eval_opts.confidence)
+        threshold = E.select_threshold(params, mcfg, dataset, eval_opts.grid)
+    return E.evaluate(params, mcfg, dataset, dataset.heldout_domains[0], threshold)
 
 
 def ablation_scores(cfg: RunConfig, rows, n_seeds: int,
@@ -228,11 +222,7 @@ def ablation_scores(cfg: RunConfig, rows, n_seeds: int,
     each row's (n_seeds, 3) array of Acc-U, Acc and H. Cell i trains at
     train seed ``cfg.train.seed + i`` on data generated at
     ``cfg.data.seed + i``, or on ``dataset`` when one is given. Rows run in
-    the outer loop, so the last cell trained is the last row's last seed.
-    A given dataset without a held-out domain is refused before any cell
-    trains."""
-    if dataset is not None:
-        _heldout_domain(dataset)
+    the outer loop, so the last cell trained is the last row's last seed."""
     row_cfgs = {row: MT.apply_ablation(cfg.train, row) for row in rows}
     datasets = [dataset] * n_seeds if dataset is not None else [
         D.generate(dataclasses.replace(cfg.data, seed=cfg.data.seed + i))

@@ -7,7 +7,7 @@ A run config file has five sections, all optional (defaults apply):
       "model": { "d_v": 16, "hidden": [32] },
       "train": { training loop fields, incl. "cp": {"alpha","tau"},
                  "ap": {"lam","k"}, "ablation" toggles },
-      "eval":  { "threshold": null, "grid": [..], "confidence": "softmax" },
+      "eval":  { "threshold": null, "grid": [..] },
       "io":    { "checkpoint_every_epochs": 0 }
     }
 
@@ -28,10 +28,10 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from typing import ClassVar
 
 from .data import SyntheticConfig
 from .errors import ConfigError, check_count
-from .evaluation import CONFIDENCE_RULES
 from .losses import AugParams, ContrastiveParams
 from .meta import TrainConfig
 from .model import ModelConfig
@@ -43,7 +43,8 @@ PRESETS = ("paper_s1", "desk")
 class EvalOptions:
     threshold: float | None = None
     grid: tuple[float, ...] = tuple(round(0.05 * i, 2) for i in range(20))
-    confidence: str = "softmax"
+    # not a setting: ``decide``'s one rule, for callers that pass it on
+    confidence: ClassVar[str] = "softmax"
 
     def __post_init__(self):
         object.__setattr__(self, "grid", tuple(self.grid))
@@ -51,8 +52,6 @@ class EvalOptions:
             raise ConfigError("threshold must lie in [0, 1]")
         if not self.grid or not all(0.0 <= g <= 1.0 for g in self.grid):
             raise ConfigError(f"threshold grid must be points in [0, 1], not {list(self.grid)}")
-        if self.confidence not in CONFIDENCE_RULES:
-            raise ConfigError(f"unknown confidence rule {self.confidence!r}")
 
 
 @dataclass(frozen=True)

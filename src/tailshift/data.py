@@ -135,14 +135,10 @@ class Dataset:
         return self.counts.n_domains
 
     @property
-    def domains(self) -> np.ndarray:
-        return _distinct(self.d)
-
-    @property
     def heldout_domains(self) -> list[int]:
         """The domains with no training data, which only the test split
         holds; the first is scored as unseen (Acc-U)."""
-        return [int(k) for k in self.domains if k >= self.n_train_domains]
+        return [int(k) for k in self.domains_of("test") if k >= self.n_train_domains]
 
     def indices(self, split: str, domain: int | None = None) -> np.ndarray:
         """Row indices of the split named `split` (one of ``SPLITS``),

@@ -159,11 +159,17 @@ def metrics_from_predictions(y: np.ndarray, d: np.ndarray, pred: np.ndarray,
     return _report(domains, *tables, open_classes, heldout_domain, threshold)
 
 
-def _row_blocks(idx: np.ndarray) -> list[np.ndarray]:
-    """`idx` cut into the fewest blocks of at most ``SCORE_BLOCK_ROWS`` rows, of
-    sizes within one (one empty block for an empty `idx`): BLAS would sum a short
-    tail block's product in another order and could move its rows' last bit."""
-    return np.array_split(idx, max(1, -(-idx.size // SCORE_BLOCK_ROWS)))
+def _row_blocks(idx: np.ndarray):
+    """Yield `idx` cut into the fewest blocks of at most ``SCORE_BLOCK_ROWS``
+    rows, one view at a time, of sizes within one, the longer first, as
+    ``np.array_split`` cuts them (one empty block for an empty `idx`): BLAS
+    would sum a short tail block's product in another order and could move its
+    rows' last bit."""
+    k = max(1, -(-idx.size // SCORE_BLOCK_ROWS))
+    size, longer = divmod(idx.size, k)
+    for i in range(k):
+        start = i * size + min(i, longer)
+        yield idx[start:start + size + (i < longer)]
 
 
 def _tables(params: Params, mcfg: ModelConfig, dataset: Dataset, split: str,

@@ -454,11 +454,10 @@ def run(dataset: Dataset, cfg: TrainConfig, mcfg: M.ModelConfig,
     needs_table = cfg.use_z2s or cfg.use_s2s or cfg.use_s2z or cfg.use_aug
     if needs_table and dataset.semantic is None:
         raise ConfigError("enabled losses require a semantic table")
-    if mcfg.n_classes != dataset.n_classes or mcfg.d_x != dataset.x.shape[1]:
+    if mcfg.n_classes != dataset.n_classes or mcfg.d_x != dataset.x.shape[1] \
+            or (dataset.semantic is not None and mcfg.d_s != dataset.semantic.dim):
         raise ConfigError("model config does not match the dataset")
     train_domains = list(range(dataset.n_train_domains))
-    if cfg.use_meta and len(train_domains) < 2:
-        raise ConfigError("the meta loop needs >= 2 training domains")
 
     if state is None:
         state = init_state(dataset, cfg, mcfg)

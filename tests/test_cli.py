@@ -63,7 +63,8 @@ def test_config_rejects_unknown_fields():
                                 ("train", "decay_factor", 0.1),
                                 ("train", "eval_every_epochs", 0),
                                 ("data", "curve_scale", 7.0),
-                                ("train", "mte_size", 1)):
+                                ("train", "mte_size", 1),
+                                ("eval", "confidence", "softmax")):
         raw = json.loads(json.dumps(TINY))
         raw[section][key] = value
         with pytest.raises(ConfigError):
@@ -356,6 +357,19 @@ def test_train_epoch_checkpoints_skip_the_last_step(tmp_path):
         "checkpoint_000003.json"]
 
 
+def test_train_refuses_a_model_of_another_semantic_width(tmp_path, capsys):
+    # the data has 4-wide semantic rows, the model config 3: a config error
+    # before any step, not a matmul failure at step 0
+    wide, narrow = (tmp_path / "wide.json", tmp_path / "narrow.json")
+    for path, d_s in ((wide, 4), (narrow, 3)):
+        path.write_text(json.dumps({**TINY, "data": {**TINY["data"], "d_s": d_s}}))
+    bench = tmp_path / "bench"
+    assert main(["gen-data", "--config", str(wide), "--out", str(bench)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", str(narrow), "--data", str(bench)]) == 2
+    assert capsys.readouterr().err == "error: model config does not match the dataset\n"
+
+
 def test_train_resume_refuses_other_config(tiny_config, tmp_path, capsys):
     bench, run = tmp_path / "bench", tmp_path / "run"
     main(["gen-data", "--config", tiny_config, "--out", str(bench)])
@@ -532,7 +546,9 @@ def test_dataset_without_a_heldout_domain_is_refused(tiny_config, tmp_path, caps
         assert "dataset has no held-out domain" in capsys.readouterr().err
     assert calls == [] and not run.exists()
     # a checkpoint of that data, trained past the CLI, is refused by eval
-    dataset, fingerprint = _load_dataset_dir(bench)
+    dataset = D.load_dataset(bench / "dataset.csv",
+                             semantic=D.load_embeddings(bench / "embeddings.csv"))
+    fingerprint = hashlib.sha256((bench / "dataset.csv").read_bytes()).hexdigest()
     run.mkdir()
     _train_once(load_run_config(tiny_config)[0], dataset, fingerprint, run, None)
     assert main(["eval", "--checkpoint", str(run / "checkpoint.json"),
@@ -710,7 +726,7 @@ def test_ablate_unknown_row(tiny_config, capsys):
 
 
 @pytest.mark.parametrize("eval_sec, message", [
-    ({"confidence": "entropy"}, "unknown confidence rule 'entropy'"),
+    ({"confidence": "entropy"}, "unknown field(s) in 'eval': ['confidence']"),
     ({"grid": [-2.0, 0.5]}, "threshold grid must be points in [0, 1], not [-2.0, 0.5]"),
     ({"grid": [0.5, 1.5]}, "threshold grid must be points in [0, 1], not [0.5, 1.5]"),
 ])
@@ -842,6 +858,21 @@ def _transpose_cov_mu(doc):
     doc["cov"]["mu"].update(shape=list(mu.shape), hex=np.ascontiguousarray(mu).tobytes().hex())
 
 
+def _params_as_float32(doc):
+    # a whole model in single precision: every block's shape is right
+    for _, rec in doc["params"]:
+        a = np.frombuffer(bytes.fromhex(rec["hex"]), dtype=rec["dtype"]).astype("<f4")
+        rec.update(dtype=a.dtype.str, hex=a.tobytes().hex())
+
+
+def _fractional_cov_n(doc):
+    # a class count of 15.5, which an int64 cast would read as 15
+    rec = doc["cov"]["n"]
+    n = np.frombuffer(bytes.fromhex(rec["hex"]), dtype=rec["dtype"]).astype("<f8")
+    n[0] = 15.5
+    rec.update(dtype=n.dtype.str, hex=n.tobytes().hex())
+
+
 @pytest.mark.parametrize("spoil, message", [
     (lambda doc: doc.update(step=-3), "step -3 is not an int >= 0"),
     (lambda doc: doc["proto"].update(ema=0.3), "prototype EMA weight 0.3 is not the fixed 0.5"),
@@ -856,8 +887,12 @@ def _transpose_cov_mu(doc):
      "malformed checkpoint (ValueError: Philox buffer_pos -1 lies outside [0, 4])"),
     (lambda doc: doc["rng_state"].update(has_uint32=7),
      "malformed checkpoint (ValueError: Philox has_uint32 7 is not 0 or 1)"),
+    (_params_as_float32,
+     "malformed checkpoint (ValueError: parameter block f0.W is stored as float32, not float64)"),
+    (_fractional_cov_n, "malformed checkpoint (ValueError: cov.n is stored as float64, not int64)"),
 ], ids=["negative_step", "other_ema", "empty_rng_state", "reordered_params",
-        "dropped_block", "transposed_cov_mu", "rng_buffer_pos", "rng_has_uint32"])
+        "dropped_block", "transposed_cov_mu", "rng_buffer_pos", "rng_has_uint32",
+        "float32_params", "fractional_cov_n"])
 def test_checkpoint_refused_at_load_unless_its_configs_can_resume_it(
         spoil, message, tiny_config, tmp_path, capsys):
     bench, run, bad = tmp_path / "bench", tmp_path / "run", tmp_path / "bad.json"

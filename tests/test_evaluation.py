@@ -301,11 +301,13 @@ BLOCK_SIZES = [0, 37, BLOCK, 3 * BLOCK + 3]   # none, under a block, one block, 
 @pytest.mark.parametrize("n", BLOCK_SIZES + [1, BLOCK + 1])
 def test_row_blocks_are_even_and_bounded(n):
     idx = np.arange(5, 5 + 2 * n, 2)
-    blocks = E._row_blocks(idx)
+    blocks = list(E._row_blocks(idx))
     sizes = [b.size for b in blocks]
     assert len(blocks) == max(1, -(-n // BLOCK))
     assert max(sizes) <= BLOCK and max(sizes) - min(sizes) <= 1
     assert np.array_equal(np.concatenate(blocks), idx)
+    # the blocks np.array_split cuts, in its order: the longer ones first
+    assert [b.tolist() for b in blocks] == [b.tolist() for b in np.array_split(idx, len(blocks))]
 
 
 def val_split_of(n):

@@ -181,8 +181,10 @@ def test_passes_gather_no_copy_of_the_domain_column(paper_s1, name):
     large = peak_on_val_of(paper_s1, 32768, score, shuffled=True)
     # a split's domains come from the dataset's cache; gathering and sorting
     # the split's domain column in each pass held 16 bytes a row and, past
-    # about 16k rows, set the pass's peak: it grew by 203-232 KiB here
-    assert large - small < 32 * 1024, (small, large)
+    # about 16k rows, set the pass's peak: it grew by 203-232 KiB here. The
+    # row blocks are made one at a time; a list of every block's view grew
+    # it by about 13 KiB
+    assert large - small < 2 * 1024, (small, large)
 
 
 @needs_glibc

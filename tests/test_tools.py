@@ -27,7 +27,8 @@ def test_preset_traces_desk(tmp_path):
     setting, *lines = proc.stdout.splitlines()
     assert re.fullmatch(r"setting: blas \S+; simd \S+", setting)
     names = ["dataset.csv", "dataset.npy", "embeddings.csv", "manifest.json", "steps.jsonl",
-             "steps.jsonl[:t_sigma]", "checkpoint.json", "metrics.json", "ablation.csv"]
+             "steps.jsonl[:t_sigma]", "checkpoint.json", "metrics.json", "features.csv",
+             "ablation.csv"]
     assert [line.split("  ")[-1] for line in lines] == [f"desk/{n}" for n in names]
     assert all(re.fullmatch(r"[0-9a-f]{64}  desk/\S+", line) for line in lines)
     assert lines[4].split()[0] != lines[5].split()[0]

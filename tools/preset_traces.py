@@ -12,8 +12,8 @@ selected for this CPU (``unknown`` where the library does not export
 ``scipy_openblas_get_corename64_``) and numpy's SIMD dispatch targets that
 this CPU enables. Then it prints one ``<sha256>  <preset>/<file>`` line per
 output file: ``dataset.csv``, ``dataset.npy``, ``embeddings.csv``,
-``manifest.json``, ``steps.jsonl``, ``checkpoint.json``, ``metrics.json``
-and ``ablation.csv``.
+``manifest.json``, ``steps.jsonl``, ``checkpoint.json``, ``metrics.json``,
+``features.csv`` (of ``eval --dump-features``) and ``ablation.csv``.
 After ``steps.jsonl`` comes ``<preset>/steps.jsonl[:t_sigma]``, the hash of
 its lines for the steps before the augmentation phase (epochs below the
 preset's ``t_sigma``). A change that keeps the numbers leaves the lines of
@@ -51,7 +51,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # each hashed file, under the --out directory of the command that writes it
 OUTPUTS = (("bench", "dataset.csv"), ("bench", "dataset.npy"), ("bench", "embeddings.csv"),
            ("bench", "manifest.json"), ("run", "steps.jsonl"), ("run", "checkpoint.json"),
-           ("eval", "metrics.json"), ("ablate", "ablation.csv"))
+           ("eval", "metrics.json"), ("eval", "features.csv"), ("ablate", "ablation.csv"))
 SETTING = "setting: "
 
 
@@ -88,13 +88,16 @@ def preset_traces(preset: str, main, pre_aug_steps: int) -> list[str]:
         for argv in (["gen-data", "--config", preset, "--out", bench],
                      ["train", "--config", preset, "--data", bench, "--out", run],
                      ["eval", "--config", preset, "--data", bench,
-                      "--checkpoint", str(Path(run) / "checkpoint.json"), "--out", ev],
+                      "--checkpoint", str(Path(run) / "checkpoint.json"), "--out", ev,
+                      "--dump-features"],
                      ["ablate", "--config", preset, "--rows", "a,j", "--seeds", "2",
                       "--out", ab]):
-            with contextlib.redirect_stdout(io.StringIO()):
+            # the commands' reports are not outputs; an error is shown on failure
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main(argv)
             if code != 0:
-                raise SystemExit(f"{preset}: tailshift {argv[0]} exited {code}")
+                raise SystemExit(f"{err.getvalue()}{preset}: tailshift {argv[0]} exited {code}")
         lines = []
         for d, f in OUTPUTS:
             data = (Path(tmp) / d / f).read_bytes()
