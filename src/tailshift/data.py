@@ -14,8 +14,9 @@ File formats (UTF-8, comma-separated, round-trip-exact floats):
 
 - dataset CSV:   header ``domain,label,split,x_0,...,x_{d_x-1}``, one row per
   sample, split in {train, val, test}.
-- embedding CSV: header ``label,s_0,...,s_{d_s-1}``, exactly one row per
-  class; rows are re-normalized on load.
+- embedding CSV: header ``label,s_0,...,s_{d_s-1}``, then row c of class c
+  for c = 0..C-1, each of unit norm within ``banks.UNIT_TOL``; rows are read
+  as written, so a loaded table is bit-identical to the one saved.
 
 Every CSV is written by ``write_rows``. ``gen-data`` also writes a binary
 copy of the dataset (``save_dataset_npy``), and the CLI reads it back with
@@ -32,25 +33,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .banks import SemanticTable
+from .banks import UNIT_TOL, SemanticTable
 from .errors import ConfigError, DataFormatError, check_count
 from .losses import DomainClassCounts
 from .mathcore import Rng
 
 SPLITS = ("train", "val", "test")
 _SPLIT_CODES = {tag: i for i, tag in enumerate(SPLITS)}
-NORM_EPS = 1e-12  # smallest norm unit_normalize scales
-
-
-def unit_normalize(v) -> np.ndarray:
-    """Scale a vector to unit Euclidean norm; a norm <= NORM_EPS is an error."""
-    v = np.asarray(v, dtype=np.float64)
-    if not np.isfinite(v).all():
-        raise ValueError("unit_normalize: non-finite input")
-    n = float(np.linalg.norm(v))
-    if n <= NORM_EPS:
-        raise ValueError("unit_normalize: norm below %g" % NORM_EPS)
-    return v / n
 
 
 def longtail_counts(rank: int, n_max: int, n_min: int, n_classes: int) -> int:
@@ -251,11 +240,10 @@ def generate(cfg: SyntheticConfig) -> Dataset:
     anchors = cfg.anchor_spread * anchor_rng.normal(size=(c_total, cfg.d_x))
 
     proj = sem_rng.normal(size=(cfg.d_s, cfg.d_x)) / math.sqrt(cfg.d_x)
-    sem_rows = np.stack([
-        unit_normalize(proj @ anchors[c] + cfg.semantic_noise * sem_rng.normal(size=cfg.d_s))
-        for c in range(c_total)
-    ])
-    table = SemanticTable(sem_rows)
+    raw_rows = [proj @ anchors[c] + cfg.semantic_noise * sem_rng.normal(size=cfg.d_s)
+                for c in range(c_total)]
+    # the one place semantic rows are normalized: the loader reads them as written
+    table = SemanticTable(np.stack([r / np.linalg.norm(r) for r in raw_rows]))
 
     transforms = []
     for _ in range(k_train + 1):
@@ -441,9 +429,10 @@ def save_embeddings(table: SemanticTable, path) -> None:
 
 
 def load_embeddings(path) -> SemanticTable:
-    """Parse one embedding row per class; rows are re-normalized. The header
-    gives d_s and the row count gives the number of classes C, whose labels
-    must be exactly 0..C-1."""
+    """Read the table ``save_embeddings`` wrote, keeping each row as parsed.
+    The header gives d_s; row c must be class c, for c = 0..C-1, with unit
+    norm within ``UNIT_TOL``. A row out of class order, or a scaled, zero or
+    non-finite row, is refused naming its line."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -452,30 +441,28 @@ def load_embeddings(path) -> SemanticTable:
     d_s = len(header) - 1
     if d_s < 1 or header != ["label"] + [f"s_{i}" for i in range(d_s)]:
         raise DataFormatError("embedding header must be label,s_0..s_{d_s-1}", line=1)
-    rows: dict[int, np.ndarray] = {}
+    rows: list[list[float]] = []
     for ln, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         parts = line.split(",")
         if len(parts) != 1 + d_s:
             raise DataFormatError(f"expected {1 + d_s} fields, got {len(parts)}", line=ln)
+        c = len(rows)
+        if parts[0] != str(c):
+            raise DataFormatError(f"expected class {c}, got {parts[0]!r}", line=ln)
         try:
-            label = int(parts[0])
-            vec = unit_normalize(np.array([float(v) for v in parts[1:]]))
+            row = [float(v) for v in parts[1:]]
         except ValueError as exc:
             raise DataFormatError(str(exc), line=ln) from exc
-        if label in rows:
-            raise DataFormatError(f"duplicate class {label}", line=ln)
-        if label < 0:
-            raise DataFormatError(f"class {label} out of range", line=ln)
-        rows[label] = vec
+        norm = math.hypot(*row)
+        if not abs(norm - 1.0) <= UNIT_TOL:
+            raise DataFormatError(f"class {c} has norm {norm!r}, not 1 within {UNIT_TOL:g}",
+                                  line=ln)
+        rows.append(row)
     if not rows:
         raise DataFormatError("embedding file has no class rows")
-    # the labels are distinct, so one at or above C leaves a class below C out
-    missing = [c for c in range(len(rows)) if c not in rows]
-    if missing:
-        raise DataFormatError(f"missing class {missing[0]}")
     try:
-        return SemanticTable(np.stack([rows[c] for c in range(len(rows))]))
+        return SemanticTable(np.array(rows))
     except ValueError as exc:
         raise DataFormatError(str(exc)) from exc

@@ -344,6 +344,41 @@ def test_train_resume_into_same_directory(tiny_config, tmp_path):
     assert (run / "steps.jsonl").read_bytes() == (full / "steps.jsonl").read_bytes()
 
 
+@pytest.fixture(scope="module")
+def desk_runs(tmp_path_factory):
+    """desk's data and model trained for 4 epochs of 2 steps, both phases,
+    with a checkpoint after each epoch: (config, gen-data directory, the run
+    on the data ``train`` generates in memory)."""
+    tmp = tmp_path_factory.mktemp("desk")
+    raw = load_run_config("desk")[1]
+    raw["train"] = {**raw["train"], "t_max": 4, "t_sigma": 2}
+    raw["io"] = {"checkpoint_every_epochs": 1}
+    config, bench, mem = tmp / "desk4.json", tmp / "bench", tmp / "mem"
+    config.write_text(json.dumps(raw))
+    assert main(["gen-data", "--config", str(config), "--out", str(bench)]) == 0
+    assert main(["train", "--config", str(config), "--out", str(mem)]) == 0
+    return str(config), str(bench), mem
+
+
+def test_train_from_the_gen_data_directory_writes_the_in_memory_bytes(desk_runs, tmp_path):
+    config, bench, mem = desk_runs
+    disk = tmp_path / "disk"
+    assert main(["train", "--config", config, "--data", bench, "--out", str(disk)]) == 0
+    for name in ("steps.jsonl", "checkpoint.json"):
+        assert (disk / name).read_bytes() == (mem / name).read_bytes(), name
+
+
+def test_in_memory_checkpoint_resumed_on_the_directory_reproduces_the_run(desk_runs, tmp_path):
+    config, bench, mem = desk_runs
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "steps.jsonl").write_bytes((mem / "steps.jsonl").read_bytes())
+    assert main(["train", "--config", config, "--data", bench, "--out", str(run),
+                 "--resume", str(mem / "checkpoint_000004.json")]) == 0
+    for name in ("steps.jsonl", "checkpoint.json"):
+        assert (run / name).read_bytes() == (mem / name).read_bytes(), name
+
+
 def test_train_epoch_checkpoints_skip_the_last_step(tmp_path):
     cfgd = dict(TINY)
     cfgd["io"] = {"checkpoint_every_epochs": 1}

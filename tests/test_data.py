@@ -363,19 +363,29 @@ def test_dataset_npy_refusals_name_the_file(tmp_path, edit, message):
 
 
 def test_embeddings_roundtrip_and_renormalization(tmp_path):
+    # rows are read as written: the loader normalizes nothing, so a round
+    # trip is bit-identical and a scaled row is refused, not re-scaled
     ds = D.generate(small_cfg())
     path = tmp_path / "emb.csv"
     D.save_embeddings(ds.semantic, path)
     back = D.load_embeddings(path)
-    assert np.abs(back.s - ds.semantic.s).max() < 1e-15
+    assert back.s.tobytes() == ds.semantic.s.tobytes()
 
-    # scale one row; the loader must renormalize it
     lines = path.read_text().splitlines()
     parts = lines[1].split(",")
     scaled = [parts[0]] + [repr(3.0 * float(v)) for v in parts[1:]]
     path.write_text("\n".join([lines[0], ",".join(scaled)] + lines[2:]) + "\n")
-    back2 = D.load_embeddings(path)
-    assert abs(np.linalg.norm(back2.s[int(parts[0])]) - 1.0) < 1e-12
+    with pytest.raises(DataFormatError,
+                       match=r"line 2: class 0 has norm 2\.99[0-9]*, not 1 within 1e-10"):
+        D.load_embeddings(path)
+
+
+@pytest.mark.parametrize("preset", ["desk", "paper_s1"])
+def test_embeddings_of_each_preset_load_bit_for_bit(preset, tmp_path):
+    from tailshift.config import load_run_config
+    table = D.generate(load_run_config(preset)[0].data).semantic
+    D.save_embeddings(table, tmp_path / "emb.csv")
+    assert D.load_embeddings(tmp_path / "emb.csv").s.tobytes() == table.s.tobytes()
 
 
 def test_embeddings_missing_class_named(tmp_path):
@@ -384,7 +394,7 @@ def test_embeddings_missing_class_named(tmp_path):
     D.save_embeddings(ds.semantic, path)
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:3] + lines[4:]) + "\n")  # drop class 2
-    with pytest.raises(DataFormatError, match="missing class 2"):
+    with pytest.raises(DataFormatError, match="line 4: expected class 2, got '3'"):
         D.load_embeddings(path)
 
 
@@ -412,7 +422,7 @@ def test_embeddings_negative_label_out_of_range(tmp_path):
     lines = path.read_text().splitlines()
     lines[4] = "-1" + lines[4][lines[4].index(","):]  # relabel class 3
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DataFormatError, match="line 5: class -1 out of range"):
+    with pytest.raises(DataFormatError, match="line 5: expected class 3, got '-1'"):
         D.load_embeddings(path)
 
 

@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from tailshift.data import unit_normalize
 from tailshift.errors import NumericsError
 from tailshift.mathcore.autodiff import NORM_FLOOR
 from tailshift.mathcore.linalg import EIG_TOL
@@ -87,31 +86,8 @@ def test_log_softmax_errors():
 
 
 # ---------------------------------------------------------------------------
-# unit_normalize / normalize_rows
+# normalize_rows
 # ---------------------------------------------------------------------------
-
-def test_unit_normalize_examples():
-    assert np.allclose(unit_normalize([3.0, 4.0]), [0.6, 0.8], atol=1e-15)
-    v = np.array([1.0, 0.0, 0.0])
-    assert np.array_equal(unit_normalize(v), v)
-    assert np.allclose(unit_normalize([2.0, 0.0, 0.0, 0.0]), [1, 0, 0, 0])
-
-
-def test_unit_normalize_norm_and_direction():
-    rng = Rng(2)
-    for _ in range(20):
-        v = rng.normal(size=6)
-        u = unit_normalize(v)
-        assert abs(np.linalg.norm(u) - 1.0) < 1e-12
-        assert np.dot(u, v) > 0
-
-
-def test_unit_normalize_near_zero_errors():
-    with pytest.raises(ValueError):
-        unit_normalize(np.zeros(3))
-    with pytest.raises(ValueError):
-        unit_normalize(np.full(3, 1e-13))
-
 
 def test_normalize_rows_unit():
     rng = Rng(3)
