@@ -7,12 +7,16 @@ A run config file has five sections, all optional (defaults apply):
       "model": { "d_v": 16, "hidden": [32] },
       "train": { training loop fields, incl. "cp": {"alpha","tau"},
                  "ap": {"lam","k"}, "ablation" toggles },
-      "eval":  { "threshold": null, "grid": [..] },
+      "eval":  { "threshold": null },
       "io":    { "checkpoint_every_epochs": 0 }
     }
 
 An existing dataset directory is passed with ``--data``, not through the
-config, and a field its section does not define is refused. Model input,
+config. A field its section does not define is refused, as is a missing
+required field and a value without its field's type: an int field takes an
+int >= 0 (every int setting is a count), a bool field ``true`` or
+``false``, a float field any number, ``hidden`` a list of ints and
+``threshold`` also ``null``. Model input,
 semantic and class sizes are filled from the data section when omitted.
 ``run_config_to_dict`` is the one serialized form (plain JSON types) that
 checkpoints store and ``--resume`` compares; ``run_config_from_dict`` reads
@@ -25,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import typing
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -42,16 +47,15 @@ PRESETS = ("paper_s1", "desk")
 @dataclass(frozen=True)
 class EvalOptions:
     threshold: float | None = None
-    grid: tuple[float, ...] = tuple(round(0.05 * i, 2) for i in range(20))
-    # not a setting: ``decide``'s one rule, for callers that pass it on
+    # not settings: the points ``score`` scans on the validation split when
+    # no threshold is set, and ``decide``'s one rule, for callers that pass
+    # them on
+    grid: ClassVar[tuple[float, ...]] = tuple(round(0.05 * i, 2) for i in range(20))
     confidence: ClassVar[str] = "softmax"
 
     def __post_init__(self):
-        object.__setattr__(self, "grid", tuple(self.grid))
         if self.threshold is not None and not (0.0 <= self.threshold <= 1.0):
             raise ConfigError("threshold must lie in [0, 1]")
-        if not self.grid or not all(0.0 <= g <= 1.0 for g in self.grid):
-            raise ConfigError(f"threshold grid must be points in [0, 1], not {list(self.grid)}")
 
 
 @dataclass(frozen=True)
@@ -78,16 +82,47 @@ def _object(value, section: str) -> dict:
     return dict(value)
 
 
+def _check_type(name: str, value, hint) -> None:
+    """Refuse config value ``value`` of field ``name`` unless it has the
+    field's type ``hint``. A nested section's value arrives built."""
+    if hint is int:
+        check_count(name, value)
+        return
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is bool:
+        ok, kind = isinstance(value, bool), "true or false"
+    elif hint is float:
+        ok, kind = number, "a number"
+    elif hint == float | None:
+        ok, kind = number or value is None, "a number or null"
+    elif hint == tuple[int, ...]:
+        ok, kind = isinstance(value, list) and all(type(v) is int for v in value), "a list of ints"
+    else:
+        ok, kind = isinstance(value, hint), hint.__name__
+    if not ok:
+        raise ConfigError(f"{name} must be {kind}, not {value!r}")
+
+
 def _take(d, cls, section: str, **overrides):
     """``cls`` built from section ``d`` and ``overrides``. A field ``cls``
-    lacks, or a value its constructor refuses with ``ValueError`` or
-    ``TypeError`` (a wrong type), is a ``ConfigError`` naming the section."""
-    d = _object(d, section)
-    unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
+    lacks, a required field missing, a value without its field's type
+    (``_check_type``), or a value its constructor refuses with
+    ``ValueError`` or ``TypeError`` is a ``ConfigError`` naming the
+    section."""
+    d = {**_object(d, section), **overrides}
+    fields = dataclasses.fields(cls)
+    unknown = set(d) - {f.name for f in fields}
     if unknown:
         raise ConfigError(f"unknown field(s) in '{section}': {sorted(unknown)}")
+    missing = [f.name for f in fields if f.name not in d and f.default is dataclasses.MISSING
+               and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ConfigError(f"missing field(s) in '{section}': {missing}")
+    hints = typing.get_type_hints(cls)
     try:
-        return cls(**{**d, **overrides})
+        for name, value in d.items():
+            _check_type(name, value, hints[name])
+        return cls(**d)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"'{section}': {exc}") from exc
 

@@ -97,6 +97,9 @@ class SyntheticConfig:
             raise ConfigError("n_train_domains must be >= 1")
         if not (self.n_max >= self.n_min >= 1):
             raise ConfigError("need n_max >= n_min >= 1")
+        check_count("n_val_per_pair", self.n_val_per_pair)
+        if self.n_test_per_pair < 1:
+            raise ConfigError("n_test_per_pair must be >= 1")
 
 
 @dataclass

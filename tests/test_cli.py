@@ -76,7 +76,9 @@ def test_config_rejects_unknown_fields():
     (("train", "ap", "k"), 0), (("train", "ap", "lam"), -1),
     (("train", "t_max"), "x"), (("model", "hidden"), "ab"),
     (("data", "n_max"), "many"), (("train",), 5),
-], ids=["cp_alpha", "cp_tau", "ap_k", "ap_lam", "t_max", "hidden", "n_max", "train_not_object"])
+    (("data", "n_test_per_pair"), 0), (("data", "n_val_per_pair"), -1),
+], ids=["cp_alpha", "cp_tau", "ap_k", "ap_lam", "t_max", "hidden", "n_max", "train_not_object",
+        "n_test_per_pair", "n_val_per_pair"])
 def test_bad_section_value_is_config_error_naming_it(keys, value, tmp_path, capsys):
     raw = json.loads(json.dumps(TINY))
     sec = raw
@@ -107,6 +109,42 @@ def test_bad_seed_or_io_setting_is_config_error_naming_its_section(edit, message
                                                                    capsys):
     path, out = tmp_path / "bad.json", tmp_path / "out"
     path.write_text(json.dumps({**TINY, **edit}))
+    assert main(["gen-data", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+DROP = object()  # a parameter value that deletes its key from the config
+
+
+@pytest.mark.parametrize("keys, value, message", [
+    (("train", "use_dc"), "no", "'train': use_dc must be true or false, not 'no'"),
+    (("model", "hidden"), [2.5], "'model': hidden must be a list of ints, not [2.5]"),
+    (("train", "batch_size"), 2.5, "'train': batch_size must be an int >= 0, not 2.5"),
+    (("train", "t_max"), 2.5, "'train': t_max must be an int >= 0, not 2.5"),
+    (("train", "steps_per_epoch"), 1.5, "'train': steps_per_epoch must be an int >= 0, not 1.5"),
+    (("train", "ap", "k"), 2.5, "'train.ap': k must be an int >= 0, not 2.5"),
+    (("model", "d_v"), 8.5, "'model': d_v must be an int >= 0, not 8.5"),
+    (("train", "beta1"), "x", "'train': beta1 must be a number, not 'x'"),
+    (("data", "n_classes"), 2.5, "'data': n_classes must be an int >= 0, not 2.5"),
+    (("data", "n_test_per_pair"), 1.5, "'data': n_test_per_pair must be an int >= 0, not 1.5"),
+    (("data", "transform_strength"), "x", "'data': transform_strength must be a number, not 'x'"),
+    (("eval", "threshold"), "x", "'eval': threshold must be a number or null, not 'x'"),
+    (("model", "d_v"), DROP, "missing field(s) in 'model': ['d_v']"),
+], ids=["use_dc", "hidden", "batch_size", "t_max", "steps_per_epoch", "ap_k", "d_v", "beta1",
+        "n_classes", "n_test_per_pair", "transform_strength", "threshold", "no_d_v"])
+def test_config_value_without_its_field_type_is_refused_naming_it(keys, value, message, tmp_path,
+                                                                  capsys):
+    raw = json.loads(json.dumps(TINY))
+    sec = raw
+    for key in keys[:-1]:
+        sec = sec.setdefault(key, {})
+    if value is DROP:
+        del sec[keys[-1]]
+    else:
+        sec[keys[-1]] = value
+    path, out = tmp_path / "bad.json", tmp_path / "out"
+    path.write_text(json.dumps(raw))
     assert main(["gen-data", "--config", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
@@ -281,6 +319,145 @@ def test_config_naming_mte_size_is_an_unknown_field(tmp_path, capsys):
     assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
     assert "unknown field(s) in 'train': ['mte_size']" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+# ---------------------------------------------------------------------------
+# refusals of outside input, through the CLI
+# ---------------------------------------------------------------------------
+
+def _rewrite_columns(edit):
+    """A spoil that rewrites the directory's dataset.csv from its columns as
+    ``edit(x, y, d, split)`` changes them in place, or from the columns it
+    returns; the manifest then no longer vouches for the binary copy."""
+    def spoil(bench, config):
+        ds = D.load_dataset(bench / "dataset.csv")
+        cols = [np.array(c) for c in (ds.x, ds.y, ds.d, ds.split)]
+        x, y, d, split = edit(*cols) or cols
+        header = "domain,label,split," + ",".join(f"x_{i}" for i in range(x.shape[1]))
+        D.write_rows(bench / "dataset.csv", header, [((d, y, np.array(D.SPLITS)[split]), x)])
+    return spoil
+
+
+def _val_class_unseen(x, y, d, split):
+    train = split == 0
+    for i in np.flatnonzero(split == 1):
+        unseen = sorted(set(range(TINY["data"]["n_classes"])) - set(y[train & (d == d[i])]))
+        if unseen:
+            y[i] = unseen[0]
+            return
+    raise AssertionError("every domain's training data holds every class")
+
+
+def _drop_first_test_row_of_domain_0(x, y, d, split):
+    keep = np.arange(len(y)) != np.flatnonzero((split == 2) & (d == 0))[0]
+    return x[keep], y[keep], d[keep], split[keep]
+
+
+def _drop_train_rows(x, y, d, split):
+    keep = split != 0
+    return x[keep], y[keep], d[keep], split[keep]
+
+
+def _edit_line(name, ln, edit):
+    """A spoil that replaces line `ln` of file `name` with ``edit(line)``."""
+    def spoil(bench, config):
+        lines = (bench / name).read_text().splitlines()
+        lines[ln - 1] = edit(lines[ln - 1])
+        (bench / name).write_text("\n".join(lines) + "\n")
+    return spoil
+
+
+def _write(name, text):
+    """A spoil that writes `text` over file `name`."""
+    def spoil(bench, config):
+        (bench / name).write_text(text)
+    return spoil
+
+
+def _swap_embedding_rows(bench, config):
+    lines = (bench / "embeddings.csv").read_text().splitlines()
+    lines[1], lines[2] = lines[2], lines[1]
+    (bench / "embeddings.csv").write_text("\n".join(lines) + "\n")
+
+
+def _checkpoint_of_other_data(bench, config):
+    # trained on the data that `--seed 9` generates in memory
+    run = bench.parent / "run"
+    assert main(["train", "--config", config, "--seed", "9", "--out", str(run)]) == 0
+    return ["--resume", str(run / "checkpoint.json")]
+
+
+def _checkpoint_with_odd_hex(bench, config):
+    run = bench.parent / "run"
+    assert main(["train", "--config", config, "--data", str(bench), "--out", str(run)]) == 0
+    doc = json.loads((run / "checkpoint.json").read_text())
+    doc["params"][0][1]["hex"] = doc["params"][0][1]["hex"][:-1]
+    (run / "odd.json").write_text(json.dumps(doc))
+    return ["--resume", str(run / "odd.json")]
+
+
+def _config_edit(section, **values):
+    """A spoil that passes a second ``--config``, TINY with `values` set in
+    `section`; the last ``--config`` given is the one used."""
+    def spoil(bench, config):
+        raw = json.loads(json.dumps(TINY))
+        raw[section].update(values)
+        path = bench.parent / "edited.json"
+        path.write_text(json.dumps(raw))
+        return ["--config", str(path)]
+    return spoil
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (_rewrite_columns(_val_class_unseen), "validation split contains a class unseen in its domain"),
+    (_rewrite_columns(lambda x, y, d, split: d.__setitem__(np.flatnonzero(split == 1)[0], 3)),
+     "validation data in a held-out domain"),
+    (_rewrite_columns(_drop_first_test_row_of_domain_0),
+     "test split of domain 0 is not class-balanced"),
+    (_rewrite_columns(lambda x, y, d, split: d.__setitem__((split == 0) & (d == 0), 7)),
+     "train domains must be contiguous from 0"),
+    (_rewrite_columns(_drop_train_rows), "dataset has no training samples"),
+    (_rewrite_columns(lambda x, y, d, split: x.__setitem__((0, 0), np.nan)),
+     "features must be finite"),
+    (_edit_line("dataset.csv", 1, lambda line: line.replace("label", "class")),
+     "line 1: header must start with domain,label,split"),
+    (_edit_line("dataset.csv", 1, lambda line: line.replace("x_0", "x_9")),
+     "line 1: feature columns must be x_0..x_{d-1}"),
+    (_edit_line("dataset.csv", 3, lambda line: line.rsplit(",", 1)[0] + ",abc"),
+     "line 3: could not convert string to float: 'abc'"),
+    (_write("embeddings.csv", ""), "empty embedding file"),
+    (_edit_line("embeddings.csv", 1, lambda line: line.replace("label", "class")),
+     "line 1: embedding header must be label,s_0..s_{d_s-1}"),
+    (_edit_line("embeddings.csv", 3, lambda line: line.rsplit(",", 1)[0]),
+     "line 3: expected 5 fields, got 4"),
+    (_edit_line("embeddings.csv", 3, lambda line: "1,2.0,0.0,0.0,0.0"),
+     "line 3: class 1 has norm 2.0, not 1 within 1e-10"),
+    (_edit_line("embeddings.csv", 3, lambda line: "1,0.0,0.0,0.0,0.0"),
+     "line 3: class 1 has norm 0.0, not 1 within 1e-10"),
+    (_edit_line("embeddings.csv", 3, lambda line: "1,nan,0.0,0.0,0.0"),
+     "line 3: class 1 has norm nan, not 1 within 1e-10"),
+    (_swap_embedding_rows, "line 2: expected class 0, got '1'"),
+    (lambda bench, config: (bench / "dataset.csv").unlink(), "no dataset.csv under {bench}"),
+    (_write("manifest.json", "{"), "{bench}/manifest.json: not a JSON document ("),
+    (_checkpoint_of_other_data, "checkpoint was trained on different data (fingerprint mismatch)"),
+    (lambda bench, config: (bench / "embeddings.csv").unlink(),
+     "enabled losses require a semantic table"),
+    (_checkpoint_with_odd_hex, "odd.json: malformed checkpoint (ValueError: odd-length hex)"),
+    (_config_edit("model", d_v=0), "'model': all model dimensions must be >= 1"),
+    (_config_edit("train", steps_per_epoch=0),
+     "'train': steps_per_epoch and batch_size must be >= 1"),
+], ids=["val_class_unseen", "val_heldout_domain", "test_unbalanced", "train_domains_gap",
+        "no_train_rows", "nan_feature", "dataset_header", "feature_columns", "unparsable_value",
+        "embeddings_empty", "embeddings_header", "embeddings_fields", "embeddings_scaled_row",
+        "embeddings_zero_row", "embeddings_nan_row", "embeddings_order", "no_dataset_csv",
+        "manifest_not_json", "resume_other_data", "no_embeddings", "odd_hex", "d_v_0",
+        "steps_per_epoch_0"])
+def test_train_refuses_bad_outside_input_naming_it(spoil, message, tiny_config, bench, capsys):
+    extra = spoil(bench, tiny_config) or []
+    capsys.readouterr()
+    assert main(["train", "--config", tiny_config, "--data", str(bench), *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message.replace("{bench}", str(bench)) in err
 
 
 # ---------------------------------------------------------------------------
@@ -762,8 +939,8 @@ def test_ablate_unknown_row(tiny_config, capsys):
 
 @pytest.mark.parametrize("eval_sec, message", [
     ({"confidence": "entropy"}, "unknown field(s) in 'eval': ['confidence']"),
-    ({"grid": [-2.0, 0.5]}, "threshold grid must be points in [0, 1], not [-2.0, 0.5]"),
-    ({"grid": [0.5, 1.5]}, "threshold grid must be points in [0, 1], not [0.5, 1.5]"),
+    ({"grid": [-2.0, 0.5]}, "unknown field(s) in 'eval': ['grid']"),
+    ({"grid": [0.5, 1.5]}, "unknown field(s) in 'eval': ['grid']"),
 ])
 def test_ablate_refuses_bad_eval_options_before_training(eval_sec, message, tmp_path,
                                                           capsys, monkeypatch):

@@ -184,6 +184,10 @@ def test_generate_zero_strength_degenerate():
 def test_synthetic_config_validation():
     with pytest.raises(ConfigError):
         small_cfg(n_max=3, n_min=5)
+    with pytest.raises(ConfigError, match=r"^n_test_per_pair must be >= 1$"):
+        small_cfg(n_test_per_pair=0)
+    with pytest.raises(ConfigError, match=r"^n_val_per_pair must be an int >= 0, not -1$"):
+        small_cfg(n_val_per_pair=-1)
 
 
 def test_generate_infeasible_count_vs_budget():
