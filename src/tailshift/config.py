@@ -60,10 +60,7 @@ class EvalOptions:
 
 @dataclass(frozen=True)
 class IoOptions:
-    checkpoint_every_epochs: int = 0
-
-    def __post_init__(self):
-        check_count("checkpoint_every_epochs", self.checkpoint_every_epochs)
+    checkpoint_every_epochs: int = 0  # a count, checked by ``_take`` as every int field is
 
 
 @dataclass(frozen=True)
@@ -88,15 +85,15 @@ def _check_type(name: str, value, hint) -> None:
     if hint is int:
         check_count(name, value)
         return
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    number = type(value) in (int, float)  # a bool is no number
     if hint is bool:
-        ok, kind = isinstance(value, bool), "true or false"
+        ok, kind = type(value) is bool, "true or false"
     elif hint is float:
         ok, kind = number, "a number"
     elif hint == float | None:
         ok, kind = number or value is None, "a number or null"
     elif hint == tuple[int, ...]:
-        ok, kind = isinstance(value, list) and all(type(v) is int for v in value), "a list of ints"
+        ok, kind = type(value) is list and all(type(v) is int for v in value), "a list of ints"
     else:
         ok, kind = isinstance(value, hint), hint.__name__
     if not ok:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tailshift import data as D
+from tailshift.config import load_run_config
 from tailshift.errors import ConfigError, DataFormatError
 from tailshift.mathcore import Rng
 
@@ -386,7 +387,6 @@ def test_embeddings_roundtrip_and_renormalization(tmp_path):
 
 @pytest.mark.parametrize("preset", ["desk", "paper_s1"])
 def test_embeddings_of_each_preset_load_bit_for_bit(preset, tmp_path):
-    from tailshift.config import load_run_config
     table = D.generate(load_run_config(preset)[0].data).semantic
     D.save_embeddings(table, tmp_path / "emb.csv")
     assert D.load_embeddings(tmp_path / "emb.csv").s.tobytes() == table.s.tobytes()
