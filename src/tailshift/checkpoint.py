@@ -32,7 +32,7 @@ import numpy as np
 
 from .banks import CovarianceBank, PrototypeBank
 from .errors import DataFormatError
-from .mathcore import Rng
+from .mathcore import rng_from_state
 from .meta import TrainerState
 from .model import ModelConfig, param_shapes
 
@@ -198,7 +198,7 @@ def load_checkpoint(path) -> tuple[TrainerState, dict]:
         cov = CovarianceBank(mu=_take_array(raw["cov"]["mu"], runs, "cov.mu"),
                              sigma=_take_array(raw["cov"]["sigma"], runs, "cov.sigma"),
                              n=_take_array(raw["cov"]["n"], runs, "cov.n", np.int64))
-        Rng(0).set_state(raw["rng_state"])
+        rng_from_state(raw["rng_state"])
     except (AttributeError, LookupError, OverflowError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: malformed checkpoint "
                               f"({type(exc).__name__}: {exc})") from exc

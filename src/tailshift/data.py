@@ -36,7 +36,7 @@ import numpy as np
 from .banks import UNIT_TOL, SemanticTable
 from .errors import ConfigError, DataFormatError, check_count
 from .losses import DomainClassCounts
-from .mathcore import Rng
+from .mathcore import streams
 
 SPLITS = ("train", "val", "test")
 _SPLIT_CODES = {tag: i for i, tag in enumerate(SPLITS)}
@@ -237,8 +237,7 @@ def make_dataset(x, y, d, split, semantic: SemanticTable | None = None) -> Datas
 def generate(cfg: SyntheticConfig) -> Dataset:
     """Draw a complete synthetic benchmark from the config seed."""
     c_total, k_train = cfg.n_classes, cfg.n_train_domains
-    root = Rng(cfg.seed)
-    anchor_rng, sem_rng, style_rng, assign_rng, sample_rng = root.split(5)
+    anchor_rng, sem_rng, style_rng, assign_rng, sample_rng = streams(cfg.seed, 5)
 
     anchors = cfg.anchor_spread * anchor_rng.normal(size=(c_total, cfg.d_x))
 
@@ -306,7 +305,7 @@ def generate(cfg: SyntheticConfig) -> Dataset:
                         np.repeat(blk_s, blk_n), semantic=table)
 
 
-def sample_batch(dataset: Dataset, domain: int, batch_size: int, rng: Rng):
+def sample_batch(dataset: Dataset, domain: int, batch_size: int, rng: np.random.Generator):
     """Uniform draw with replacement from a domain's training split, so the
     batch preserves the domain's long-tailed class frequencies."""
     idx = dataset.indices("train", domain)

@@ -1,6 +1,6 @@
 """Numerical core: float64 tensors with reverse-mode gradients, a
 finite-difference oracle, stable softmax/normalization kernels, PSD matrix
-functions, and seeded splittable randomness."""
+functions, and seeded Philox streams spawned from one seed."""
 
 from .autodiff import (
     GradResult,
@@ -17,7 +17,7 @@ from .autodiff import (
     weighted_sum,
 )
 from .linalg import check_psd, psd_sqrt
-from .rng import Rng
+from .rng import Rng, rng_from_state, rng_state, streams
 
 __all__ = [
     "GradResult",
@@ -34,6 +34,9 @@ __all__ = [
     "mask_fill",
     "normalize_rows",
     "psd_sqrt",
+    "rng_from_state",
+    "rng_state",
+    "streams",
     "weighted_sum",
 ]
 

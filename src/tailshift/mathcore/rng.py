@@ -1,10 +1,12 @@
-"""Seeded, splittable randomness.
+"""Seeded randomness: numpy Generators over the Philox bit generator.
 
-All randomness in the package flows through :class:`Rng`, a thin wrapper
-around numpy's Philox counter-based bit generator (4x64, documented round
-constants) keyed through a SeedSequence. Equal seeds give bit-identical
-streams within a build; ``split()`` derives independent child streams
-deterministically, so a run is reproducible from its root seed alone.
+Every stream in the package is a plain ``np.random.Generator`` over numpy's
+Philox counter-based bit generator (4x64, documented round constants).
+``streams(seed, n)`` spawns `n` independent streams from one seed through a
+SeedSequence, so a run is reproducible from its root seed alone; equal
+seeds give bit-identical streams. ``rng_state`` and ``rng_from_state``
+carry a stream's position through a JSON checkpoint. ``Rng(seed)`` is the
+one stream of a seed, for callers that need no spawning.
 """
 
 from __future__ import annotations
@@ -12,54 +14,35 @@ from __future__ import annotations
 import numpy as np
 
 
-class Rng:
-    def __init__(self, seed=None, _seq: np.random.SeedSequence | None = None):
-        if _seq is None:
-            if seed is None:
-                raise ValueError("Rng requires a seed")
-            _seq = np.random.SeedSequence(int(seed))
-        self._seq = _seq
-        self._gen = np.random.Generator(np.random.Philox(_seq))
+def Rng(seed) -> np.random.Generator:
+    """The stream of ``seed`` itself, unspawned."""
+    return np.random.Generator(np.random.Philox(int(seed)))
 
-    def split(self, n: int = 1) -> list["Rng"]:
-        """Derive `n` independent child streams; order of calls matters."""
-        return [Rng(_seq=child) for child in self._seq.spawn(n)]
 
-    # -- sampling ------------------------------------------------------------
+def streams(seed, n: int) -> list[np.random.Generator]:
+    """`n` independent streams spawned from ``seed``, in a fixed order."""
+    return [np.random.Generator(np.random.Philox(s))
+            for s in np.random.SeedSequence(int(seed)).spawn(n)]
 
-    def normal(self, loc=0.0, scale=1.0, size=None) -> np.ndarray:
-        return self._gen.normal(loc, scale, size)
 
-    def uniform(self, low=0.0, high=1.0, size=None) -> np.ndarray:
-        return self._gen.uniform(low, high, size)
+def rng_state(gen: np.random.Generator) -> dict:
+    """numpy's bit-generator state of ``gen`` with its arrays as lists of
+    ints, so it is plain JSON."""
+    state = gen.bit_generator.state
+    state["state"] = {k: v.tolist() for k, v in state["state"].items()}
+    state["buffer"] = state["buffer"].tolist()
+    return state
 
-    def integers(self, low, high=None, size=None) -> np.ndarray:
-        return self._gen.integers(low, high, size)
 
-    def choice(self, a, size=None, replace=True, p=None) -> np.ndarray:
-        return self._gen.choice(a, size=size, replace=replace, p=p)
-
-    def permutation(self, x) -> np.ndarray:
-        return self._gen.permutation(x)
-
-    # -- checkpointing ---------------------------------------------------------
-
-    def get_state(self) -> dict:
-        """numpy's bit-generator state with its arrays as lists of ints, so
-        it is plain JSON."""
-        state = self._gen.bit_generator.state
-        state["state"] = {k: v.tolist() for k, v in state["state"].items()}
-        state["buffer"] = state["buffer"].tolist()
-        return state
-
-    def set_state(self, state: dict) -> None:
-        """Hand ``state`` to numpy's setter, which refuses a malformed one
-        but not a buffer position outside [0, 4] (the next draws would read
-        past the 4-word buffer) or a cached-word flag other than 0 or 1."""
-        bits = np.random.Philox(0)
-        bits.state = state
-        if not 0 <= state["buffer_pos"] <= 4:
-            raise ValueError(f"Philox buffer_pos {state['buffer_pos']} lies outside [0, 4]")
-        if state["has_uint32"] not in (0, 1):
-            raise ValueError(f"Philox has_uint32 {state['has_uint32']} is not 0 or 1")
-        self._gen = np.random.Generator(bits)
+def rng_from_state(state: dict) -> np.random.Generator:
+    """A stream at ``state``. numpy's setter refuses a malformed state but
+    not a buffer position outside [0, 4] (the next draws would read past
+    the 4-word buffer) or a cached-word flag other than 0 or 1; both are
+    refused here."""
+    bits = np.random.Philox(0)
+    bits.state = state
+    if not 0 <= state["buffer_pos"] <= 4:
+        raise ValueError(f"Philox buffer_pos {state['buffer_pos']} lies outside [0, 4]")
+    if state["has_uint32"] not in (0, 1):
+        raise ValueError(f"Philox has_uint32 {state['has_uint32']} is not 0 or 1")
+    return np.random.Generator(bits)

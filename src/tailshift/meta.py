@@ -66,7 +66,7 @@ from .losses import (
     s2z_loss,
     z2s_loss_mean,
 )
-from .mathcore import Rng, collect_grads, make_leaves, weighted_sum
+from .mathcore import collect_grads, make_leaves, rng_from_state, rng_state, streams, weighted_sum
 
 # Outer-rate schedule: 10x decays at 40% and 80% of t_max.
 DECAY_MILESTONES = (0.4, 0.8)
@@ -190,7 +190,7 @@ class RunResult:
     state: TrainerState
 
 
-def split_domains(train_domains, rng: Rng):
+def split_domains(train_domains, rng: np.random.Generator):
     """Disjoint (meta-train, meta-test) split: one meta-test domain, drawn
     uniformly, and the others as meta-train."""
     domains = sorted(int(v) for v in train_domains)
@@ -422,8 +422,7 @@ def _keep_heap() -> None:
 
 def init_state(dataset: Dataset, cfg: TrainConfig, mcfg: M.ModelConfig) -> TrainerState:
     """Fresh trainer state: seeded parameter init, zero banks, loop stream."""
-    root = Rng(cfg.seed)
-    init_rng, loop_rng = root.split(2)
+    init_rng, loop_rng = streams(cfg.seed, 2)
     params = M.init_params(mcfg, init_rng)
     mask = dataset.counts.mask
     if cfg.single_prototype:
@@ -431,7 +430,7 @@ def init_state(dataset: Dataset, cfg: TrainConfig, mcfg: M.ModelConfig) -> Train
     proto = PrototypeBank.zeros(mask, mcfg.d_v)
     cov = CovarianceBank.zeros(dataset.n_classes, mcfg.d_v)
     return TrainerState(params=params, proto=proto, cov=cov,
-                        rng_state=loop_rng.get_state(), step=0)
+                        rng_state=rng_state(loop_rng), step=0)
 
 
 def run(dataset: Dataset, cfg: TrainConfig, mcfg: M.ModelConfig,
@@ -462,8 +461,7 @@ def run(dataset: Dataset, cfg: TrainConfig, mcfg: M.ModelConfig,
     if state is None:
         state = init_state(dataset, cfg, mcfg)
     params, proto, cov = state.params, state.proto, state.cov
-    loop_rng = Rng(0)
-    loop_rng.set_state(state.rng_state)
+    loop_rng = rng_from_state(state.rng_state)
 
     table = dataset.semantic
     counts = dataset.counts
@@ -503,9 +501,9 @@ def run(dataset: Dataset, cfg: TrainConfig, mcfg: M.ModelConfig,
 
         if on_step is not None:
             on_step(TrainerState(params=params, proto=proto, cov=cov,
-                                 rng_state=loop_rng.get_state(), step=step + 1),
+                                 rng_state=rng_state(loop_rng), step=step + 1),
                     report)
 
     final = TrainerState(params=params, proto=proto, cov=cov,
-                         rng_state=loop_rng.get_state(), step=cfg.total_steps)
+                         rng_state=rng_state(loop_rng), step=cfg.total_steps)
     return RunResult(params=params, reports=reports, state=final)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .mathcore import Rng, affine, mask_fill, normalize_rows
+from .mathcore import affine, mask_fill, normalize_rows
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ def param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
             for pair in ((f"{prefix}.W", (dout, din)), (f"{prefix}.b", (dout,)))]
 
 
-def init_params(cfg: ModelConfig, rng: Rng) -> Params:
+def init_params(cfg: ModelConfig, rng: np.random.Generator) -> Params:
     """Symmetric-uniform fan-in initialization of all blocks."""
     p: Params = {}
     for name, shape in param_shapes(cfg):

@@ -25,7 +25,7 @@ from tailshift.cli import main as cli_main
 from tailshift.config import load_run_config
 from tailshift.gradcheck import fd_exact, gradient_check_suite
 from tailshift.losses import ContrastiveParams
-from tailshift.mathcore import Rng
+from tailshift.mathcore import Rng, rng_from_state, streams
 
 
 def _record(num: int, desc: str, ok: bool, detail: str = ""):
@@ -122,7 +122,7 @@ def test_criterion_4_streaming_covariance_and_blend():
     ok = True
 
     # streaming equals one-shot population statistics to 1e-10
-    for schedule_rng in rng.split(10):
+    for schedule_rng in streams(2, 10):
         c, d = 4, 5
         bank = B.CovarianceBank.zeros(c, d)
         xs, ys = [], []
@@ -189,8 +189,7 @@ def test_criterion_6_meta_gradient_oracle():
     for trial in range(10):
         cfg_t = dataclasses.replace(cfg, seed=trial)
         st = MT.init_state(ds, cfg_t, mcfg)
-        rng = Rng(0)
-        rng.set_state(st.rng_state)
+        rng = rng_from_state(st.rng_state)
         d_mtr, d_mte = MT.split_domains([0, 1, 2], rng)
         b_mtr = {n: D.sample_batch(ds, n, 6, rng) for n in d_mtr}
         b_mte = {m: D.sample_batch(ds, m, 6, rng) for m in d_mte}

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tailshift import banks as B
-from tailshift.mathcore import Rng, Tensor, fd_grad, grad, normalize_rows
+from tailshift.mathcore import Rng, Tensor, fd_grad, grad, normalize_rows, streams
 
 
 def unit_rows(rng, n, d):
@@ -271,9 +271,8 @@ def test_covariance_first_sample():
 
 
 def test_covariance_streaming_equals_oneshot():
-    rng = Rng(9)
     c, d = 3, 4
-    for schedule_rng in rng.split(5):
+    for schedule_rng in streams(9, 5):
         bank = B.CovarianceBank.zeros(c, d)
         all_x, all_y = [], []
         for _ in range(int(schedule_rng.integers(2, 6))):

@@ -6,7 +6,7 @@ import pytest
 from tailshift import data as D
 from tailshift.config import load_run_config
 from tailshift.errors import ConfigError, DataFormatError
-from tailshift.mathcore import Rng
+from tailshift.mathcore import Rng, streams
 
 PAPER = dict(n_max=1565, n_min=20, n_classes=50)
 
@@ -110,7 +110,7 @@ def _per_block_reference(cfg):
     transforms and placement from the same streams, then one noise draw and
     one product per (split, domain, class) block, concatenated."""
     c_total, k_train = cfg.n_classes, cfg.n_train_domains
-    anchor_rng, _, style_rng, assign_rng, sample_rng = Rng(cfg.seed).split(5)
+    anchor_rng, _, style_rng, assign_rng, sample_rng = streams(cfg.seed, 5)
     anchors = cfg.anchor_spread * anchor_rng.normal(size=(c_total, cfg.d_x))
     transforms = []
     for _ in range(k_train + 1):

@@ -25,7 +25,8 @@ from tailshift.losses import (
 )
 from tailshift.config import load_run_config
 from tailshift.gradcheck import fd_exact
-from tailshift.mathcore import Rng, Tensor, collect_grads, make_leaves
+from tailshift.mathcore import (Rng, Tensor, collect_grads, make_leaves, rng_from_state,
+                                rng_state, streams)
 
 
 def bench(seed=0, **kw):
@@ -72,7 +73,7 @@ def test_split_domains_keeps_its_draw():
     for _ in range(12):
         m = int(twin.choice(4, size=1, replace=False)[0])
         assert MT.split_domains(range(4), rng) == (tuple(v for v in range(4) if v != m), (m,))
-    assert rng.get_state() == twin.get_state()
+    assert rng_state(rng) == rng_state(twin)
 
 
 def test_split_domains_uniform_coverage():
@@ -291,8 +292,7 @@ def test_run_equals_plain_gradient_descent():
                 use_s2s=False, use_s2z=False, use_aug=False)
     res = MT.run(ds, cfg, MCFG)
 
-    root = Rng(cfg.seed)
-    init_rng, loop_rng = root.split(2)
+    init_rng, loop_rng = streams(cfg.seed, 2)
     params = M.init_params(MCFG, init_rng)
     domains = [0, 1, 2]
     for step in range(10):
@@ -380,8 +380,7 @@ def episode_inputs(ds, cfg, mcfg, st=None):
     """A trainer state (the initial one by default) and its step's split and
     batches, drawn as `run` draws them."""
     st = MT.init_state(ds, cfg, mcfg) if st is None else st
-    rng = Rng(0)
-    rng.set_state(st.rng_state)
+    rng = rng_from_state(st.rng_state)
     d_mtr, d_mte = MT.split_domains(range(ds.n_train_domains), rng)
     b_mtr = {n: D.sample_batch(ds, n, cfg.batch_size, rng) for n in d_mtr}
     b_mte = {m: D.sample_batch(ds, m, cfg.batch_size, rng) for m in d_mte}
