@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .banks import CovarianceBank, PrototypeBank
+from .config import _take
 from .errors import DataFormatError
 from .mathcore import rng_from_state
 from .meta import TrainerState
@@ -189,7 +190,7 @@ def load_checkpoint(path) -> tuple[TrainerState, dict]:
     if missing:
         raise DataFormatError(f"{path}: checkpoint lacks {', '.join(missing)}")
     try:
-        mcfg = ModelConfig(**raw["model_config"])
+        mcfg = _take(raw["model_config"], ModelConfig, "model_config")
         runs = _unhex_runs(buf, spans)
         params = {k: _take_array(v, runs, f"parameter block {k}") for k, v in raw["params"]}
         proto = PrototypeBank(v=_take_array(raw["proto"]["v"], runs, "proto.v"),

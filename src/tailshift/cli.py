@@ -36,13 +36,14 @@ from . import meta as MT
 from .config import (
     EvalOptions,
     RunConfig,
+    _take,
     config_hash,
     load_run_config,
-    run_config_from_dict,
     run_config_to_dict,
 )
 from .errors import ConfigError, DataFormatError
 from .mathcore.autodiff import FD_EPS_MAX
+from .model import ModelConfig
 
 DATASET_FILE = "dataset.csv"
 DATASET_COPY_FILE = "dataset.npy"
@@ -140,10 +141,16 @@ def _train_once(cfg: RunConfig, dataset: D.Dataset, fingerprint: str,
         if payload["dataset_fingerprint"] != fingerprint:
             raise ConfigError("checkpoint was trained on different data "
                               "(fingerprint mismatch)")
+        # by canonical JSON, where 1 is not true and 32.0 is not 32
         for key, ours in (("model_config", model_cfg_dict), ("train_config", train_cfg_dict)):
-            if payload[key] != ours:
+            if config_hash(payload[key]) != config_hash(ours):
                 raise ConfigError(f"checkpoint {key} differs from this run's; "
                                   "resuming would mix two configs")
+        # a finished run's checkpoint resumes to no step; a later one was
+        # never written by this run
+        if state.step > cfg.train.total_steps:
+            raise ConfigError(f"checkpoint step {state.step} lies past this run's "
+                              f"{cfg.train.total_steps} steps")
 
     if out is None:
         return MT.run(dataset, cfg.train, cfg.model, state=state)
@@ -249,7 +256,7 @@ def cmd_eval(args) -> int:
     dataset, fingerprint = _load_dataset_dir(args.data)
     if payload["dataset_fingerprint"] != fingerprint:
         raise ConfigError("checkpoint/dataset mismatch (fingerprint differs)")
-    mcfg = run_config_from_dict({"model": payload["model_config"]}).model
+    mcfg = _take(payload["model_config"], ModelConfig, "model_config")
     report = score(state.params, mcfg, dataset, eval_opts)
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
     print(text)

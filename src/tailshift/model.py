@@ -29,9 +29,9 @@ class ModelConfig:
 
     def __post_init__(self):
         dims = (self.d_x, self.d_v, self.d_s, self.n_classes, *self.hidden)
-        if any(int(d) < 1 for d in dims):
+        if any(d < 1 for d in dims):
             raise ConfigError("all model dimensions must be >= 1")
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
+        object.__setattr__(self, "hidden", tuple(self.hidden))
 
     @property
     def feature_dims(self) -> list[tuple[int, int]]:

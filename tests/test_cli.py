@@ -77,8 +77,9 @@ def test_config_rejects_unknown_fields():
     (("train", "t_max"), "x"), (("model", "hidden"), "ab"),
     (("data", "n_max"), "many"), (("train",), 5),
     (("data", "n_test_per_pair"), 0), (("data", "n_val_per_pair"), -1),
+    (("data", "n_classes"), 1), (("data", "n_train_domains"), 0),
 ], ids=["cp_alpha", "cp_tau", "ap_k", "ap_lam", "t_max", "hidden", "n_max", "train_not_object",
-        "n_test_per_pair", "n_val_per_pair"])
+        "n_test_per_pair", "n_val_per_pair", "n_classes_1", "n_train_domains_0"])
 def test_bad_section_value_is_config_error_naming_it(keys, value, tmp_path, capsys):
     raw = json.loads(json.dumps(TINY))
     sec = raw
@@ -374,6 +375,14 @@ def _write(name, text):
     return spoil
 
 
+def _keep_lines(name, n):
+    """A spoil that cuts file `name` to its first `n` lines."""
+    def spoil(bench, config):
+        lines = (bench / name).read_text().splitlines()
+        (bench / name).write_text("\n".join(lines[:n]) + "\n")
+    return spoil
+
+
 def _swap_embedding_rows(bench, config):
     lines = (bench / "embeddings.csv").read_text().splitlines()
     lines[1], lines[2] = lines[2], lines[1]
@@ -437,6 +446,9 @@ def _config_edit(section, **values):
     (_edit_line("embeddings.csv", 3, lambda line: "1,nan,0.0,0.0,0.0"),
      "line 3: class 1 has norm nan, not 1 within 1e-10"),
     (_swap_embedding_rows, "line 2: expected class 0, got '1'"),
+    (_edit_line("embeddings.csv", 3, lambda line: line.rsplit(",", 1)[0] + ",abc"),
+     "line 3: could not convert string to float: 'abc'"),
+    (_keep_lines("embeddings.csv", 2), "semantic table must be (C >= 2, d_s)"),
     (lambda bench, config: (bench / "dataset.csv").unlink(), "no dataset.csv under {bench}"),
     (_write("manifest.json", "{"), "{bench}/manifest.json: not a JSON document ("),
     (_checkpoint_of_other_data, "checkpoint was trained on different data (fingerprint mismatch)"),
@@ -449,7 +461,8 @@ def _config_edit(section, **values):
 ], ids=["val_class_unseen", "val_heldout_domain", "test_unbalanced", "train_domains_gap",
         "no_train_rows", "nan_feature", "dataset_header", "feature_columns", "unparsable_value",
         "embeddings_empty", "embeddings_header", "embeddings_fields", "embeddings_scaled_row",
-        "embeddings_zero_row", "embeddings_nan_row", "embeddings_order", "no_dataset_csv",
+        "embeddings_zero_row", "embeddings_nan_row", "embeddings_order",
+        "embeddings_unparsable_value", "embeddings_one_class", "no_dataset_csv",
         "manifest_not_json", "resume_other_data", "no_embeddings", "odd_hex", "d_v_0",
         "steps_per_epoch_0"])
 def test_train_refuses_bad_outside_input_naming_it(spoil, message, tiny_config, bench, capsys):
@@ -1102,9 +1115,21 @@ def _fractional_cov_n(doc):
     (_params_as_float32,
      "malformed checkpoint (ValueError: parameter block f0.W is stored as float32, not float64)"),
     (_fractional_cov_n, "malformed checkpoint (ValueError: cov.n is stored as float64, not int64)"),
+    (lambda doc: doc["params"][0][1].update(hex=5),
+     "malformed checkpoint (ValueError: array hex 5 is not a hex run of the file)"),
+    (lambda doc: doc["model_config"].update(hidden=[8.0]),
+     "malformed checkpoint (ConfigError: 'model_config': hidden must be a list of ints, "
+     "not [8.0])"),
+    (lambda doc: doc["model_config"].update(d_v=5.0),
+     "malformed checkpoint (ConfigError: 'model_config': d_v must be an int >= 0, not 5.0)"),
+    (lambda doc: doc["model_config"].pop("d_v"),
+     "malformed checkpoint (ConfigError: missing field(s) in 'model_config': ['d_v'])"),
+    (lambda doc: doc["model_config"].update(width=8),
+     "malformed checkpoint (ConfigError: unknown field(s) in 'model_config': ['width'])"),
 ], ids=["negative_step", "other_ema", "empty_rng_state", "reordered_params",
         "dropped_block", "transposed_cov_mu", "rng_buffer_pos", "rng_has_uint32",
-        "float32_params", "fractional_cov_n"])
+        "float32_params", "fractional_cov_n", "number_hex", "float_hidden", "float_d_v",
+        "no_d_v", "unknown_model_field"])
 def test_checkpoint_refused_at_load_unless_its_configs_can_resume_it(
         spoil, message, tiny_config, tmp_path, capsys):
     bench, run, bad = tmp_path / "bench", tmp_path / "run", tmp_path / "bad.json"
@@ -1119,6 +1144,31 @@ def test_checkpoint_refused_at_load_unless_its_configs_can_resume_it(
     assert main(["train", "--config", tiny_config, "--data", str(bench),
                  "--resume", str(bad), "--out", str(run)]) == 2
     assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (lambda doc: doc["train_config"].update(use_dc=1),
+     "checkpoint train_config differs from this run's; resuming would mix two configs"),
+    (lambda doc: doc.update(step=999), "checkpoint step 999 lies past this run's 4 steps"),
+], ids=["use_dc_1", "step_999"])
+def test_resume_refuses_a_checkpoint_its_run_could_not_have_written(
+        spoil, message, tiny_config, tmp_path, capsys):
+    bench, run, bad = tmp_path / "bench", tmp_path / "run", tmp_path / "bad.json"
+    main(["gen-data", "--config", tiny_config, "--out", str(bench)])
+    main(["train", "--config", tiny_config, "--data", str(bench), "--out", str(run)])
+    doc = json.loads((run / "checkpoint.json").read_text())
+    spoil(doc)
+    bad.write_text(json.dumps(doc))
+    CK.load_checkpoint(bad)  # a well-formed file: only a run can refuse it
+    capsys.readouterr()
+    resumed = tmp_path / "resumed"
+    assert main(["train", "--config", tiny_config, "--data", str(bench),
+                 "--resume", str(bad), "--out", str(resumed)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(resumed.iterdir()) == []
+    # the finished run's own checkpoint, at its last step, still resumes
+    assert main(["train", "--config", tiny_config, "--data", str(bench),
+                 "--resume", str(run / "checkpoint.json"), "--out", str(resumed)]) == 0
 
 
 def test_eval_refuses_manifest_without_config_hash(tiny_config, tmp_path, capsys):
