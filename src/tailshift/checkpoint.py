@@ -172,9 +172,10 @@ def save_checkpoint(path, state: TrainerState, model_config: dict,
 
 def load_checkpoint(path) -> tuple[TrainerState, dict]:
     """Returns (trainer state, metadata), the metadata being the payload's
-    ``META`` fields. A file that is not a whole version-3 checkpoint, or
-    whose state no run of its stored ``model_config`` could resume, raises
-    ``DataFormatError`` naming the file."""
+    ``META`` fields. A file that is not a whole version-3 checkpoint, whose
+    stored ``model_config`` the config parser refuses, or whose state no run
+    of that config could resume, raises ``DataFormatError`` naming the file.
+    ``train_config`` is left to the run that resumes it."""
     path = Path(path)
     doc, buf, spans = _read_document(path)
     try:
