@@ -135,7 +135,6 @@ def gradient_check_suite(n_points: int = 20, eps: float = 1e-5, tol: float = 1e-
         "aug_bound": lambda r: _case_aug_bound(r, ap.lam),
         "s2s_loss pairs": lambda r: _case_s2s(r, cp, True),
     }
-    # case i draws its points from streams i * n_points .. (i + 1) * n_points - 1
     points = streams(seed, len(cases) * n_points)
     results = []
     for i, (name, case) in enumerate(cases.items()):
