@@ -1,9 +1,9 @@
 """Verification machinery: gradient checks and the augmentation bound.
 
 Every loss carries analytic reverse-mode gradients; this script confronts
-them with the central-difference oracle, then pits the closed-form
-augmentation bound against a Monte-Carlo estimate of the expectation it
-bounds.
+them with the central-difference oracle, then pits the augmentation loss
+that training calls, on one sample, against a Monte-Carlo estimate of the
+expected cross-entropy it bounds in closed form.
 """
 
 import numpy as np
@@ -29,7 +29,9 @@ sigma = a @ a.T
 lam = 1.5
 y = 1
 
-bound = float(L.aug_bound(mu, sigma, w, b, y, lam).data)
+# on a batch of one, with every class holding sigma, aug_loss_mean is the bound
+bound = float(L.aug_loss_mean(mu[None], [y], w, b, np.stack([sigma] * c),
+                              L.AugParams(lam=lam, k=1)).data)
 z = rng.normal(size=(n, d))
 f = mu + np.sqrt(lam) * (z @ a.T)
 logits = f @ w.T + b

@@ -41,7 +41,7 @@ from .config import (
     load_run_config,
     run_config_to_dict,
 )
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, check_count
 from .mathcore.autodiff import FD_EPS_MAX
 from .model import ModelConfig
 
@@ -276,8 +276,9 @@ def cmd_gradcheck(args) -> int:
         raise ConfigError("--points must be >= 1")
     if not 0.0 < args.eps <= FD_EPS_MAX:
         raise ConfigError(f"--eps must lie in (0, {FD_EPS_MAX:g}]")
-    if not args.tol > 0.0:
-        raise ConfigError("--tol must be > 0")
+    if not 0.0 < args.tol < np.inf:
+        raise ConfigError("--tol must be finite and > 0")
+    check_count("--seed", args.seed)
     # imported here, so the other commands do not load it
     from .gradcheck import format_table, gradient_check_suite
 

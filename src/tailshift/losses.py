@@ -1,6 +1,6 @@
 """Loss kernels for long-tailed multi-domain training.
 
-Five kernels plus one closed-form bound:
+Five kernels:
 
 - ``dc_loss_mean``  count-calibrated softmax cross-entropy, the plain
   cross-entropy of the logits plus log counts; classes absent from the
@@ -19,15 +19,15 @@ Five kernels plus one closed-form bound:
   penalties from a blended covariance inflate the softmax normalizer. A
   training step validates its blended covariances once, as a read-only
   ``SigmaPrimes`` that both of its ``aug_loss_mean`` calls read unchecked.
-- ``aug_bound`` the moment-generating-function upper bound on the expected
-  cross-entropy under a Gaussian feature perturbation; a Monte-Carlo
-  estimate of that expectation must stay below it.
+  On one sample with features mu, its value is the moment-generating-
+  function upper bound on the expected cross-entropy of features drawn
+  from N(mu, lam Sigma'_y), ISDA's surrogate; a Monte-Carlo estimate of
+  that expectation must stay below it.
 
-Every training loss is one graph node with a hand-written backward
+Every loss is one graph node with a hand-written backward
 (``dc_loss_mean``, ``z2s_loss_mean``, ``s2s_loss``, ``aug_loss_mean``) or a
 sum of such nodes (``s2z_loss`` adds a ``dc_loss_mean`` on its ``affine``
-logits to an ``s2s_loss``); only ``aug_bound``, which no training step
-calls, is built from ``mathcore`` primitives. The softmax cross-entropies of
+logits to an ``s2s_loss``). The softmax cross-entropies of
 ``dc_loss_mean``, ``z2s_loss_mean`` and ``aug_loss_mean`` are one helper on
 ``mathcore``'s log-softmax core; ``s2s_loss`` keeps its own shift, one per
 Gram row (see its docstring). Like ``model``, each accepts plain arrays or
@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .banks import SemanticTable, label_groups
-from .mathcore import Tensor, affine, as_tensor, check_psd, log_softmax
+from .mathcore import Tensor, affine, as_tensor, check_psd
 from .mathcore.autodiff import _log_softmax_core, _unbroadcast
 
 UNIT_TOL = 1e-6
@@ -463,19 +463,3 @@ def aug_loss_mean(features, labels, w, b, sigma_primes, ap: AugParams):
 
     return Tensor._from_op(np.asarray(value), (f, wt, bt), bw)
 
-
-def aug_bound(mu_y, sigma_y, w, b, label: int, lam: float):
-    """Closed-form upper bound on E[cross-entropy] for f ~ N(mu_y, lam Sigma_y):
-
-        log sum_c exp( (w_c-w_y)'mu_y + (b_c-b_y) + (lam/2)(w_c-w_y)'Sigma_y(w_c-w_y) )
-
-    The exponent of the label is exactly 0, so this log-sum-exp is the
-    negated log-softmax at the label.
-    """
-    wt, bt = as_tensor(w), as_tensor(b)
-    mu = as_tensor(mu_y)
-    sig = sigma_y if isinstance(sigma_y, Tensor) else Tensor(check_psd(sigma_y))
-    d = wt - wt[label]
-    quad = ((d @ sig) * d).sum(axis=1)
-    exponents = d @ mu + (bt - bt[label]) + (lam / 2.0) * quad
-    return -log_softmax(exponents)[label]

@@ -11,8 +11,9 @@ gives the value and gradients of its primitive composition bit for bit:
 ``normalize_rows``, ``mask_fill`` (``x * keep + fill * (1 - keep)`` for a
 constant fill) and ``weighted_sum`` (a loss total ``w_0 t_0 + w_1 t_1 + ...``
 summed left to right). The log-softmax array math lives
-once, in ``_log_softmax_core``; ``log_softmax`` and the fused
-cross-entropy nodes of ``losses`` call it. It takes no weights:
+once, in ``_log_softmax_core``; the fused cross-entropy nodes of
+``losses`` call it, and so does ``log_softmax``, their reference in the
+tests. It takes no weights:
 a prior enters as a log-prior added to the logits, with -inf for an entry
 that must get probability 0.
 
@@ -294,10 +295,6 @@ class Tensor:
 
     # -- misc ----------------------------------------------------------------
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def __repr__(self):
         return f"Tensor({self.data!r}, requires_grad={self.requires_grad})"
 
@@ -332,6 +329,9 @@ def log_softmax(x):
     softmax log(w_i e^{x_i} / sum_j w_j e^{x_j}) is ``log_softmax(x + log w)``.
 
     Accepts a Tensor or ndarray (1-D or batched rows); returns a Tensor.
+    No module of the package calls it. The tests build reference graphs of
+    the fused cross-entropy nodes of ``losses`` on it, and those nodes must
+    match such a graph bit for bit.
     """
     xt = as_tensor(x)
     lse, p = _log_softmax_core(xt.data)

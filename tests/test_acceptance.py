@@ -102,7 +102,9 @@ def test_criterion_3_upper_bound_monte_carlo():
         sigma = a @ a.T
         lam = float(rng.uniform(0.1, 5.0))
         y = int(rng.integers(0, c))
-        bound = L.aug_bound(mu, sigma, w, b, y, lam).data
+        # the training kernel on a batch of one, every class holding sigma
+        bound = L.aug_loss_mean(mu[None], [y], w, b, np.stack([sigma] * c),
+                                L.AugParams(lam=lam, k=1)).data
         z = rng.normal(size=(n, d))
         f = mu + np.sqrt(lam) * (z @ a.T)
         logits = f @ w.T + b

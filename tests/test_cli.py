@@ -881,6 +881,8 @@ def test_import_tailshift_loads_no_numpy(tmp_path):
     (["ablate", "--config", "TINY", "--rows", ","], "--rows"),
     (["eval", "--checkpoint", "ck.json", "--data", "bench", "--dump-features"],
      "--dump-features"),
+    (["gradcheck", "--points", "1", "--tol", "inf"], "--tol"),
+    (["gradcheck", "--points", "1", "--seed", "-1"], "--seed"),
 ])
 def test_flag_with_nothing_to_do_is_usage_error(argv, flag, tiny_config, tmp_path, capsys):
     out = tmp_path / "out"

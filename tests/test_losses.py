@@ -3,6 +3,8 @@ import pytest
 
 from tailshift import banks as B
 from tailshift import losses as L
+from tailshift import meta as MT
+from tailshift.gradcheck import gradient_check_suite
 from tailshift.mathcore import Rng, Tensor, fd_grad, grad, log_softmax, normalize_rows
 from tailshift.mathcore.linalg import SYM_TOL
 
@@ -215,7 +217,7 @@ def test_s2z_compositional_oracle():
 
 
 # ---------------------------------------------------------------------------
-# aug_loss_mean / aug_bound
+# aug_loss_mean
 # ---------------------------------------------------------------------------
 
 def _ce(logits, y):
@@ -273,43 +275,9 @@ def test_aug_loss_rejects_non_psd():
              np.diag([1.0, -0.5]), L.AugParams(lam=1.0, k=1))
 
 
-def test_aug_bound_degenerate_gaussian():
-    rng = Rng(11)
-    c, d = 5, 3
-    w = rng.normal(size=(c, d))
-    b = rng.normal(size=c)
-    mu = rng.normal(size=d)
-    bound = L.aug_bound(mu, np.zeros((d, d)), w, b, 2, lam=5.0).data
-    assert bound == pytest.approx(_ce(w @ mu + b, 2), abs=1e-12)
-
-
-def test_aug_bound_single_class_is_zero():
-    assert L.aug_bound(np.ones(3), np.eye(3), np.ones((1, 3)), np.zeros(1), 0, 2.0).data \
-        == pytest.approx(0.0, abs=1e-15)
-
-
-def test_aug_bound_dominates_monte_carlo():
-    # E[CE] over f ~ N(mu, lam Sigma) must not exceed the bound + 3 SE.
-    rng = Rng(12)
-    n = 20000
-    for trial in range(5):
-        c = int(rng.integers(2, 7))
-        d = int(rng.integers(2, 7))
-        w = rng.normal(size=(c, d))
-        b = rng.normal(size=c)
-        mu = rng.normal(size=d)
-        a = 0.7 * rng.normal(size=(d, d))
-        sigma = a @ a.T
-        lam = float(rng.uniform(0.2, 4.0))
-        y = int(rng.integers(0, c))
-        bound = L.aug_bound(mu, sigma, w, b, y, lam).data
-        z = rng.normal(size=(n, d))
-        f = mu + np.sqrt(lam) * (z @ a.T)
-        logits = f @ w.T + b
-        m = logits.max(axis=1, keepdims=True)
-        ce = -(logits[np.arange(n), y] - m[:, 0] - np.log(np.exp(logits - m).sum(axis=1)))
-        est, se = ce.mean(), ce.std(ddof=1) / np.sqrt(n)
-        assert est <= bound + 3 * se
+def test_aug_loss_single_class_is_zero():
+    val = aug1(np.ones(3), 0, np.ones((1, 3)), np.zeros(1), np.eye(3), L.AugParams(lam=2.0, k=1))
+    assert val == pytest.approx(0.0, abs=1e-15)
 
 
 def test_aug_loss_mean_matches_singles():
@@ -369,7 +337,6 @@ def _kernel_calls():
         "s2z_loss": lambda: L.s2z_loss(rng.normal(size=(c, d_v)), w, b, enc, table, cp),
         "aug_loss_mean": lambda: L.aug_loss_mean(rng.normal(size=(2, d_v)), [0, 1], w, b,
                                                  sigmas, ap),
-        "aug_bound": lambda: L.aug_bound(rng.normal(size=d_v), np.eye(d_v), w, b, 1, 2.0),
     }
 
 
@@ -378,6 +345,17 @@ def test_kernel_returns_tensor_for_arrays(name):
     out = _kernel_calls()[name]()
     assert isinstance(out, Tensor)
     assert out.data.shape == () and np.isfinite(out.data)
+
+
+def test_gradient_suite_checks_exactly_the_kernels_training_calls():
+    # every loss function meta imports from losses, plus the pairs form of
+    # s2s_loss (L_S2S), which meta calls as well
+    trained = {name for name, obj in vars(MT).items()
+               if callable(obj) and not isinstance(obj, type)
+               and getattr(obj, "__module__", None) == L.__name__}
+    assert "aug_loss_mean" in trained and "s2s_loss" in trained
+    cases = {r.name for r in gradient_check_suite(n_points=1)}
+    assert cases == trained | {"s2s_loss pairs"}
 
 
 def _grad_matches_fd(fn, params):
@@ -531,15 +509,6 @@ def test_aug_loss_mean_refuses_label_outside_validated_rows(monkeypatch):
     # a stack is read as it is: the call validates nothing again
     L.aug_loss_mean(feats, np.where(labels == 1, 0, labels), w, b, sp, ap)
     assert checked == []
-
-
-def test_aug_bound_grad_bias_only_leaf():
-    rng = Rng(17)
-    c, d = 5, 3
-    mu, w = rng.normal(size=d), 0.5 * rng.normal(size=(c, d))
-    a = 0.5 * rng.normal(size=(d, d))
-    _grad_matches_fd(lambda t: L.aug_bound(mu, a @ a.T, w, t["b"], 2, 1.5),
-                     {"b": rng.normal(size=c)})
 
 
 def _s2s_loss_from_primitives(a, b, cp):
