@@ -4,8 +4,8 @@ Library layout (``import tailshift`` loads none of these; import each by
 name, e.g. ``from tailshift import meta``):
 
 - ``mathcore``   float64 tensors, reverse-mode gradients + fd oracle, rng
-- ``losses``     calibrated classification, contrastive alignment, implicit
-                 augmentation kernels and the augmentation upper bound
+- ``losses``     calibrated classification, contrastive alignment and
+                 implicit augmentation kernels
 - ``banks``      per-domain prototype bank (EMA) and per-class running
                  covariance with similarity-guided blending
 - ``model``      small MLP feature extractor, linear classifier, visual <->

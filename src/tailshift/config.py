@@ -15,8 +15,8 @@ An existing dataset directory is passed with ``--data``, not through the
 config. A field its section does not define is refused, as is a missing
 required field and a value without its field's type: an int field takes an
 int >= 0 (every int setting is a count), a bool field ``true`` or
-``false``, a float field any number, ``hidden`` a list of ints and
-``threshold`` also ``null``. Model input,
+``false``, a float field any finite number, ``hidden`` a list of ints
+and ``threshold`` also ``null``. Model input,
 semantic and class sizes are filled from the data section when omitted.
 ``run_config_to_dict`` is the one serialized form (plain JSON types) that
 checkpoints store and ``--resume`` compares; ``run_config_from_dict`` reads
@@ -29,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import typing
 from dataclasses import dataclass, field
 from importlib import resources
@@ -98,6 +99,9 @@ def _check_type(name: str, value, hint) -> None:
         ok, kind = isinstance(value, hint), hint.__name__
     if not ok:
         raise ConfigError(f"{name} must be {kind}, not {value!r}")
+    if type(value) is float and not math.isfinite(value):
+        # Python's json reads NaN and Infinity, which JSON does not have
+        raise ConfigError(f"{name} must be finite, not {value!r}")
 
 
 def _take(d, cls, section: str, **overrides):

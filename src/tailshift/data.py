@@ -95,6 +95,8 @@ class SyntheticConfig:
             raise ConfigError("n_classes must be >= 2")
         if self.n_train_domains < 1:
             raise ConfigError("n_train_domains must be >= 1")
+        if self.d_x < 1 or self.d_s < 1:
+            raise ConfigError("d_x and d_s must be >= 1")
         if not (self.n_max >= self.n_min >= 1):
             raise ConfigError("need n_max >= n_min >= 1")
         check_count("n_val_per_pair", self.n_val_per_pair)

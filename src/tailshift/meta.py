@@ -105,6 +105,8 @@ class TrainConfig:
         check_count("seed", self.seed)
         if min(self.w1, self.w2, self.w3, self.w4, self.w_mte) < 0:
             raise ConfigError("loss weights must be >= 0")
+        if min(self.beta1, self.beta2) < 0:
+            raise ConfigError("learning rates beta1 and beta2 must be >= 0")
         if not (0 <= self.t_sigma <= self.t_max):
             raise ConfigError("need 0 <= t_sigma <= t_max")
         if self.steps_per_epoch < 1 or self.batch_size < 1:

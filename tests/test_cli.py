@@ -78,8 +78,15 @@ def test_config_rejects_unknown_fields():
     (("data", "n_max"), "many"), (("train",), 5),
     (("data", "n_test_per_pair"), 0), (("data", "n_val_per_pair"), -1),
     (("data", "n_classes"), 1), (("data", "n_train_domains"), 0),
+    (("data", "d_x"), 0), (("data", "d_s"), 0),
+    (("train", "w1"), float("nan")), (("train", "cp", "tau"), float("nan")),
+    (("train", "beta2"), float("nan")), (("train", "ap", "lam"), float("inf")),
+    (("data", "transform_strength"), float("nan")),
+    (("train", "beta1"), -0.1), (("train", "beta2"), -0.1),
 ], ids=["cp_alpha", "cp_tau", "ap_k", "ap_lam", "t_max", "hidden", "n_max", "train_not_object",
-        "n_test_per_pair", "n_val_per_pair", "n_classes_1", "n_train_domains_0"])
+        "n_test_per_pair", "n_val_per_pair", "n_classes_1", "n_train_domains_0", "d_x_0",
+        "d_s_0", "w1_nan", "cp_tau_nan", "beta2_nan", "ap_lam_inf", "transform_strength_nan",
+        "beta1_negative", "beta2_negative"])
 def test_bad_section_value_is_config_error_naming_it(keys, value, tmp_path, capsys):
     raw = json.loads(json.dumps(TINY))
     sec = raw

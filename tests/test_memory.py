@@ -4,7 +4,7 @@ scoring a split, which runs the model one row block at a time. Peaks are the
 ``tracemalloc`` high-water of one call, which counts NumPy's buffers as well
 as Python objects. Then the heap policy of ``meta.run``: steady training
 steps take (almost) no minor page faults on glibc, and the policy changes no
-value."""
+value. Each bound prints the figure it checks (``pytest -s``)."""
 
 import dataclasses
 import hashlib
@@ -67,6 +67,7 @@ def test_sha256_streams_the_file(paper_s1):
     _, _, root = paper_s1
     path = root / "dataset.csv"
     digest, peak = traced_peak(lambda: _sha256(path))
+    print(f"sha256 of {path.stat().st_size / MiB:.2f} MiB: peak {peak / MiB:.3f} MiB")
     assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
     assert path.stat().st_size > 4 * MiB and peak < 1 * MiB
 
@@ -74,6 +75,7 @@ def test_sha256_streams_the_file(paper_s1):
 def test_load_dataset_holds_about_one_copy(paper_s1):
     ds, _, root = paper_s1
     back, peak = traced_peak(lambda: D.load_dataset(root / "dataset.csv", semantic=ds.semantic))
+    print(f"load_dataset: peak {peak / ds.x.nbytes:.2f}x of x")
     assert peak <= 2.5 * ds.x.nbytes
     for got, want in ((back.x, ds.x), (back.y, ds.y), (back.d, ds.d), (back.split, ds.split)):
         assert got.dtype == want.dtype and got.shape == want.shape
@@ -86,6 +88,7 @@ def test_load_dataset_npy_reads_one_copy_of_x(paper_s1):
     path = root / "dataset.npy"
     D.save_dataset_npy(ds, path)
     back, peak = traced_peak(lambda: D.load_dataset_npy(path, semantic=ds.semantic))
+    print(f"load_dataset_npy: peak {peak / ds.x.nbytes:.2f}x of x")
     # x itself, the (3, N) int64 columns (0.125x at d_x 24), the int8 split
     # codes (0.005x) and make_dataset's transient column copies: 1.22x
     assert peak <= 1.25 * ds.x.nbytes
@@ -96,6 +99,7 @@ def test_save_checkpoint_streams_the_document(paper_s1, tmp_path):
     _, state, _ = paper_s1
     path = tmp_path / "ck.json"
     _, peak = traced_peak(lambda: CK.save_checkpoint(path, state, {"m": 1}, {"t": 2}, "fp"))
+    print(f"save_checkpoint: peak {peak / path.stat().st_size:.2f}x of the file")
     # hexing one bounded slice at a time holds about 0.13x the file; a save
     # that makes the whole document's text holds more than 1x
     assert peak < 0.25 * path.stat().st_size
@@ -107,6 +111,7 @@ def test_load_checkpoint_returns_no_array_text(paper_s1, tmp_path):
     model = run_config_to_dict(load_run_config("paper_s1")[0])["model"]
     CK.save_checkpoint(path, state, model, {"t": 2}, "fp")
     (loaded, meta), peak = traced_peak(lambda: CK.load_checkpoint(path))
+    print(f"load_checkpoint: peak {peak / path.stat().st_size:.2f}x of the file")
     # the file's bytes, decoded in place, plus one slice's decoded hex; a
     # load that parses the whole text holds its hex twice (about 2x)
     assert peak <= 1.2 * path.stat().st_size
@@ -115,15 +120,22 @@ def test_load_checkpoint_returns_no_array_text(paper_s1, tmp_path):
     assert loaded.cov.sigma.tobytes() == state.cov.sigma.tobytes()
 
 
-def test_evaluate_holds_one_row_block_of_the_test_split(paper_s1):
+@pytest.mark.parametrize("name", ["evaluate", "dump_features"])
+def test_pass_holds_one_row_block_of_the_test_split(paper_s1, name, tmp_path):
     ds, state, _ = paper_s1
     mcfg = load_run_config("paper_s1")[0].model
     ds.indices("test")  # cached once per dataset, not per pass
-    rep, peak = traced_peak(lambda: E.evaluate(state.params, mcfg, ds, ds.heldout_domains[0],
-                                               0.5))
-    # 1500 rows, six blocks: about 0.30 MiB; the (1500, 50) logits and the
-    # two softmax temporaries of one pass over the split make 1.82 MiB
-    assert ds.indices("test").size == 1500 and 0.0 <= rep.acc_u <= 100.0
+    score = {"evaluate": lambda: E.evaluate(state.params, mcfg, ds, ds.heldout_domains[0], 0.5),
+             "dump_features": lambda: E.dump_features(state.params, mcfg, ds,
+                                                      tmp_path / "features.csv", "test")}[name]
+    out, peak = traced_peak(score)
+    print(f"{name} test {ds.indices('test').size} rows: peak {peak / MiB:.3f} MiB")
+    # 1500 rows, six blocks: about 0.30 MiB (evaluate) and 0.37 MiB
+    # (dump_features); one block of the whole split reads 1.44 and 1.47 MiB,
+    # since the (1500, 50) logits and the two softmax temporaries of
+    # evaluate, or the split's features and their text, are held at once
+    assert ds.indices("test").size == 1500
+    assert out == 1500 if name == "dump_features" else 0.0 <= out.acc_u <= 100.0
     assert peak < 0.6 * MiB
 
 
@@ -145,40 +157,47 @@ def peak_on_val_of(paper_s1, n, score, shuffled=False):
     return traced_peak(lambda: score(state.params, mcfg, sub))[1]
 
 
-def test_evaluate_peak_does_not_grow_with_the_split(paper_s1):
-    def score(params, mcfg, sub):
-        return E.evaluate(params, mcfg, sub, 0, 0.5, split="val")
+def val_pass(name, tmp_path=None):
+    """The pass `name` over the val split, as ``score`` for ``peak_on_val_of``;
+    ``dump_features`` writes into `tmp_path`."""
+    grid = load_run_config("paper_s1")[0].eval.grid
+    return {"evaluate": lambda params, mcfg, sub: E.evaluate(params, mcfg, sub, 0, 0.5,
+                                                              split="val"),
+            "select_threshold": lambda params, mcfg, sub: E.select_threshold(params, mcfg,
+                                                                             sub, grid),
+            "dump_features": lambda params, mcfg, sub: E.dump_features(
+                params, mcfg, sub, tmp_path / "features.csv", "val")}[name]
 
-    one = peak_on_val_of(paper_s1, E.SCORE_BLOCK_ROWS, score)
-    eight = peak_on_val_of(paper_s1, 8 * E.SCORE_BLOCK_ROWS, score)
+
+# val rows of each pass: 1, 2, 8 and 16 blocks of SCORE_BLOCK_ROWS (256) rows,
+# fixed so that a larger block size cannot make the split larger
+@pytest.mark.parametrize("name, rows, bound", [
     # each block is counted into (D, C) tables before the next one runs, so
     # nothing stays per row; holding the decisions alone would add 8 bytes a
     # row (14 KiB here)
-    assert eight - one < 8 * 1024, (one, eight)
-
-
-def test_select_threshold_peak_does_not_grow_with_the_split(paper_s1):
-    grid = load_run_config("paper_s1")[0].eval.grid
-
-    def score(params, mcfg, sub):
-        return E.select_threshold(params, mcfg, sub, grid)
-
-    one = peak_on_val_of(paper_s1, E.SCORE_BLOCK_ROWS, score)
-    sixteen = peak_on_val_of(paper_s1, 16 * E.SCORE_BLOCK_ROWS, score)
+    ("evaluate", (256, 2048), 8 * 1024),
     # the (G, D, C) tables of the 20 thresholds do not grow with the rows; a
     # (G, N) grid of int64 decisions alone would add 600 KiB at 3840 more rows
-    assert sixteen - one < 0.1 * MiB, (one, sixteen)
+    ("select_threshold", (256, 4096), 0.1 * MiB),
+    # write_rows holds one block while the generator makes the next, which
+    # adds about 70 KiB once, from one block to two; past that the peak
+    # stays, where features of the whole split grow it by 3.3 MiB
+    ("dump_features", (512, 4096), 8 * 1024),
+], ids=["evaluate", "select_threshold", "dump_features"])
+def test_pass_peak_does_not_grow_with_the_split(paper_s1, name, rows, bound, tmp_path):
+    score = val_pass(name, tmp_path)
+    small, large = (peak_on_val_of(paper_s1, n, score) for n in rows)
+    print(f"{name} val {rows[0]} -> {rows[1]} rows: peak {small / MiB:.3f} -> "
+          f"{large / MiB:.3f} MiB ({(large - small) / 1024:+.1f} KiB)")
+    assert large - small < bound, (small, large)
 
 
 @pytest.mark.parametrize("name", ["evaluate", "select_threshold"])
 def test_passes_gather_no_copy_of_the_domain_column(paper_s1, name):
-    grid = load_run_config("paper_s1")[0].eval.grid
-    score = {"evaluate": lambda params, mcfg, sub: E.evaluate(params, mcfg, sub, 0, 0.5,
-                                                              split="val"),
-             "select_threshold": lambda params, mcfg, sub: E.select_threshold(params, mcfg,
-                                                                              sub, grid)}[name]
-    small = peak_on_val_of(paper_s1, 4096, score, shuffled=True)
-    large = peak_on_val_of(paper_s1, 32768, score, shuffled=True)
+    small, large = (peak_on_val_of(paper_s1, n, val_pass(name), shuffled=True)
+                    for n in (4096, 32768))
+    print(f"{name} val 4096 -> 32768 shuffled rows: peak {small / MiB:.3f} -> "
+          f"{large / MiB:.3f} MiB ({(large - small) / 1024:+.1f} KiB)")
     # a split's domains come from the dataset's cache; gathering and sorting
     # the split's domain column in each pass held 16 bytes a row and, past
     # about 16k rows, set the pass's peak: it grew by 203-232 KiB here. The
@@ -188,21 +207,39 @@ def test_passes_gather_no_copy_of_the_domain_column(paper_s1, name):
 
 
 @needs_glibc
-def test_aug_steps_reuse_the_heap(tmp_path):
+def test_aug_steps_reuse_the_heap():
     # a fresh process, as a CLI run starts: without the policy every paper_s1
     # aug step faults in the heap top that the step before it gave back
-    # (about 200 minor faults per step on this config)
-    raw = load_run_config("paper_s1")[1]
-    raw["train"].update(t_max=20, t_sigma=8)
-    (tmp_path / "short.json").write_text(json.dumps(raw))
-    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "step_faults.py"),
-                           str(tmp_path / "short.json"), "--skip", "4"],
-                          capture_output=True, text=True, timeout=300)
+    # (about 200 minor faults per step on this config). A step's faults are
+    # counted from the end of the one before it (the first from the call
+    # into meta.run), so they include sampling its batches; each phase's
+    # first 4 steps, which first grow the heap, are left out
+    script = """
+import dataclasses, resource, statistics
+from tailshift import meta as MT
+from tailshift.config import load_run_config
+from tailshift.data import generate
+cfg = load_run_config("paper_s1")[0]
+train = dataclasses.replace(cfg.train, t_max=20, t_sigma=8)
+faults, epochs = [resource.getrusage(resource.RUSAGE_SELF).ru_minflt], []
+def on_step(state, report):
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    epochs.append(report.epoch)
+MT.run(generate(cfg.data), train, cfg.model, on_step=on_step)
+steps = list(zip(epochs, faults, faults[1:]))
+for aug in (False, True):
+    phase = [f1 - f0 for epoch, f0, f1 in steps if (epoch >= train.t_sigma) == aug][4:]
+    print(len(phase), statistics.median(phase))
+"""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    rows = {line.split()[0]: line.split()[1:] for line in proc.stdout.splitlines()[1:]}
-    assert rows["pre-aug"][0] == "28" and rows["aug"][0] == "44"
-    assert float(rows["aug"][2]) <= 10, proc.stdout
-    assert float(rows["pre-aug"][2]) <= 10, proc.stdout
+    (pre, pre_faults), (aug, aug_faults) = (line.split() for line in proc.stdout.splitlines())
+    print(f"minor faults per step, median: pre-aug {pre_faults} over {pre} steps, "
+          f"aug {aug_faults} over {aug} steps")
+    assert (pre, aug) == ("28", "44")
+    assert float(pre_faults) <= 10 and float(aug_faults) <= 10, proc.stdout
 
 
 def test_keep_heap_sets_the_thresholds_once(monkeypatch):

@@ -1,7 +1,5 @@
-"""``tools/preset_traces.py`` hashes one preset's CLI outputs,
-``tools/trace_diff.py`` compares the losses of two traces,
-``tools/step_faults.py`` reports the cost of the training steps by phase,
-and ``tools/eval_peaks.py`` the memory peak of each pass over a split."""
+"""``tools/preset_traces.py`` hashes one preset's CLI outputs, and
+``tools/trace_diff.py`` compares the losses of two traces."""
 
 import json
 import re
@@ -10,8 +8,6 @@ import sys
 from pathlib import Path
 
 import pytest
-
-from tailshift.config import load_run_config
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -96,38 +92,3 @@ def test_trace_diff_reports_each_loss(tmp_path):
     proc = subprocess.run(tool + [str(tmp_path / "old.jsonl"), str(tmp_path / "short.jsonl")],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 1 and "different steps" in proc.stderr
-
-
-def test_step_faults_reports_each_phase(tmp_path):
-    raw = load_run_config("desk")[1]
-    raw["train"].update(t_max=6, t_sigma=3)    # two steps per epoch: 6 + 6 steps
-    (tmp_path / "short.json").write_text(json.dumps(raw))
-    tool = [sys.executable, str(ROOT / "tools" / "step_faults.py"), str(tmp_path / "short.json")]
-    for extra, n in (([], 6), (["--skip", "2"], 4)):
-        proc = subprocess.run(tool + extra, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        lines = [line.split() for line in proc.stdout.splitlines()]
-        assert lines[0] == ["phase", "steps", "cpu_ms_p50", "minflt_p50"]
-        assert [row[:2] for row in lines[1:3]] == [["pre-aug", str(n)], ["aug", str(n)]]
-        assert all(float(v) >= 0 for row in lines[1:3] for v in row[2:])
-        assert len(lines) == 4 and lines[3][0] == "peak_rss_mb" and 10 < float(lines[3][1]) < 1000
-    proc = subprocess.run(tool + ["--skip", "6"], capture_output=True, text=True, timeout=120)
-    assert [line.split()[1:] for line in proc.stdout.splitlines()[1:3]] == [["0", "-", "-"]] * 2
-    proc = subprocess.run(tool[:2] + ["no-such-preset"], capture_output=True, text=True,
-                          timeout=60)
-    assert proc.returncode == 2 and "neither a file nor a preset" in proc.stderr
-
-
-def test_eval_peaks_reports_each_pass():
-    tool = [sys.executable, str(ROOT / "tools" / "eval_peaks.py")]
-    proc = subprocess.run(tool + ["desk"], capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    lines = [line.split() for line in proc.stdout.splitlines()]
-    assert lines[0] == ["pass", "split", "rows", "peak_mib"]
-    # desk: 600 test rows (5 domains x 20 classes x 6), 192 val rows
-    assert [row[:3] for row in lines[1:]] == [["evaluate", "test", "600"],
-                                              ["select_threshold", "val", "192"],
-                                              ["dump_features", "test", "600"]]
-    assert all(0 < float(row[3]) < 1 for row in lines[1:]), proc.stdout
-    proc = subprocess.run(tool + ["no-such-preset"], capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 2 and "neither a file nor a preset" in proc.stderr
